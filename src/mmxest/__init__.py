@@ -35,6 +35,7 @@ from .filter_bank import (
 from .minimax import (
     MinimaxEstimate,
     QuadraticPiece,
+    QuadraticPieces,
     build_pieces,
     project_simplex,
     quadratic_max_closed_form,
@@ -44,8 +45,7 @@ from .minimax import (
 from .model_bank import ModelSet, validate
 from .riccati import (
     AreSolution,
-    RiccatiSequence,
-    StationaryGains,
+    GainSchedule,
     check_gamma_feasibility,
     innovation_covariance,
     kalman_gain,
@@ -76,6 +76,7 @@ __all__ = [
     "ExperimentConfig",
     "FactorizationFailure",
     "FilterBankState",
+    "GainSchedule",
     "GammaInfeasible",
     "HorizonExceeded",
     "IndexOutOfRange",
@@ -89,10 +90,9 @@ __all__ = [
     "NotPositiveDefinite",
     "PreconditionViolated",
     "QuadraticPiece",
-    "RiccatiSequence",
+    "QuadraticPieces",
     "SimulationTrace",
     "SingularSystem",
-    "StationaryGains",
     "bayes_estimate",
     "bayes_init",
     "bayes_step",

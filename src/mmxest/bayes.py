@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyModelSet
-from .filter_bank import FilterBankState
-from .linalg import quad_form_solve
+from .filter_bank import FilterBankState, innovations, predictions
 from .model_bank import ModelSet
 
 # Likelihoods are floored before renormalizing so one astronomically
 # unlikely innovation cannot zero out a model forever.
 LIKELIHOOD_FLOOR = 1e-300
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,14 @@ def bayes_step(posterior: BayesPosterior, state: FilterBankState,
     ``state`` must be the filter bank state BEFORE absorbing ``y``, so the
     innovation y - H_i xb_i and its covariance S_i are the one-step
     predictive distribution of y under model i.  Likelihoods are computed
-    in log space to survive large innovations.
+    in log space to survive large innovations; log det S_i is the
+    schedule's, taken from the Cholesky factor of S_i.
     """
     models = state.models
     y = np.asarray(y, dtype=float).reshape(models.m)
-    loglik = np.empty(models.K)
-    for i in range(models.K):
-        S = state.gains.innovation_cov(state.t, i)
-        e = y - models.H[i] @ state.xbreve[i]
-        sign, logdet = np.linalg.slogdet(2.0 * np.pi * S)
-        loglik[i] = -0.5 * (logdet + quad_form_solve(S, e, context="S"))
+    _, cost = innovations(state, y)
+    logdet = state.gains.logdet_S[:, state.gains.column(state.t)]
+    loglik = -0.5 * (models.m * LOG_2PI + logdet + cost)
     # Shift before exponentiating; the shift cancels in the normalization.
     w = posterior.mu * np.exp(loglik - loglik.max())
     w = np.maximum(w, LIKELIHOOD_FLOOR)
@@ -71,8 +69,7 @@ def bayes_estimate(posterior: BayesPosterior, state: FilterBankState,
     ``average`` returns sum_i mu_i H_i xb_i; ``map`` returns the prediction
     of the most probable model (ties broken by lowest index).
     """
-    models = state.models
-    preds = np.stack([models.H[i] @ state.xbreve[i] for i in range(models.K)])
+    preds = predictions(state)
     if mode == "average":
         return posterior.mu @ preds
     if mode == "map":

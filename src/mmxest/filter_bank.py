@@ -6,8 +6,8 @@ Each candidate model i runs the observer
     c_{t+1,i}  = c_{t,i} + e_i^T S_{t,i}^{-1} e_i,   e_i = y_t - H_i xb_{t,i},
 
 with gains and innovation covariances taken from a precomputed
-:class:`~mmxest.riccati.RiccatiSequence` (time-varying) or
-:class:`~mmxest.riccati.StationaryGains` (constant).  The accumulated cost
+:class:`~mmxest.riccati.GainSchedule` (time-varying or stationary).  A step
+advances all K filters with batched array operations.  The accumulated cost
 c_{t,i} is the minimum disturbance energy needed to reconcile model i with
 the data seen so far; it is the learning signal of the prediction game.
 
@@ -26,13 +26,13 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatch,
-    HorizonExceeded,
     IndexOutOfRange,
     ModelMismatch,
     SingularSystem,
 )
-from .linalg import max_eig_sym, quad_form_solve, spd_solve
+from .linalg import spd_solve
 from .model_bank import ModelSet
+from .riccati import GainSchedule
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,18 @@ class FilterBankState:
     """Snapshot of the filter bank at time t.
 
     ``xbreve`` stacks the K per-model estimates row-wise ((K, n) array) and
-    ``c`` holds the K accumulated costs.  ``gains`` is the Riccati data in
-    use; ``stationary`` records whether constant gains are in effect.
-    Instances are immutable; :func:`step` returns a fresh state.
+    ``c`` holds the K accumulated costs.  ``gains`` is the gain schedule in
+    use.  Instances are immutable; :func:`step` returns a fresh state.
     """
 
     t: int
     xbreve: np.ndarray
     c: np.ndarray
-    gains: object
-    stationary: bool
+    gains: GainSchedule
     models: ModelSet
 
 
-def init(models: ModelSet, gains) -> FilterBankState:
+def init(models: ModelSet, gains: GainSchedule) -> FilterBankState:
     """Start the bank at t = 0 with every estimate at xhat0 and zero cost.
 
     ``gains`` must have been computed from the same model set; mismatched
@@ -65,14 +63,19 @@ def init(models: ModelSet, gains) -> FilterBankState:
             f"({gains.n_models}, {gains.n_states}, {gains.n_outputs}), "
             f"model set has ({models.K}, {models.n}, {models.m})")
     xbreve = np.tile(models.xhat0, (models.K, 1))
-    return FilterBankState(
-        t=0,
-        xbreve=xbreve,
-        c=np.zeros(models.K),
-        gains=gains,
-        stationary=gains.stationary,
-        models=models,
-    )
+    return FilterBankState(t=0, xbreve=xbreve, c=np.zeros(models.K), gains=gains, models=models)
+
+
+def predictions(state: FilterBankState) -> np.ndarray:
+    """Each model's output prediction H_i xb_i, as a (K, m) array."""
+    return (state.models.H @ state.xbreve[:, :, None])[:, :, 0]
+
+
+def innovations(state: FilterBankState, y: np.ndarray):
+    """Innovations e_i = y - H_i xb_i (K, m) and their costs e_i^T S_i^{-1} e_i (K,)."""
+    S = state.gains.S[:, state.gains.column(state.t)]
+    e = y - predictions(state)
+    return e, (e[:, None, :] @ np.linalg.solve(S, e[:, :, None]))[:, 0, 0]
 
 
 def step(state: FilterBankState, y, u=None) -> FilterBankState:
@@ -92,23 +95,12 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
             raise DimensionMismatch("model set has no input channel but u was given")
         if u.shape != (models.p,):
             raise DimensionMismatch(f"u has shape {u.shape}, expected ({models.p},)")
-    elif models.p > 0:
-        u = np.zeros(models.p)
-    t = state.t
-    if not state.stationary and t >= state.gains.horizon:
-        raise HorizonExceeded(f"gains precomputed up to t={state.gains.horizon - 1}, cannot step at t={t}")
-
-    xbreve = np.empty_like(state.xbreve)
-    c = np.empty_like(state.c)
-    for i in range(models.K):
-        e = y - models.H[i] @ state.xbreve[i]
-        S = state.gains.innovation_cov(t, i)
-        c[i] = state.c[i] + quad_form_solve(S, e, context=f"S[{i}] at t={t}")
-        xnext = models.F[i] @ state.xbreve[i] + state.gains.gain(t, i) @ e
-        if models.p > 0:
-            xnext = xnext + models.B[i] @ u
-        xbreve[i] = xnext
-    return replace(state, t=t + 1, xbreve=xbreve, c=c)
+    e, cost = innovations(state, y)
+    gain = state.gains.K_gain[:, state.gains.column(state.t)]
+    xbreve = (models.F @ state.xbreve[:, :, None] + gain @ e[:, :, None])[:, :, 0]
+    if u is not None:
+        xbreve = xbreve + models.B @ u
+    return replace(state, t=state.t + 1, xbreve=xbreve, c=state.c + cost)
 
 
 def value_function(state: FilterBankState, x, i: int) -> float:
@@ -121,7 +113,7 @@ def value_function(state: FilterBankState, x, i: int) -> float:
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({models.n},)")
     d = x - state.xbreve[i]
     P = state.gains.cov(state.t, i)
-    return quad_form_solve(P, d, context=f"P[{i}] at t={state.t}") + float(state.c[i])
+    return float(d @ spd_solve(P, d, context=f"P[{i}] at t={state.t}")) + float(state.c[i])
 
 
 def worst_case_state(yhat, i: int, state: FilterBankState, gamma: float) -> np.ndarray:
@@ -141,7 +133,7 @@ def worst_case_state(yhat, i: int, state: FilterBankState, gamma: float) -> np.n
     H = models.H[i]
     P = state.gains.cov(state.t, i)
     gsq = gamma * gamma
-    lam = max_eig_sym(H @ P @ H.T)
+    lam = float(state.gains.lambda_max(state.t)[i])
     if not lam < gsq:
         raise SingularSystem(
             f"model {i} at t={state.t}: lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {gsq:.6g}")

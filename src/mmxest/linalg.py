@@ -6,16 +6,20 @@ with Cholesky; explicit inverses are avoided everywhere a solve suffices.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import FactorizationFailure, NotPositiveDefinite
 
 SYMMETRY_TOL = 1e-10
 
 
+def transpose(M: np.ndarray) -> np.ndarray:
+    """Swap the last two axes (matrix transpose, batched)."""
+    return np.swapaxes(M, -1, -2)
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2."""
-    return 0.5 * (M + M.T)
+    """Return (M + M^T)/2, batched over leading axes."""
+    return 0.5 * (M + transpose(M))
 
 
 def max_asymmetry(M: np.ndarray) -> float:
@@ -37,25 +41,27 @@ def check_spd(M: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray
     if asym > tol:
         raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     M = symmetrize(M)
+    if not is_pd(M):
+        raise NotPositiveDefinite(f"{name} is not positive definite")
+    return M
+
+
+def is_pd(M: np.ndarray) -> bool:
+    """True iff the Cholesky factorization of M succeeds."""
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from None
-    return M
+        return False
+    return True
 
 
 def spd_solve(M: np.ndarray, b: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Solve M x = b for symmetric positive-definite M via Cholesky."""
     try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"{context} is not positive definite: {exc}") from None
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
-
-
-def quad_form_solve(M: np.ndarray, e: np.ndarray, context: str = "matrix") -> float:
-    """Return e^T M^{-1} e without forming the inverse."""
-    return float(e @ spd_solve(M, e, context))
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def max_eig_sym(M: np.ndarray) -> float:

@@ -31,8 +31,8 @@ from .exceptions import (
     NoConvergence,
     PreconditionViolated,
 )
-from .filter_bank import FilterBankState
-from .linalg import max_eig_sym, spd_solve, symmetrize
+from .filter_bank import FilterBankState, predictions
+from .linalg import max_eig_sym, spd_solve, symmetrize, transpose
 from .model_bank import ModelSet
 
 SOLVE_TOL = 1e-8
@@ -47,6 +47,21 @@ class QuadraticPiece:
     W: np.ndarray       # (m, m) symmetric positive definite
     center: np.ndarray  # (m,)
     offset: float
+
+
+@dataclass(frozen=True)
+class QuadraticPieces:
+    """K stacked pieces, W (K, m, m), centers (K, m), offsets (K,); items are QuadraticPiece."""
+
+    W: np.ndarray
+    centers: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self):
+        return len(self.offsets)
+
+    def __getitem__(self, i) -> QuadraticPiece:
+        return QuadraticPiece(W=self.W[i], center=self.centers[i], offset=float(self.offsets[i]))
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,11 @@ class MinimaxEstimate:
     iterations: int
 
 
+def _weights(HPHt, gsq):
+    """(I - gamma^{-2} H P H^T)^{-1}, symmetrized; batched over leading axes."""
+    return symmetrize(np.linalg.inv(np.eye(HPHt.shape[-1]) - HPHt / gsq))
+
+
 def weight_matrix(P, H, gamma) -> np.ndarray:
     """Inverse of (I - gamma^{-2} H P H^T), symmetrized.
 
@@ -79,29 +99,17 @@ def weight_matrix(P, H, gamma) -> np.ndarray:
         raise GammaInfeasible(
             f"lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {gsq:.6g}",
             lambda_max=lam, gamma_sq=gsq)
-    M = np.eye(HPHt.shape[0]) - HPHt / gsq
-    return symmetrize(spd_solve(M, np.eye(M.shape[0]), context="I - gamma^{-2} H P H^T"))
+    return _weights(HPHt, gsq)
 
 
-def build_pieces(models: ModelSet, state: FilterBankState) -> list:
+def build_pieces(models: ModelSet, state: FilterBankState) -> QuadraticPieces:
     """Assemble the K quadratic pieces of the game at the state's time."""
-    pieces = []
+    gains = state.gains
+    gains.require_feasible(state.t)
+    P = gains.P[:, gains.column(state.t, terminal=True)]
     gsq = models.gamma ** 2
-    for i in range(models.K):
-        P = state.gains.cov(state.t, i)
-        try:
-            W = weight_matrix(P, models.H[i], models.gamma)
-        except GammaInfeasible as exc:
-            raise GammaInfeasible(
-                f"model {i} at t={state.t}: {exc}",
-                lambda_max=exc.lambda_max, gamma_sq=exc.gamma_sq,
-                model=i, t=state.t) from None
-        pieces.append(QuadraticPiece(
-            W=W,
-            center=models.H[i] @ state.xbreve[i],
-            offset=-gsq * float(state.c[i]),
-        ))
-    return pieces
+    W = _weights(symmetrize(models.H @ P @ transpose(models.H)), gsq)
+    return QuadraticPieces(W=W, centers=predictions(state), offsets=-gsq * state.c)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -149,10 +157,13 @@ def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
     K = len(pieces)
     if K == 0:
         raise EmptyPieceList("minimax program needs at least one piece")
-    m = pieces[0].center.size
-    W = np.stack([np.asarray(p.W, dtype=float).reshape(m, m) for p in pieces])
-    centers = np.stack([np.asarray(p.center, dtype=float).reshape(m) for p in pieces])
-    offsets = np.array([float(p.offset) for p in pieces])
+    if isinstance(pieces, QuadraticPieces):
+        W, centers, offsets = pieces.W, pieces.centers, pieces.offsets
+    else:
+        m = pieces[0].center.size
+        W = np.stack([np.asarray(p.W, dtype=float).reshape(m, m) for p in pieces])
+        centers = np.stack([np.asarray(p.center, dtype=float).reshape(m) for p in pieces])
+        offsets = np.array([float(p.offset) for p in pieces])
 
     if lambda0 is None:
         lam = np.full(K, 1.0 / K)
@@ -165,7 +176,7 @@ def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
         phi = float(l @ f)
         return y, f, phi, float(np.max(f)) - phi
 
-    step0 = 1.0 / (2.0 * max(max_eig_sym(Wi) for Wi in W))
+    step0 = 1.0 / (2.0 * float(np.linalg.eigvalsh(symmetrize(W))[:, -1].max()))
     step = step0
     y, f, phi, gap = evaluate(lam)
     best = {"phi": phi, "y": y, "g": gap + phi, "lam": lam, "gap": gap}

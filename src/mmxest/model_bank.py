@@ -35,12 +35,12 @@ class ModelSet:
     K, n, m, p : int
         Number of models, state dimension, output dimension, and known-input
         dimension (p = 0 when the system has no input).
-    F : tuple of (n, n) ndarray
-        State transition matrix per model.
-    H : tuple of (m, n) ndarray
-        Output map per model.
-    B : tuple of (n, p) ndarray
-        Known-input map per model; empty tuple when p = 0.
+    F : (K, n, n) ndarray
+        State transition matrix per model, stacked.
+    H : (K, m, n) ndarray
+        Output map per model, stacked.
+    B : (K, n, p) ndarray
+        Known-input map per model, stacked; empty tuple when p = 0.
     Q, R, P0 : ndarray
         Symmetric positive-definite disturbance, measurement, and
         initial-state weights, shared by all models.
@@ -54,9 +54,9 @@ class ModelSet:
     n: int
     m: int
     p: int
-    F: tuple
-    H: tuple
-    B: tuple
+    F: np.ndarray
+    H: np.ndarray
+    B: np.ndarray | tuple
     Q: np.ndarray
     R: np.ndarray
     P0: np.ndarray
@@ -70,13 +70,9 @@ class ModelSet:
             return False
         if self.gamma != other.gamma:
             return False
-        for name in ("F", "H", "B"):
-            a, b = getattr(self, name), getattr(other, name)
-            if len(a) != len(b) or any(not np.array_equal(x, y) for x, y in zip(a, b)):
-                return False
         return all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("Q", "R", "P0", "xhat0")
+            for name in ("F", "H", "B", "Q", "R", "P0", "xhat0")
         )
 
 
@@ -86,8 +82,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_matrix_list(value, count_hint=None):
-    value = list(value)
+def _as_matrix_list(value):
     return [np.atleast_2d(np.asarray(v, dtype=float)) for v in value]
 
 
@@ -174,9 +169,9 @@ def validate(candidate) -> ModelSet:
         n=n,
         m=m,
         p=p,
-        F=tuple(_freeze(Fi) for Fi in F),
-        H=tuple(_freeze(Hi) for Hi in H),
-        B=tuple(_freeze(Bi) for Bi in B),
+        F=_freeze(np.stack(F)),
+        H=_freeze(np.stack(H)),
+        B=_freeze(np.stack(B)) if p else (),
         Q=_freeze(Q),
         R=_freeze(R),
         P0=_freeze(P0),

@@ -16,6 +16,9 @@ A covariance P is gamma-feasible for output map H when
 which guarantees the inner maximization of the prediction game is concave
 and the minimax weight matrix (I - gamma^{-2} H P H^T)^{-1} exists.
 Boundary cases are infeasible: the weight matrix is singular there.
+
+None of this depends on the data: it is computed once per run as a
+:class:`GainSchedule`, with arrays stacked over the K models.
 """
 from __future__ import annotations
 
@@ -23,28 +26,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FactorizationFailure, HorizonExceeded, NoConvergence
-from .linalg import max_eig_sym, spd_solve, symmetrize
+from .exceptions import (
+    FactorizationFailure,
+    GammaInfeasible,
+    HorizonExceeded,
+    NoConvergence,
+)
+from .linalg import is_pd, max_eig_sym, symmetrize, transpose
 from .model_bank import ModelSet
 
 ARE_TOL = 1e-10
 ARE_MAX_ITER = 10000
 
 
+def _gain_terms(P, F, H, R, t=None):
+    """S = R + H P H^T, its Cholesky factor, F P H^T and the gain F P H^T S^{-1}.
+
+    Batched over leading axes; a failure names the first model whose S is
+    not positive definite, and t when given.
+    """
+    PHt = P @ transpose(H)
+    S = symmetrize(R + H @ PHt)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        where = ""
+        if S.ndim > 2:
+            i = next(i for i in range(len(S)) if not is_pd(S[i]))
+            where = f"model {i}: " if t is None else f"model {i}, t={t}: "
+        raise FactorizationFailure(
+            f"{where}innovation covariance R + H P H^T is not positive definite") from None
+    FPHt = F @ PHt
+    return S, L, FPHt, transpose(np.linalg.solve(S, transpose(FPHt)))
+
+
+def _next_cov(P, F, Q, FPHt, gain):
+    return symmetrize(Q + F @ P @ transpose(F) - gain @ transpose(FPHt))
+
+
+def _margins(P, H, gsq):
+    """gamma^2 - lambda_max(H P H^T), batched over leading axes."""
+    return gsq - np.linalg.eigvalsh(symmetrize(H @ P @ transpose(H)))[..., -1]
+
+
+def _logdet(L):
+    """log det S from the Cholesky factor L of S, batched."""
+    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
     """One step of the covariance recursion; output is symmetrized."""
-    PHt = P @ H.T
-    S = symmetrize(R + H @ PHt)
-    # S^{-1} H P F^T via Cholesky; S is PD for valid inputs.
-    gain_term = spd_solve(S, PHt.T @ F.T, context="innovation covariance R + H P H^T")
-    return symmetrize(Q + F @ P @ F.T - (F @ PHt) @ gain_term)
+    _, _, FPHt, gain = _gain_terms(P, F, H, R)
+    return _next_cov(P, F, Q, FPHt, gain)
 
 
 def kalman_gain(P, F, H, R) -> np.ndarray:
     """Gain K = F P H^T (R + H P H^T)^{-1}."""
-    PHt = P @ H.T
-    S = symmetrize(R + H @ PHt)
-    return (F @ PHt) @ spd_solve(S, np.eye(S.shape[0]), context="innovation covariance R + H P H^T")
+    return _gain_terms(P, F, H, R)[3]
 
 
 def innovation_covariance(P, H, R) -> np.ndarray:
@@ -58,19 +96,25 @@ def check_gamma_feasibility(P, H, gamma) -> bool:
 
 
 @dataclass(frozen=True)
-class RiccatiSequence:
-    """Per-model covariances, gains, and feasibility flags over a horizon.
+class GainSchedule:
+    """Per-model covariances, gains and certificates, stacked over the bank.
 
-    Arrays are indexed [model, time]: ``P`` has N+1 covariances per model
-    (t = 0..N), ``K_gain`` and ``S`` have N entries (t = 0..N-1), and
-    ``feasible`` marks lambda_max(H_i P_{t,i} H_i^T) < gamma^2 per (i, t).
+    Arrays are indexed [model, column].  With ``horizon`` N, ``P`` and
+    ``margin`` have N + 1 columns (t = 0..N), ``K_gain``, ``S`` and
+    ``logdet_S`` N columns.  A stationary schedule (``horizon`` None) has
+    one column of each, used at every t, and the per-model AreSolution in
+    ``solutions``.  ``margin`` is gamma^2 - lambda_max(H P H^T): model i
+    is gamma-feasible at t iff it is positive.
     """
 
-    horizon: int
-    P: np.ndarray        # (K, N+1, n, n)
-    K_gain: np.ndarray   # (K, N, n, m)
-    S: np.ndarray        # (K, N, m, m)
-    feasible: np.ndarray  # (K, N+1) bool
+    horizon: int | None
+    gamma_sq: float
+    P: np.ndarray
+    K_gain: np.ndarray
+    S: np.ndarray
+    logdet_S: np.ndarray
+    margin: np.ndarray
+    solutions: tuple = ()
 
     @property
     def n_models(self):
@@ -86,22 +130,48 @@ class RiccatiSequence:
 
     @property
     def stationary(self):
-        return False
+        return self.horizon is None
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.margin > 0
+
+    def column(self, t: int, terminal: bool = False) -> int:
+        """Column holding time t: gain data for t < N, covariances also at t = N."""
+        if self.stationary:
+            return 0
+        if not 0 <= t <= (self.horizon if terminal else self.horizon - 1):
+            raise HorizonExceeded(f"no {'covariance' if terminal else 'gain'} at t={t}; "
+                                  f"horizon is {self.horizon}")
+        return t
 
     def cov(self, t, i) -> np.ndarray:
-        if not 0 <= t <= self.horizon:
-            raise HorizonExceeded(f"no covariance at t={t}; horizon is {self.horizon}")
-        return self.P[i, t]
+        return self.P[i, self.column(t, terminal=True)]
 
     def gain(self, t, i) -> np.ndarray:
-        if not 0 <= t < self.horizon:
-            raise HorizonExceeded(f"no gain at t={t}; horizon is {self.horizon}")
-        return self.K_gain[i, t]
+        return self.K_gain[i, self.column(t)]
 
     def innovation_cov(self, t, i) -> np.ndarray:
-        if not 0 <= t < self.horizon:
-            raise HorizonExceeded(f"no innovation covariance at t={t}; horizon is {self.horizon}")
-        return self.S[i, t]
+        return self.S[i, self.column(t)]
+
+    def lambda_max(self, t) -> np.ndarray:
+        """lambda_max(H_i P_{t,i} H_i^T) for every model, read off the margins."""
+        return self.gamma_sq - self.margin[:, self.column(t, terminal=True)]
+
+    def require_feasible(self, t=None) -> None:
+        """Raise :class:`GammaInfeasible` at the earliest (t, model) whose
+        margin is not positive; only time ``t`` is checked when given."""
+        margin = self.margin if t is None else self.margin[:, [self.column(t, terminal=True)]]
+        if (margin > 0).all():
+            return
+        col, i = (int(v) for v in np.argwhere(~(margin.T > 0))[0])
+        if t is None and not self.stationary:
+            t = col
+        lam = self.gamma_sq - float(margin[i, col])
+        raise GammaInfeasible(
+            f"model {i}" + ("" if t is None else f" at t={t}")
+            + f": lambda_max(H P H^T) = {lam!r} >= gamma^2 = {self.gamma_sq!r}",
+            lambda_max=lam, gamma_sq=self.gamma_sq, model=i, t=t)
 
 
 @dataclass(frozen=True)
@@ -113,72 +183,33 @@ class AreSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class StationaryGains:
-    """Constant per-model gains from the algebraic Riccati equations."""
+def run_recursion(models: ModelSet, N: int) -> GainSchedule:
+    """Propagate the Riccati recursions of all K models from P0 over t = 0..N.
 
-    P: np.ndarray        # (K, n, n)
-    K_gain: np.ndarray   # (K, n, m)
-    S: np.ndarray        # (K, m, m)
-    feasible: np.ndarray  # (K,) bool
-    solutions: tuple     # per-model AreSolution
-
-    @property
-    def n_models(self):
-        return self.P.shape[0]
-
-    @property
-    def n_states(self):
-        return self.P.shape[-1]
-
-    @property
-    def n_outputs(self):
-        return self.S.shape[-1]
-
-    @property
-    def stationary(self):
-        return True
-
-    def cov(self, t, i) -> np.ndarray:
-        return self.P[i]
-
-    def gain(self, t, i) -> np.ndarray:
-        return self.K_gain[i]
-
-    def innovation_cov(self, t, i) -> np.ndarray:
-        return self.S[i]
-
-
-def run_recursion(models: ModelSet, N: int) -> RiccatiSequence:
-    """Propagate the per-model Riccati recursions over t = 0..N.
-
-    All models start from the shared P0.  Feasibility is certified at every
-    time index, including the terminal one.  Factorization failures are
-    re-raised with the time and model index attached.
+    Each time step is one batched update over the bank.  Margins are
+    recorded at every t, the terminal one included, without raising; see
+    :meth:`GainSchedule.require_feasible`.
     """
     if N < 0:
         raise ValueError(f"horizon must be >= 0, got {N}")
     K, n, m = models.K, models.n, models.m
+    gsq = models.gamma ** 2
     P = np.empty((K, N + 1, n, n))
     K_gain = np.empty((K, N, n, m))
     S = np.empty((K, N, m, m))
-    feasible = np.empty((K, N + 1), dtype=bool)
-    gsq = models.gamma ** 2
-    for i in range(K):
-        F, H = models.F[i], models.H[i]
-        Pt = np.array(models.P0)
-        for t in range(N + 1):
-            P[i, t] = Pt
-            feasible[i, t] = max_eig_sym(H @ Pt @ H.T) < gsq
-            if t == N:
-                break
-            try:
-                S[i, t] = innovation_covariance(Pt, H, models.R)
-                K_gain[i, t] = kalman_gain(Pt, F, H, models.R)
-                Pt = riccati_step(Pt, F, H, models.Q, models.R)
-            except FactorizationFailure as exc:
-                raise FactorizationFailure(f"model {i}, t={t}: {exc}") from None
-    return RiccatiSequence(horizon=N, P=P, K_gain=K_gain, S=S, feasible=feasible)
+    logdet_S = np.empty((K, N))
+    margin = np.empty((K, N + 1))
+    Pt = np.broadcast_to(models.P0, (K, n, n))
+    for t in range(N + 1):
+        P[:, t] = Pt
+        margin[:, t] = _margins(Pt, models.H, gsq)
+        if t == N:
+            break
+        S[:, t], L, FPHt, K_gain[:, t] = _gain_terms(Pt, models.F, models.H, models.R, t)
+        logdet_S[:, t] = _logdet(L)
+        Pt = _next_cov(Pt, models.F, models.Q, FPHt, K_gain[:, t])
+    return GainSchedule(horizon=N, gamma_sq=gsq, P=P, K_gain=K_gain, S=S,
+                        logdet_S=logdet_S, margin=margin)
 
 
 def solve_are(F, H, Q, R, P_init, tol: float = ARE_TOL, max_iter: int = ARE_MAX_ITER) -> AreSolution:
@@ -220,25 +251,20 @@ def solve_are(F, H, Q, R, P_init, tol: float = ARE_TOL, max_iter: int = ARE_MAX_
     raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P)
 
 
-def stationary_gains(models: ModelSet, tol: float = ARE_TOL, max_iter: int = ARE_MAX_ITER) -> StationaryGains:
-    """Solve the per-model AREs from P0 and package the constant gains."""
-    K, n, m = models.K, models.n, models.m
-    P = np.empty((K, n, n))
-    K_gain = np.empty((K, n, m))
-    S = np.empty((K, m, m))
-    feasible = np.empty(K, dtype=bool)
+def stationary_gains(models: ModelSet, tol: float = ARE_TOL, max_iter: int = ARE_MAX_ITER) -> GainSchedule:
+    """Solve the per-model AREs from P0 and package them as a length-1 schedule."""
     solutions = []
-    gsq = models.gamma ** 2
-    for i in range(K):
+    for i in range(models.K):
         try:
             sol = solve_are(models.F[i], models.H[i], models.Q, models.R,
                             models.P0, tol=tol, max_iter=max_iter)
         except NoConvergence as exc:
             raise NoConvergence(f"model {i}: {exc}", last=exc.last) from None
         solutions.append(sol)
-        P[i] = sol.P
-        K_gain[i] = kalman_gain(sol.P, models.F[i], models.H[i], models.R)
-        S[i] = innovation_covariance(sol.P, models.H[i], models.R)
-        feasible[i] = max_eig_sym(models.H[i] @ sol.P @ models.H[i].T) < gsq
-    return StationaryGains(P=P, K_gain=K_gain, S=S, feasible=feasible,
-                           solutions=tuple(solutions))
+    P = np.stack([sol.P for sol in solutions])
+    gsq = models.gamma ** 2
+    S, L, _, K_gain = _gain_terms(P, models.F, models.H, models.R)
+    return GainSchedule(horizon=None, gamma_sq=gsq, P=P[:, None], K_gain=K_gain[:, None],
+                        S=S[:, None], logdet_S=_logdet(L)[:, None],
+                        margin=_margins(P, models.H, gsq)[:, None],
+                        solutions=tuple(solutions))

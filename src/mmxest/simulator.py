@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bayes as _bayes
 from . import filter_bank, minimax, riccati
-from .exceptions import GammaInfeasible, IndexOutOfRange
+from .exceptions import IndexOutOfRange
 from .model_bank import ModelSet
 from .rng import Xorshift64Star
 
@@ -147,25 +147,6 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     return u, x, y, z
 
 
-def _check_feasible(models: ModelSet, gains) -> None:
-    feasible = np.asarray(gains.feasible)
-    if feasible.all():
-        return
-    if feasible.ndim == 1:
-        i = int(np.nonzero(~feasible)[0][0])
-        P = gains.cov(0, i)
-        t = None
-    else:
-        i, t = (int(v) for v in np.argwhere(~feasible)[0])
-        P = gains.cov(t, i)
-    from .linalg import max_eig_sym
-    lam = max_eig_sym(models.H[i] @ P @ models.H[i].T)
-    raise GammaInfeasible(
-        f"model {i}" + ("" if t is None else f" at t={t}")
-        + f": lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {models.gamma ** 2:.6g}",
-        lambda_max=lam, gamma_sq=models.gamma ** 2, model=i, t=t)
-
-
 def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                    true_model: int = 0, x=None, z=None,
                    run_minimax: bool = True, run_bayes: bool = True,
@@ -196,7 +177,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
         gains = riccati.stationary_gains(models)
     else:
         gains = riccati.run_recursion(models, N)
-    _check_feasible(models, gains)
+    gains.require_feasible()
 
     state = filter_bank.init(models, gains)
     posterior = _bayes.bayes_init(models)
@@ -213,8 +194,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     for t in range(N):
         tr_c[t] = state.c
         tr_mu[t] = posterior.mu
-        for i in range(K):
-            tr_models[t, i] = models.H[i] @ state.xbreve[i]
+        tr_models[t] = filter_bank.predictions(state)
         if run_minimax:
             est = minimax.solve(minimax.build_pieces(models, state),
                                 tol=tol, max_iter=max_iter)

@@ -218,3 +218,12 @@ def test_console_entry_point_subprocess(tmp_path, paper_config_path):
     header, rows = read_csv(out)
     assert header == ["t", "z", "zh_mini", "zh_ba"]
     assert len(rows) == 20
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mmxest, mmxest.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -183,3 +184,97 @@ def test_solve_are_runtime_budget():
     t0 = time.perf_counter()
     mx.solve_are(I1, I1, I1, I1, I1)
     assert time.perf_counter() - t0 < 1.0
+
+
+def oracle_bank():
+    return make_random_models(np.random.default_rng(0), 8, 4, 2, with_input=True)
+
+
+def test_schedule_matches_per_model_loop():
+    models = oracle_bank()
+    N = 15
+    seq = mx.run_recursion(models, N)
+    gsq = models.gamma ** 2
+    for i in range(models.K):
+        F, H = models.F[i], models.H[i]
+        P = models.P0.copy()
+        for t in range(N + 1):
+            np.testing.assert_allclose(seq.cov(t, i), P, rtol=1e-12, atol=1e-12)
+            lam = np.linalg.eigvalsh(H @ P @ H.T)[-1]
+            assert seq.margin[i, t] == pytest.approx(gsq - lam, rel=1e-12, abs=1e-12)
+            if t == N:
+                break
+            S = mx.innovation_covariance(P, H, models.R)
+            np.testing.assert_allclose(seq.innovation_cov(t, i), S, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(seq.gain(t, i), mx.kalman_gain(P, F, H, models.R),
+                                       rtol=1e-12, atol=1e-12)
+            sign, logdet = np.linalg.slogdet(S)
+            assert sign == 1.0
+            assert seq.logdet_S[i, t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+            P = mx.riccati_step(P, F, H, models.Q, models.R)
+
+
+def test_stationary_schedule_matches_solve_are():
+    models = oracle_bank()
+    st = mx.stationary_gains(models)
+    assert st.stationary and st.horizon is None
+    assert st.P.shape[:2] == (models.K, 1)
+    for i in range(models.K):
+        F, H = models.F[i], models.H[i]
+        sol = mx.solve_are(F, H, models.Q, models.R, models.P0)
+        assert st.solutions[i].iterations == sol.iterations
+        np.testing.assert_allclose(st.cov(0, i), sol.P, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(st.cov(10 ** 6, i), sol.P, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(st.gain(7, i), mx.kalman_gain(sol.P, F, H, models.R),
+                                   rtol=1e-12, atol=1e-12)
+        S = mx.innovation_covariance(sol.P, H, models.R)
+        np.testing.assert_allclose(st.innovation_cov(3, i), S, rtol=1e-12, atol=1e-12)
+        assert st.logdet_S[i, 0] == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12, abs=1e-12)
+        lam = np.linalg.eigvalsh(H @ sol.P @ H.T)[-1]
+        assert st.margin[i, 0] == pytest.approx(models.gamma ** 2 - lam, rel=1e-12, abs=1e-12)
+
+
+def test_schedule_accessors_raise_out_of_range():
+    seq = mx.run_recursion(oracle_bank(), 4)
+    for t in (-1, 5):
+        with pytest.raises(mx.HorizonExceeded):
+            seq.cov(t, 0)
+    for t in (-1, 4):
+        with pytest.raises(mx.HorizonExceeded):
+            seq.gain(t, 0)
+        with pytest.raises(mx.HorizonExceeded):
+            seq.innovation_cov(t, 0)
+
+
+def test_indefinite_innovation_covariance_names_model_and_t():
+    # R is forced negative past validation.  With F = 0 every P_1 equals
+    # Q = 0.25: model 0 (H = 2) keeps S > 0, while model 1 (H = 1) has
+    # S_0 = -0.5 + 1 = 0.5 but S_1 = -0.5 + 0.25 < 0.
+    valid = mx.validate({"F": [0.0 * I1, 0.0 * I1], "H": [2.0 * I1, I1],
+                         "Q": 0.25 * I1, "R": I1, "P0": I1, "gamma": 10.0})
+    broken = dataclasses.replace(valid, R=-0.5 * I1)
+    with pytest.raises(mx.FactorizationFailure, match=r"model 1, t=1"):
+        mx.run_recursion(broken, 3)
+    mx.run_recursion(broken, 1)  # t = 0 alone is fine
+
+
+def test_require_feasible_names_earliest_violation():
+    # P_t grows from P0 = 1 towards the golden ratio, so gamma^2 = 1.55 is
+    # first crossed at t = 2 (P_2 = 1.6); model 1 (H = 2) fails at t = 0.
+    models = mx.validate({"F": [I1, I1], "H": [I1, 2.0 * I1], "Q": I1, "R": I1,
+                          "P0": I1, "gamma": np.sqrt(1.55)})
+    seq = mx.run_recursion(models, 4)
+    np.testing.assert_array_equal(seq.feasible[0], [True, True, False, False, False])
+    assert not seq.feasible[1].any()
+    with pytest.raises(mx.GammaInfeasible) as err:
+        seq.require_feasible()
+    assert (err.value.t, err.value.model) == (0, 1)
+    assert err.value.lambda_max == pytest.approx(4.0)
+    assert err.value.gamma_sq == pytest.approx(1.55)
+    one = mx.validate({"F": [I1], "H": [I1], "Q": I1, "R": I1, "P0": I1,
+                       "gamma": np.sqrt(1.55)})
+    with pytest.raises(mx.GammaInfeasible) as err:
+        mx.run_recursion(one, 4).require_feasible()
+    assert (err.value.t, err.value.model) == (2, 0)
+    assert err.value.lambda_max == pytest.approx(1.6)
+    mx.run_recursion(one, 4).require_feasible(t=1)  # one time only
