@@ -30,9 +30,10 @@ class FactorizationFailure(EstimationError):
 
 
 class NoConvergence(EstimationError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
+    """An iterative solver stopped short of its tolerance.
 
-    The best iterate found is attached as ``last`` for diagnostics.
+    It hit its iteration cap or, for the minimax solver, a step broke down
+    numerically.  The last iterate is attached as ``last`` for diagnostics.
     """
 
     def __init__(self, message, last=None):

@@ -1,11 +1,12 @@
 """Bank of per-model Kalman filters with accumulated prediction costs.
 
-Each candidate model i runs the observer
+Each candidate model i runs the observer in measurement/time-update form
 
-    xb_{t+1,i} = F_i xb_{t,i} + B_i u_t + K_{t,i} (y_t - H_i xb_{t,i}),
+    xb_{t+1,i} = F_i (xb_{t,i} + P_{t,i} H_i^T S_{t,i}^{-1} e_i) + B_i u_t,
     c_{t+1,i}  = c_{t,i} + e_i^T S_{t,i}^{-1} e_i,   e_i = y_t - H_i xb_{t,i},
 
-with gains and innovation covariances taken from a precomputed
+which is xb' = F xb + B u + K e with the Kalman gain K = F P H^T S^{-1}.
+Covariances and innovation covariances are taken from a precomputed
 :class:`~mmxest.riccati.GainSchedule` (time-varying or stationary).  A step
 advances all K filters with batched array operations.  The accumulated cost
 c_{t,i} is the minimum disturbance energy needed to reconcile model i with
@@ -30,7 +31,7 @@ from .exceptions import (
     ModelMismatch,
     SingularSystem,
 )
-from .linalg import spd_solve
+from .linalg import spd_solve, transpose
 from .model_bank import ModelSet
 from .riccati import GainSchedule
 
@@ -72,10 +73,12 @@ def predictions(state: FilterBankState) -> np.ndarray:
 
 
 def innovations(state: FilterBankState, y: np.ndarray):
-    """Innovations e_i = y - H_i xb_i (K, m) and their costs e_i^T S_i^{-1} e_i (K,)."""
+    """Whitened innovations S_i^{-1} e_i, e_i = y - H_i xb_i, as (K, m, 1), and
+    their costs e_i^T S_i^{-1} e_i (K,)."""
     S = state.gains.S[:, state.gains.column(state.t)]
-    e = y - predictions(state)
-    return e, (e[:, None, :] @ np.linalg.solve(S, e[:, :, None]))[:, 0, 0]
+    e = (y - predictions(state))[:, :, None]
+    Sinv_e = np.linalg.solve(S, e)
+    return Sinv_e, (transpose(e) @ Sinv_e)[:, 0, 0]
 
 
 def step(state: FilterBankState, y, u=None) -> FilterBankState:
@@ -95,9 +98,9 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
             raise DimensionMismatch("model set has no input channel but u was given")
         if u.shape != (models.p,):
             raise DimensionMismatch(f"u has shape {u.shape}, expected ({models.p},)")
-    e, cost = innovations(state, y)
-    gain = state.gains.K_gain[:, state.gains.column(state.t)]
-    xbreve = (models.F @ state.xbreve[:, :, None] + gain @ e[:, :, None])[:, :, 0]
+    Sinv_e, cost = innovations(state, y)
+    P = state.gains.P[:, state.gains.column(state.t)]
+    xbreve = (models.F @ (state.xbreve[:, :, None] + P @ (transpose(models.H) @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve = xbreve + models.B @ u
     return replace(state, t=state.t + 1, xbreve=xbreve, c=state.c + cost)

@@ -2,19 +2,31 @@
 
 At time t the prediction game reduces to
 
-    J* = min_yhat max_i  |yhat - H_i xb_i|^2_{W_i} - gamma^2 c_i,
+    J* = min_yhat max_i  f_i(yhat),
+    f_i(yhat) = |yhat - H_i xb_i|^2_{W_i} - gamma^2 c_i,
     W_i = (I - gamma^{-2} H_i P_i H_i^T)^{-1},
 
-a min-max of strictly convex quadratics.  The solver works on the concave
-dual over the probability simplex,
+a min-max of strictly convex quadratics.  Its concave dual over the
+probability simplex is
 
     phi(lam) = min_yhat sum_i lam_i f_i(yhat),
 
 whose inner minimizer yhat(lam) = (sum lam_i W_i)^{-1} sum lam_i W_i c_i is
-closed-form, and whose envelope gradient is d phi / d lam_i = f_i(yhat(lam)).
-Projected gradient ascent with adaptive backtracking drives the duality gap
-g(yhat) - phi(lam) to tolerance, which certifies optimality: weak duality
-gives phi(lam) <= J* <= g(yhat) at every iterate.
+closed-form.  Weak duality gives phi(lam) <= J* <= max_i f_i(yhat) for every
+lam on the simplex and every yhat; :func:`solve` returns an answer only
+with such a pair whose gap is within tolerance.
+
+The solve has two exact stages.  First a dominance check: if some piece's
+minimum value o_i, taken at its center, is at least every other piece's
+value there, that center is optimal and lam = e_i certifies it with gap 0.
+This is the common case once the bank has singled out a model.  Otherwise
+the epigraph form
+
+    min s   subject to   f_i(yhat) + r_i = s,   r >= 0,
+
+is solved by a primal-dual interior point with Mehrotra's
+predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
+its multipliers, normalized, are the certificate weights.
 
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
@@ -36,7 +48,7 @@ from .linalg import max_eig_sym, spd_solve, symmetrize, transpose
 from .model_bank import ModelSet
 
 SOLVE_TOL = 1e-8
-SOLVE_MAX_ITER = 100000
+SOLVE_MAX_ITER = 100
 ACTIVE_THRESHOLD = 1e-6
 
 
@@ -134,25 +146,116 @@ def _piece_values(y, W, centers, offsets):
     return np.einsum("ki,kij,kj->k", d, W, d) + offsets
 
 
+def _dominant(W, centers, offsets):
+    """Indices i with f_j(center_i) <= offset_i for every j.
+
+    Since f_j >= offset_j, only pieces with the largest offset qualify.  For
+    each such i, J* = offset_i: center_i reaches it and f_i alone cannot go
+    lower.  Uniform weights on all of them certify it with gap 0, since
+    each piece's minimum is that same offset.
+    """
+    top = np.flatnonzero(offsets == offsets.max())
+    D = centers[top, None, :] - centers[None, :, :]
+    values = np.einsum("ijk,jkl,ijl->ij", D, W, D) + offsets
+    return top[values.max(axis=1) <= offsets[top]]
+
+
+def _certify(lam, y, W, centers, offsets):
+    """Weak-duality bounds for weights lam on the simplex: (yhat, upper, lower).
+
+    ``lower`` is phi(lam); ``upper`` is max_i f_i(yhat), yhat being the
+    better of yhat(lam) and the candidate ``y``.
+    """
+    y_lam = _inner_argmin(lam, W, centers)
+    f = _piece_values(y_lam, W, centers, offsets)
+    upper, upper_y = float(f.max()), float(_piece_values(y, W, centers, offsets).max())
+    yhat, upper = (y, upper_y) if upper_y < upper else (y_lam, upper)
+    return yhat, upper, float(lam @ f)
+
+
+def _estimate(lam, yhat, value, gap, iterations):
+    return MinimaxEstimate(
+        yhat=yhat, value=value, weights=lam,
+        active=tuple(int(i) for i in np.flatnonzero(lam > ACTIVE_THRESHOLD)),
+        gap=gap, iterations=iterations)
+
+
+def _max_step(v, dv):
+    """Largest a <= 1 keeping v + a dv >= 0, for v > 0."""
+    shrinking = dv < 0
+    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
+
+
+def _interior_step(y, s, r, lam, W, centers, offsets):
+    """One Mehrotra predictor-corrector step for min s s.t. f_i(y) + r_i = s.
+
+    Linearizes the KKT conditions
+
+        sum lam_i grad f_i(y) = 0,   sum lam_i = 1,
+        f_i(y) - s + r_i = 0,        lam_i r_i = sigma mu,
+
+    and eliminates dr and dlam, leaving one symmetric positive definite
+    (m+1) x (m+1) system in (dy, ds), factored once for both the
+    predictor (sigma = 0) and the corrector.  Primal (y, s, r) and dual
+    lam take separate step lengths; with one common length the iteration
+    cycled on some random piece sets.  Returns the new (y, s, r, lam).
+    """
+    K, m = centers.shape
+    d = y - centers
+    Wd = np.einsum("kij,kj->ki", W, d)
+    g = 2.0 * Wd
+    res_p = np.einsum("ki,ki->k", d, Wd) + offsets - s + r
+    res_y = lam @ g
+    res_s = 1.0 - lam.sum()
+    ratio = lam / r
+    M = np.empty((m + 1, m + 1))
+    M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
+    M[:m, m] = M[m, :m] = -(ratio @ g)
+    M[m, m] = ratio.sum()
+    L = np.linalg.cholesky(M)
+
+    def direction(res_c):
+        b = ratio * res_p - res_c / r
+        rhs = np.append(-res_y - b @ g, b.sum() - res_s)
+        step = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+        dlam = ratio * (g @ step[:m] - step[m]) + b
+        return step, (-res_c - r * dlam) / lam, dlam
+
+    mu = float(lam @ r) / K
+    _, dr, dlam = direction(lam * r)
+    a = min(_max_step(r, dr), _max_step(lam, dlam))
+    shrink = float((r + a * dr) @ (lam + a * dlam)) / K / mu
+    step, dr, dlam = direction(lam * r + dr * dlam - shrink ** 3 * mu)
+    # Stop short of the boundary r, lam > 0 by the predicted reduction of
+    # mu, at most 1%, so steps lengthen as the iterates converge.
+    eta = 1.0 - min(0.01, shrink)
+    a, a_dual = eta * _max_step(r, dr), eta * _max_step(lam, dlam)
+    return y + a * step[:m], s + a * step[m], r + a * dr, lam + a_dual * dlam
+
+
 def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
           lambda0=None) -> MinimaxEstimate:
     """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= tol.
 
-    Dual projected gradient ascent over the simplex: the step starts at
-    1 / (2 max_i lambda_max(W_i)) and adapts by doubling after an accepted
-    ascent step and halving while the dual value fails to increase.  The
-    primal answer is yhat(lam) at the best dual point seen.
+    A piece whose center no other piece exceeds is returned at once, with
+    lam = e_i, gap 0 and ``iterations`` 0; several such (tied) pieces
+    share uniform weights.  Otherwise a primal-dual interior point runs on
+    the epigraph form with the offsets shifted by their maximum, and stops
+    once its normalized multipliers lam certify phi(lam) <= J* <=
+    max_i f_i(yhat) within ``tol``, yhat being the better of the iterate
+    and yhat(lam).  ``iterations`` counts interior-point iterations.
 
-    ``lambda0`` overrides the uniform initialization (used for uniqueness
-    checks); it is projected onto the simplex.
+    ``lambda0`` seeds the multipliers (default uniform); it is projected
+    onto the simplex and averaged with the uniform weights to lie inside.
 
     Raises
     ------
     EmptyPieceList
         If no pieces are given.
     NoConvergence
-        If the gap is still above ``tol`` after ``max_iter`` iterations;
-        the best estimate found is attached as ``last``.
+        If the gap is still above ``tol`` after ``max_iter`` iterations, or
+        a step breaks down numerically first; the last certified estimate
+        is attached as ``last``.
     """
     K = len(pieces)
     if K == 0:
@@ -165,62 +268,41 @@ def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
         centers = np.stack([np.asarray(p.center, dtype=float).reshape(m) for p in pieces])
         offsets = np.array([float(p.offset) for p in pieces])
 
+    top = _dominant(W, centers, offsets)
+    if top.size:
+        lam = np.zeros(K)
+        lam[top] = 1.0 / top.size
+        return _estimate(lam, centers[top[0]].copy(), float(offsets[top[0]]), 0.0, 0)
+
+    o = offsets - offsets.max()
     if lambda0 is None:
         lam = np.full(K, 1.0 / K)
     else:
-        lam = project_simplex(np.asarray(lambda0, dtype=float).reshape(K))
-
-    def evaluate(l):
-        y = _inner_argmin(l, W, centers)
-        f = _piece_values(y, W, centers, offsets)
-        phi = float(l @ f)
-        return y, f, phi, float(np.max(f)) - phi
-
-    step0 = 1.0 / (2.0 * float(np.linalg.eigvalsh(symmetrize(W))[:, -1].max()))
-    step = step0
-    y, f, phi, gap = evaluate(lam)
-    best = {"phi": phi, "y": y, "g": gap + phi, "lam": lam, "gap": gap}
+        lam = 0.5 * (project_simplex(np.asarray(lambda0, dtype=float).reshape(K)) + 1.0 / K)
+    y = _inner_argmin(lam, W, centers)
+    f = _piece_values(y, W, centers, o)
+    s = 2.0 * float(f.max()) - float(lam @ f)
+    r = s - f
     iterations = 0
+    while True:
+        yhat, upper, lower = _certify(lam / lam.sum(), y, W, centers, o)
+        gap = upper - lower
+        if gap <= tol or iterations == max_iter:
+            break
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                y, s, r, lam = _interior_step(y, s, r, lam, W, centers, o)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            break
+        iterations += 1
 
-    # Phase 1 ascends the dual value; near the optimum phi flattens below
-    # float resolution while the gap (a difference of piece values) is still
-    # measurable, so phase 2 continues the same projected gradient steps but
-    # accepts on strict gap decrease.  Each phase is monotone, so both
-    # terminate; the certificate is the smallest-gap iterate seen.
-    for ascend in (True, False):
-        if not ascend:
-            step = step0
-        while iterations < max_iter and best["gap"] > tol:
-            iterations += 1
-            moved = False
-            s = step
-            while s > 1e-20 * step0:
-                cand = project_simplex(lam + s * f)
-                yc, fc, phic, gapc = evaluate(cand)
-                if (phic > phi) if ascend else (gapc < gap):
-                    lam, y, f, phi, gap = cand, yc, fc, phic, gapc
-                    step = 2.0 * s
-                    moved = True
-                    break
-                s *= 0.5
-            if gap < best["gap"]:
-                best = {"phi": phi, "y": y, "g": gap + phi, "lam": lam, "gap": gap}
-            if not moved:
-                break
-
-    gap = best["gap"]
-    estimate = MinimaxEstimate(
-        yhat=best["y"],
-        value=best["g"],
-        weights=best["lam"],
-        active=tuple(int(i) for i in np.nonzero(best["lam"] > ACTIVE_THRESHOLD)[0]),
-        gap=gap,
-        iterations=iterations,
-    )
+    lam = lam / lam.sum()
+    estimate = _estimate(lam, yhat, float(_piece_values(yhat, W, centers, offsets).max()),
+                         gap, iterations)
     if gap > tol:
         raise NoConvergence(
-            f"duality gap {gap:.3e} > tol {tol:.3e} after {iterations} iterations",
-            last=estimate)
+            f"duality gap {gap:.3e} > tol {tol:.3e} after {iterations} "
+            f"interior-point iterations", last=estimate)
     return estimate
 
 

@@ -100,17 +100,18 @@ class GainSchedule:
     """Per-model covariances, gains and certificates, stacked over the bank.
 
     Arrays are indexed [model, column].  With ``horizon`` N, ``P`` and
-    ``margin`` have N + 1 columns (t = 0..N), ``K_gain``, ``S`` and
-    ``logdet_S`` N columns.  A stationary schedule (``horizon`` None) has
-    one column of each, used at every t, and the per-model AreSolution in
-    ``solutions``.  ``margin`` is gamma^2 - lambda_max(H P H^T): model i
-    is gamma-feasible at t iff it is positive.
+    ``margin`` have N + 1 columns (t = 0..N), ``S`` and ``logdet_S`` N
+    columns.  A stationary schedule (``horizon`` None) has one column of
+    each, used at every t, and the per-model AreSolution in ``solutions``.
+    ``margin`` is gamma^2 - lambda_max(H P H^T): model i is gamma-feasible
+    at t iff it is positive.  Gains are not stored; :meth:`gain` forms one
+    from P and the ``models`` the schedule was computed for.
     """
 
     horizon: int | None
     gamma_sq: float
+    models: ModelSet
     P: np.ndarray
-    K_gain: np.ndarray
     S: np.ndarray
     logdet_S: np.ndarray
     margin: np.ndarray
@@ -149,7 +150,9 @@ class GainSchedule:
         return self.P[i, self.column(t, terminal=True)]
 
     def gain(self, t, i) -> np.ndarray:
-        return self.K_gain[i, self.column(t)]
+        """Kalman gain F P H^T S^{-1} of model i at time t."""
+        m = self.models
+        return _gain_terms(self.P[i, self.column(t)], m.F[i], m.H[i], m.R)[3]
 
     def innovation_cov(self, t, i) -> np.ndarray:
         return self.S[i, self.column(t)]
@@ -195,7 +198,6 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     K, n, m = models.K, models.n, models.m
     gsq = models.gamma ** 2
     P = np.empty((K, N + 1, n, n))
-    K_gain = np.empty((K, N, n, m))
     S = np.empty((K, N, m, m))
     logdet_S = np.empty((K, N))
     margin = np.empty((K, N + 1))
@@ -205,10 +207,10 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
         margin[:, t] = _margins(Pt, models.H, gsq)
         if t == N:
             break
-        S[:, t], L, FPHt, K_gain[:, t] = _gain_terms(Pt, models.F, models.H, models.R, t)
+        S[:, t], L, FPHt, gain = _gain_terms(Pt, models.F, models.H, models.R, t)
         logdet_S[:, t] = _logdet(L)
-        Pt = _next_cov(Pt, models.F, models.Q, FPHt, K_gain[:, t])
-    return GainSchedule(horizon=N, gamma_sq=gsq, P=P, K_gain=K_gain, S=S,
+        Pt = _next_cov(Pt, models.F, models.Q, FPHt, gain)
+    return GainSchedule(horizon=N, gamma_sq=gsq, models=models, P=P, S=S,
                         logdet_S=logdet_S, margin=margin)
 
 
@@ -263,8 +265,8 @@ def stationary_gains(models: ModelSet, tol: float = ARE_TOL, max_iter: int = ARE
         solutions.append(sol)
     P = np.stack([sol.P for sol in solutions])
     gsq = models.gamma ** 2
-    S, L, _, K_gain = _gain_terms(P, models.F, models.H, models.R)
-    return GainSchedule(horizon=None, gamma_sq=gsq, P=P[:, None], K_gain=K_gain[:, None],
+    S, L = _gain_terms(P, models.F, models.H, models.R)[:2]
+    return GainSchedule(horizon=None, gamma_sq=gsq, models=models, P=P[:, None],
                         S=S[:, None], logdet_S=_logdet(L)[:, None],
                         margin=_margins(P, models.H, gsq)[:, None],
                         solutions=tuple(solutions))

@@ -93,3 +93,37 @@ def concave_quadratic_max(x, y, A, X, Y, gamma):
     r1 = x - A @ v
     r2 = y - v
     return float(r1 @ Xi @ r1 - gsq * (r2 @ Yi @ r2)), v
+
+
+def scalar_minimax(curvatures, centers, offsets):
+    """Exact min over y of max_i a_i (y - c_i)^2 + o_i for scalar y.
+
+    The minimum of a max of convex parabolas lies at one parabola's vertex
+    or where two of them cross, so the best of those candidates is the
+    answer.  Returns (J*, y*).
+    """
+    a = np.asarray(curvatures, dtype=float)
+    c = np.asarray(centers, dtype=float)
+    o = np.asarray(offsets, dtype=float)
+    candidates = list(c)
+    # Nearly equal curvatures put a crossing far out, where the values can
+    # overflow to inf; such a candidate never wins.
+    with np.errstate(over="ignore"):
+        for i in range(a.size):
+            for j in range(i + 1, a.size):
+                # f_i - f_j = A y^2 + B y + C; roots in the stable form
+                A = a[i] - a[j]
+                B = -2.0 * (a[i] * c[i] - a[j] * c[j])
+                C = a[i] * c[i] ** 2 - a[j] * c[j] ** 2 + o[i] - o[j]
+                disc = B * B - 4.0 * A * C
+                if disc < 0.0:
+                    continue
+                q = -0.5 * (B + np.copysign(np.sqrt(disc), B))
+                if A != 0.0:
+                    candidates.append(q / A)
+                if q != 0.0:
+                    candidates.append(C / q)
+        y = np.array(candidates)
+        g = np.max(a[:, None] * (y[None, :] - c[:, None]) ** 2 + o[:, None], axis=0)
+    best = int(np.argmin(g))
+    return float(g[best]), float(y[best])

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mmxest as mx
 from mmxest import filter_bank
 from mmxest.minimax import (
+    SOLVE_TOL,
     QuadraticPiece,
+    QuadraticPieces,
     build_pieces,
     project_simplex,
     quadratic_max_closed_form,
@@ -12,7 +17,7 @@ from mmxest.minimax import (
     weight_matrix,
 )
 from conftest import make_random_models
-from oracles import concave_quadratic_max
+from oracles import concave_quadratic_max, scalar_minimax
 
 I1 = np.eye(1)
 
@@ -175,6 +180,7 @@ def test_solve_no_convergence_carries_best():
     pieces = [piece(1.0, -1.0, 0.0), piece(2.0, 1.5, -0.5)]
     with pytest.raises(mx.NoConvergence) as err:
         solve(pieces, max_iter=1)
+    assert "after 1 interior-point iterations" in str(err.value)
     best = err.value.last
     assert best is not None
     assert best.gap > 1e-8
@@ -257,3 +263,104 @@ def test_quadratic_max_matches_stationarity_oracle():
             r2 = y - v
             h = float(r1 @ Xi @ r1) - gamma ** 2 * float(r2 @ Yi @ r2)
             assert h <= closed + 1e-9
+
+
+def values_at(pieces, y):
+    """Each piece's value at y, one piece at a time."""
+    return np.array([float((y - pieces.centers[i]) @ pieces.W[i] @ (y - pieces.centers[i]))
+                     + float(pieces.offsets[i]) for i in range(len(pieces))])
+
+
+def dual_value(pieces, lam):
+    """phi(lam) = min_y sum_i lam_i f_i(y), from its stationarity condition."""
+    A = sum(l * W for l, W in zip(lam, pieces.W))
+    b = sum(l * W @ c for l, W, c in zip(lam, pieces.W, pieces.centers))
+    return float(lam @ values_at(pieces, np.linalg.solve(A, b)))
+
+
+def assert_certified(pieces, est):
+    """Check the estimate's certificate from the pieces alone."""
+    value = float(values_at(pieces, est.yhat).max())
+    # rounding allowance for sums of terms no larger than |value| + max |o_i|
+    scale = 64 * np.finfo(float).eps * (1.0 + abs(value) + float(np.abs(pieces.offsets).max()))
+    assert est.value == pytest.approx(value, abs=scale)
+    assert est.weights.min() >= 0
+    assert est.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    phi = dual_value(pieces, est.weights)
+    assert phi <= value + scale  # weak duality
+    assert value - phi <= SOLVE_TOL + scale
+    assert -scale <= est.gap <= SOLVE_TOL
+
+
+def test_solve_certifies_known_k32_stall():
+    # The bank whose first program the projected-gradient solver could not
+    # certify (gap 1.4e-7 after 210 iterations).  SLSQP on the epigraph
+    # form gives 25.7475778782.
+    rng = np.random.default_rng(0)
+    make_random_models(rng, 8, 4, 2)
+    models = make_random_models(rng, 32, 4, 2)
+    state = filter_bank.init(models, mx.run_recursion(models, 1))
+    pieces = build_pieces(models, state)
+    est = solve(pieces)
+    assert_certified(pieces, est)
+    assert est.value == pytest.approx(25.7475778782, abs=2e-8)
+    assert est.active == (4, 27, 30)
+    assert est.iterations <= 20
+
+
+def test_solve_dominant_piece_is_exact():
+    W = np.array([[[2.0, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 0.5]]])
+    centers = np.array([[0.3, -0.2], [0.0, 0.1], [0.5, -0.4]])
+    offsets = np.array([1.0, -1.0, 0.5])
+    est = solve(QuadraticPieces(W=W, centers=centers, offsets=offsets))
+    assert est.gap == 0.0
+    assert est.iterations == 0
+    assert est.value == 1.0
+    np.testing.assert_array_equal(est.yhat, centers[0])
+    np.testing.assert_array_equal(est.weights, [1.0, 0.0, 0.0])
+    assert est.active == (0,)
+
+
+def test_solve_identical_pieces_share_weights():
+    # Three copies of one piece, and a piece below them at their center.
+    tied = piece(1.5, 0.2, -1.0)
+    est = solve([tied, piece(1.0, 0.5, -2.0), tied, tied])
+    assert est.iterations == 0
+    assert est.gap == 0.0
+    assert est.yhat[0] == 0.2
+    assert est.value == -1.0
+    np.testing.assert_array_equal(est.weights, [1 / 3, 0.0, 1 / 3, 1 / 3])
+    assert est.active == (0, 2, 3)
+
+
+def piece_sets(max_m=3, max_k=32):
+    """Random piece sets: W = A A^T + I, offsets down to -1e4, some duplicated."""
+    @st.composite
+    def build(draw):
+        K = draw(st.integers(1, max_k))
+        m = draw(st.integers(1, max_m))
+        floats = st.floats(-3.0, 3.0)
+        A = draw(arrays(np.float64, (K, m, m), elements=floats))
+        centers = draw(arrays(np.float64, (K, m), elements=st.floats(-10.0, 10.0)))
+        offsets = draw(arrays(np.float64, K, elements=st.floats(-1e4, 0.0)))
+        W = A @ np.swapaxes(A, 1, 2) + np.eye(m)
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, K - 1), st.integers(0, K - 1)),
+                                      max_size=3)):
+            W[dst], centers[dst], offsets[dst] = W[src], centers[src], offsets[src]
+        return QuadraticPieces(W=W, centers=centers, offsets=offsets)
+    return build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(piece_sets(max_m=1))
+def test_solve_matches_scalar_oracle(pieces):
+    J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
+    est = solve(pieces)
+    assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
+    assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(piece_sets())
+def test_solve_certificate_holds(pieces):
+    assert_certified(pieces, solve(pieces))
