@@ -49,7 +49,7 @@ def bayes_step(posterior: BayesPosterior, state: FilterBankState,
     innovation y - H_i xb_i and its covariance S_i are the one-step
     predictive distribution of y under model i.  Likelihoods are computed
     in log space to survive large innovations; log det S_i is the
-    schedule's, taken from the Cholesky factor of S_i.
+    schedule's, computed once per (model, t).
     """
     models = state.models
     y = np.asarray(y, dtype=float).reshape(models.m)

@@ -6,11 +6,13 @@ Each candidate model i runs the observer in measurement/time-update form
     c_{t+1,i}  = c_{t,i} + e_i^T S_{t,i}^{-1} e_i,   e_i = y_t - H_i xb_{t,i},
 
 which is xb' = F xb + B u + K e with the Kalman gain K = F P H^T S^{-1}.
-Covariances and innovation covariances are taken from a precomputed
-:class:`~mmxest.riccati.GainSchedule` (time-varying or stationary).  A step
-advances all K filters with batched array operations.  The accumulated cost
-c_{t,i} is the minimum disturbance energy needed to reconcile model i with
-the data seen so far; it is the learning signal of the prediction game.
+Covariances and inverse innovation covariances S^{-1} come from a
+precomputed :class:`~mmxest.riccati.GainSchedule` (time-varying or
+stationary), so a step advances all K filters with batched products and no
+solve.  A state computes its predictions H_i xb_i once, for every caller.
+The accumulated cost c_{t,i} is the minimum disturbance energy needed to
+reconcile model i with the data seen so far; it is the learning signal of
+the prediction game.
 
 The bank also exposes two verification devices: the forward dynamic
 programming value function
@@ -21,7 +23,8 @@ and the worst-case state x* maximizing |yhat - H_i x|^2 - gamma^2 V_{t,i}(x).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +54,12 @@ class FilterBankState:
     gains: GainSchedule
     models: ModelSet
 
+    @cached_property
+    def yhat(self) -> np.ndarray:
+        """Each model's output prediction H_i xb_i, (K, m), computed once; every
+        caller gets this one array and must not write to it."""
+        return (self.models.H @ self.xbreve[:, :, None])[:, :, 0]
+
 
 def init(models: ModelSet, gains: GainSchedule) -> FilterBankState:
     """Start the bank at t = 0 with every estimate at xhat0 and zero cost.
@@ -69,15 +78,14 @@ def init(models: ModelSet, gains: GainSchedule) -> FilterBankState:
 
 def predictions(state: FilterBankState) -> np.ndarray:
     """Each model's output prediction H_i xb_i, as a (K, m) array."""
-    return (state.models.H @ state.xbreve[:, :, None])[:, :, 0]
+    return state.yhat
 
 
 def innovations(state: FilterBankState, y: np.ndarray):
     """Whitened innovations S_i^{-1} e_i, e_i = y - H_i xb_i, as (K, m, 1), and
     their costs e_i^T S_i^{-1} e_i (K,)."""
-    S = state.gains.S[:, state.gains.column(state.t)]
-    e = (y - predictions(state))[:, :, None]
-    Sinv_e = np.linalg.solve(S, e)
+    e = (y - state.yhat)[:, :, None]
+    Sinv_e = state.gains.Sinv[:, state.gains.column(state.t)] @ e
     return Sinv_e, (transpose(e) @ Sinv_e)[:, 0, 0]
 
 
@@ -103,7 +111,8 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     xbreve = (models.F @ (state.xbreve[:, :, None] + P @ (transpose(models.H) @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve = xbreve + models.B @ u
-    return replace(state, t=state.t + 1, xbreve=xbreve, c=state.c + cost)
+    return FilterBankState(t=state.t + 1, xbreve=xbreve, c=state.c + cost,
+                           gains=state.gains, models=models)
 
 
 def value_function(state: FilterBankState, x, i: int) -> float:

@@ -1,7 +1,9 @@
 """Small linear-algebra helpers shared across the filter modules.
 
 Covariance-like matrices are kept explicitly symmetric and are factorized
-with Cholesky; explicit inverses are avoided everywhere a solve suffices.
+with Cholesky where a single solve is needed.  Innovation covariances are
+the exception: each S^{-1} is formed once per (model, t) by the gain
+schedule and reused by every step that whitens an innovation.
 """
 from __future__ import annotations
 
@@ -14,12 +16,12 @@ SYMMETRY_TOL = 1e-10
 
 def transpose(M: np.ndarray) -> np.ndarray:
     """Swap the last two axes (matrix transpose, batched)."""
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M^T)/2, batched over leading axes."""
-    return 0.5 * (M + transpose(M))
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def max_asymmetry(M: np.ndarray) -> float:

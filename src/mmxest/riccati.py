@@ -32,32 +32,31 @@ from .exceptions import (
     HorizonExceeded,
     NoConvergence,
 )
-from .linalg import is_pd, max_eig_sym, symmetrize, transpose
+from .linalg import max_eig_sym, symmetrize, transpose
 from .model_bank import ModelSet
 
 ARE_TOL = 1e-10
 ARE_MAX_ITER = 10000
 
 
-def _gain_terms(P, F, H, R, t=None):
-    """S = R + H P H^T, its Cholesky factor, F P H^T and the gain F P H^T S^{-1}.
+def _inverse(S):
+    """S^{-1}, batched; NaN where S is exactly singular, for :func:`_logdet_S` to report."""
+    try:
+        return np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        return np.stack([_inverse(M) for M in S]) if S.ndim > 2 else np.full_like(S, np.nan)
 
-    Batched over leading axes; a failure names the first model whose S is
-    not positive definite, and t when given.
+
+def _gain_terms(P, F, H, R):
+    """S^{-1} for S = R + H P H^T, F P H^T and the gain F P H^T S^{-1}.
+
+    Batched over leading axes; S is checked later, by :func:`_logdet_S`.
     """
     PHt = P @ transpose(H)
     S = symmetrize(R + H @ PHt)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        where = ""
-        if S.ndim > 2:
-            i = next(i for i in range(len(S)) if not is_pd(S[i]))
-            where = f"model {i}: " if t is None else f"model {i}, t={t}: "
-        raise FactorizationFailure(
-            f"{where}innovation covariance R + H P H^T is not positive definite") from None
+    Sinv = _inverse(S)
     FPHt = F @ PHt
-    return S, L, FPHt, transpose(np.linalg.solve(S, transpose(FPHt)))
+    return Sinv, FPHt, FPHt @ Sinv
 
 
 def _next_cov(P, F, Q, FPHt, gain):
@@ -65,24 +64,34 @@ def _next_cov(P, F, Q, FPHt, gain):
 
 
 def _margins(P, H, gsq):
-    """gamma^2 - lambda_max(H P H^T), batched over leading axes."""
-    return gsq - np.linalg.eigvalsh(symmetrize(H @ P @ transpose(H)))[..., -1]
+    """gamma^2 - lambda_max(H P H^T) over a [model, column] grid of P."""
+    # no (K, N + 1, m, n) temporary H P; eigvalsh reads one triangle only
+    HPHt = np.einsum("kij,ktjl,kml->ktim", H, P, H)
+    return gsq - np.linalg.eigvalsh(HPHt)[..., -1]
 
 
-def _logdet(L):
-    """log det S from the Cholesky factor L of S, batched."""
-    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+def _logdet_S(Sinv, timed):
+    """log det S from the eigenvalues of S^{-1} over a [model, column] grid;
+    raises at the earliest column, then model, whose S is not positive definite."""
+    w = np.linalg.eigvalsh(Sinv)
+    ok = w[..., 0] > 0
+    if not ok.all():
+        t, i = (int(v) for v in np.argwhere(~ok.T)[0])
+        where = f"model {i}, t={t}" if timed else f"model {i}"
+        raise FactorizationFailure(
+            f"{where}: innovation covariance R + H P H^T is not positive definite")
+    return -np.log(w).sum(axis=-1)
 
 
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
     """One step of the covariance recursion; output is symmetrized."""
-    _, _, FPHt, gain = _gain_terms(P, F, H, R)
+    _, FPHt, gain = _gain_terms(P, F, H, R)
     return _next_cov(P, F, Q, FPHt, gain)
 
 
 def kalman_gain(P, F, H, R) -> np.ndarray:
     """Gain K = F P H^T (R + H P H^T)^{-1}."""
-    return _gain_terms(P, F, H, R)[3]
+    return _gain_terms(P, F, H, R)[2]
 
 
 def innovation_covariance(P, H, R) -> np.ndarray:
@@ -100,19 +109,20 @@ class GainSchedule:
     """Per-model covariances, gains and certificates, stacked over the bank.
 
     Arrays are indexed [model, column].  With ``horizon`` N, ``P`` and
-    ``margin`` have N + 1 columns (t = 0..N), ``S`` and ``logdet_S`` N
-    columns.  A stationary schedule (``horizon`` None) has one column of
-    each, used at every t, and the per-model AreSolution in ``solutions``.
-    ``margin`` is gamma^2 - lambda_max(H P H^T): model i is gamma-feasible
-    at t iff it is positive.  Gains are not stored; :meth:`gain` forms one
-    from P and the ``models`` the schedule was computed for.
+    ``margin`` have N + 1 columns (t = 0..N), ``Sinv`` (S^{-1}) and
+    ``logdet_S`` N columns.  A stationary schedule (``horizon`` None) has one
+    column of each, used at every t, and the per-model AreSolution in
+    ``solutions``.  ``margin`` is gamma^2 - lambda_max(H P H^T): model i is
+    gamma-feasible at t iff it is positive.  Gains and S are not stored;
+    :meth:`gain` and :meth:`innovation_cov` rebuild them from P and the
+    ``models`` the schedule was computed for.
     """
 
     horizon: int | None
     gamma_sq: float
     models: ModelSet
     P: np.ndarray
-    S: np.ndarray
+    Sinv: np.ndarray
     logdet_S: np.ndarray
     margin: np.ndarray
     solutions: tuple = ()
@@ -127,7 +137,7 @@ class GainSchedule:
 
     @property
     def n_outputs(self):
-        return self.S.shape[-1]
+        return self.Sinv.shape[-1]
 
     @property
     def stationary(self):
@@ -152,10 +162,10 @@ class GainSchedule:
     def gain(self, t, i) -> np.ndarray:
         """Kalman gain F P H^T S^{-1} of model i at time t."""
         m = self.models
-        return _gain_terms(self.P[i, self.column(t)], m.F[i], m.H[i], m.R)[3]
+        return _gain_terms(self.P[i, self.column(t)], m.F[i], m.H[i], m.R)[2]
 
     def innovation_cov(self, t, i) -> np.ndarray:
-        return self.S[i, self.column(t)]
+        return innovation_covariance(self.P[i, self.column(t)], self.models.H[i], self.models.R)
 
     def lambda_max(self, t) -> np.ndarray:
         """lambda_max(H_i P_{t,i} H_i^T) for every model, read off the margins."""
@@ -164,8 +174,8 @@ class GainSchedule:
     def require_feasible(self, t=None) -> None:
         """Raise :class:`GammaInfeasible` at the earliest (t, model) whose
         margin is not positive; only time ``t`` is checked when given."""
-        margin = self.margin if t is None else self.margin[:, [self.column(t, terminal=True)]]
-        if (margin > 0).all():
+        margin = self.margin if t is None else self.margin[:, self.column(t, terminal=True), None]
+        if margin.min() > 0:
             return
         col, i = (int(v) for v in np.argwhere(~(margin.T > 0))[0])
         if t is None and not self.stationary:
@@ -189,29 +199,26 @@ class AreSolution:
 def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     """Propagate the Riccati recursions of all K models from P0 over t = 0..N.
 
-    Each time step is one batched update over the bank.  Margins are
-    recorded at every t, the terminal one included, without raising; see
-    :meth:`GainSchedule.require_feasible`.
+    Each time step is one batched update over the bank.  After the loop,
+    every S is checked at once (the earliest failure is raised) and margins
+    are recorded at every t, the terminal one included, without raising;
+    see :meth:`GainSchedule.require_feasible`.
     """
     if N < 0:
         raise ValueError(f"horizon must be >= 0, got {N}")
     K, n, m = models.K, models.n, models.m
-    gsq = models.gamma ** 2
     P = np.empty((K, N + 1, n, n))
-    S = np.empty((K, N, m, m))
-    logdet_S = np.empty((K, N))
-    margin = np.empty((K, N + 1))
+    Sinv = np.empty((K, N, m, m))
     Pt = np.broadcast_to(models.P0, (K, n, n))
-    for t in range(N + 1):
+    for t in range(N):
         P[:, t] = Pt
-        margin[:, t] = _margins(Pt, models.H, gsq)
-        if t == N:
-            break
-        S[:, t], L, FPHt, gain = _gain_terms(Pt, models.F, models.H, models.R, t)
-        logdet_S[:, t] = _logdet(L)
+        Sinv[:, t], FPHt, gain = _gain_terms(Pt, models.F, models.H, models.R)
         Pt = _next_cov(Pt, models.F, models.Q, FPHt, gain)
-    return GainSchedule(horizon=N, gamma_sq=gsq, models=models, P=P, S=S,
-                        logdet_S=logdet_S, margin=margin)
+    P[:, N] = Pt
+    logdet_S = _logdet_S(Sinv, timed=True)
+    gsq = models.gamma ** 2
+    return GainSchedule(horizon=N, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
+                        logdet_S=logdet_S, margin=_margins(P, models.H, gsq))
 
 
 def solve_are(F, H, Q, R, P_init, tol: float = ARE_TOL, max_iter: int = ARE_MAX_ITER) -> AreSolution:
@@ -263,10 +270,9 @@ def stationary_gains(models: ModelSet, tol: float = ARE_TOL, max_iter: int = ARE
         except NoConvergence as exc:
             raise NoConvergence(f"model {i}: {exc}", last=exc.last) from None
         solutions.append(sol)
-    P = np.stack([sol.P for sol in solutions])
+    P = np.stack([sol.P for sol in solutions])[:, None]
+    Sinv = _gain_terms(P, models.F[:, None], models.H[:, None], models.R)[0]
     gsq = models.gamma ** 2
-    S, L = _gain_terms(P, models.F, models.H, models.R)[:2]
-    return GainSchedule(horizon=None, gamma_sq=gsq, models=models, P=P[:, None],
-                        S=S[:, None], logdet_S=_logdet(L)[:, None],
-                        margin=_margins(P, models.H, gsq)[:, None],
-                        solutions=tuple(solutions))
+    return GainSchedule(horizon=None, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
+                        logdet_S=_logdet_S(Sinv, timed=False),
+                        margin=_margins(P, models.H, gsq), solutions=tuple(solutions))

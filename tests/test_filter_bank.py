@@ -101,6 +101,25 @@ def test_step_formula_matches_manual(paper_models):
         np.testing.assert_allclose(state.c, c, atol=1e-10)
 
 
+def test_predictions_follow_every_step():
+    # Each state keeps its predictions once computed; a step must never hand
+    # the next state the previous one's.
+    rng = np.random.default_rng(7)
+    models = make_random_models(rng, K=3, n=2, m=2)
+    N = 6
+    state = filter_bank.init(models, mx.run_recursion(models, N))
+    seen = []
+    for t in range(N + 1):
+        preds = filter_bank.predictions(state)
+        expect = [models.H[i] @ state.xbreve[i] for i in range(models.K)]
+        np.testing.assert_allclose(preds, expect, rtol=1e-14, atol=1e-14)
+        assert filter_bank.predictions(state) is preds
+        assert all(not np.array_equal(preds, old) for old in seen)
+        seen.append(preds.copy())
+        if t < N:
+            state = filter_bank.step(state, rng.normal(size=2))
+
+
 def test_costs_never_decrease(paper_models):
     rng = np.random.default_rng(17)
     state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 30))

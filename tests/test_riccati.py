@@ -206,6 +206,7 @@ def test_schedule_matches_per_model_loop():
                 break
             S = mx.innovation_covariance(P, H, models.R)
             np.testing.assert_allclose(seq.innovation_cov(t, i), S, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(seq.Sinv[i, t] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(seq.gain(t, i), mx.kalman_gain(P, F, H, models.R),
                                        rtol=1e-12, atol=1e-12)
             sign, logdet = np.linalg.slogdet(S)
@@ -229,6 +230,7 @@ def test_stationary_schedule_matches_solve_are():
                                    rtol=1e-12, atol=1e-12)
         S = mx.innovation_covariance(sol.P, H, models.R)
         np.testing.assert_allclose(st.innovation_cov(3, i), S, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(st.Sinv[i, 0] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
         assert st.logdet_S[i, 0] == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12, abs=1e-12)
         lam = np.linalg.eigvalsh(H @ sol.P @ H.T)[-1]
         assert st.margin[i, 0] == pytest.approx(models.gamma ** 2 - lam, rel=1e-12, abs=1e-12)
@@ -246,13 +248,15 @@ def test_schedule_accessors_raise_out_of_range():
             seq.innovation_cov(t, 0)
 
 
-def test_indefinite_innovation_covariance_names_model_and_t():
+@pytest.mark.parametrize("r", [-0.5, -0.25], ids=["negative", "singular"])
+def test_indefinite_innovation_covariance_names_model_and_t(r):
     # R is forced negative past validation.  With F = 0 every P_1 equals
     # Q = 0.25: model 0 (H = 2) keeps S > 0, while model 1 (H = 1) has
-    # S_0 = -0.5 + 1 = 0.5 but S_1 = -0.5 + 0.25 < 0.
+    # S_0 = r + 1 > 0 but S_1 = r + 0.25, negative for r = -0.5 and exactly
+    # singular for r = -0.25.
     valid = mx.validate({"F": [0.0 * I1, 0.0 * I1], "H": [2.0 * I1, I1],
                          "Q": 0.25 * I1, "R": I1, "P0": I1, "gamma": 10.0})
-    broken = dataclasses.replace(valid, R=-0.5 * I1)
+    broken = dataclasses.replace(valid, R=r * I1)
     with pytest.raises(mx.FactorizationFailure, match=r"model 1, t=1"):
         mx.run_recursion(broken, 3)
     mx.run_recursion(broken, 1)  # t = 0 alone is fine
