@@ -18,12 +18,10 @@ from .exceptions import (
     GammaInfeasible,
     HorizonExceeded,
     IndexOutOfRange,
-    ModelMismatch,
     NoConvergence,
     NonpositiveGamma,
     NotPositiveDefinite,
     PreconditionViolated,
-    SingularSystem,
 )
 from .filter_bank import (
     FilterBankState,
@@ -34,21 +32,15 @@ from .filter_bank import (
 )
 from .minimax import (
     MinimaxEstimate,
-    QuadraticPiece,
     QuadraticPieces,
     build_pieces,
-    project_simplex,
     quadratic_max_closed_form,
     solve,
-    weight_matrix,
 )
 from .model_bank import ModelSet, validate
 from .riccati import (
     AreSolution,
     GainSchedule,
-    check_gamma_feasibility,
-    innovation_covariance,
-    kalman_gain,
     riccati_step,
     run_recursion,
     solve_are,
@@ -82,28 +74,21 @@ __all__ = [
     "IndexOutOfRange",
     "InputSpec",
     "MinimaxEstimate",
-    "ModelMismatch",
     "ModelSet",
     "NoConvergence",
     "NoiseSpec",
     "NonpositiveGamma",
     "NotPositiveDefinite",
     "PreconditionViolated",
-    "QuadraticPiece",
     "QuadraticPieces",
     "SimulationTrace",
-    "SingularSystem",
     "bayes_estimate",
     "bayes_init",
     "bayes_step",
     "build_pieces",
-    "check_gamma_feasibility",
     "generate_truth",
     "init",
-    "innovation_covariance",
-    "kalman_gain",
     "load_config",
-    "project_simplex",
     "quadratic_max_closed_form",
     "riccati_step",
     "run_estimators",
@@ -115,7 +100,6 @@ __all__ = [
     "step",
     "validate",
     "value_function",
-    "weight_matrix",
     "with_seed",
     "worst_case_state",
 ]

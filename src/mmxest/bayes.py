@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyModelSet
-from .filter_bank import FilterBankState, innovations, predictions
+from .filter_bank import FilterBankState, innovations
 from .model_bank import ModelSet
 
 # Likelihoods are floored before renormalizing so one astronomically
@@ -28,17 +28,11 @@ class BayesPosterior:
     mu: np.ndarray
 
 
-def bayes_init(models: ModelSet, prior=None) -> BayesPosterior:
-    """Uniform prior over the bank unless an explicit prior is given."""
+def bayes_init(models: ModelSet) -> BayesPosterior:
+    """Uniform prior over the bank."""
     if models.K == 0:
         raise EmptyModelSet("posterior needs at least one model")
-    if prior is None:
-        mu = np.full(models.K, 1.0 / models.K)
-    else:
-        mu = np.asarray(prior, dtype=float).reshape(models.K)
-        if np.any(mu < 0) or not np.isclose(mu.sum(), 1.0):
-            raise ValueError("prior must be a probability vector")
-    return BayesPosterior(mu=mu)
+    return BayesPosterior(mu=np.full(models.K, 1.0 / models.K))
 
 
 def bayes_step(posterior: BayesPosterior, state: FilterBankState,
@@ -51,11 +45,11 @@ def bayes_step(posterior: BayesPosterior, state: FilterBankState,
     in log space to survive large innovations; log det S_i is the
     schedule's, computed once per (model, t).
     """
-    models = state.models
-    y = np.asarray(y, dtype=float).reshape(models.m)
+    m = state.gains.models.m
+    y = np.asarray(y, dtype=float).reshape(m)
     _, cost = innovations(state, y)
     logdet = state.gains.logdet_S[:, state.gains.column(state.t)]
-    loglik = -0.5 * (models.m * LOG_2PI + logdet + cost)
+    loglik = -0.5 * (m * LOG_2PI + logdet + cost)
     # Shift before exponentiating; the shift cancels in the normalization.
     w = posterior.mu * np.exp(loglik - loglik.max())
     w = np.maximum(w, LIKELIHOOD_FLOOR)
@@ -69,7 +63,7 @@ def bayes_estimate(posterior: BayesPosterior, state: FilterBankState,
     ``average`` returns sum_i mu_i H_i xb_i; ``map`` returns the prediction
     of the most probable model (ties broken by lowest index).
     """
-    preds = predictions(state)
+    preds = state.yhat
     if mode == "average":
         return posterior.mu @ preds
     if mode == "map":

@@ -41,10 +41,6 @@ class NoConvergence(EstimationError):
         self.last = last
 
 
-class ModelMismatch(EstimationError):
-    """Precomputed gain data is dimensioned for a different model set."""
-
-
 class HorizonExceeded(EstimationError):
     """A filter step was requested past the precomputed gain horizon."""
 
@@ -53,15 +49,11 @@ class IndexOutOfRange(EstimationError):
     """A model index is outside the family."""
 
 
-class SingularSystem(EstimationError):
-    """The inner maximization is not strictly concave; gamma-feasibility fails."""
-
-
 class GammaInfeasible(EstimationError):
     """The condition lambda_max(H P H^T) < gamma^2 is violated.
 
     Carries ``lambda_max`` and ``gamma_sq``; ``model`` and ``t`` are set when
-    the violation is located inside a recursion.
+    the violation is located at a model and time.
     """
 
     def __init__(self, message, lambda_max=None, gamma_sq=None, model=None, t=None):

@@ -28,14 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    ModelMismatch,
-    SingularSystem,
-)
+from .exceptions import DimensionMismatch, GammaInfeasible, IndexOutOfRange
 from .linalg import spd_solve, transpose
-from .model_bank import ModelSet
 from .riccati import GainSchedule
 
 
@@ -45,40 +39,28 @@ class FilterBankState:
 
     ``xbreve`` stacks the K per-model estimates row-wise ((K, n) array) and
     ``c`` holds the K accumulated costs.  ``gains`` is the gain schedule in
-    use.  Instances are immutable; :func:`step` returns a fresh state.
+    use; the model bank is ``gains.models``.  Instances are immutable;
+    :func:`step` returns a fresh state.
     """
 
     t: int
     xbreve: np.ndarray
     c: np.ndarray
     gains: GainSchedule
-    models: ModelSet
 
     @cached_property
     def yhat(self) -> np.ndarray:
         """Each model's output prediction H_i xb_i, (K, m), computed once; every
         caller gets this one array and must not write to it."""
-        return (self.models.H @ self.xbreve[:, :, None])[:, :, 0]
+        return (self.gains.models.H @ self.xbreve[:, :, None])[:, :, 0]
 
 
-def init(models: ModelSet, gains: GainSchedule) -> FilterBankState:
-    """Start the bank at t = 0 with every estimate at xhat0 and zero cost.
-
-    ``gains`` must have been computed from the same model set; mismatched
-    dimensions raise :class:`ModelMismatch`.
-    """
-    if (gains.n_models, gains.n_states, gains.n_outputs) != (models.K, models.n, models.m):
-        raise ModelMismatch(
-            f"gain data is for (K, n, m) = "
-            f"({gains.n_models}, {gains.n_states}, {gains.n_outputs}), "
-            f"model set has ({models.K}, {models.n}, {models.m})")
+def init(gains: GainSchedule) -> FilterBankState:
+    """Start the bank of ``gains.models`` at t = 0 with every estimate at
+    xhat0 and zero cost."""
+    models = gains.models
     xbreve = np.tile(models.xhat0, (models.K, 1))
-    return FilterBankState(t=0, xbreve=xbreve, c=np.zeros(models.K), gains=gains, models=models)
-
-
-def predictions(state: FilterBankState) -> np.ndarray:
-    """Each model's output prediction H_i xb_i, as a (K, m) array."""
-    return state.yhat
+    return FilterBankState(t=0, xbreve=xbreve, c=np.zeros(models.K), gains=gains)
 
 
 def innovations(state: FilterBankState, y: np.ndarray):
@@ -96,7 +78,7 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     to the accumulated cost, since it is measured and carries no
     model-discriminating information.
     """
-    models = state.models
+    models = state.gains.models
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (models.m,):
         raise DimensionMismatch(f"y has shape {y.shape}, expected ({models.m},)")
@@ -111,13 +93,12 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     xbreve = (models.F @ (state.xbreve[:, :, None] + P @ (transpose(models.H) @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve = xbreve + models.B @ u
-    return FilterBankState(t=state.t + 1, xbreve=xbreve, c=state.c + cost,
-                           gains=state.gains, models=models)
+    return FilterBankState(t=state.t + 1, xbreve=xbreve, c=state.c + cost, gains=state.gains)
 
 
 def value_function(state: FilterBankState, x, i: int) -> float:
     """Evaluate V_{t,i}(x) = |x - xb_{t,i}|^2_{P^{-1}} + c_{t,i}."""
-    models = state.models
+    models = state.gains.models
     if not 0 <= i < models.K:
         raise IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -135,8 +116,10 @@ def worst_case_state(yhat, i: int, state: FilterBankState, gamma: float) -> np.n
     H_i^T H_i - gamma^2 P^{-1} negative definite; the maximizer is
 
         x* = (H_i^T H_i - gamma^2 P^{-1})^{-1} (H_i^T yhat - gamma^2 P^{-1} xb).
+
+    Otherwise raises :class:`GammaInfeasible` with ``model`` and ``t`` set.
     """
-    models = state.models
+    models = state.gains.models
     if not 0 <= i < models.K:
         raise IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
@@ -147,8 +130,9 @@ def worst_case_state(yhat, i: int, state: FilterBankState, gamma: float) -> np.n
     gsq = gamma * gamma
     lam = float(state.gains.lambda_max(state.t)[i])
     if not lam < gsq:
-        raise SingularSystem(
-            f"model {i} at t={state.t}: lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {gsq:.6g}")
+        raise GammaInfeasible(
+            f"model {i} at t={state.t}: lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {gsq:.6g}",
+            lambda_max=lam, gamma_sq=gsq, model=i, t=state.t)
     Pinv = spd_solve(P, np.eye(models.n), context=f"P[{i}] at t={state.t}")
     M = H.T @ H - gsq * Pinv
     rhs = H.T @ yhat - gsq * (Pinv @ state.xbreve[i])

@@ -37,15 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    EmptyPieceList,
-    GammaInfeasible,
-    NoConvergence,
-    PreconditionViolated,
-)
-from .filter_bank import FilterBankState, predictions
+from .exceptions import EmptyPieceList, NoConvergence, PreconditionViolated
+from .filter_bank import FilterBankState
 from .linalg import max_eig_sym, spd_solve, symmetrize, transpose
-from .model_bank import ModelSet
 
 SOLVE_TOL = 1e-8
 SOLVE_MAX_ITER = 100
@@ -53,27 +47,13 @@ ACTIVE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
-class QuadraticPiece:
-    """One model's quadratic f(yhat) = |yhat - center|^2_W + offset."""
-
-    W: np.ndarray       # (m, m) symmetric positive definite
-    center: np.ndarray  # (m,)
-    offset: float
-
-
-@dataclass(frozen=True)
 class QuadraticPieces:
-    """K stacked pieces, W (K, m, m), centers (K, m), offsets (K,); items are QuadraticPiece."""
+    """K stacked pieces f_i(yhat) = |yhat - centers[i]|^2_{W[i]} + offsets[i]:
+    W (K, m, m) symmetric positive definite, centers (K, m), offsets (K,)."""
 
     W: np.ndarray
     centers: np.ndarray
     offsets: np.ndarray
-
-    def __len__(self):
-        return len(self.offsets)
-
-    def __getitem__(self, i) -> QuadraticPiece:
-        return QuadraticPiece(W=self.W[i], center=self.centers[i], offset=float(self.offsets[i]))
 
 
 @dataclass(frozen=True)
@@ -98,40 +78,19 @@ def _weights(HPHt, gsq):
     return symmetrize(np.linalg.inv(np.eye(HPHt.shape[-1]) - HPHt / gsq))
 
 
-def weight_matrix(P, H, gamma) -> np.ndarray:
-    """Inverse of (I - gamma^{-2} H P H^T), symmetrized.
+def build_pieces(state: FilterBankState) -> QuadraticPieces:
+    """Assemble the K quadratic pieces of the game at the state's time, with
+    H and gamma from the bank the state's gain schedule was computed for.
 
-    Raises :class:`GammaInfeasible` (reporting lambda_max(H P H^T) and
-    gamma^2) unless lambda_max(H P H^T) < gamma^2 strictly.
+    Raises :class:`GammaInfeasible` at the first model not gamma-feasible
+    at that time.
     """
-    HPHt = symmetrize(H @ P @ H.T)
-    gsq = float(gamma) * float(gamma)
-    lam = max_eig_sym(HPHt)
-    if not lam < gsq:
-        raise GammaInfeasible(
-            f"lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {gsq:.6g}",
-            lambda_max=lam, gamma_sq=gsq)
-    return _weights(HPHt, gsq)
-
-
-def build_pieces(models: ModelSet, state: FilterBankState) -> QuadraticPieces:
-    """Assemble the K quadratic pieces of the game at the state's time."""
     gains = state.gains
     gains.require_feasible(state.t)
+    H = gains.models.H
     P = gains.P[:, gains.column(state.t, terminal=True)]
-    gsq = models.gamma ** 2
-    W = _weights(symmetrize(models.H @ P @ transpose(models.H)), gsq)
-    return QuadraticPieces(W=W, centers=predictions(state), offsets=-gsq * state.c)
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x : x >= 0, sum x = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
+    W = _weights(symmetrize(H @ P @ transpose(H)), gains.gamma_sq)
+    return QuadraticPieces(W=W, centers=state.yhat, offsets=-gains.gamma_sq * state.c)
 
 
 def _inner_argmin(lam, W, centers):
@@ -233,40 +192,31 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
     return y + a * step[:m], s + a * step[m], r + a * dr, lam + a_dual * dlam
 
 
-def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
-          lambda0=None) -> MinimaxEstimate:
-    """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= tol.
+def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
+    """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= SOLVE_TOL.
 
     A piece whose center no other piece exceeds is returned at once, with
     lam = e_i, gap 0 and ``iterations`` 0; several such (tied) pieces
     share uniform weights.  Otherwise a primal-dual interior point runs on
     the epigraph form with the offsets shifted by their maximum, and stops
     once its normalized multipliers lam certify phi(lam) <= J* <=
-    max_i f_i(yhat) within ``tol``, yhat being the better of the iterate
-    and yhat(lam).  ``iterations`` counts interior-point iterations.
-
-    ``lambda0`` seeds the multipliers (default uniform); it is projected
-    onto the simplex and averaged with the uniform weights to lie inside.
+    max_i f_i(yhat) within SOLVE_TOL, yhat being the better of the iterate
+    and yhat(lam).  The multipliers start uniform.  ``iterations`` counts
+    interior-point iterations.
 
     Raises
     ------
     EmptyPieceList
         If no pieces are given.
     NoConvergence
-        If the gap is still above ``tol`` after ``max_iter`` iterations, or
+        If the gap is still above SOLVE_TOL after SOLVE_MAX_ITER iterations, or
         a step breaks down numerically first; the last certified estimate
         is attached as ``last``.
     """
-    K = len(pieces)
+    W, centers, offsets = pieces.W, pieces.centers, pieces.offsets
+    K = len(offsets)
     if K == 0:
         raise EmptyPieceList("minimax program needs at least one piece")
-    if isinstance(pieces, QuadraticPieces):
-        W, centers, offsets = pieces.W, pieces.centers, pieces.offsets
-    else:
-        m = pieces[0].center.size
-        W = np.stack([np.asarray(p.W, dtype=float).reshape(m, m) for p in pieces])
-        centers = np.stack([np.asarray(p.center, dtype=float).reshape(m) for p in pieces])
-        offsets = np.array([float(p.offset) for p in pieces])
 
     top = _dominant(W, centers, offsets)
     if top.size:
@@ -275,10 +225,7 @@ def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
         return _estimate(lam, centers[top[0]].copy(), float(offsets[top[0]]), 0.0, 0)
 
     o = offsets - offsets.max()
-    if lambda0 is None:
-        lam = np.full(K, 1.0 / K)
-    else:
-        lam = 0.5 * (project_simplex(np.asarray(lambda0, dtype=float).reshape(K)) + 1.0 / K)
+    lam = np.full(K, 1.0 / K)
     y = _inner_argmin(lam, W, centers)
     f = _piece_values(y, W, centers, o)
     s = 2.0 * float(f.max()) - float(lam @ f)
@@ -287,7 +234,7 @@ def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
     while True:
         yhat, upper, lower = _certify(lam / lam.sum(), y, W, centers, o)
         gap = upper - lower
-        if gap <= tol or iterations == max_iter:
+        if gap <= SOLVE_TOL or iterations == SOLVE_MAX_ITER:
             break
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -299,9 +246,9 @@ def solve(pieces, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER,
     lam = lam / lam.sum()
     estimate = _estimate(lam, yhat, float(_piece_values(yhat, W, centers, offsets).max()),
                          gap, iterations)
-    if gap > tol:
+    if gap > SOLVE_TOL:
         raise NoConvergence(
-            f"duality gap {gap:.3e} > tol {tol:.3e} after {iterations} "
+            f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "
             f"interior-point iterations", last=estimate)
     return estimate
 

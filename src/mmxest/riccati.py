@@ -32,7 +32,7 @@ from .exceptions import (
     HorizonExceeded,
     NoConvergence,
 )
-from .linalg import max_eig_sym, symmetrize, transpose
+from .linalg import symmetrize, transpose
 from .model_bank import ModelSet
 
 ARE_TOL = 1e-10
@@ -89,21 +89,6 @@ def riccati_step(P, F, H, Q, R) -> np.ndarray:
     return _next_cov(P, F, Q, FPHt, gain)
 
 
-def kalman_gain(P, F, H, R) -> np.ndarray:
-    """Gain K = F P H^T (R + H P H^T)^{-1}."""
-    return _gain_terms(P, F, H, R)[2]
-
-
-def innovation_covariance(P, H, R) -> np.ndarray:
-    """S = R + H P H^T, symmetrized."""
-    return symmetrize(R + H @ P @ H.T)
-
-
-def check_gamma_feasibility(P, H, gamma) -> bool:
-    """True iff lambda_max(H P H^T) < gamma^2, strictly."""
-    return max_eig_sym(H @ P @ H.T) < gamma * gamma
-
-
 @dataclass(frozen=True)
 class GainSchedule:
     """Per-model covariances, gains and certificates, stacked over the bank.
@@ -113,9 +98,9 @@ class GainSchedule:
     ``logdet_S`` N columns.  A stationary schedule (``horizon`` None) has one
     column of each, used at every t, and the per-model AreSolution in
     ``solutions``.  ``margin`` is gamma^2 - lambda_max(H P H^T): model i is
-    gamma-feasible at t iff it is positive.  Gains and S are not stored;
-    :meth:`gain` and :meth:`innovation_cov` rebuild them from P and the
-    ``models`` the schedule was computed for.
+    gamma-feasible at t iff it is positive.  Gains are not stored;
+    :meth:`gain` rebuilds them from P and the ``models`` the schedule was
+    computed for.
     """
 
     horizon: int | None
@@ -126,18 +111,6 @@ class GainSchedule:
     logdet_S: np.ndarray
     margin: np.ndarray
     solutions: tuple = ()
-
-    @property
-    def n_models(self):
-        return self.P.shape[0]
-
-    @property
-    def n_states(self):
-        return self.P.shape[-1]
-
-    @property
-    def n_outputs(self):
-        return self.Sinv.shape[-1]
 
     @property
     def stationary(self):
@@ -163,9 +136,6 @@ class GainSchedule:
         """Kalman gain F P H^T S^{-1} of model i at time t."""
         m = self.models
         return _gain_terms(self.P[i, self.column(t)], m.F[i], m.H[i], m.R)[2]
-
-    def innovation_cov(self, t, i) -> np.ndarray:
-        return innovation_covariance(self.P[i, self.column(t)], self.models.H[i], self.models.R)
 
     def lambda_max(self, t) -> np.ndarray:
         """lambda_max(H_i P_{t,i} H_i^T) for every model, read off the margins."""
@@ -221,25 +191,21 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
                         logdet_S=logdet_S, margin=_margins(P, models.H, gsq))
 
 
-def solve_are(F, H, Q, R, P_init, tol: float = ARE_TOL, max_iter: int = ARE_MAX_ITER) -> AreSolution:
+def solve_are(F, H, Q, R, P_init) -> AreSolution:
     """Solve the stationary Riccati equation by fixed-point iteration.
 
     Iterates :func:`riccati_step` from ``P_init`` until the max-abs change
-    is below ``tol``; the reported residual is the max-abs defect of the
+    is below ARE_TOL; the reported residual is the max-abs defect of the
     fixed-point equation at the returned iterate and is required to be
-    within ``tol`` as well.
+    within ARE_TOL as well.
 
     Raises
     ------
     NoConvergence
-        If ``max_iter`` steps do not reach tolerance (the last iterate is
+        If ARE_MAX_ITER steps do not reach tolerance (the last iterate is
         attached for diagnostics), or the iteration diverges to non-finite
         values.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     P = np.atleast_2d(np.asarray(P_init, dtype=float))
     F = np.atleast_2d(np.asarray(F, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -247,26 +213,25 @@ def solve_are(F, H, Q, R, P_init, tol: float = ARE_TOL, max_iter: int = ARE_MAX_
     R = np.atleast_2d(np.asarray(R, dtype=float))
     # overflow is a handled outcome here, not a warning-worthy event
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, ARE_MAX_ITER + 1):
             Pn = riccati_step(P, F, H, Q, R)
             if not np.all(np.isfinite(Pn)):
                 raise NoConvergence(f"Riccati iteration diverged after {it} steps", last=P)
             delta = float(np.max(np.abs(Pn - P)))
             P = Pn
-            if delta < tol:
+            if delta < ARE_TOL:
                 residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))
-                if residual <= tol:
+                if residual <= ARE_TOL:
                     return AreSolution(P=P, iterations=it, residual=residual)
-    raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P)
+    raise NoConvergence(f"no fixed point within {ARE_MAX_ITER} iterations", last=P)
 
 
-def stationary_gains(models: ModelSet, tol: float = ARE_TOL, max_iter: int = ARE_MAX_ITER) -> GainSchedule:
+def stationary_gains(models: ModelSet) -> GainSchedule:
     """Solve the per-model AREs from P0 and package them as a length-1 schedule."""
     solutions = []
     for i in range(models.K):
         try:
-            sol = solve_are(models.F[i], models.H[i], models.Q, models.R,
-                            models.P0, tol=tol, max_iter=max_iter)
+            sol = solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0)
         except NoConvergence as exc:
             raise NoConvergence(f"model {i}: {exc}", last=exc.last) from None
         solutions.append(sol)

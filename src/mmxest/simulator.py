@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bayes as _bayes
 from . import filter_bank, minimax, riccati
-from .exceptions import IndexOutOfRange
+from .exceptions import DimensionMismatch, IndexOutOfRange
 from .model_bank import ModelSet
 from .rng import Xorshift64Star
 
@@ -115,11 +115,11 @@ class SimulationTrace:
 
 def generate_truth(models: ModelSet, true_model: int, horizon: int,
                    process_noise: NoiseSpec, measurement_noise: NoiseSpec,
-                   input_spec: InputSpec = InputSpec(), x0=None):
-    """Roll the true model forward.  Returns (u, x, y, z).
+                   input_spec: InputSpec = InputSpec()):
+    """Roll the true model forward from the bank's prior mean.  Returns (u, x, y, z).
 
     x has horizon + 1 rows (terminal state included); y_t = H x_t + v_t and
-    z_t = H x_t for t < horizon.  x0 defaults to the bank's prior mean.
+    z_t = H x_t for t < horizon.
     """
     if not 0 <= true_model < models.K:
         raise IndexOutOfRange(
@@ -135,7 +135,7 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     v = measurement_noise.stream(horizon, models.m)
 
     x = np.zeros((horizon + 1, models.n))
-    x[0] = models.xhat0 if x0 is None else np.asarray(x0, dtype=float).reshape(models.n)
+    x[0] = models.xhat0
     y = np.zeros((horizon, models.m))
     z = np.zeros((horizon, models.m))
     for t in range(horizon):
@@ -150,14 +150,15 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
 def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                    true_model: int = 0, x=None, z=None,
                    run_minimax: bool = True, run_bayes: bool = True,
-                   bayes_mode: str = "average",
-                   tol: float = minimax.SOLVE_TOL,
-                   max_iter: int = minimax.SOLVE_MAX_ITER) -> SimulationTrace:
+                   bayes_mode: str = "average") -> SimulationTrace:
     """Replay a measurement record through both estimators.
 
-    Gamma-feasibility is checked for every model over the whole horizon
-    (terminal covariance included) before any data is processed; an
-    infeasible pair raises :class:`GammaInfeasible` immediately.
+    ``y`` must be (N, m) and ``u`` (N, p), or None for no input; a 1-D
+    record is taken as one column.  Other shapes raise
+    :class:`DimensionMismatch` before any work.  Gamma-feasibility is
+    checked for every model over the whole horizon (terminal covariance
+    included) before any data is processed; an infeasible pair raises
+    :class:`GammaInfeasible` immediately.
 
     Skipped estimators leave NaN columns.  ``x`` and ``z`` are carried into
     the trace when given (a pure-estimation replay may omit them).
@@ -165,6 +166,8 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
+    if y.ndim != 2 or y.shape[1] != models.m:
+        raise DimensionMismatch(f"y has shape {y.shape}, expected (N, {models.m})")
     N = y.shape[0]
     if u is None:
         u = np.zeros((N, models.p))
@@ -172,6 +175,8 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
         u = np.asarray(u, dtype=float)
         if u.ndim == 1:
             u = u[:, None]
+        if u.shape != (N, models.p):
+            raise DimensionMismatch(f"u has shape {u.shape}, expected ({N}, {models.p})")
 
     if stationary:
         gains = riccati.stationary_gains(models)
@@ -179,7 +184,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
         gains = riccati.run_recursion(models, N)
     gains.require_feasible()
 
-    state = filter_bank.init(models, gains)
+    state = filter_bank.init(gains)
     posterior = _bayes.bayes_init(models)
 
     K, m = models.K, models.m
@@ -194,10 +199,9 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     for t in range(N):
         tr_c[t] = state.c
         tr_mu[t] = posterior.mu
-        tr_models[t] = filter_bank.predictions(state)
+        tr_models[t] = state.yhat
         if run_minimax:
-            est = minimax.solve(minimax.build_pieces(models, state),
-                                tol=tol, max_iter=max_iter)
+            est = minimax.solve(minimax.build_pieces(state))
             tr_mini[t] = est.yhat
             tr_J[t] = est.value
             tr_lam[t] = est.weights
@@ -218,11 +222,10 @@ def simulate(models: ModelSet, true_model: int, horizon: int,
              process_noise: NoiseSpec = NoiseSpec(),
              measurement_noise: NoiseSpec = NoiseSpec(seed=1),
              input_spec: InputSpec = InputSpec(),
-             stationary: bool = False, bayes_mode: str = "average",
-             x0=None) -> SimulationTrace:
+             stationary: bool = False, bayes_mode: str = "average") -> SimulationTrace:
     """Generate truth and run both estimators over it."""
     u, x, y, z = generate_truth(models, true_model, horizon, process_noise,
-                                measurement_noise, input_spec, x0=x0)
+                                measurement_noise, input_spec)
     return run_estimators(models, y, u=u, stationary=stationary,
                           true_model=true_model, x=x, z=z,
                           bayes_mode=bayes_mode)

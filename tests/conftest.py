@@ -21,17 +21,16 @@ def paper_models(paper_config):
     return paper_config.models
 
 
+def unit_bank(gamma=3.0, P0=np.eye(1)):
+    """One scalar model with F = H = Q = R = 1."""
+    one = np.eye(1)
+    return mx.validate({"F": [one], "H": [one], "Q": one, "R": one, "P0": P0, "gamma": gamma})
+
+
 @pytest.fixture()
 def scalar_singleton():
     # One scalar model: F = H = Q = R = P0 = 1, gamma = 3.
-    return mx.validate({
-        "F": [np.eye(1)],
-        "H": [np.eye(1)],
-        "Q": np.eye(1),
-        "R": np.eye(1),
-        "P0": np.eye(1),
-        "gamma": 3.0,
-    })
+    return unit_bank()
 
 
 def make_random_models(rng, K, n, m, gamma=None, with_input=False):

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's recursions: the value function is
 minimized as one stacked least-squares problem over the whole trajectory,
-and the concave quadratic maximum is found from its first-order condition.
+the concave quadratic maximum is found from its first-order condition, and
+the Kalman quantities are the textbook measurement and time updates.
 """
 import numpy as np
 
@@ -73,6 +74,19 @@ def stacked_ls_value(models, i, ys, us, x_terminal):
     xi = sol[:nvar]
     r = M @ xi - d
     return float(r @ r)
+
+
+def kalman_step(P, F, H, Q, R):
+    """Textbook Kalman filter step from the prior covariance P.
+
+    Returns the innovation covariance S = H P H^T + R, the one-step
+    predictor gain F P H^T S^{-1}, and the next prior covariance
+    F (P - P H^T S^{-1} H P) F^T + Q (measurement update, then time update).
+    """
+    S = H @ P @ H.T + R
+    gain = F @ P @ H.T @ np.linalg.inv(S)
+    posterior = P - P @ H.T @ np.linalg.solve(S, H @ P)
+    return S, gain, F @ posterior @ F.T + Q
 
 
 def concave_quadratic_max(x, y, A, X, Y, gamma):

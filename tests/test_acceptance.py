@@ -31,10 +31,10 @@ def test_01_stationary_covariance_golden_ratio():
 
 def _single_model_errors(models, rng, steps=100):
     gains = mx.run_recursion(models, steps)
-    state = mx.init(models, gains)
+    state = mx.init(gains)
     pred_err = value_err = 0.0
     for _ in range(steps):
-        est = mx.solve(mx.build_pieces(models, state))
+        est = mx.solve(mx.build_pieces(state))
         kalman = models.H[0] @ state.xbreve[0]
         pred_err = max(pred_err, float(np.max(np.abs(est.yhat - kalman))))
         value_err = max(value_err,
@@ -69,7 +69,7 @@ def test_03_value_function_vs_trajectory_optimization():
         models = make_random_models(rng, K, n, m, with_input=with_input)
         N = int(rng.integers(1, 4))
         gains = mx.run_recursion(models, N)
-        state = mx.init(models, gains)
+        state = mx.init(gains)
         ys = rng.normal(size=(N, m))
         us = rng.normal(size=(N, models.p)) if models.p else None
         for t in range(N):
@@ -115,16 +115,13 @@ def test_05_solver_vs_grid_search():
     spacing = 1e-4
     for _ in range(100):
         K = int(rng.integers(1, 5))
-        pieces = [mx.QuadraticPiece(W=np.array([[rng.uniform(0.5, 1.2)]]),
-                                    center=np.array([rng.uniform(-0.8, 0.8)]),
-                                    offset=float(rng.uniform(-0.8, 0.8)))
-                  for _ in range(K)]
-        est = mx.solve(pieces)
-        lo = min(p.center[0] for p in pieces) - spacing
-        hi = max(p.center[0] for p in pieces) + spacing
+        a, c, o = np.array([(rng.uniform(0.5, 1.2), rng.uniform(-0.8, 0.8),
+                             rng.uniform(-0.8, 0.8)) for _ in range(K)]).T
+        est = mx.solve(mx.QuadraticPieces(W=a[:, None, None], centers=c[:, None], offsets=o))
+        lo = c.min() - spacing
+        hi = c.max() + spacing
         grid = np.arange(lo, hi + spacing, spacing)
-        envelope = np.max([p.W[0, 0] * (grid - p.center[0]) ** 2 + p.offset
-                           for p in pieces], axis=0)
+        envelope = np.max(a[:, None] * (grid - c[:, None]) ** 2 + o[:, None], axis=0)
         worst_gap = max(worst_gap, est.gap)
         worst_diff = max(worst_diff, abs(est.value - float(envelope.min())))
     ok = worst_gap <= 1e-8 and worst_diff <= 1e-4
@@ -143,17 +140,17 @@ def test_06_completed_square_identity():
         models = make_random_models(rng, K, n, m)
         steps = int(rng.integers(1, 4))
         gains = mx.run_recursion(models, steps)
-        state = mx.init(models, gains)
+        state = mx.init(gains)
         for _ in range(steps):
             state = mx.step(state, rng.normal(size=m))
-        pieces = mx.build_pieces(models, state)
+        pieces = mx.build_pieces(state)
         i = int(rng.integers(0, K))
         yhat = rng.normal(size=m)
         xstar = mx.worst_case_state(yhat, i, state, models.gamma)
         r = yhat - models.H[i] @ xstar
         raw = float(r @ r) - models.gamma ** 2 * mx.value_function(state, xstar, i)
-        d = yhat - pieces[i].center
-        completed = float(d @ pieces[i].W @ d) + pieces[i].offset
+        d = yhat - pieces.centers[i]
+        completed = float(d @ pieces.W[i] @ d) + pieces.offsets[i]
         worst = max(worst, abs(raw - completed))
     ok = worst <= 1e-8
     report(6, "completed_square_identity", ok)
@@ -192,7 +189,7 @@ def test_08_true_model_cost_advantage(paper_config):
         u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, horizon,
                                        cfg.process_noise,
                                        cfg.measurement_noise, cfg.input_spec)
-        state = mx.init(cfg.models, gains)
+        state = mx.init(gains)
         for t in range(horizon):
             state = mx.step(state, y[t], u[t])
         c_true = state.c[cfg.true_model]

@@ -25,20 +25,11 @@ def test_bayes_init_uniform(paper_models):
     np.testing.assert_allclose(post.mu, [0.5, 0.5])
 
 
-def test_bayes_init_explicit_prior(paper_models):
-    post = bayes.bayes_init(paper_models, prior=[0.9, 0.1])
-    np.testing.assert_allclose(post.mu, [0.9, 0.1])
-    with pytest.raises(ValueError):
-        bayes.bayes_init(paper_models, prior=[0.9, 0.2])
-    with pytest.raises(ValueError):
-        bayes.bayes_init(paper_models, prior=[1.1, -0.1])
-
-
 def test_bayes_step_two_model_oracle():
     # Predictions +-0.5, S = 2 for both; y = 0.5 gives innovations 0 and 1,
     # so mu_0' = 1 / (1 + exp(-1/4)).
     models = opposite_sign_bank()
-    state = filter_bank.init(models, mx.run_recursion(models, 2))
+    state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.bayes_init(models)
     post = bayes.bayes_step(post, state, np.array([0.5]))
     expected = 1.0 / (1.0 + np.exp(-0.25))
@@ -48,7 +39,7 @@ def test_bayes_step_two_model_oracle():
 
 def test_bayes_step_keeps_probability_vector(paper_models):
     rng = np.random.default_rng(6)
-    state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 25))
+    state = filter_bank.init(mx.run_recursion(paper_models, 25))
     post = bayes.bayes_init(paper_models)
     for t in range(25):
         y = rng.normal(size=1) * 3.0
@@ -61,7 +52,7 @@ def test_bayes_step_keeps_probability_vector(paper_models):
 
 def test_bayes_step_survives_huge_innovation():
     models = opposite_sign_bank()
-    state = filter_bank.init(models, mx.run_recursion(models, 2))
+    state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.bayes_init(models)
     post = bayes.bayes_step(post, state, np.array([1e6]))
     assert np.isfinite(post.mu).all()
@@ -71,7 +62,7 @@ def test_bayes_step_survives_huge_innovation():
 
 def test_bayes_estimate_average_and_map():
     models = opposite_sign_bank()
-    state = filter_bank.init(models, mx.run_recursion(models, 2))
+    state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.BayesPosterior(mu=np.array([0.75, 0.25]))
     avg = bayes.bayes_estimate(post, state, mode="average")
     assert avg[0] == pytest.approx(0.75 * 0.5 + 0.25 * (-0.5), abs=1e-12)
@@ -83,7 +74,7 @@ def test_bayes_estimate_average_and_map():
 
 def test_bayes_estimate_map_tie_breaks_low_index():
     models = opposite_sign_bank()
-    state = filter_bank.init(models, mx.run_recursion(models, 2))
+    state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.BayesPosterior(mu=np.array([0.5, 0.5]))
     top = bayes.bayes_estimate(post, state, mode="map")
     assert top[0] == pytest.approx(0.5, abs=1e-12)
@@ -95,7 +86,7 @@ def test_posterior_concentrates_on_truth():
     # Model 0 drives the data; the posterior should favor it.
     N = 40
     x = models.xhat0.copy()
-    state = filter_bank.init(models, mx.run_recursion(models, N))
+    state = filter_bank.init(mx.run_recursion(models, N))
     post = bayes.bayes_init(models)
     for _ in range(N):
         y = models.H[0] @ x + 0.1 * rng.normal(size=1)

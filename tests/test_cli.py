@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,12 +210,20 @@ def test_stationary_and_bayes_mode_flags(tmp_path, paper_config_path):
     assert [r[3] for r in rows_a] != [r[3] for r in rows_c]  # mode changes zh_ba
 
 
+def child_env():
+    """The environment, with the directory holding the mmxest under test
+    first on PYTHONPATH, so a child interpreter imports the same sources."""
+    src = str(Path(mx.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_point_subprocess(tmp_path, paper_config_path):
     out = str(tmp_path / "sub.csv")
     proc = subprocess.run(
         [sys.executable, "-m", "mmxest.cli", "run",
          "--config", paper_config_path, "--out", out],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     header, rows = read_csv(out)
     assert header == ["t", "z", "zh_mini", "zh_ba"]
@@ -224,6 +234,6 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, mmxest, mmxest.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

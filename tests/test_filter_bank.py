@@ -4,7 +4,7 @@ import pytest
 import mmxest as mx
 from mmxest import filter_bank
 from conftest import make_random_models
-from oracles import stacked_ls_value
+from oracles import kalman_step, stacked_ls_value
 
 I1 = np.eye(1)
 
@@ -13,21 +13,22 @@ def singleton_state():
     models = mx.validate({
         "F": [I1], "H": [I1], "Q": I1, "R": I1, "P0": I1, "gamma": 3.0})
     gains = mx.run_recursion(models, 10)
-    return models, filter_bank.init(models, gains)
+    return models, filter_bank.init(gains)
 
 
 def test_init_state(paper_models):
     gains = mx.run_recursion(paper_models, 5)
-    state = filter_bank.init(paper_models, gains)
+    state = filter_bank.init(gains)
     assert state.t == 0
     np.testing.assert_array_equal(state.xbreve, np.zeros((2, 3)))
     np.testing.assert_array_equal(state.c, np.zeros(2))
 
 
-def test_init_rejects_foreign_gains(paper_models, scalar_singleton):
-    gains = mx.run_recursion(scalar_singleton, 5)
-    with pytest.raises(mx.ModelMismatch):
-        filter_bank.init(paper_models, gains)
+def test_init_takes_bank_from_gains(scalar_singleton):
+    state = filter_bank.init(mx.run_recursion(scalar_singleton, 5))
+    assert state.gains.models is scalar_singleton
+    np.testing.assert_array_equal(state.xbreve, np.zeros((1, 1)))
+    np.testing.assert_array_equal(state.c, np.zeros(1))
 
 
 def test_single_step_scalar_oracle():
@@ -55,7 +56,7 @@ def test_value_function_checks_model_index():
 
 
 def test_step_rejects_bad_measurement_shape(paper_models):
-    state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 3))
+    state = filter_bank.init(mx.run_recursion(paper_models, 3))
     with pytest.raises(mx.DimensionMismatch):
         filter_bank.step(state, np.array([1.0, 2.0]))
 
@@ -67,7 +68,7 @@ def test_step_rejects_input_when_inputless():
 
 
 def test_step_applies_known_input(paper_models):
-    state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 3))
+    state = filter_bank.init(mx.run_recursion(paper_models, 3))
     y = np.array([0.7])
     u = np.array([0.3])
     with_u = filter_bank.step(state, y, u)
@@ -84,19 +85,20 @@ def test_step_formula_matches_manual(paper_models):
     rng = np.random.default_rng(5)
     N = 6
     gains = mx.run_recursion(paper_models, N)
-    state = filter_bank.init(paper_models, gains)
+    state = filter_bank.init(gains)
+    m = paper_models
     xb = np.zeros((2, 3))
     c = np.zeros(2)
+    P = [m.P0, m.P0]
     for t in range(N):
         y = rng.normal(size=1)
         u = rng.normal(size=1)
         state = filter_bank.step(state, y, u)
         for i in range(2):
-            e = y - paper_models.H[i] @ xb[i]
-            S = gains.innovation_cov(t, i)
+            S, gain, P[i] = kalman_step(P[i], m.F[i], m.H[i], m.Q, m.R)
+            e = y - m.H[i] @ xb[i]
             c[i] += float(e @ np.linalg.solve(S, e))
-            xb[i] = (paper_models.F[i] @ xb[i] + paper_models.B[i] @ u
-                     + gains.gain(t, i) @ e)
+            xb[i] = m.F[i] @ xb[i] + m.B[i] @ u + gain @ e
         np.testing.assert_allclose(state.xbreve, xb, atol=1e-10)
         np.testing.assert_allclose(state.c, c, atol=1e-10)
 
@@ -107,13 +109,13 @@ def test_predictions_follow_every_step():
     rng = np.random.default_rng(7)
     models = make_random_models(rng, K=3, n=2, m=2)
     N = 6
-    state = filter_bank.init(models, mx.run_recursion(models, N))
+    state = filter_bank.init(mx.run_recursion(models, N))
     seen = []
     for t in range(N + 1):
-        preds = filter_bank.predictions(state)
+        preds = state.yhat
         expect = [models.H[i] @ state.xbreve[i] for i in range(models.K)]
         np.testing.assert_allclose(preds, expect, rtol=1e-14, atol=1e-14)
-        assert filter_bank.predictions(state) is preds
+        assert state.yhat is preds
         assert all(not np.array_equal(preds, old) for old in seen)
         seen.append(preds.copy())
         if t < N:
@@ -122,7 +124,7 @@ def test_predictions_follow_every_step():
 
 def test_costs_never_decrease(paper_models):
     rng = np.random.default_rng(17)
-    state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 30))
+    state = filter_bank.init(mx.run_recursion(paper_models, 30))
     prev = state.c.copy()
     for t in range(30):
         state = filter_bank.step(state, rng.normal(size=1), rng.normal(size=1))
@@ -131,7 +133,7 @@ def test_costs_never_decrease(paper_models):
 
 
 def test_step_past_horizon_raises(paper_models):
-    state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 2))
+    state = filter_bank.init(mx.run_recursion(paper_models, 2))
     y = np.array([0.0])
     u = np.array([0.0])
     state = filter_bank.step(state, y, u)
@@ -141,7 +143,7 @@ def test_step_past_horizon_raises(paper_models):
 
 
 def test_stationary_gains_step_unbounded(paper_models):
-    state = filter_bank.init(paper_models, mx.stationary_gains(paper_models))
+    state = filter_bank.init(mx.stationary_gains(paper_models))
     y = np.array([0.3])
     u = np.array([0.0])
     for _ in range(50):
@@ -160,8 +162,8 @@ def test_permutation_equivariance():
         "gamma": models.gamma, "xhat0": models.xhat0,
     })
     N = 8
-    sa = filter_bank.init(models, mx.run_recursion(models, N))
-    sb = filter_bank.init(permuted, mx.run_recursion(permuted, N))
+    sa = filter_bank.init(mx.run_recursion(models, N))
+    sb = filter_bank.init(mx.run_recursion(permuted, N))
     for _ in range(N):
         y = rng.normal(size=1)
         sa = filter_bank.step(sa, y)
@@ -182,7 +184,7 @@ def test_value_function_matches_stacked_least_squares():
         N = int(rng.integers(1, 4))
         ys = [rng.normal(size=1) for _ in range(N)]
         us = [rng.normal(size=models.p) for _ in range(N)] if models.p else None
-        state = filter_bank.init(models, mx.run_recursion(models, N))
+        state = filter_bank.init(mx.run_recursion(models, N))
         for t in range(N):
             state = filter_bank.step(state, ys[t], us[t] if us else None)
         for _ in range(4):
@@ -204,15 +206,18 @@ def test_worst_case_state_scalar_oracle():
 def test_worst_case_state_requires_feasibility():
     models = mx.validate({
         "F": [I1], "H": [I1], "Q": I1, "R": I1, "P0": I1, "gamma": 1.0})
-    state = filter_bank.init(models, mx.run_recursion(models, 1))
-    with pytest.raises(mx.SingularSystem):
+    state = filter_bank.init(mx.run_recursion(models, 1))
+    with pytest.raises(mx.GammaInfeasible) as err:
         filter_bank.worst_case_state(np.array([1.0]), 0, state, models.gamma)
+    assert (err.value.model, err.value.t) == (0, 0)
+    assert err.value.lambda_max == pytest.approx(1.0)
+    assert err.value.gamma_sq == pytest.approx(1.0)
 
 
 def test_worst_case_state_is_the_maximizer():
     rng = np.random.default_rng(41)
     models = make_random_models(rng, K=2, n=2, m=1)
-    state = filter_bank.init(models, mx.run_recursion(models, 5))
+    state = filter_bank.init(mx.run_recursion(models, 5))
     for t in range(5):
         state = filter_bank.step(state, rng.normal(size=1))
     gsq = models.gamma ** 2

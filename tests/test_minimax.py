@@ -5,90 +5,66 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mmxest as mx
-from mmxest import filter_bank
+from mmxest import filter_bank, minimax
 from mmxest.minimax import (
     SOLVE_TOL,
-    QuadraticPiece,
     QuadraticPieces,
     build_pieces,
-    project_simplex,
     quadratic_max_closed_form,
     solve,
-    weight_matrix,
 )
-from conftest import make_random_models
+from conftest import make_random_models, unit_bank
 from oracles import concave_quadratic_max, scalar_minimax
 
 I1 = np.eye(1)
 
 
-def piece(w, c, o):
-    return QuadraticPiece(W=np.atleast_2d(np.asarray(w, dtype=float)),
-                          center=np.atleast_1d(np.asarray(c, dtype=float)),
-                          offset=float(o))
+def scalar_pieces(*triples):
+    """Stacked scalar pieces a (y - c)^2 + o from (a, c, o) triples."""
+    a, c, o = np.array(triples, dtype=float).reshape(-1, 3).T
+    return QuadraticPieces(W=a[:, None, None], centers=c[:, None], offsets=o)
 
 
 def grid_minimum(pieces, spacing=1e-4, pad=1e-4):
-    lo = min(p.center[0] for p in pieces) - pad
-    hi = max(p.center[0] for p in pieces) + pad
-    grid = np.arange(lo, hi + spacing, spacing)
-    vals = np.max([p.W[0, 0] * (grid - p.center[0]) ** 2 + p.offset
-                   for p in pieces], axis=0)
-    return float(vals.min())
+    a, c, o = pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets
+    grid = np.arange(c.min() - pad, c.max() + pad + spacing, spacing)
+    return float(np.max(a[:, None] * (grid - c[:, None]) ** 2 + o[:, None], axis=0).min())
 
 
 def test_weight_matrix_scalar_oracle():
-    W = weight_matrix(I1, I1, 3.0)
-    assert W[0, 0] == pytest.approx(1.0 / (1.0 - 1.0 / 9.0), abs=1e-12)
-    assert W[0, 0] == pytest.approx(1.125, abs=1e-12)
+    W = build_pieces(filter_bank.init(mx.run_recursion(unit_bank(3.0), 1))).W
+    assert W[0, 0, 0] == pytest.approx(1.0 / (1.0 - 1.0 / 9.0), abs=1e-12)
+    assert W[0, 0, 0] == pytest.approx(1.125, abs=1e-12)
 
 
 def test_weight_matrix_boundary_infeasible():
     with pytest.raises(mx.GammaInfeasible) as err:
-        weight_matrix(I1, I1, 1.0)
+        build_pieces(filter_bank.init(mx.run_recursion(unit_bank(1.0), 1)))
     assert err.value.lambda_max == pytest.approx(1.0)
     assert err.value.gamma_sq == pytest.approx(1.0)
+    assert (err.value.model, err.value.t) == (0, 0)
 
 
 def test_weight_matrix_multivariate_identity():
-    # Full-rank H and P: W (I - gamma^{-2} H P H^T) = I.
+    # W_i (I - gamma^{-2} H_i P_i H_i^T) = I for every model, at every step.
     rng = np.random.default_rng(2)
     for _ in range(10):
-        mdim = int(rng.integers(1, 4))
-        n = mdim + int(rng.integers(0, 3))
-        A = rng.normal(size=(n, n))
-        P = A @ A.T + n * np.eye(n)
-        H = rng.normal(size=(mdim, n))
-        lam = float(np.linalg.eigvalsh(H @ P @ H.T)[-1])
-        gamma = np.sqrt(2.0 * lam)
-        W = weight_matrix(P, H, gamma)
-        M = np.eye(mdim) - (H @ P @ H.T) / gamma ** 2
-        np.testing.assert_allclose(W @ M, np.eye(mdim), atol=1e-10)
-
-
-def test_project_simplex_known_points():
-    np.testing.assert_allclose(project_simplex(np.array([0.5, 0.5])), [0.5, 0.5])
-    np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-    np.testing.assert_allclose(project_simplex(np.array([0.3, 0.3, 0.3])),
-                               [1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(project_simplex(np.array([-1.0, -1.0])), [0.5, 0.5])
-
-
-def test_project_simplex_is_nearest_point():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        K = int(rng.integers(1, 6))
-        v = rng.normal(scale=3.0, size=K)
-        p = project_simplex(v)
-        assert p.min() >= 0
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        for _ in range(20):
-            q = rng.dirichlet(np.ones(K))
-            assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
+        m = int(rng.integers(1, 4))
+        n = m + int(rng.integers(0, 3))
+        models = make_random_models(rng, int(rng.integers(1, 4)), n, m)
+        state = filter_bank.init(mx.run_recursion(models, 3))
+        for t in range(4):
+            W = build_pieces(state).W
+            for i in range(models.K):
+                H, P = models.H[i], state.gains.cov(t, i)
+                M = np.eye(m) - (H @ P @ H.T) / models.gamma ** 2
+                np.testing.assert_allclose(W[i] @ M, np.eye(m), atol=1e-10)
+            if t < 3:
+                state = filter_bank.step(state, rng.normal(size=m))
 
 
 def test_solve_singleton_closed_form():
-    est = solve([piece(2.0, 0.7, -3.0)])
+    est = solve(scalar_pieces((2.0, 0.7, -3.0)))
     assert est.yhat[0] == pytest.approx(0.7, abs=1e-12)
     assert est.value == pytest.approx(-3.0, abs=1e-12)
     assert est.iterations == 0
@@ -99,7 +75,7 @@ def test_solve_singleton_closed_form():
 
 def test_solve_symmetric_pair():
     # Equal curvatures, centers 0 and 2: the optimum is the midpoint.
-    est = solve([piece(1.0, 0.0, 0.0), piece(1.0, 2.0, 0.0)])
+    est = solve(scalar_pieces((1.0, 0.0, 0.0), (1.0, 2.0, 0.0)))
     assert est.yhat[0] == pytest.approx(1.0, abs=1e-8)
     assert est.value == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(est.weights, [0.5, 0.5], atol=1e-6)
@@ -108,7 +84,7 @@ def test_solve_symmetric_pair():
 
 def test_solve_dominated_piece_inactive():
     # Same parabola shifted up dominates; only it stays active.
-    est = solve([piece(1.0, 0.0, 0.0), piece(1.0, 0.0, 5.0)])
+    est = solve(scalar_pieces((1.0, 0.0, 0.0), (1.0, 0.0, 5.0)))
     assert est.yhat[0] == pytest.approx(0.0, abs=1e-9)
     assert est.value == pytest.approx(5.0, abs=1e-9)
     assert est.active == (1,)
@@ -118,8 +94,8 @@ def test_solve_grid_oracle_scalar():
     rng = np.random.default_rng(7)
     for _ in range(100):
         K = int(rng.integers(1, 5))
-        pieces = [piece(rng.uniform(0.5, 1.2), rng.uniform(-0.8, 0.8),
-                        rng.uniform(-0.8, 0.8)) for _ in range(K)]
+        pieces = scalar_pieces(*[(rng.uniform(0.5, 1.2), rng.uniform(-0.8, 0.8),
+                                  rng.uniform(-0.8, 0.8)) for _ in range(K)])
         est = solve(pieces)
         assert est.gap <= 1e-8
         assert abs(est.value - grid_minimum(pieces)) <= 1e-4
@@ -130,18 +106,16 @@ def test_solve_certificates():
     for _ in range(30):
         K = int(rng.integers(2, 5))
         mdim = int(rng.integers(1, 3))
-        pieces = []
+        W, centers, offsets = [], [], []
         for _ in range(K):
             A = rng.normal(size=(mdim, mdim))
-            pieces.append(QuadraticPiece(
-                W=A @ A.T + mdim * np.eye(mdim),
-                center=rng.normal(size=mdim),
-                offset=float(rng.normal())))
+            W.append(A @ A.T + mdim * np.eye(mdim))
+            centers.append(rng.normal(size=mdim))
+            offsets.append(float(rng.normal()))
+        pieces = QuadraticPieces(W=np.array(W), centers=np.array(centers),
+                                 offsets=np.array(offsets))
         est = solve(pieces)
-        vals = []
-        for p in pieces:
-            d = est.yhat - p.center
-            vals.append(float(d @ p.W @ d) + p.offset)
+        vals = values_at(pieces, est.yhat)
         # Primal value is the pointwise max at yhat; the gap bounds the
         # distance to the dual value from below (weak duality).
         assert est.value == pytest.approx(max(vals), abs=1e-10)
@@ -154,32 +128,18 @@ def test_solve_certificates():
         # yhat is a local (hence global) minimizer of the pointwise max.
         for _ in range(10):
             probe = est.yhat + 1e-3 * rng.normal(size=mdim)
-            pv = max(float((probe - p.center) @ p.W @ (probe - p.center))
-                     + p.offset for p in pieces)
-            assert pv >= est.value - 1e-9
-
-
-def test_solve_unique_minimizer_across_starts():
-    rng = np.random.default_rng(13)
-    pieces = [piece(rng.uniform(0.5, 2.0), rng.uniform(-1, 1), rng.uniform(-1, 1))
-              for _ in range(4)]
-    base = solve(pieces)
-    for _ in range(5):
-        lam0 = rng.dirichlet(np.ones(4))
-        again = solve(pieces, lambda0=lam0)
-        assert again.yhat[0] == pytest.approx(base.yhat[0], abs=1e-6)
-        assert again.value == pytest.approx(base.value, abs=1e-7)
+            assert values_at(pieces, probe).max() >= est.value - 1e-9
 
 
 def test_solve_empty_piece_list():
     with pytest.raises(mx.EmptyPieceList):
-        solve([])
+        solve(scalar_pieces())
 
 
-def test_solve_no_convergence_carries_best():
-    pieces = [piece(1.0, -1.0, 0.0), piece(2.0, 1.5, -0.5)]
+def test_solve_no_convergence_carries_best(monkeypatch):
+    monkeypatch.setattr(minimax, "SOLVE_MAX_ITER", 1)
     with pytest.raises(mx.NoConvergence) as err:
-        solve(pieces, max_iter=1)
+        solve(scalar_pieces((1.0, -1.0, 0.0), (2.0, 1.5, -0.5)))
     assert "after 1 interior-point iterations" in str(err.value)
     best = err.value.last
     assert best is not None
@@ -191,15 +151,12 @@ def test_build_pieces_paper_first_step(paper_models):
     # After y_0 = 1: centers are +-0.55 (the two gains differ by sign) and
     # both offsets are -gamma^2 * 0.5 because the first innovation is the
     # same for both models.
-    state = filter_bank.init(paper_models, mx.run_recursion(paper_models, 3))
+    state = filter_bank.init(mx.run_recursion(paper_models, 3))
     state = filter_bank.step(state, np.array([1.0]), np.array([0.0]))
-    pieces = build_pieces(paper_models, state)
-    got = sorted(p.center[0] for p in pieces)
-    assert got[0] == pytest.approx(-0.55, abs=1e-12)
-    assert got[1] == pytest.approx(0.55, abs=1e-12)
-    for p in pieces:
-        assert p.offset == pytest.approx(-9.0 * 0.5, abs=1e-12)
-        assert p.W.shape == (1, 1)
+    pieces = build_pieces(state)
+    np.testing.assert_allclose(np.sort(pieces.centers[:, 0]), [-0.55, 0.55], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pieces.offsets, -9.0 * 0.5, rtol=0, atol=1e-12)
+    assert pieces.W.shape == (2, 1, 1)
 
 
 def test_build_pieces_infeasible_reports_location(paper_models):
@@ -209,9 +166,9 @@ def test_build_pieces_infeasible_reports_location(paper_models):
         "P0": paper_models.P0, "gamma": 1.0,
     }
     tight = mx.validate(spec)
-    state = filter_bank.init(tight, mx.run_recursion(tight, 2))
+    state = filter_bank.init(mx.run_recursion(tight, 2))
     with pytest.raises(mx.GammaInfeasible) as err:
-        build_pieces(tight, state)
+        build_pieces(state)
     assert err.value.model == 0
     assert err.value.t == 0
     assert err.value.lambda_max >= err.value.gamma_sq
@@ -268,7 +225,7 @@ def test_quadratic_max_matches_stationarity_oracle():
 def values_at(pieces, y):
     """Each piece's value at y, one piece at a time."""
     return np.array([float((y - pieces.centers[i]) @ pieces.W[i] @ (y - pieces.centers[i]))
-                     + float(pieces.offsets[i]) for i in range(len(pieces))])
+                     + float(pieces.offsets[i]) for i in range(len(pieces.offsets))])
 
 
 def dual_value(pieces, lam):
@@ -299,8 +256,8 @@ def test_solve_certifies_known_k32_stall():
     rng = np.random.default_rng(0)
     make_random_models(rng, 8, 4, 2)
     models = make_random_models(rng, 32, 4, 2)
-    state = filter_bank.init(models, mx.run_recursion(models, 1))
-    pieces = build_pieces(models, state)
+    state = filter_bank.init(mx.run_recursion(models, 1))
+    pieces = build_pieces(state)
     est = solve(pieces)
     assert_certified(pieces, est)
     assert est.value == pytest.approx(25.7475778782, abs=2e-8)
@@ -323,8 +280,8 @@ def test_solve_dominant_piece_is_exact():
 
 def test_solve_identical_pieces_share_weights():
     # Three copies of one piece, and a piece below them at their center.
-    tied = piece(1.5, 0.2, -1.0)
-    est = solve([tied, piece(1.0, 0.5, -2.0), tied, tied])
+    tied = (1.5, 0.2, -1.0)
+    est = solve(scalar_pieces(tied, (1.0, 0.5, -2.0), tied, tied))
     assert est.iterations == 0
     assert est.gap == 0.0
     assert est.yhat[0] == 0.2
@@ -364,3 +321,20 @@ def test_solve_matches_scalar_oracle(pieces):
 @given(piece_sets())
 def test_solve_certificate_holds(pieces):
     assert_certified(pieces, solve(pieces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(piece_sets(), st.data())
+def test_solve_unique_minimizer_across_starts(pieces, data):
+    # The minimizer is unique, so reordering the pieces, which changes the
+    # interior point's arithmetic, finds the same yhat and value; the
+    # weights follow the pieces.
+    K = len(pieces.offsets)
+    perm = np.array(data.draw(st.permutations(range(K))))
+    base = solve(pieces)
+    again = solve(QuadraticPieces(W=pieces.W[perm], centers=pieces.centers[perm],
+                                  offsets=pieces.offsets[perm]))
+    scale = 64 * np.finfo(float).eps * (1.0 + abs(base.value) + float(np.abs(pieces.offsets).max()))
+    assert abs(again.value - base.value) <= SOLVE_TOL + scale
+    assert np.linalg.norm(again.yhat - base.yhat) <= 2.0 * np.sqrt(SOLVE_TOL)
+    np.testing.assert_allclose(again.weights, base.weights[perm], rtol=0, atol=1e-6)

@@ -1,0 +1,20 @@
+import mmxest as mx
+
+PUBLIC_NAMES = [
+    "AreSolution", "BayesPosterior", "ConfigError", "DimensionMismatch", "EmptyModelSet",
+    "EmptyPieceList", "EstimationError", "ExperimentConfig", "FactorizationFailure",
+    "FilterBankState", "GainSchedule", "GammaInfeasible", "HorizonExceeded",
+    "IndexOutOfRange", "InputSpec", "MinimaxEstimate", "ModelSet", "NoConvergence",
+    "NoiseSpec", "NonpositiveGamma", "NotPositiveDefinite", "PreconditionViolated",
+    "QuadraticPieces", "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step",
+    "build_pieces", "generate_truth", "init", "load_config", "quadratic_max_closed_form", "riccati_step",
+    "run_estimators", "run_recursion", "simulate", "solve", "solve_are",
+    "stationary_gains", "step", "validate", "value_function", "with_seed",
+    "worst_case_state",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    # A name added to or dropped from the package must be added here too.
+    assert sorted(mx.__all__) == mx.__all__ == PUBLIC_NAMES
+    assert all(hasattr(mx, name) for name in mx.__all__)

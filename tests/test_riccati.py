@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg
 
 import mmxest as mx
-from conftest import make_random_models
+from mmxest import riccati
+from conftest import make_random_models, unit_bank
+from oracles import kalman_step
 
 I1 = np.eye(1)
 
@@ -33,13 +35,13 @@ def test_recursion_first_three_covariances():
 
 
 def test_kalman_gain_scalar():
-    K = mx.kalman_gain(I1, I1, I1, I1)
-    assert K[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert mx.run_recursion(unit_bank(), 1).gain(0, 0)[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert kalman_step(I1, I1, I1, I1, I1)[1][0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_innovation_covariance_scalar():
-    S = mx.innovation_covariance(I1, I1, I1)
-    assert S[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert mx.run_recursion(unit_bank(), 1).Sinv[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert kalman_step(I1, I1, I1, I1, I1)[0][0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_step_matches_information_form():
@@ -59,10 +61,10 @@ def test_step_matches_information_form():
         info = Q + F @ np.linalg.inv(
             np.linalg.inv(P) + H.T @ np.linalg.inv(R) @ H) @ F.T
         np.testing.assert_allclose(direct, info, atol=1e-9)
-        # Gain consistency: K S = F P H^T.
-        K = mx.kalman_gain(P, F, H, R)
-        S = mx.innovation_covariance(P, H, R)
-        np.testing.assert_allclose(K @ S, F @ P @ H.T, atol=1e-9)
+        # Gain consistency: K S = F P H^T, for a one-model bank started at P.
+        seq = mx.run_recursion(mx.validate({"F": [F], "H": [H], "Q": Q, "R": R, "P0": P,
+                                            "gamma": 1.0}), 1)
+        np.testing.assert_allclose(seq.gain(0, 0) @ (R + H @ P @ H.T), F @ P @ H.T, atol=1e-9)
         # The update keeps symmetry and positive definiteness.
         np.testing.assert_allclose(direct, direct.T, atol=1e-12)
         assert np.linalg.eigvalsh(direct).min() > 0
@@ -102,20 +104,18 @@ def test_solve_are_divergence_reported():
         mx.solve_are(2.0 * I1, np.zeros((1, 1)), I1, I1, I1)
 
 
-def test_solve_are_no_convergence_carries_last_iterate():
-    try:
-        mx.solve_are(I1, I1, I1, I1, I1, max_iter=2)
-    except mx.NoConvergence as exc:
-        assert exc.last is not None
-        assert np.asarray(exc.last).shape == (1, 1)
-    else:
-        pytest.fail("expected NoConvergence with max_iter=2")
+def test_solve_are_no_convergence_carries_last_iterate(monkeypatch):
+    monkeypatch.setattr(riccati, "ARE_MAX_ITER", 2)
+    with pytest.raises(mx.NoConvergence, match="within 2 iterations") as err:
+        mx.solve_are(I1, I1, I1, I1, I1)
+    assert np.asarray(err.value.last).shape == (1, 1)
 
 
 def test_gamma_feasibility_is_strict():
-    assert mx.check_gamma_feasibility(I1, I1, 1.0 + 1e-9)
-    assert not mx.check_gamma_feasibility(I1, I1, 1.0)  # boundary excluded
-    assert not mx.check_gamma_feasibility(4.0 * I1, I1, 2.0)
+    # lambda_max(H P0 H^T) = 1 at t = 0
+    assert mx.run_recursion(unit_bank(gamma=1.0 + 1e-9), 1).feasible[0, 0]
+    assert not mx.run_recursion(unit_bank(gamma=1.0), 1).feasible[0, 0]  # boundary excluded
+    assert not mx.run_recursion(unit_bank(gamma=2.0, P0=4.0 * I1), 1).feasible[0, 0]
 
 
 def test_run_recursion_shapes_and_bounds(paper_models):
@@ -123,18 +123,16 @@ def test_run_recursion_shapes_and_bounds(paper_models):
     seq = mx.run_recursion(paper_models, N)
     assert seq.horizon == N
     assert not seq.stationary
-    assert (seq.n_models, seq.n_states, seq.n_outputs) == (2, 3, 1)
+    assert seq.P.shape == (2, N + 1, 3, 3)
+    assert seq.Sinv.shape == (2, N, 1, 1)
     assert seq.cov(0, 0).shape == (3, 3)
     np.testing.assert_array_equal(seq.cov(0, 1), np.eye(3))
     assert seq.cov(N, 0).shape == (3, 3)
     assert seq.gain(N - 1, 1).shape == (3, 1)
-    assert seq.innovation_cov(N - 1, 0).shape == (1, 1)
     with pytest.raises(mx.HorizonExceeded):
         seq.cov(N + 1, 0)
     with pytest.raises(mx.HorizonExceeded):
         seq.gain(N, 0)  # gains exist only up to N - 1
-    with pytest.raises(mx.HorizonExceeded):
-        seq.innovation_cov(N, 0)
     assert seq.feasible.all()
 
 
@@ -172,11 +170,8 @@ def test_random_bank_recursion_matches_manual(paper_models):
         P = models.P0.copy()
         for t in range(N):
             np.testing.assert_allclose(seq.cov(t, i), P, atol=1e-10)
-            np.testing.assert_allclose(
-                seq.gain(t, i),
-                mx.kalman_gain(P, models.F[i], models.H[i], models.R),
-                atol=1e-10)
-            P = mx.riccati_step(P, models.F[i], models.H[i], models.Q, models.R)
+            _, gain, P = kalman_step(P, models.F[i], models.H[i], models.Q, models.R)
+            np.testing.assert_allclose(seq.gain(t, i), gain, atol=1e-10)
         np.testing.assert_allclose(seq.cov(N, i), P, atol=1e-10)
 
 
@@ -204,15 +199,13 @@ def test_schedule_matches_per_model_loop():
             assert seq.margin[i, t] == pytest.approx(gsq - lam, rel=1e-12, abs=1e-12)
             if t == N:
                 break
-            S = mx.innovation_covariance(P, H, models.R)
-            np.testing.assert_allclose(seq.innovation_cov(t, i), S, rtol=1e-12, atol=1e-12)
+            S, gain, P_next = kalman_step(P, F, H, models.Q, models.R)
             np.testing.assert_allclose(seq.Sinv[i, t] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(seq.gain(t, i), mx.kalman_gain(P, F, H, models.R),
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(seq.gain(t, i), gain, rtol=1e-12, atol=1e-12)
             sign, logdet = np.linalg.slogdet(S)
             assert sign == 1.0
             assert seq.logdet_S[i, t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
-            P = mx.riccati_step(P, F, H, models.Q, models.R)
+            P = P_next
 
 
 def test_stationary_schedule_matches_solve_are():
@@ -226,10 +219,8 @@ def test_stationary_schedule_matches_solve_are():
         assert st.solutions[i].iterations == sol.iterations
         np.testing.assert_allclose(st.cov(0, i), sol.P, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(st.cov(10 ** 6, i), sol.P, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(st.gain(7, i), mx.kalman_gain(sol.P, F, H, models.R),
-                                   rtol=1e-12, atol=1e-12)
-        S = mx.innovation_covariance(sol.P, H, models.R)
-        np.testing.assert_allclose(st.innovation_cov(3, i), S, rtol=1e-12, atol=1e-12)
+        S, gain, _ = kalman_step(sol.P, F, H, models.Q, models.R)
+        np.testing.assert_allclose(st.gain(7, i), gain, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(st.Sinv[i, 0] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
         assert st.logdet_S[i, 0] == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12, abs=1e-12)
         lam = np.linalg.eigvalsh(H @ sol.P @ H.T)[-1]
@@ -244,8 +235,6 @@ def test_schedule_accessors_raise_out_of_range():
     for t in (-1, 4):
         with pytest.raises(mx.HorizonExceeded):
             seq.gain(t, 0)
-        with pytest.raises(mx.HorizonExceeded):
-            seq.innovation_cov(t, 0)
 
 
 @pytest.mark.parametrize("r", [-0.5, -0.25], ids=["negative", "singular"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mmxest as mx
+from mmxest import riccati
 from mmxest.rng import Xorshift64Star
 from mmxest.simulator import InputSpec, NoiseSpec
 
@@ -168,6 +169,20 @@ def test_infeasible_gamma_rejected_before_data(paper_config):
     with pytest.raises(mx.GammaInfeasible) as err:
         mx.run_estimators(tight, np.zeros((5, 1)), u=np.zeros((5, 1)))
     assert err.value.lambda_max >= err.value.gamma_sq
+
+
+@pytest.mark.parametrize("run_bayes", [True, False])
+def test_run_estimators_checks_record_shapes(paper_config, monkeypatch, run_bayes):
+    cfg = paper_config
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("gain schedule computed before the record was checked")
+
+    monkeypatch.setattr(riccati, "run_recursion", no_work)
+    with pytest.raises(mx.DimensionMismatch, match=r"y has shape \(6, 2\)"):
+        mx.run_estimators(cfg.models, np.zeros((6, 2)), u=np.zeros((6, 1)), run_bayes=run_bayes)
+    with pytest.raises(mx.DimensionMismatch, match=r"u has shape \(5, 1\), expected \(6, 1\)"):
+        mx.run_estimators(cfg.models, np.zeros((6, 1)), u=np.zeros((5, 1)), run_bayes=run_bayes)
 
 
 def test_single_step_horizon(paper_config):
