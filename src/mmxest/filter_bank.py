@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, GammaInfeasible, IndexOutOfRange
+from .exceptions import DimensionMismatch, IndexOutOfRange
 from .linalg import spd_solve, transpose
 from .riccati import GainSchedule
 
@@ -109,30 +109,29 @@ def value_function(state: FilterBankState, x, i: int) -> float:
     return float(d @ spd_solve(P, d, context=f"P[{i}] at t={state.t}")) + float(state.c[i])
 
 
-def worst_case_state(yhat, i: int, state: FilterBankState, gamma: float) -> np.ndarray:
-    """State x* maximizing |yhat - H_i x|^2 - gamma^2 V_{t,i}(x).
+def worst_case_state(yhat, i: int, state: FilterBankState) -> np.ndarray:
+    """State x* maximizing |yhat - H_i x|^2 - gamma^2 V_{t,i}(x), gamma being
+    the schedule's.
 
-    Requires gamma-feasibility of model i at the current time, which makes
+    Requires gamma-feasibility of the bank at the current time, which makes
     H_i^T H_i - gamma^2 P^{-1} negative definite; the maximizer is
 
         x* = (H_i^T H_i - gamma^2 P^{-1})^{-1} (H_i^T yhat - gamma^2 P^{-1} xb).
 
-    Otherwise raises :class:`GammaInfeasible` with ``model`` and ``t`` set.
+    Otherwise raises :class:`GammaInfeasible` at the first infeasible model,
+    with ``model`` and ``t`` set.
     """
-    models = state.gains.models
+    gains = state.gains
+    models = gains.models
     if not 0 <= i < models.K:
         raise IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
     if yhat.shape != (models.m,):
         raise DimensionMismatch(f"yhat has shape {yhat.shape}, expected ({models.m},)")
+    gains.require_feasible(state.t)
     H = models.H[i]
-    P = state.gains.cov(state.t, i)
-    gsq = gamma * gamma
-    lam = float(state.gains.lambda_max(state.t)[i])
-    if not lam < gsq:
-        raise GammaInfeasible(
-            f"model {i} at t={state.t}: lambda_max(H P H^T) = {lam:.6g} >= gamma^2 = {gsq:.6g}",
-            lambda_max=lam, gamma_sq=gsq, model=i, t=state.t)
+    P = gains.cov(state.t, i)
+    gsq = gains.gamma_sq
     Pinv = spd_solve(P, np.eye(models.n), context=f"P[{i}] at t={state.t}")
     M = H.T @ H - gsq * Pinv
     rhs = H.T @ yhat - gsq * (Pinv @ state.xbreve[i])

@@ -28,10 +28,10 @@ def max_asymmetry(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.T))) if M.size else 0.0
 
 
-def check_spd(M: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def check_spd(M: np.ndarray, name: str) -> np.ndarray:
     """Validate that ``M`` is symmetric positive definite.
 
-    Asymmetry up to ``tol`` (max-abs) is tolerated and removed; the
+    Asymmetry up to SYMMETRY_TOL (max-abs) is tolerated and removed; the
     definiteness test is Cholesky factorization success.  Returns the
     symmetrized matrix.  Raises :class:`NotPositiveDefinite` naming the
     offending matrix otherwise.
@@ -40,21 +40,14 @@ def check_spd(M: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> np.ndarray
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotPositiveDefinite(f"{name} must be square, got shape {M.shape}")
     asym = max_asymmetry(M)
-    if asym > tol:
+    if asym > SYMMETRY_TOL:
         raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     M = symmetrize(M)
-    if not is_pd(M):
-        raise NotPositiveDefinite(f"{name} is not positive definite")
-    return M
-
-
-def is_pd(M: np.ndarray) -> bool:
-    """True iff the Cholesky factorization of M succeeds."""
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        raise NotPositiveDefinite(f"{name} is not positive definite") from None
+    return M
 
 
 def spd_solve(M: np.ndarray, b: np.ndarray, context: str = "matrix") -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .exceptions import EmptyPieceList, NoConvergence, PreconditionViolated
 from .filter_bank import FilterBankState
-from .linalg import max_eig_sym, spd_solve, symmetrize, transpose
+from .linalg import max_eig_sym, spd_solve, symmetrize
 
 SOLVE_TOL = 1e-8
 SOLVE_MAX_ITER = 100
@@ -73,23 +73,16 @@ class MinimaxEstimate:
     iterations: int
 
 
-def _weights(HPHt, gsq):
-    """(I - gamma^{-2} H P H^T)^{-1}, symmetrized; batched over leading axes."""
-    return symmetrize(np.linalg.inv(np.eye(HPHt.shape[-1]) - HPHt / gsq))
-
-
 def build_pieces(state: FilterBankState) -> QuadraticPieces:
     """Assemble the K quadratic pieces of the game at the state's time, with
-    H and gamma from the bank the state's gain schedule was computed for.
+    the weights W and gamma of the state's gain schedule.
 
     Raises :class:`GammaInfeasible` at the first model not gamma-feasible
     at that time.
     """
     gains = state.gains
     gains.require_feasible(state.t)
-    H = gains.models.H
-    P = gains.P[:, gains.column(state.t, terminal=True)]
-    W = _weights(symmetrize(H @ P @ transpose(H)), gains.gamma_sq)
+    W = gains.W[:, gains.column(state.t, terminal=True)]
     return QuadraticPieces(W=W, centers=state.yhat, offsets=-gains.gamma_sq * state.c)
 
 
@@ -130,13 +123,6 @@ def _certify(lam, y, W, centers, offsets):
     upper, upper_y = float(f.max()), float(_piece_values(y, W, centers, offsets).max())
     yhat, upper = (y, upper_y) if upper_y < upper else (y_lam, upper)
     return yhat, upper, float(lam @ f)
-
-
-def _estimate(lam, yhat, value, gap, iterations):
-    return MinimaxEstimate(
-        yhat=yhat, value=value, weights=lam,
-        active=tuple(int(i) for i in np.flatnonzero(lam > ACTIVE_THRESHOLD)),
-        gap=gap, iterations=iterations)
 
 
 def _max_step(v, dv):
@@ -222,7 +208,8 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     if top.size:
         lam = np.zeros(K)
         lam[top] = 1.0 / top.size
-        return _estimate(lam, centers[top[0]].copy(), float(offsets[top[0]]), 0.0, 0)
+        return MinimaxEstimate(yhat=centers[top[0]].copy(), value=float(offsets[top[0]]),
+                               weights=lam, active=tuple(top.tolist()), gap=0.0, iterations=0)
 
     o = offsets - offsets.max()
     lam = np.full(K, 1.0 / K)
@@ -244,8 +231,10 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
         iterations += 1
 
     lam = lam / lam.sum()
-    estimate = _estimate(lam, yhat, float(_piece_values(yhat, W, centers, offsets).max()),
-                         gap, iterations)
+    estimate = MinimaxEstimate(
+        yhat=yhat, value=float(_piece_values(yhat, W, centers, offsets).max()), weights=lam,
+        active=tuple(np.flatnonzero(lam > ACTIVE_THRESHOLD).tolist()), gap=gap,
+        iterations=iterations)
     if gap > SOLVE_TOL:
         raise NoConvergence(
             f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "

@@ -89,6 +89,35 @@ def kalman_step(P, F, H, Q, R):
     return S, gain, F @ posterior @ F.T + Q
 
 
+def textbook_schedule(models, N):
+    """Every per-(model, t) quantity of a gain schedule, from :func:`kalman_step`
+    run over all of t = 0..N with no cutoff.
+
+    Returns a dict of arrays indexed [model, t]: ``P``, ``margin`` (gamma^2 -
+    lambda_max(H P H^T)) and ``W`` ((I - gamma^{-2} H P H^T)^{-1}) over
+    t = 0..N; ``Sinv`` and ``logdet_S`` of S = H P H^T + R over t = 0..N-1.
+    """
+    gsq = models.gamma ** 2
+    out = {k: [] for k in ("P", "Sinv", "logdet_S", "margin", "W")}
+    for i in range(models.K):
+        F, H = models.F[i], models.H[i]
+        P = np.array(models.P0, dtype=float)
+        rows = {k: [] for k in out}
+        for t in range(N + 1):
+            HPHt = H @ P @ H.T
+            rows["P"].append(P)
+            rows["margin"].append(gsq - np.linalg.eigvalsh(HPHt)[-1])
+            rows["W"].append(np.linalg.inv(np.eye(H.shape[0]) - HPHt / gsq))
+            if t == N:
+                break
+            S, _, P = kalman_step(P, F, H, models.Q, models.R)
+            rows["Sinv"].append(np.linalg.inv(S))
+            rows["logdet_S"].append(np.linalg.slogdet(S)[1])
+        for k, v in rows.items():
+            out[k].append(np.array(v))
+    return {k: np.stack(v) for k, v in out.items()}
+
+
 def concave_quadratic_max(x, y, A, X, Y, gamma):
     """Maximum of h(v) = |x - A v|^2_{X^{-1}} - gamma^2 |y - v|^2_{Y^{-1}}
     from the stationarity condition (the Hessian is negative definite by

@@ -146,7 +146,7 @@ def test_06_completed_square_identity():
         pieces = mx.build_pieces(state)
         i = int(rng.integers(0, K))
         yhat = rng.normal(size=m)
-        xstar = mx.worst_case_state(yhat, i, state, models.gamma)
+        xstar = mx.worst_case_state(yhat, i, state)
         r = yhat - models.H[i] @ xstar
         raw = float(r @ r) - models.gamma ** 2 * mx.value_function(state, xstar, i)
         d = yhat - pieces.centers[i]
@@ -231,3 +231,35 @@ def test_10_deterministic_csv_output(tmp_path, paper_config_path):
     ok = ok and blob == second.read_bytes()
     ok = ok and blob.split(b"\n")[0] == b"t;z;zh_mini;zh_ba"
     report(10, "deterministic_csv_output", ok)
+
+
+def test_11_minimax_becomes_the_true_model_filter(paper_config):
+    # The paper's claim: once the bank has singled out the true model, the
+    # estimator behaves like a standard Kalman filter.  t_learn is the first
+    # step from which every solve is settled by the true model's piece
+    # (lam = e_true); from there on the minimax prediction is that model's
+    # Kalman prediction, bit for bit, and the game value is -gamma^2 times
+    # its accumulated cost.
+    horizon = 200
+    gsq = paper_config.models.gamma ** 2
+    learned = []
+    for s in range(50):
+        cfg = mx.with_seed(paper_config, s)
+        tr = mx.simulate(cfg.models, cfg.true_model, horizon,
+                         process_noise=cfg.process_noise,
+                         measurement_noise=cfg.measurement_noise,
+                         input_spec=cfg.input_spec)
+        e_true = np.eye(cfg.models.K)[cfg.true_model]
+        settled = np.all(tr.lam == e_true, axis=1)
+        unsettled = np.flatnonzero(~settled)
+        t_learn = int(unsettled[-1]) + 1 if unsettled.size else 0
+        if t_learn == horizon:
+            continue
+        tail = slice(t_learn, None)
+        if (np.array_equal(tr.yhat_minimax[tail], tr.yhat_models[tail, cfg.true_model])
+                and np.array_equal(tr.J_star[tail], -gsq * tr.c[tail, cfg.true_model])):
+            learned.append(t_learn)
+    print(f"t_learn on {len(learned)} of 50 seeds, from {min(learned, default=None)} "
+          f"to {max(learned, default=None)}")
+    ok = len(learned) == 50
+    report(11, "minimax_becomes_the_true_model_filter", ok)

@@ -3,7 +3,7 @@ import pytest
 
 import mmxest as mx
 from mmxest import filter_bank
-from conftest import make_random_models
+from conftest import make_random_models, unit_bank
 from oracles import kalman_step, stacked_ls_value
 
 I1 = np.eye(1)
@@ -199,19 +199,31 @@ def test_worst_case_state_scalar_oracle():
     models, state = singleton_state()
     # (H^T H - gamma^2 P^{-1})^{-1} (H^T yhat - gamma^2 P^{-1} xbreve)
     # = (1 - 9)^{-1} (1 - 0) = -0.125 at t = 0.
-    x = filter_bank.worst_case_state(np.array([1.0]), 0, state, models.gamma)
+    x = filter_bank.worst_case_state(np.array([1.0]), 0, state)
     assert x[0] == pytest.approx(-0.125, abs=1e-12)
 
 
 def test_worst_case_state_requires_feasibility():
-    models = mx.validate({
-        "F": [I1], "H": [I1], "Q": I1, "R": I1, "P0": I1, "gamma": 1.0})
-    state = filter_bank.init(mx.run_recursion(models, 1))
+    state = filter_bank.init(mx.run_recursion(unit_bank(gamma=1.0), 1))
     with pytest.raises(mx.GammaInfeasible) as err:
-        filter_bank.worst_case_state(np.array([1.0]), 0, state, models.gamma)
+        filter_bank.worst_case_state(np.array([1.0]), 0, state)
     assert (err.value.model, err.value.t) == (0, 0)
     assert err.value.lambda_max == pytest.approx(1.0)
     assert err.value.gamma_sq == pytest.approx(1.0)
+
+
+def test_worst_case_state_reads_gamma_from_schedule():
+    # (1 - gamma^2)^{-1} (1 - 0) at t = 0: -1/99 for gamma = 10.  The gamma
+    # used to be the caller's, so the gamma = 1 bank (infeasible at t = 0)
+    # answered -1/99 too when called with 10; now it raises.
+    y = np.array([1.0])
+    state = filter_bank.init(mx.run_recursion(unit_bank(gamma=10.0), 1))
+    assert filter_bank.worst_case_state(y, 0, state)[0] == pytest.approx(-1.0 / 99.0, abs=1e-12)
+    state = filter_bank.init(mx.run_recursion(unit_bank(gamma=1.0), 1))
+    with pytest.raises(mx.GammaInfeasible):
+        filter_bank.worst_case_state(y, 0, state)
+    with pytest.raises(TypeError):
+        filter_bank.worst_case_state(y, 0, state, 10.0)
 
 
 def test_worst_case_state_is_the_maximizer():
@@ -228,7 +240,7 @@ def test_worst_case_state_is_the_maximizer():
 
     for i in range(2):
         yhat = rng.normal(size=1)
-        xstar = filter_bank.worst_case_state(yhat, i, state, models.gamma)
+        xstar = filter_bank.worst_case_state(yhat, i, state)
         top = objective(yhat, xstar, i)
         for _ in range(25):
             assert top >= objective(yhat, xstar + 0.1 * rng.normal(size=2), i) - 1e-10

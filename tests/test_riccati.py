@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg
 import mmxest as mx
 from mmxest import riccati
 from conftest import make_random_models, unit_bank
-from oracles import kalman_step
+from oracles import kalman_step, textbook_schedule
 
 I1 = np.eye(1)
 
@@ -125,6 +126,7 @@ def test_run_recursion_shapes_and_bounds(paper_models):
     assert not seq.stationary
     assert seq.P.shape == (2, N + 1, 3, 3)
     assert seq.Sinv.shape == (2, N, 1, 1)
+    assert seq.W.shape == (2, N + 1, 1, 1)
     assert seq.cov(0, 0).shape == (3, 3)
     np.testing.assert_array_equal(seq.cov(0, 1), np.eye(3))
     assert seq.cov(N, 0).shape == (3, 3)
@@ -271,3 +273,114 @@ def test_require_feasible_names_earliest_violation():
     assert (err.value.t, err.value.model) == (2, 0)
     assert err.value.lambda_max == pytest.approx(1.6)
     mx.run_recursion(one, 4).require_feasible(t=1)  # one time only
+
+
+def test_schedule_stores_nan_weights_where_infeasible():
+    # I - gamma^{-2} H P0 H^T is 0 (singular) for gamma = 1 and -7/9 for
+    # gamma = 1.5, P0 = 4; neither schedule raises, both hold NaN weights.
+    for models in (unit_bank(gamma=1.0), unit_bank(gamma=1.5, P0=4.0 * I1)):
+        seq = mx.run_recursion(models, 1)
+        assert not seq.feasible[0, 0]
+        assert np.isnan(seq.W[0, 0]).all()
+    seq = mx.run_recursion(unit_bank(gamma=3.0), 1)
+    np.testing.assert_allclose(seq.W[0, :, 0, 0], [9.0 / 8.0, 9.0 / 7.5], rtol=1e-15)
+    assert not seq.W.flags.writeable  # build_pieces hands out views of it
+
+
+SLOW_BANK = {"F": [0.999 * I1], "H": [I1], "Q": 1e-6 * I1, "R": I1, "P0": I1, "gamma": 3.0}
+
+
+@pytest.fixture(scope="module")
+def settle_banks(paper_models):
+    # K8 and K32 are the benchmark's bank seed 0: drawn in turn from one rng.
+    rng = np.random.default_rng(0)
+    return {"paper": paper_models, "K8": make_random_models(rng, 8, 4, 2),
+            "K32": make_random_models(rng, 32, 4, 2), "slow": mx.validate(SLOW_BANK)}
+
+
+def contraction_rate(models, P):
+    """Squared spectral radius of F - K H at covariances P, the rate at which
+    the recursion contracts near its fixed point; the largest over the bank."""
+    rate = 0.0
+    for i in range(models.K):
+        F, H = models.F[i], models.H[i]
+        gain = kalman_step(P[i], F, H, models.Q, models.R)[1]
+        rate = max(rate, float(np.max(np.abs(np.linalg.eigvals(F - gain @ H)))) ** 2)
+    return rate
+
+
+@pytest.mark.parametrize("bank, N", [("paper", 1000), ("K8", 200), ("K32", 200), ("slow", 11000)])
+def test_settled_schedule_matches_unclamped_recursion(bank, N, settle_banks):
+    models = settle_banks[bank]
+    seq = mx.run_recursion(models, N)
+    assert seq.P.shape[1] - 1 < N  # the schedule was cut short
+    want = textbook_schedule(models, N)
+    # The documented bound of the cutoff, SETTLE_ULPS eps / (1 - rho)
+    # relative, with a factor 2 for the rounding of the two recursions.
+    rho = contraction_rate(models, want["P"][:, N])
+    tol = 2 * riccati.SETTLE_ULPS * np.finfo(float).eps / (1 - rho)
+    terminal = [seq.column(t, terminal=True) for t in range(N + 1)]
+    gain = [seq.column(t) for t in range(N)]
+    for name, cols in (("P", terminal), ("Sinv", gain), ("W", terminal)):
+        got, ref = getattr(seq, name)[:, cols], want[name]
+        err = np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+        assert err.max() <= tol, name
+    margin = seq.margin[:, terminal]
+    assert (np.abs(margin - want["margin"]) <= tol * np.abs(want["margin"])).all()
+    assert np.abs(seq.logdet_S[:, gain] - want["logdet_S"]).max() <= models.m * tol
+
+
+def test_settled_schedule_clamps_to_last_column(paper_models):
+    short = mx.run_recursion(paper_models, 10)  # ends before the recursion settles
+    assert (short.P.shape[1], short.Sinv.shape[1], short.W.shape[1]) == (11, 10, 11)
+    N = 100
+    seq = mx.run_recursion(paper_models, N)
+    T = seq.P.shape[1] - 1
+    assert 10 < T < N
+    assert mx.run_recursion(paper_models, 1000).P.shape[1] == T + 1  # the cutoff ignores N
+    for name in ("Sinv", "logdet_S", "margin", "W"):
+        assert getattr(seq, name).shape[1] == T + 1
+    assert [seq.column(t) for t in (0, T - 1, T, T + 1, N - 1)] == [0, T - 1, T, T, T]
+    assert seq.column(N, terminal=True) == T
+    np.testing.assert_array_equal(seq.cov(N, 0), seq.P[0, T])
+    np.testing.assert_array_equal(seq.gain(N - 1, 1), seq.gain(T, 1))
+    for t in (-1, N + 1):
+        with pytest.raises(mx.HorizonExceeded):
+            seq.cov(t, 0)
+    for t in (-1, N):
+        with pytest.raises(mx.HorizonExceeded):
+            seq.gain(t, 0)
+
+
+def test_settled_schedule_names_earliest_violation():
+    # As in test_require_feasible_names_earliest_violation, over a horizon
+    # long enough for the schedule to be cut short.
+    N = 100
+    two = mx.validate({"F": [I1, I1], "H": [I1, 2.0 * I1], "Q": I1, "R": I1,
+                       "P0": I1, "gamma": np.sqrt(1.55)})
+    one = mx.validate({"F": [I1], "H": [I1], "Q": I1, "R": I1, "P0": I1,
+                       "gamma": np.sqrt(1.55)})
+    for models, where in ((two, (0, 1)), (one, (2, 0))):
+        seq = mx.run_recursion(models, N)
+        assert seq.P.shape[1] - 1 < N
+        with pytest.raises(mx.GammaInfeasible) as err:
+            seq.require_feasible()
+        assert (err.value.t, err.value.model) == where
+    with pytest.raises(mx.GammaInfeasible) as err:
+        mx.run_recursion(one, N).require_feasible(t=N)  # read from the last column
+    assert (err.value.t, err.value.model) == (N, 0)
+    assert err.value.lambda_max == pytest.approx((1 + np.sqrt(5)) / 2)
+
+
+def test_schedule_memory_flat_in_horizon(paper_models):
+    def peak(N):
+        tracemalloc.start()
+        try:
+            mx.run_recursion(paper_models, N)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mx.run_recursion(paper_models, 1000)  # first-call allocations stay out of both peaks
+    small = peak(1000)
+    assert peak(100_000) <= 1.1 * small
