@@ -1,9 +1,11 @@
 """Bayesian multiple-model baseline: posterior weights over the bank.
 
 Runs alongside the same Kalman filter bank and keeps a posterior probability
-per model, updated from each innovation's Gaussian likelihood.  The output
-prediction is either the posterior-weighted average of the per-model
-predictions (default) or the single most probable model's prediction (MAP).
+per model, updated from each innovation's Gaussian likelihood.  The
+innovation is the filter bank's own, formed once per step and read off the
+state the step returns.  The output prediction is either the
+posterior-weighted average of the per-model predictions (default) or the
+single most probable model's prediction (MAP).
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyModelSet
-from .filter_bank import FilterBankState, innovations
+from .filter_bank import FilterBankState
 from .model_bank import ModelSet
 
 # Likelihoods are floored before renormalizing so one astronomically
@@ -35,21 +37,19 @@ def bayes_init(models: ModelSet) -> BayesPosterior:
     return BayesPosterior(mu=np.full(models.K, 1.0 / models.K))
 
 
-def bayes_step(posterior: BayesPosterior, state: FilterBankState,
-               y) -> BayesPosterior:
+def bayes_step(posterior: BayesPosterior, state: FilterBankState) -> BayesPosterior:
     """Multiply in each model's innovation likelihood and renormalize.
 
-    ``state`` must be the filter bank state BEFORE absorbing ``y``, so the
-    innovation y - H_i xb_i and its covariance S_i are the one-step
-    predictive distribution of y under model i.  Likelihoods are computed
-    in log space to survive large innovations; log det S_i is the
-    schedule's, computed once per (model, t).
+    ``state`` is the filter bank state AFTER absorbing the measurement: the
+    step that made it formed the innovation e_i = y - H_i xb_i once and
+    recorded its cost e_i^T S_i^{-1} e_i and log det S_i (the schedule's,
+    computed once per (model, t)), which give the one-step predictive
+    density of y under model i.  Likelihoods are computed in log space to
+    survive large innovations.  An initial state has absorbed nothing; its
+    equal likelihoods leave the posterior as it is.
     """
     m = state.gains.models.m
-    y = np.asarray(y, dtype=float).reshape(m)
-    _, cost = innovations(state, y)
-    logdet = state.gains.logdet_S[:, state.gains.column(state.t)]
-    loglik = -0.5 * (m * LOG_2PI + logdet + cost)
+    loglik = -0.5 * (m * LOG_2PI + state.innovation_logdet + state.innovation_cost)
     # Shift before exponentiating; the shift cancels in the normalization.
     w = posterior.mu * np.exp(loglik - loglik.max())
     w = np.maximum(w, LIKELIHOOD_FLOOR)

@@ -41,29 +41,25 @@ def _columns(base: str, width: int) -> list:
 
 
 def trace_lines(trace, full: bool = False) -> list:
-    """Render a trace as CSV lines (header first, no line terminators)."""
+    """Render a trace as CSV lines (header first, no line terminators).
+
+    The columns are stacked into one table first; ``tolist`` hands back
+    Python floats, whose ``repr`` is :func:`_fmt`'s text.
+    """
     m = trace.z.shape[1]
     K = trace.c.shape[1]
     header = (["t"] + _columns("z", m) + _columns("zh_mini", m)
               + _columns("zh_ba", m))
+    blocks = [trace.z, trace.yhat_minimax, trace.yhat_bayes]
     if full:
         header += ["Jstar"]
         header += [f"c{i}" for i in range(K)]
         header += [f"mu{i}" for i in range(K)]
         header += [f"lam{i}" for i in range(K)]
-    lines = [";".join(header)]
-    for t in range(trace.horizon):
-        row = [str(t)]
-        row += [_fmt(v) for v in trace.z[t]]
-        row += [_fmt(v) for v in trace.yhat_minimax[t]]
-        row += [_fmt(v) for v in trace.yhat_bayes[t]]
-        if full:
-            row.append(_fmt(trace.J_star[t]))
-            row += [_fmt(v) for v in trace.c[t]]
-            row += [_fmt(v) for v in trace.mu[t]]
-            row += [_fmt(v) for v in trace.lam[t]]
-        lines.append(";".join(row))
-    return lines
+        blocks += [trace.J_star[:, None], trace.c, trace.mu, trace.lam]
+    table = np.hstack(blocks, dtype=float).tolist()
+    return [";".join(header)] + [f"{t};" + ";".join(map(repr, row))
+                                 for t, row in enumerate(table)]
 
 
 def write_trace(trace, path, full: bool = False) -> None:

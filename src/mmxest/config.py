@@ -154,13 +154,17 @@ def _parse_noise(raw, key) -> NoiseSpec:
         section = {}
     if not isinstance(section, dict):
         raise ConfigError(f"field {key}: must be a mapping")
+    scale = section.get("scale", 1.0)
+    if isinstance(scale, bool):
+        raise ConfigError(f"field {key}.scale: must be a number, got {scale!r}")
     try:
-        return NoiseSpec(
-            kind=section.get("kind", "gaussian"),
-            scale=float(section.get("scale", 1.0)),
-            seed=int(section.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
+        scale = float(scale)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {key}.scale: must be a number, got {scale!r}") from None
+    try:
+        return NoiseSpec(kind=section.get("kind", "gaussian"), scale=scale,
+                         seed=section.get("seed", 0))
+    except ValueError as exc:
         raise ConfigError(f"field {key}: {exc}") from None
 
 

@@ -19,20 +19,23 @@ with such a pair whose gap is within tolerance.
 The solve has two exact stages.  First a dominance check: if some piece's
 minimum value o_i, taken at its center, is at least every other piece's
 value there, that center is optimal and lam = e_i certifies it with gap 0.
-This is the common case once the bank has singled out a model.  Otherwise
-the epigraph form
+Only the piece with the largest offset can pass, so one row of piece
+values is tested.  This is the common case once the bank has singled out a
+model.  Otherwise the epigraph form
 
     min s   subject to   f_i(yhat) + r_i = s,   r >= 0,
 
 is solved by a primal-dual interior point with Mehrotra's
 predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
-its multipliers, normalized, are the certificate weights.
+its multipliers, normalized, are the certificate weights.  A gap that is
+not finite (a NaN piece) never certifies.
 
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +85,8 @@ def build_pieces(state: FilterBankState) -> QuadraticPieces:
     """
     gains = state.gains
     gains.require_feasible(state.t)
-    W = gains.W[:, gains.column(state.t, terminal=True)]
-    return QuadraticPieces(W=W, centers=state.yhat, offsets=-gains.gamma_sq * state.c)
+    return QuadraticPieces(W=gains.W[:, state.col], centers=state.yhat,
+                           offsets=-gains.gamma_sq * state.c)
 
 
 def _inner_argmin(lam, W, centers):
@@ -101,15 +104,20 @@ def _piece_values(y, W, centers, offsets):
 def _dominant(W, centers, offsets):
     """Indices i with f_j(center_i) <= offset_i for every j.
 
-    Since f_j >= offset_j, only pieces with the largest offset qualify.  For
-    each such i, J* = offset_i: center_i reaches it and f_i alone cannot go
-    lower.  Uniform weights on all of them certify it with gap 0, since
-    each piece's minimum is that same offset.
+    Since f_j >= offset_j, only pieces with the largest offset qualify, and
+    only the first of them, i, needs testing: another top piece j qualifies
+    iff f_j(center_i) = offset_i, i.e. iff center_j = center_i, and then its
+    row is row i.  So the answer is every top piece if row i passes, else
+    none.  For each such i, J* = offset_i: center_i reaches it and f_i alone
+    cannot go lower.  Uniform weights on all of them certify it with gap 0,
+    since each piece's minimum is that same offset.  A NaN anywhere in row i
+    fails the test.
     """
-    top = np.flatnonzero(offsets == offsets.max())
-    D = centers[top, None, :] - centers[None, :, :]
-    values = np.einsum("ijk,jkl,ijl->ij", D, W, D) + offsets
-    return top[values.max(axis=1) <= offsets[top]]
+    i = int(offsets.argmax())
+    top = offsets[i]
+    if (_piece_values(centers[i], W, centers, offsets) <= top).all():
+        return (offsets == top).nonzero()[0]
+    return np.empty(0, dtype=np.intp)
 
 
 def _certify(lam, y, W, centers, offsets):
@@ -195,9 +203,9 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     EmptyPieceList
         If no pieces are given.
     NoConvergence
-        If the gap is still above SOLVE_TOL after SOLVE_MAX_ITER iterations, or
-        a step breaks down numerically first; the last certified estimate
-        is attached as ``last``.
+        If the gap is still above SOLVE_TOL after SOLVE_MAX_ITER iterations,
+        is not finite (a NaN piece), or a step breaks down numerically
+        first; the last estimate is attached as ``last``.
     """
     W, centers, offsets = pieces.W, pieces.centers, pieces.offsets
     K = len(offsets)
@@ -221,7 +229,7 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     while True:
         yhat, upper, lower = _certify(lam / lam.sum(), y, W, centers, o)
         gap = upper - lower
-        if gap <= SOLVE_TOL or iterations == SOLVE_MAX_ITER:
+        if gap <= SOLVE_TOL or not math.isfinite(gap) or iterations == SOLVE_MAX_ITER:
             break
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -235,7 +243,7 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
         yhat=yhat, value=float(_piece_values(yhat, W, centers, offsets).max()), weights=lam,
         active=tuple(np.flatnonzero(lam > ACTIVE_THRESHOLD).tolist()), gap=gap,
         iterations=iterations)
-    if gap > SOLVE_TOL:
+    if not gap <= SOLVE_TOL:
         raise NoConvergence(
             f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "
             f"interior-point iterations", last=estimate)

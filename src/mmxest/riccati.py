@@ -71,8 +71,9 @@ def _next_cov(P, F, Q, FPHt, gain):
 
 
 def _certificates(P, H, gsq):
-    """Margins gamma^2 - lambda_max(H P H^T) and minimax weights
-    W = (I - gamma^{-2} H P H^T)^{-1} over a [model, column] grid of P.
+    """Margins gamma^2 - lambda_max(H P H^T), the per-column flag "every
+    margin positive" and minimax weights W = (I - gamma^{-2} H P H^T)^{-1}
+    over a [model, column] grid of P.
 
     W is NaN wherever the margin is not positive, so that an infeasible
     bank still yields a schedule; :meth:`GainSchedule.require_feasible`
@@ -84,7 +85,7 @@ def _certificates(P, H, gsq):
     W = symmetrize(_inverse(np.eye(HPHt.shape[-1]) - HPHt / gsq))
     W[margin <= 0] = np.nan
     W.flags.writeable = False
-    return margin, W
+    return margin, (margin > 0).all(axis=0), W
 
 
 def _settled(P_next, P) -> bool:
@@ -123,9 +124,10 @@ class GainSchedule:
     Arrays are indexed [model, column]; :meth:`column` maps a time t to its
     column.  ``P`` is the prior covariance, ``Sinv`` the inverse innovation
     covariance S^{-1}, ``logdet_S`` log det S, ``margin`` gamma^2 -
-    lambda_max(H P H^T) (model i is gamma-feasible at t iff it is positive)
-    and ``W`` the minimax weight (I - gamma^{-2} H P H^T)^{-1}, NaN where
-    the margin is not positive.
+    lambda_max(H P H^T) (model i is gamma-feasible at t iff it is positive),
+    ``bank_feasible`` one flag per column, true iff every model's margin
+    there is positive, and ``W`` the minimax weight (I - gamma^{-2} H P
+    H^T)^{-1}, NaN where the margin is not positive.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
     column T for every later t.  T = N (and ``Sinv``, ``logdet_S`` stop at
@@ -144,6 +146,7 @@ class GainSchedule:
     Sinv: np.ndarray
     logdet_S: np.ndarray
     margin: np.ndarray
+    bank_feasible: np.ndarray
     W: np.ndarray
     solutions: tuple = ()
 
@@ -180,9 +183,15 @@ class GainSchedule:
     def require_feasible(self, t=None) -> None:
         """Raise :class:`GammaInfeasible` at the earliest (t, model) whose
         margin is not positive; only time ``t`` is checked when given."""
-        margin = self.margin if t is None else self.margin[:, self.column(t, terminal=True), None]
-        if margin.min() > 0:
-            return
+        if t is None:
+            if self.bank_feasible.all():
+                return
+            margin = self.margin
+        else:
+            col = self.column(t, terminal=True)
+            if self.bank_feasible[col]:
+                return
+            margin = self.margin[:, col, None]
         col, i = (int(v) for v in np.argwhere(~(margin.T > 0))[0])
         if t is None and not self.stationary:
             t = col
@@ -238,9 +247,10 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     P = np.stack(P, axis=1)
     Sinv = np.stack(Sinv, axis=1) if Sinv else np.empty((K, 0, m, m))
     gsq = models.gamma ** 2
-    margin, W = _certificates(P, models.H, gsq)
+    margin, bank_feasible, W = _certificates(P, models.H, gsq)
     return GainSchedule(horizon=N, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
-                        logdet_S=_logdet_S(Sinv, timed=True), margin=margin, W=W)
+                        logdet_S=_logdet_S(Sinv, timed=True), margin=margin,
+                        bank_feasible=bank_feasible, W=W)
 
 
 def solve_are(F, H, Q, R, P_init) -> AreSolution:
@@ -290,7 +300,7 @@ def stationary_gains(models: ModelSet) -> GainSchedule:
     P = np.stack([sol.P for sol in solutions])[:, None]
     Sinv = _gain_terms(P, models.F[:, None], models.H[:, None], models.R)[0]
     gsq = models.gamma ** 2
-    margin, W = _certificates(P, models.H, gsq)
+    margin, bank_feasible, W = _certificates(P, models.H, gsq)
     return GainSchedule(horizon=None, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
-                        logdet_S=_logdet_S(Sinv, timed=False), margin=margin, W=W,
-                        solutions=tuple(solutions))
+                        logdet_S=_logdet_S(Sinv, timed=False), margin=margin,
+                        bank_feasible=bank_feasible, W=W, solutions=tuple(solutions))

@@ -12,6 +12,8 @@ prior prediction, before any data.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,22 +40,22 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+        if not math.isfinite(self.scale) or self.scale < 0:
+            raise ValueError(f"noise scale must be finite and nonnegative, got {self.scale!r}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
 
     def stream(self, length: int, width: int) -> np.ndarray:
-        """Draw a (length, width) block from this source's own stream."""
-        out = np.zeros((length, width))
+        """Draw a (length, width) block from this source's own stream, row by row."""
         if self.kind == "zero" or self.scale == 0.0:
-            return out
+            return np.zeros((length, width))
         rng = Xorshift64Star(self.seed)
-        for t in range(length):
-            for j in range(width):
-                if self.kind == "gaussian":
-                    out[t, j] = self.scale * rng.normal()
-                else:
-                    out[t, j] = self.scale * (2.0 * rng.uniform() - 1.0)
-        return out
+        scale, count = self.scale, length * width
+        if self.kind == "gaussian":
+            draws = [scale * rng.normal() for _ in range(count)]
+        else:
+            draws = [scale * (2.0 * rng.uniform() - 1.0) for _ in range(count)]
+        return np.array(draws, dtype=float).reshape(length, width)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,9 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     """Roll the true model forward from the bank's prior mean.  Returns (u, x, y, z).
 
     x has horizon + 1 rows (terminal state included); y_t = H x_t + v_t and
-    z_t = H x_t for t < horizon.
+    z_t = H x_t for t < horizon.  The loop only advances
+    x_{t+1} = F x_t + w_t + B u_t, with every B u_t formed before it; z and
+    y are formed from the whole x afterwards.
     """
     if not 0 <= true_model < models.K:
         raise IndexOutOfRange(
@@ -128,23 +132,20 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
         raise ValueError("horizon must be at least 1")
     F = models.F[true_model]
     H = models.H[true_model]
-    B = models.B[true_model] if models.p > 0 else None
 
     u = input_spec.build(horizon, models.p)
     w = process_noise.stream(horizon, models.n)
     v = measurement_noise.stream(horizon, models.m)
+    Bu = u @ models.B[true_model].T if models.p > 0 else None
 
-    x = np.zeros((horizon + 1, models.n))
+    x = np.empty((horizon + 1, models.n))
     x[0] = models.xhat0
-    y = np.zeros((horizon, models.m))
-    z = np.zeros((horizon, models.m))
     for t in range(horizon):
-        z[t] = H @ x[t]
-        y[t] = z[t] + v[t]
         x[t + 1] = F @ x[t] + w[t]
-        if B is not None:
-            x[t + 1] += B @ u[t]
-    return u, x, y, z
+        if Bu is not None:
+            x[t + 1] += Bu[t]
+    z = x[:-1] @ H.T
+    return u, x, z + v, z
 
 
 def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
@@ -207,8 +208,9 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
             tr_lam[t] = est.weights
         if run_bayes:
             tr_bayes[t] = _bayes.bayes_estimate(posterior, state, mode=bayes_mode)
-            posterior = _bayes.bayes_step(posterior, state, y[t])
         state = filter_bank.step(state, y[t], u[t] if models.p > 0 else None)
+        if run_bayes:
+            posterior = _bayes.bayes_step(posterior, state)
 
     x_arr = np.full((N + 1, models.n), np.nan) if x is None else np.asarray(x, dtype=float)
     z_arr = np.full((N, m), np.nan) if z is None else np.asarray(z, dtype=float).reshape(N, m)

@@ -3,7 +3,10 @@
 These deliberately avoid the library's recursions: the value function is
 minimized as one stacked least-squares problem over the whole trajectory,
 the concave quadratic maximum is found from its first-order condition, and
-the Kalman quantities are the textbook measurement and time updates.
+the Kalman quantities are the textbook measurement and time updates.  The
+reference kernels at the end are the straightforward forms of rewritten
+library kernels: the dominance test over every top row, the per-step truth
+loop, and the per-value CSV renderer.
 """
 import numpy as np
 
@@ -170,3 +173,62 @@ def scalar_minimax(curvatures, centers, offsets):
         g = np.max(a[:, None] * (y[None, :] - c[:, None]) ** 2 + o[:, None], axis=0)
     best = int(np.argmin(g))
     return float(g[best]), float(y[best])
+
+
+def dominant_all_rows(W, centers, offsets):
+    """Indices i with f_j(center_i) <= offset_i for every j, testing the row
+    of every piece with the largest offset."""
+    top = np.flatnonzero(offsets == offsets.max())
+    D = centers[top, None, :] - centers[None, :, :]
+    values = np.einsum("ijk,jkl,ijl->ij", D, W, D) + offsets
+    return top[values.max(axis=1) <= offsets[top]]
+
+
+def truth_loop(models, true_model, u, w, v):
+    """(x, y, z) of the true model, one step at a time: z_t = H x_t,
+    y_t = z_t + v_t, x_{t+1} = F x_t + w_t + B u_t, from x_0 = xhat0."""
+    F = models.F[true_model]
+    H = models.H[true_model]
+    B = models.B[true_model] if models.p > 0 else None
+    N = len(w)
+    x = np.zeros((N + 1, models.n))
+    x[0] = models.xhat0
+    y = np.zeros((N, models.m))
+    z = np.zeros((N, models.m))
+    for t in range(N):
+        z[t] = H @ x[t]
+        y[t] = z[t] + v[t]
+        x[t + 1] = F @ x[t] + w[t]
+        if B is not None:
+            x[t + 1] += B @ u[t]
+    return x, y, z
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def trace_lines_per_value(trace, full=False):
+    """CSV lines of a trace, rendered one value at a time."""
+    m = trace.z.shape[1]
+    K = trace.c.shape[1]
+
+    def names(base, width):
+        return [base] if width == 1 else [f"{base}{j}" for j in range(width)]
+
+    header = ["t"] + names("z", m) + names("zh_mini", m) + names("zh_ba", m)
+    if full:
+        header += ["Jstar"] + [f"{q}{i}" for q in ("c", "mu", "lam") for i in range(K)]
+    lines = [";".join(header)]
+    for t in range(trace.horizon):
+        row = [str(t)]
+        row += [_fmt(v) for v in trace.z[t]]
+        row += [_fmt(v) for v in trace.yhat_minimax[t]]
+        row += [_fmt(v) for v in trace.yhat_bayes[t]]
+        if full:
+            row.append(_fmt(trace.J_star[t]))
+            row += [_fmt(v) for v in trace.c[t]]
+            row += [_fmt(v) for v in trace.mu[t]]
+            row += [_fmt(v) for v in trace.lam[t]]
+        lines.append(";".join(row))
+    return lines

@@ -31,7 +31,7 @@ def test_bayes_step_two_model_oracle():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.bayes_init(models)
-    post = bayes.bayes_step(post, state, np.array([0.5]))
+    post = bayes.bayes_step(post, filter_bank.step(state, np.array([0.5])))
     expected = 1.0 / (1.0 + np.exp(-0.25))
     assert post.mu[0] == pytest.approx(expected, abs=1e-12)
     assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
@@ -43,18 +43,18 @@ def test_bayes_step_keeps_probability_vector(paper_models):
     post = bayes.bayes_init(paper_models)
     for t in range(25):
         y = rng.normal(size=1) * 3.0
-        post = bayes.bayes_step(post, state, y)
+        state = filter_bank.step(state, y, rng.normal(size=1))
+        post = bayes.bayes_step(post, state)
         assert post.mu.min() >= 0
         assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(post.mu).all()
-        state = filter_bank.step(state, y, rng.normal(size=1))
 
 
 def test_bayes_step_survives_huge_innovation():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.bayes_init(models)
-    post = bayes.bayes_step(post, state, np.array([1e6]))
+    post = bayes.bayes_step(post, filter_bank.step(state, np.array([1e6])))
     assert np.isfinite(post.mu).all()
     assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
     assert post.mu.min() > 0  # floored, never exactly zero
@@ -90,7 +90,14 @@ def test_posterior_concentrates_on_truth():
     post = bayes.bayes_init(models)
     for _ in range(N):
         y = models.H[0] @ x + 0.1 * rng.normal(size=1)
-        post = bayes.bayes_step(post, state, y)
         state = filter_bank.step(state, y)
+        post = bayes.bayes_step(post, state)
         x = models.F[0] @ x + 0.1 * rng.normal(size=2)
     assert post.mu[0] > 0.9
+
+
+def test_bayes_step_on_initial_state_keeps_posterior(paper_models):
+    # Nothing absorbed yet: every model's likelihood is the same.
+    state = filter_bank.init(mx.run_recursion(paper_models, 3))
+    prior = bayes.BayesPosterior(mu=np.array([0.3, 0.7]))
+    np.testing.assert_allclose(bayes.bayes_step(prior, state).mu, prior.mu, rtol=1e-15)

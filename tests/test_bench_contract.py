@@ -1,32 +1,61 @@
-"""The traced benchmark's call-count check, run on one paper-config simulation.
+"""The traced benchmark's call-count check, run on the shapes the benchmark runs.
 
 ``perfbench/tracer.py`` wraps the public function of each layer and
 ``expected_call_problems`` requires the call counts a delivered run implies.
 A refactor that breaks that contract makes the traced benchmark report an
-error; this test reports it first, through the benchmark's own check.
+error; these tests report it first, through the benchmark's own check, on a
+paper-config simulation, a K=8, n=4, m=2 random bank and a CLI seed sweep.
 """
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmxest as mx
+from mmxest import cli
+from conftest import make_random_models
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
 
 
-@pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
-def test_traced_simulation_meets_call_contract(paper_config, stationary):
-    cfg = paper_config
+def traced(work):
+    """Run ``work()`` under the benchmark's tracer; return its summary."""
     spans = tracer.Tracer()
     spans.install()
     try:
-        mx.simulate(cfg.models, cfg.true_model, 50, process_noise=cfg.process_noise,
-                    measurement_noise=cfg.measurement_noise, input_spec=cfg.input_spec,
-                    stationary=stationary)
+        work()
     finally:
         spans.uninstall()
-    summary = spans.summary()
+    return spans.summary()
+
+
+@pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
+def test_traced_simulation_meets_call_contract(paper_config, stationary):
+    cfg = paper_config
+    summary = traced(lambda: mx.simulate(
+        cfg.models, cfg.true_model, 50, process_noise=cfg.process_noise,
+        measurement_noise=cfg.measurement_noise, input_spec=cfg.input_spec,
+        stationary=stationary))
     assert [run["ok"] for run in summary["runs"]] == [True]
     assert tracer.expected_call_problems(summary, 1, 0) == []
+
+
+def test_traced_random_bank_meets_call_contract():
+    models = make_random_models(np.random.default_rng(1), 8, 4, 2)
+    summary = traced(lambda: mx.simulate(models, 0, 40, mx.NoiseSpec(seed=0),
+                                         mx.NoiseSpec(seed=1)))
+    assert [(run["ok"], run["K"], run["N"]) for run in summary["runs"]] == [(True, 8, 40)]
+    assert tracer.expected_call_problems(summary, 1, 0) == []
+
+
+def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):
+    out = str(tmp_path / "trace.csv")
+    argv = ["run", "--config", paper_config_path, "--seeds", "0..2", "--stationary",
+            "--full", "--out", out]
+    codes = []
+    summary = traced(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    assert [(run["ok"], run["stationary"]) for run in summary["runs"]] == [(True, True)] * 3
+    assert tracer.expected_call_problems(summary, 3, 3) == []

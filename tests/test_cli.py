@@ -9,6 +9,8 @@ import pytest
 
 import mmxest as mx
 from mmxest import cli
+from conftest import make_random_models
+from oracles import trace_lines_per_value
 
 SCALAR_UNIT = textwrap.dedent("""
     models:
@@ -139,6 +141,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "horizon" in err  # diagnostic names the field
 
 
+def test_non_finite_noise_scale_exit_code(tmp_path, capsys):
+    # A NaN scale used to run to exit 0 with NaN rows from t = 1.
+    cfgp = write(tmp_path, SCALAR_UNIT.replace("scale: 1.0, seed: 6", "scale: .nan, seed: 6"))
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == 2
+    assert "field measurement_noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_gamma_exit_code(tmp_path, paper_config_path, capsys):
     body = open(paper_config_path, encoding="utf-8").read()
     cfgp = write(tmp_path, body.replace("gamma: 3.0", "gamma: 0.1"))
@@ -237,3 +248,27 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def paper_trace(cfg, **kwargs):
+    u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, cfg.horizon, cfg.process_noise,
+                                   cfg.measurement_noise, cfg.input_spec)
+    return mx.run_estimators(cfg.models, y, u=u, true_model=cfg.true_model, x=x, z=z, **kwargs)
+
+
+def random_m2_trace():
+    models = make_random_models(np.random.default_rng(3), 3, 4, 2)
+    return mx.simulate(models, 1, 25, mx.NoiseSpec(seed=7), mx.NoiseSpec(seed=8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda cfg: paper_trace(cfg),
+    lambda cfg: paper_trace(cfg, stationary=True),
+    lambda cfg: paper_trace(cfg, run_minimax=False),
+    lambda cfg: paper_trace(cfg, run_bayes=False),
+    lambda cfg: random_m2_trace(),
+], ids=["paper", "paper-stationary", "no-minimax", "no-bayes", "random-m2"])
+@pytest.mark.parametrize("full", [False, True], ids=["short", "full"])
+def test_trace_lines_match_per_value_renderer(paper_config, make, full):
+    trace = make(paper_config)
+    assert cli.trace_lines(trace, full=full) == trace_lines_per_value(trace, full=full)

@@ -150,3 +150,37 @@ def test_output_and_flags(tmp_path):
     assert cfg.output == "trace.csv"
     assert cfg.stationary
     assert cfg.bayes_mode == "map"
+
+
+@pytest.mark.parametrize("key", ["process_noise", "measurement_noise"])
+@pytest.mark.parametrize("entry, field", [
+    ("seed: 1.5", "seed"),
+    ("seed: true", "seed"),
+    ("seed: '3'", "seed"),
+    ("scale: .nan", "scale"),
+    ("scale: .inf", "scale"),
+    ("scale: -.inf", "scale"),
+    ("scale: -1.0", "scale"),
+    ("scale: true", "scale"),
+    ("scale: loud", "scale"),
+])
+def test_noise_fields_validated(tmp_path, key, entry, field):
+    body = MINIMAL + f"{key}: {{kind: gaussian, {entry}}}\n"
+    with pytest.raises(mx.ConfigError, match=rf"field {key}\b.*{field}"):
+        mx.load_config(write_cfg(tmp_path, body))
+
+
+def test_noise_fields_accept_integers_and_finite_scales(tmp_path):
+    body = MINIMAL + ("process_noise: {kind: uniform-bounded, scale: 2, seed: -4}\n"
+                      "measurement_noise: {scale: 0.25, seed: 12345678901234567890}\n")
+    cfg = mx.load_config(write_cfg(tmp_path, body))
+    assert cfg.process_noise == mx.NoiseSpec(kind="uniform-bounded", scale=2.0, seed=-4)
+    assert cfg.measurement_noise == mx.NoiseSpec(scale=0.25, seed=12345678901234567890)
+
+
+@pytest.mark.parametrize("field, value", [("scale", float("nan")), ("scale", float("inf")),
+                                          ("seed", 1.5), ("seed", True), ("seed", "3")])
+def test_noise_spec_rejects_bad_scale_and_seed(field, value):
+    with pytest.raises(ValueError, match=f"noise {field}"):
+        mx.NoiseSpec(**{field: value})
+    assert mx.NoiseSpec(seed=np.int64(3)).seed == 3

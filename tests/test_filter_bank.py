@@ -41,6 +41,37 @@ def test_single_step_scalar_oracle():
     assert state.c[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_step_records_absorbed_innovation():
+    # S_0 = 2 and y_0 = 1 give the absorbed cost 1/2 and log det S_0 = log 2;
+    # the initial state has absorbed nothing.
+    models, state = singleton_state()
+    np.testing.assert_array_equal(state.innovation_cost, [0.0])
+    np.testing.assert_array_equal(state.innovation_logdet, [0.0])
+    state = filter_bank.step(state, np.array([1.0]))
+    assert state.innovation_cost[0] == pytest.approx(0.5, abs=1e-15)
+    assert state.innovation_logdet[0] == pytest.approx(np.log(2.0), abs=1e-15)
+
+
+def test_state_column_predictions_and_absorbed_costs(paper_models):
+    rng = np.random.default_rng(4)
+    gains = mx.run_recursion(paper_models, 40)
+    state = filter_bank.init(gains)
+    for t in range(40):
+        assert state.col == gains.column(t, terminal=True)
+        np.testing.assert_allclose(
+            state.yhat, np.stack([paper_models.H[i] @ state.xbreve[i] for i in range(2)]),
+            rtol=1e-14, atol=1e-14)
+        y = rng.normal(size=1)
+        nxt = filter_bank.step(state, y, rng.normal(size=1))
+        e = y - state.yhat
+        cost = [float(e[i] @ gains.Sinv[i, gains.column(t)] @ e[i]) for i in range(2)]
+        np.testing.assert_allclose(nxt.innovation_cost, cost, rtol=1e-13)
+        np.testing.assert_array_equal(nxt.innovation_logdet, gains.logdet_S[:, gains.column(t)])
+        np.testing.assert_array_equal(nxt.c, state.c + nxt.innovation_cost)
+        state = nxt
+    assert state.col == gains.column(40, terminal=True)
+
+
 def test_value_function_scalar_oracle():
     models, state = singleton_state()
     state = filter_bank.step(state, np.array([1.0]))

@@ -14,7 +14,7 @@ from mmxest.minimax import (
     solve,
 )
 from conftest import make_random_models, unit_bank
-from oracles import concave_quadratic_max, scalar_minimax
+from oracles import concave_quadratic_max, dominant_all_rows, scalar_minimax
 
 I1 = np.eye(1)
 
@@ -338,3 +338,64 @@ def test_solve_unique_minimizer_across_starts(pieces, data):
     assert abs(again.value - base.value) <= SOLVE_TOL + scale
     assert np.linalg.norm(again.yhat - base.yhat) <= 2.0 * np.sqrt(SOLVE_TOL)
     np.testing.assert_allclose(again.weights, base.weights[perm], rtol=0, atol=1e-6)
+
+
+def tie_heavy_piece_sets():
+    """Piece sets drawn from small grids, so that equal offsets with equal
+    centers, equal offsets with distinct centers, dominant pieces and K = 1
+    all come up often.  Distinct centers are at least 0.5 apart: at a
+    separation of a few ulps the two tests may round differently, and both
+    answers then certify gap 0 to rounding."""
+    @st.composite
+    def build(draw):
+        K = draw(st.integers(1, 6))
+        m = draw(st.integers(1, 2))
+        A = draw(arrays(np.float64, (K, m, m), elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0])))
+        W = A @ np.swapaxes(A, 1, 2) + np.eye(m)
+        centers = draw(arrays(np.float64, (K, m), elements=st.sampled_from([-1.0, 0.0, 0.5, 3.0])))
+        offsets = draw(arrays(np.float64, K, elements=st.sampled_from([-40.0, -3.0, -1.0, 0.0])))
+        return QuadraticPieces(W=W, centers=centers, offsets=offsets)
+    return build()
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_piece_sets())
+def test_one_row_dominance_matches_all_rows(pieces):
+    got = minimax._dominant(pieces.W, pieces.centers, pieces.offsets)
+    want = dominant_all_rows(pieces.W, pieces.centers, pieces.offsets)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_one_row_dominance_ties():
+    W = np.stack([np.eye(2)] * 3)
+    centers = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+    for offsets, want in (([0.0, 0.0, -9.0], [0, 1]),    # tie, equal centers
+                          ([0.0, -9.0, 0.0], []),        # tie, distinct centers
+                          ([-1.0, 0.0, -9.0], [1])):     # one top piece
+        offsets = np.array(offsets)
+        np.testing.assert_array_equal(minimax._dominant(W, centers, offsets), want)
+        np.testing.assert_array_equal(dominant_all_rows(W, centers, offsets), want)
+    one = minimax._dominant(np.eye(1)[None], np.array([[0.5]]), np.array([-3.0]))
+    np.testing.assert_array_equal(one, [0])  # K = 1
+
+
+@pytest.mark.parametrize("where", ["offset", "center", "weight"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_solve_rejects_nan_pieces(where, index):
+    # A NaN anywhere fails the dominance test and makes the duality gap NaN,
+    # which never certifies: the solve stops at once instead of iterating.
+    W = np.stack([np.eye(1), 2.0 * np.eye(1)])
+    centers = np.array([[0.0], [1.0]])
+    offsets = np.array([0.0, -5.0])
+    if where == "offset":
+        offsets[index] = np.nan
+    elif where == "center":
+        centers[index, 0] = np.nan
+    else:
+        W[index, 0, 0] = np.nan
+    pieces = QuadraticPieces(W=W, centers=centers, offsets=offsets)
+    assert minimax._dominant(W, centers, offsets).size == 0
+    with pytest.raises(mx.NoConvergence) as err:
+        solve(pieces)
+    assert np.isnan(err.value.last.gap)
+    assert err.value.last.iterations == 0

@@ -384,3 +384,23 @@ def test_schedule_memory_flat_in_horizon(paper_models):
     mx.run_recursion(paper_models, 1000)  # first-call allocations stay out of both peaks
     small = peak(1000)
     assert peak(100_000) <= 1.1 * small
+
+
+def test_bank_feasible_flags_follow_margins():
+    # One flag per column, true iff every model's margin there is positive;
+    # require_feasible(t) answers from it and raises the margin's diagnostic.
+    models = mx.validate({"F": [I1, I1], "H": [I1, 0.5 * I1], "Q": I1, "R": I1,
+                          "P0": I1, "gamma": np.sqrt(1.55)})
+    seq = mx.run_recursion(models, 4)
+    np.testing.assert_array_equal(seq.bank_feasible, [True, True, False, False, False])
+    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=0))
+    seq.require_feasible(1)
+    with pytest.raises(mx.GammaInfeasible) as err:
+        seq.require_feasible(3)
+    assert (err.value.t, err.value.model) == (3, 0)
+    assert err.value.lambda_max == pytest.approx(seq.lambda_max(3)[0])
+    stationary = mx.stationary_gains(models)
+    np.testing.assert_array_equal(stationary.bank_feasible, [False])
+    with pytest.raises(mx.GammaInfeasible) as err:
+        stationary.require_feasible(7)
+    assert (err.value.t, err.value.model) == (7, 0)

@@ -1,10 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
 import mmxest as mx
-from mmxest import riccati
+from mmxest import filter_bank, riccati
 from mmxest.rng import Xorshift64Star
 from mmxest.simulator import InputSpec, NoiseSpec
+from conftest import make_random_models
+from oracles import truth_loop
 
 
 def paper_setup(cfg, **overrides):
@@ -20,6 +24,15 @@ def test_noise_spec_validation():
         NoiseSpec(kind="poisson")
     with pytest.raises(ValueError):
         NoiseSpec(scale=-1.0)
+
+
+def test_uniform_stream_matches_generator():
+    block = NoiseSpec(kind="uniform-bounded", scale=0.5, seed=11).stream(5, 2)
+    rng = Xorshift64Star(11)
+    expected = np.array([[0.5 * (2.0 * rng.uniform() - 1.0) for _ in range(2)]
+                         for _ in range(5)])
+    np.testing.assert_array_equal(block, expected)
+    assert NoiseSpec(seed=11).stream(0, 3).shape == (0, 3)
 
 
 def test_zero_noise_stream():
@@ -87,6 +100,56 @@ def test_generate_truth_recursion_exact(paper_config):
         np.testing.assert_allclose(x[t + 1], F @ x[t] + B @ u[t], atol=1e-12)
         np.testing.assert_allclose(z[t], H @ x[t], atol=1e-12)
     np.testing.assert_array_equal(y, z)  # no measurement noise
+
+
+def test_generate_truth_matches_step_loop_bitwise_on_paper_config(paper_config):
+    cfg = paper_config
+    for true_model in (0, 1):
+        u, x, y, z = mx.generate_truth(cfg.models, true_model, 200, cfg.process_noise,
+                                       cfg.measurement_noise, cfg.input_spec)
+        w = cfg.process_noise.stream(200, cfg.models.n)
+        v = cfg.measurement_noise.stream(200, cfg.models.m)
+        for got, want in zip((x, y, z), truth_loop(cfg.models, true_model, u, w, v)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_generate_truth_matches_step_loop_on_random_bank():
+    # m = 2, n = 4, one input.  The state recursion does the loop's
+    # arithmetic, so x agrees bit for bit.  z = H x for all t at once may
+    # sum each row in another order: it stays within the dot-product
+    # rounding bound n eps sum_k |H_jk x_k|.
+    models = make_random_models(np.random.default_rng(5), 3, 4, 2, with_input=True)
+    noise = NoiseSpec(seed=3), NoiseSpec(seed=4)
+    inputs = InputSpec(kind="sinusoid", rate=0.3)
+    u, x, y, z = mx.generate_truth(models, 2, 150, *noise, inputs)
+    w, v = noise[0].stream(150, 4), noise[1].stream(150, 2)
+    x_loop, y_loop, z_loop = truth_loop(models, 2, u, w, v)
+    np.testing.assert_array_equal(x, x_loop)
+    bound = 4 * np.finfo(float).eps * (np.abs(x[:-1]) @ np.abs(models.H[2]).T)
+    assert (np.abs(z - z_loop) <= bound).all()
+    assert (np.abs(y - y_loop) <= bound + np.finfo(float).eps * np.abs(y_loop)).all()
+
+
+def test_run_estimators_forms_each_innovation_once(paper_config, monkeypatch):
+    # One innovation per step serves both the filter update and the Bayes
+    # update.  Every binding of the function in the package is counted, so
+    # a module that imports it by name is counted too.
+    calls = []
+    innovations = filter_bank.innovations
+
+    def counted(state, y):
+        calls.append(state.t)
+        return innovations(state, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mmxest" and getattr(module, "innovations", None) is innovations:
+            monkeypatch.setattr(module, "innovations", counted)
+    cfg = paper_config
+    u, x, y, z = mx.generate_truth(cfg.models, 1, 30, cfg.process_noise,
+                                   cfg.measurement_noise, cfg.input_spec)
+    tr = mx.run_estimators(cfg.models, y, u=u)
+    assert calls == list(range(30))
+    assert np.isfinite(tr.yhat_bayes).all() and np.isfinite(tr.yhat_minimax).all()
 
 
 def test_generate_truth_validates_arguments(paper_config):
