@@ -21,22 +21,9 @@ from .exceptions import (
     NoConvergence,
     NonpositiveGamma,
     NotPositiveDefinite,
-    PreconditionViolated,
 )
-from .filter_bank import (
-    FilterBankState,
-    init,
-    step,
-    value_function,
-    worst_case_state,
-)
-from .minimax import (
-    MinimaxEstimate,
-    QuadraticPieces,
-    build_pieces,
-    quadratic_max_closed_form,
-    solve,
-)
+from .filter_bank import FilterBankState, init, step
+from .minimax import MinimaxEstimate, QuadraticPieces, build_pieces, solve
 from .model_bank import ModelSet, validate
 from .riccati import (
     AreSolution,
@@ -79,7 +66,6 @@ __all__ = [
     "NoiseSpec",
     "NonpositiveGamma",
     "NotPositiveDefinite",
-    "PreconditionViolated",
     "QuadraticPieces",
     "SimulationTrace",
     "bayes_estimate",
@@ -89,7 +75,6 @@ __all__ = [
     "generate_truth",
     "init",
     "load_config",
-    "quadratic_max_closed_form",
     "riccati_step",
     "run_estimators",
     "run_recursion",
@@ -99,7 +84,5 @@ __all__ = [
     "stationary_gains",
     "step",
     "validate",
-    "value_function",
     "with_seed",
-    "worst_case_state",
 ]

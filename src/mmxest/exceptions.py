@@ -64,10 +64,6 @@ class GammaInfeasible(EstimationError):
         self.t = t
 
 
-class PreconditionViolated(EstimationError):
-    """A closed-form identity was invoked outside its validity region."""
-
-
 class EmptyPieceList(EstimationError):
     """The minimax solver needs at least one quadratic piece."""
 

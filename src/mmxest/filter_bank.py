@@ -16,13 +16,6 @@ e_i^T S_i^{-1} e_i and log det S_i, which is all the Bayesian update needs.
 The accumulated cost c_{t,i} is the minimum disturbance energy needed to
 reconcile model i with the data seen so far; it is the learning signal of
 the prediction game.
-
-The bank also exposes two verification devices: the forward dynamic
-programming value function
-
-    V_{t,i}(x) = |x - xb_{t,i}|^2_{P_{t,i}^{-1}} + c_{t,i},
-
-and the worst-case state x* maximizing |yhat - H_i x|^2 - gamma^2 V_{t,i}(x).
 """
 from __future__ import annotations
 
@@ -31,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, HorizonExceeded, IndexOutOfRange
-from .linalg import spd_solve, transpose
+from .exceptions import DimensionMismatch, HorizonExceeded
+from .linalg import transpose
 from .riccati import GainSchedule
 
 
@@ -118,45 +111,3 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
         xbreve = xbreve + models.B @ u
     return FilterBankState(t=state.t + 1, xbreve=xbreve, c=state.c + cost, gains=gains,
                            innovation_cost=cost, innovation_logdet=gains.logdet_S[:, col])
-
-
-def value_function(state: FilterBankState, x, i: int) -> float:
-    """Evaluate V_{t,i}(x) = |x - xb_{t,i}|^2_{P^{-1}} + c_{t,i}."""
-    models = state.gains.models
-    if not 0 <= i < models.K:
-        raise IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (models.n,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({models.n},)")
-    d = x - state.xbreve[i]
-    P = state.gains.cov(state.t, i)
-    return float(d @ spd_solve(P, d, context=f"P[{i}] at t={state.t}")) + float(state.c[i])
-
-
-def worst_case_state(yhat, i: int, state: FilterBankState) -> np.ndarray:
-    """State x* maximizing |yhat - H_i x|^2 - gamma^2 V_{t,i}(x), gamma being
-    the schedule's.
-
-    Requires gamma-feasibility of the bank at the current time, which makes
-    H_i^T H_i - gamma^2 P^{-1} negative definite; the maximizer is
-
-        x* = (H_i^T H_i - gamma^2 P^{-1})^{-1} (H_i^T yhat - gamma^2 P^{-1} xb).
-
-    Otherwise raises :class:`GammaInfeasible` at the first infeasible model,
-    with ``model`` and ``t`` set.
-    """
-    gains = state.gains
-    models = gains.models
-    if not 0 <= i < models.K:
-        raise IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
-    yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    if yhat.shape != (models.m,):
-        raise DimensionMismatch(f"yhat has shape {yhat.shape}, expected ({models.m},)")
-    gains.require_feasible(state.t)
-    H = models.H[i]
-    P = gains.cov(state.t, i)
-    gsq = gains.gamma_sq
-    Pinv = spd_solve(P, np.eye(models.n), context=f"P[{i}] at t={state.t}")
-    M = H.T @ H - gsq * Pinv
-    rhs = H.T @ yhat - gsq * (Pinv @ state.xbreve[i])
-    return np.linalg.solve(M, rhs)

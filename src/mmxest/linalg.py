@@ -1,15 +1,15 @@
 """Small linear-algebra helpers shared across the filter modules.
 
-Covariance-like matrices are kept explicitly symmetric and are factorized
-with Cholesky where a single solve is needed.  Innovation covariances are
-the exception: each S^{-1} is formed once per (model, t) by the gain
-schedule and reused by every step that whitens an innovation.
+Covariance-like matrices are kept explicitly symmetric, and a Cholesky
+factorization is the test of positive definiteness.  No solve happens here:
+each innovation covariance inverse S^{-1} is formed once per (model, t) by
+the gain schedule and reused by every step that whitens an innovation.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import FactorizationFailure, NotPositiveDefinite
+from .exceptions import NotPositiveDefinite
 
 SYMMETRY_TOL = 1e-10
 
@@ -48,17 +48,3 @@ def check_spd(M: np.ndarray, name: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite") from None
     return M
-
-
-def spd_solve(M: np.ndarray, b: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Solve M x = b for symmetric positive-definite M via Cholesky."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"{context} is not positive definite: {exc}") from None
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
-
-
-def max_eig_sym(M: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(M))[-1])

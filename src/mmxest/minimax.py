@@ -30,6 +30,15 @@ predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
 its multipliers, normalized, are the certificate weights.  A gap that is
 not finite (a NaN piece) never certifies.
 
+Each iteration factors its (m+1) x (m+1) Newton matrix once, M = L L^T
+(a matrix that is not numerically positive definite ends the solve), and
+inverts the triangular factor.  Both directions of the step are then
+products, x = L^{-T} (L^{-1} b), refined once by x += L^{-T} L^{-1} (b - M x):
+near convergence M is ill-conditioned, and with the refinement the solve
+breaks down on random piece sets as rarely as with two triangular solves
+per direction.  M^{-1} itself is never formed.  A step length is 1 / max(1, max_i -dv_i / v_i), the largest
+a <= 1 that keeps v + a dv >= 0 for v > 0.
+
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
 """
@@ -40,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyPieceList, NoConvergence, PreconditionViolated
+from .exceptions import EmptyPieceList, NoConvergence
 from .filter_bank import FilterBankState
-from .linalg import max_eig_sym, spd_solve, symmetrize
 
 SOLVE_TOL = 1e-8
 SOLVE_MAX_ITER = 100
@@ -134,9 +142,9 @@ def _certify(lam, y, W, centers, offsets):
 
 
 def _max_step(v, dv):
-    """Largest a <= 1 keeping v + a dv >= 0, for v > 0."""
-    shrinking = dv < 0
-    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
+    """Largest a <= 1 keeping v + a dv >= 0, for v > 0: 1 / max(1, max_i -dv_i / v_i),
+    with no mask (a growing or fixed component gives a ratio <= 0)."""
+    return 1.0 / max(1.0, float((-dv / v).max()))
 
 
 def _interior_step(y, s, r, lam, W, centers, offsets):
@@ -148,10 +156,12 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
         f_i(y) - s + r_i = 0,        lam_i r_i = sigma mu,
 
     and eliminates dr and dlam, leaving one symmetric positive definite
-    (m+1) x (m+1) system in (dy, ds), factored once for both the
-    predictor (sigma = 0) and the corrector.  Primal (y, s, r) and dual
-    lam take separate step lengths; with one common length the iteration
-    cycled on some random piece sets.  Returns the new (y, s, r, lam).
+    (m+1) x (m+1) system M in (dy, ds).  Its Cholesky factor is inverted
+    once and serves both the predictor (sigma = 0) and the corrector.
+    Primal (y, s, r) and dual lam take separate step lengths; with one
+    common length the iteration cycled on some random piece sets.  Returns
+    the new (y, s, r, lam); raises LinAlgError when M is not numerically
+    positive definite.
     """
     K, m = centers.shape
     d = y - centers
@@ -165,12 +175,15 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
     M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
     M[:m, m] = M[m, :m] = -(ratio @ g)
     M[m, m] = ratio.sum()
-    L = np.linalg.cholesky(M)
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    rhs = np.empty(m + 1)
 
     def direction(res_c):
         b = ratio * res_p - res_c / r
-        rhs = np.append(-res_y - b @ g, b.sum() - res_s)
-        step = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+        rhs[:m] = -res_y - b @ g
+        rhs[m] = b.sum() - res_s
+        step = Linv.T @ (Linv @ rhs)
+        step += Linv.T @ (Linv @ (rhs - M @ step))  # one refinement step
         dlam = ratio * (g @ step[:m] - step[m]) + b
         return step, (-res_c - r * dlam) / lam, dlam
 
@@ -248,28 +261,3 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
             f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "
             f"interior-point iterations", last=estimate)
     return estimate
-
-
-def quadratic_max_closed_form(x, y, A, X, Y, gamma) -> float:
-    """Closed form of max_v |x - A v|^2_{X^{-1}} - gamma^2 |y - v|^2_{Y^{-1}}.
-
-    Valid when A^T X^{-1} A - gamma^2 Y^{-1} is negative definite; the
-    maximum equals |x - A y|^2 weighted by (X - gamma^{-2} A Y A^T)^{-1}.
-    Serves as the oracle linking the worst-case state and the minimax
-    weight completion.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    gsq = float(gamma) * float(gamma)
-    Xinv_A = spd_solve(X, A, context="X")
-    Yinv = spd_solve(Y, np.eye(Y.shape[0]), context="Y")
-    curvature = symmetrize(A.T @ Xinv_A - gsq * Yinv)
-    if max_eig_sym(curvature) >= 0:
-        raise PreconditionViolated(
-            "A^T X^{-1} A - gamma^2 Y^{-1} must be negative definite")
-    M = symmetrize(X - (A @ Y @ A.T) / gsq)
-    d = x - A @ y
-    return float(d @ spd_solve(M, d, context="X - gamma^{-2} A Y A^T"))

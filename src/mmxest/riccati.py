@@ -6,8 +6,10 @@ The covariance recursion propagated per model is
 
 started from P0.  Its fixed point is the (estimation-form) algebraic
 Riccati equation, solved here by plain fixed-point iteration of the same
-recursion so that the stationary filter provably agrees with the
-time-varying one in the limit.
+recursion (:func:`riccati_step`, the one recursion formula) so that the
+stationary filter provably agrees with the time-varying one in the limit.
+Each iteration takes one reduction, max|P_{k+1} - P_k|, which serves both
+as the step size and as the finiteness test.
 
 A covariance P is gamma-feasible for output map H when
 
@@ -25,6 +27,7 @@ stores that transient only and serves its last column for every later t.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +262,8 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
     Iterates :func:`riccati_step` from ``P_init`` until the max-abs change
     is below ARE_TOL; the reported residual is the max-abs defect of the
     fixed-point equation at the returned iterate and is required to be
-    within ARE_TOL as well.
+    within ARE_TOL as well.  Every iterate but the newest is finite, so a
+    step to a non-finite iterate shows as a non-finite change.
 
     Raises
     ------
@@ -277,9 +281,10 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, ARE_MAX_ITER + 1):
             Pn = riccati_step(P, F, H, Q, R)
-            if not np.all(np.isfinite(Pn)):
+            # P is finite (else the last step raised), so a non-finite Pn shows in delta
+            delta = float(np.abs(Pn - P).max())
+            if not math.isfinite(delta):
                 raise NoConvergence(f"Riccati iteration diverged after {it} steps", last=P)
-            delta = float(np.max(np.abs(Pn - P)))
             P = Pn
             if delta < ARE_TOL:
                 residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))

@@ -71,6 +71,10 @@ class InputSpec:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.kind == "sequence" and self.values is None:
             raise ValueError("sequence input needs values")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"input rate must be finite, got {self.rate!r}")
+        if self.values is not None and not np.isfinite(np.asarray(self.values, dtype=float)).all():
+            raise ValueError("input values must be finite")
 
     def build(self, horizon: int, p: int) -> np.ndarray:
         if p == 0:

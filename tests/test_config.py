@@ -184,3 +184,23 @@ def test_noise_spec_rejects_bad_scale_and_seed(field, value):
     with pytest.raises(ValueError, match=f"noise {field}"):
         mx.NoiseSpec(**{field: value})
     assert mx.NoiseSpec(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("entry", [
+    "{kind: sinusoid, rate: .nan}",
+    "{kind: sinusoid, rate: .inf}",
+    "{kind: sequence, values: [0.0, .nan, 1.0, 0.0, 0.0]}",
+    "{kind: sequence, values: [0.0, 1.0, -.inf, 0.0, 0.0]}",
+])
+def test_input_fields_must_be_finite(tmp_path, entry):
+    body = MINIMAL + "B: [1.0]\n" + f"input: {entry}\n"
+    with pytest.raises(mx.ConfigError, match=r"field input\b.*finite"):
+        mx.load_config(write_cfg(tmp_path, body))
+
+
+@pytest.mark.parametrize("spec", [{"kind": "sinusoid", "rate": float("nan")},
+                                  {"kind": "sinusoid", "rate": -float("inf")},
+                                  {"kind": "sequence", "values": np.array([0.0, float("nan")])}])
+def test_input_spec_rejects_non_finite(spec):
+    with pytest.raises(ValueError, match="finite"):
+        mx.InputSpec(**spec)

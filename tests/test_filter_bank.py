@@ -4,7 +4,7 @@ import pytest
 import mmxest as mx
 from mmxest import filter_bank
 from conftest import make_random_models, unit_bank
-from oracles import kalman_step, stacked_ls_value
+from oracles import kalman_step, stacked_ls_value, value_function, worst_case_state
 
 I1 = np.eye(1)
 
@@ -76,14 +76,14 @@ def test_value_function_scalar_oracle():
     models, state = singleton_state()
     state = filter_bank.step(state, np.array([1.0]))
     # V_1(x) = (x - 0.5)^2 / P_1 + c_1 with P_1 = 1.5.
-    v = filter_bank.value_function(state, np.array([0.7]), 0)
+    v = value_function(state, np.array([0.7]), 0)
     assert v == pytest.approx(0.04 / 1.5 + 0.5, abs=1e-12)
 
 
 def test_value_function_checks_model_index():
     models, state = singleton_state()
     with pytest.raises(mx.IndexOutOfRange):
-        filter_bank.value_function(state, np.array([0.0]), 1)
+        value_function(state, np.array([0.0]), 1)
 
 
 def test_step_rejects_bad_measurement_shape(paper_models):
@@ -221,7 +221,7 @@ def test_value_function_matches_stacked_least_squares():
         for _ in range(4):
             x = rng.normal(size=n)
             for i in range(K):
-                direct = filter_bank.value_function(state, x, i)
+                direct = value_function(state, x, i)
                 oracle = stacked_ls_value(models, i, ys, us, x)
                 assert direct == pytest.approx(oracle, abs=1e-8)
 
@@ -230,14 +230,14 @@ def test_worst_case_state_scalar_oracle():
     models, state = singleton_state()
     # (H^T H - gamma^2 P^{-1})^{-1} (H^T yhat - gamma^2 P^{-1} xbreve)
     # = (1 - 9)^{-1} (1 - 0) = -0.125 at t = 0.
-    x = filter_bank.worst_case_state(np.array([1.0]), 0, state)
+    x = worst_case_state(np.array([1.0]), 0, state)
     assert x[0] == pytest.approx(-0.125, abs=1e-12)
 
 
 def test_worst_case_state_requires_feasibility():
     state = filter_bank.init(mx.run_recursion(unit_bank(gamma=1.0), 1))
     with pytest.raises(mx.GammaInfeasible) as err:
-        filter_bank.worst_case_state(np.array([1.0]), 0, state)
+        worst_case_state(np.array([1.0]), 0, state)
     assert (err.value.model, err.value.t) == (0, 0)
     assert err.value.lambda_max == pytest.approx(1.0)
     assert err.value.gamma_sq == pytest.approx(1.0)
@@ -249,12 +249,12 @@ def test_worst_case_state_reads_gamma_from_schedule():
     # answered -1/99 too when called with 10; now it raises.
     y = np.array([1.0])
     state = filter_bank.init(mx.run_recursion(unit_bank(gamma=10.0), 1))
-    assert filter_bank.worst_case_state(y, 0, state)[0] == pytest.approx(-1.0 / 99.0, abs=1e-12)
+    assert worst_case_state(y, 0, state)[0] == pytest.approx(-1.0 / 99.0, abs=1e-12)
     state = filter_bank.init(mx.run_recursion(unit_bank(gamma=1.0), 1))
     with pytest.raises(mx.GammaInfeasible):
-        filter_bank.worst_case_state(y, 0, state)
+        worst_case_state(y, 0, state)
     with pytest.raises(TypeError):
-        filter_bank.worst_case_state(y, 0, state, 10.0)
+        worst_case_state(y, 0, state, 10.0)
 
 
 def test_worst_case_state_is_the_maximizer():
@@ -267,11 +267,11 @@ def test_worst_case_state_is_the_maximizer():
 
     def objective(yhat, x, i):
         r = yhat - models.H[i] @ x
-        return float(r @ r) - gsq * filter_bank.value_function(state, x, i)
+        return float(r @ r) - gsq * value_function(state, x, i)
 
     for i in range(2):
         yhat = rng.normal(size=1)
-        xstar = filter_bank.worst_case_state(yhat, i, state)
+        xstar = worst_case_state(yhat, i, state)
         top = objective(yhat, xstar, i)
         for _ in range(25):
             assert top >= objective(yhat, xstar + 0.1 * rng.normal(size=2), i) - 1e-10

@@ -5,6 +5,14 @@ were written by ``mmxest run --config <bundled paper cfg> --full`` (the second
 with ``--stationary``) before the gain schedule was batched over models.
 Refactors of the numerics must reproduce every column to within 1e-12 of the
 column's largest magnitude.
+
+Neither of those traces needs an interior-point iteration: every solve there
+is settled by the dominance check.  ``tests/data/paper_full_stationary_seed52.csv``
+was written by ``mmxest run --config <bundled paper cfg> --seeds 52..52
+--stationary --full`` before the interior point's Newton solve was rewritten;
+seed 52 takes 22 interior-point iterations, the most of seeds 0..63.  Its
+minimax columns are checked at the solver's certificate level, since a
+certified answer is all the solver promises.
 """
 from pathlib import Path
 
@@ -12,6 +20,7 @@ import numpy as np
 import pytest
 
 from mmxest import cli
+from mmxest.minimax import SOLVE_TOL
 
 DATA = Path(__file__).resolve().parent / "data"
 REL_TOL = 1e-12
@@ -40,3 +49,30 @@ def test_full_trace_matches_golden(tmp_path, paper_config_path, name, flags):
         scale = float(np.max(np.abs(want[:, j])))
         err = float(np.max(np.abs(got[:, j] - want[:, j])))
         assert err <= REL_TOL * scale, f"column {column}: max error {err:.3e}, scale {scale:.3e}"
+
+
+def test_interior_point_trace_matches_golden(tmp_path, paper_config_path):
+    out = tmp_path / "seed.csv"
+    assert cli.main(["run", "--config", paper_config_path, "--seeds", "52..52",
+                     "--stationary", "--full", "--out", str(out)]) == 0
+    want_header, want = read_columns(DATA / "paper_full_stationary_seed52.csv")
+    got_header, got = read_columns(tmp_path / "seed_seed52.csv")
+    assert got_header == want_header
+    assert got.shape == want.shape
+    minimax = [j for j, c in enumerate(want_header) if c.startswith(("Jstar", "zh_mini", "lam"))]
+    for j, column in enumerate(want_header):
+        if j in minimax:
+            continue
+        scale = float(np.max(np.abs(want[:, j])))
+        err = float(np.max(np.abs(got[:, j] - want[:, j])))
+        assert err <= REL_TOL * scale, f"column {column}: max error {err:.3e}, scale {scale:.3e}"
+    col = {c: j for j, c in enumerate(want_header)}
+    # two certified values both lie within the gap of J*
+    J, J_want = got[:, col["Jstar"]], want[:, col["Jstar"]]
+    assert np.all(np.abs(J - J_want) <= SOLVE_TOL + 16 * np.finfo(float).eps * np.abs(J_want))
+    # every W_i >= I, so a gap <= tol puts yhat within sqrt(tol) of the minimizer
+    zh = got[:, col["zh_mini"]] - want[:, col["zh_mini"]]
+    assert np.all(np.abs(zh) <= 2.0 * np.sqrt(SOLVE_TOL))
+    lam = got[:, [j for c, j in col.items() if c.startswith("lam")]]
+    assert np.all(lam >= 0.0)
+    np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -5,12 +5,11 @@ PUBLIC_NAMES = [
     "EmptyPieceList", "EstimationError", "ExperimentConfig", "FactorizationFailure",
     "FilterBankState", "GainSchedule", "GammaInfeasible", "HorizonExceeded",
     "IndexOutOfRange", "InputSpec", "MinimaxEstimate", "ModelSet", "NoConvergence",
-    "NoiseSpec", "NonpositiveGamma", "NotPositiveDefinite", "PreconditionViolated",
-    "QuadraticPieces", "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step",
-    "build_pieces", "generate_truth", "init", "load_config", "quadratic_max_closed_form", "riccati_step",
-    "run_estimators", "run_recursion", "simulate", "solve", "solve_are",
-    "stationary_gains", "step", "validate", "value_function", "with_seed",
-    "worst_case_state",
+    "NoiseSpec", "NonpositiveGamma", "NotPositiveDefinite", "QuadraticPieces",
+    "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step", "build_pieces",
+    "generate_truth", "init", "load_config", "riccati_step", "run_estimators",
+    "run_recursion", "simulate", "solve", "solve_are", "stationary_gains", "step",
+    "validate", "with_seed",
 ]
 
 

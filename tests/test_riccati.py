@@ -112,6 +112,40 @@ def test_solve_are_no_convergence_carries_last_iterate(monkeypatch):
     assert np.asarray(err.value.last).shape == (1, 1)
 
 
+def hand_iterated_are(F, H, Q, R, P):
+    """riccati_step from P until the max-abs change is below ARE_TOL, with
+    the finiteness of every iterate tested on its own; (P, iterations)."""
+    for it in range(1, riccati.ARE_MAX_ITER + 1):
+        Pn = mx.riccati_step(P, F, H, Q, R)
+        assert np.all(np.isfinite(Pn))
+        delta = float(np.max(np.abs(Pn - P)))
+        P = Pn
+        if delta < riccati.ARE_TOL:
+            return P, it
+    raise AssertionError("no fixed point")
+
+
+@pytest.mark.parametrize("bank", ["paper", "random_k3"])
+def test_solve_are_is_the_hand_iterated_recursion(bank, paper_models):
+    # The loop tests finiteness through its step size alone; the iterates,
+    # the fixed point and the count are those of plain iteration.
+    models = (paper_models if bank == "paper"
+              else make_random_models(np.random.default_rng(5), 3, 4, 2))
+    for i in range(models.K):
+        args = (models.F[i], models.H[i], models.Q, models.R)
+        sol = mx.solve_are(*args, models.P0)
+        P, iterations = hand_iterated_are(*args, models.P0)
+        np.testing.assert_array_equal(sol.P, P)
+        assert sol.iterations == iterations
+
+
+def test_solve_are_divergence_names_first_non_finite_step():
+    # P_k = 4^k overflows to inf at step 512 (4^512 = 2^1024).
+    with pytest.raises(mx.NoConvergence, match="diverged after 512 steps") as err:
+        mx.solve_are(2.0 * I1, np.zeros((1, 1)), 0.0 * I1, I1, I1)
+    assert np.isfinite(err.value.last).all()
+
+
 def test_gamma_feasibility_is_strict():
     # lambda_max(H P0 H^T) = 1 at t = 0
     assert mx.run_recursion(unit_bank(gamma=1.0 + 1e-9), 1).feasible[0, 0]

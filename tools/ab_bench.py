@@ -1,0 +1,109 @@
+"""Alternating A/B runs of the benchmark on two checkouts.
+
+    python3 tools/ab_bench.py PARENT CHANGE WORKLOAD PAIRS [--seconds S]
+
+Runs ``python3 perfbench/run.py --workload WORKLOAD --seed s --seconds S
+--trace 0`` in each checkout, for seeds s = 1..PAIRS.  Each pair runs both
+sides back to back, the parent first on odd seeds and the change first on
+even seeds, so that a drift in machine speed falls on both sides alike.
+
+Prints one line per pair as it finishes, then for every end-to-end metric
+the median and quartiles of each side, the change of the medians, and in
+how many pairs the change was better ("better" as ``BENCHMARK.json`` of the
+change checkout defines it; lower where it does not say).  Exits 1 if any
+run exits nonzero or prints no result line.  Standard library only; it
+changes nothing in either checkout beyond what the benchmark itself does.
+"""
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One benchmark run; its result line as a dict, or None on failure."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(f"{checkout}: seed {seed} exited {proc.returncode}\n{proc.stderr}")
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        sys.stderr.write(f"{checkout}: seed {seed} printed no result line\n")
+        return None
+
+
+def directions(checkout):
+    """{metric: "lower" or "higher"} from the checkout's BENCHMARK.json."""
+    path = Path(checkout) / "BENCHMARK.json"
+    if not path.exists():
+        return {}
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("workload")
+    parser.add_argument("pairs", type=int)
+    parser.add_argument("--seconds", type=float, default=15)
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent, "change": args.change}
+    results = {"parent": [], "change": []}
+    ok = True
+    for seed in range(1, args.pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        pair = {}
+        for side in order:
+            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
+        if pair["parent"] is None or pair["change"] is None:
+            ok = False
+            continue
+        for side in results:
+            results[side].append(pair[side])
+        shown = "  ".join(
+            f"{name} {pair['parent']['metrics'][name]['value']:.4g}/"
+            f"{pair['change']['metrics'][name]['value']:.4g}"
+            for name in pair["change"]["metrics"] if name in pair["parent"]["metrics"])
+        flags = "  ".join(f"{side}: correct {pair[side]['correct']}, failed {pair[side]['failed']}"
+                          for side in ("parent", "change"))
+        print(f"pair {seed} ({order[0]} first): {shown}  [{flags}]", flush=True)
+
+    if not results["change"]:
+        return 1
+    better = directions(args.change)
+    names = [n for n in results["change"][0]["metrics"] if n in results["parent"][0]["metrics"]]
+    print(f"\n{args.workload}: {len(results['change'])} pairs, {args.seconds:g} s per run; "
+          f"parent {args.parent}, change {args.change}")
+    print(f"{'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
+          f"{'change':>8s} {'wins':>6s}")
+    for name in names:
+        a = [r["metrics"][name]["value"] for r in results["parent"]]
+        b = [r["metrics"][name]["value"] for r in results["change"]]
+        qa, qb = quartiles(a), quartiles(b)
+        higher = better.get(name, "lower") == "higher"
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        rel = f"{100 * (qb[1] / qa[1] - 1):+.1f}%" if qa[1] else "n/a"
+        spread_a = f"{qa[1]:.5g} [{qa[0]:.5g}, {qa[2]:.5g}]"
+        spread_b = f"{qb[1]:.5g} [{qb[0]:.5g}, {qb[2]:.5g}]"
+        print(f"{name:12s} {spread_a:>34s} {spread_b:>34s} {rel:>8s} {f'{wins}/{len(a)}':>6s}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
