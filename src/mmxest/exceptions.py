@@ -2,15 +2,23 @@
 
 
 class EstimationError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``field`` names the input value at fault (``"Q"``, ``"gamma"``, ...)
+    when the error is about one; ``validate`` sets it.
+    """
+
+    def __init__(self, message="", field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class DimensionMismatch(EstimationError):
-    """Matrix or vector shapes are inconsistent with the model set."""
+    """Array shapes are inconsistent with the model set, or an entry is not finite."""
 
 
 class NotPositiveDefinite(EstimationError):
-    """A weight matrix failed the symmetric positive-definite test."""
+    """A weight matrix is missing, non-finite, or not symmetric positive definite."""
 
 
 class EmptyModelSet(EstimationError):
@@ -18,7 +26,7 @@ class EmptyModelSet(EstimationError):
 
 
 class NonpositiveGamma(EstimationError):
-    """The attenuation level gamma must be strictly positive."""
+    """The attenuation level gamma must be a finite real number > 0."""
 
 
 class FactorizationFailure(EstimationError):

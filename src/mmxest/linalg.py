@@ -29,22 +29,25 @@ def max_asymmetry(M: np.ndarray) -> float:
 
 
 def check_spd(M: np.ndarray, name: str) -> np.ndarray:
-    """Validate that ``M`` is symmetric positive definite.
+    """Validate that ``M`` is a finite, symmetric positive-definite matrix.
 
     Asymmetry up to SYMMETRY_TOL (max-abs) is tolerated and removed; the
-    definiteness test is Cholesky factorization success.  Returns the
-    symmetrized matrix.  Raises :class:`NotPositiveDefinite` naming the
-    offending matrix otherwise.
+    definiteness test is Cholesky factorization success, which a NaN entry
+    would pass, so finiteness is checked first.  Returns the symmetrized
+    matrix.  Raises :class:`NotPositiveDefinite` naming the offending matrix
+    otherwise.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotPositiveDefinite(f"{name} must be square, got shape {M.shape}")
+        raise NotPositiveDefinite(f"{name} must be square, got shape {M.shape}", name)
+    if not np.isfinite(M).all():
+        raise NotPositiveDefinite(f"{name} has a non-finite entry", name)
     asym = max_asymmetry(M)
     if asym > SYMMETRY_TOL:
-        raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+        raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})", name)
     M = symmetrize(M)
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from None
+        raise NotPositiveDefinite(f"{name} is not positive definite", name) from None
     return M

@@ -12,6 +12,8 @@ extension but are deliberately not supported here.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -82,8 +84,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def finite_real(value) -> bool:
+    """True for a finite real number; a bool or a numeric string is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _as_matrix_list(value):
     return [np.atleast_2d(np.asarray(v, dtype=float)) for v in value]
+
+
+def _stack(name, mats, shape):
+    """Stack per-model matrices after checking each one's shape and entries."""
+    for i, M in enumerate(mats):
+        if M.shape != shape:
+            raise DimensionMismatch(f"{name}[{i}] has shape {M.shape}, expected {shape}", name)
+    stacked = np.stack(mats)
+    if not np.isfinite(stacked).all():
+        raise DimensionMismatch(f"{name} has a non-finite entry", name)
+    return _freeze(stacked)
 
 
 def validate(candidate) -> ModelSet:
@@ -102,11 +121,15 @@ def validate(candidate) -> ModelSet:
     EmptyModelSet
         If the family has no models.
     DimensionMismatch
-        If any matrix shape is inconsistent.
+        If any matrix shape is inconsistent, or an entry of F, H, B or
+        xhat0 is not finite.
     NotPositiveDefinite
-        If Q, R, or P0 fails the symmetric factorization test.
+        If Q, R, or P0 is missing, has a non-finite entry, or fails the
+        symmetric factorization test.
     NonpositiveGamma
-        If gamma <= 0.
+        If gamma is missing or not a finite real number > 0.
+
+    Each error's ``field`` names the record key at fault.
     """
     if isinstance(candidate, ModelSet):
         record = {f.name: getattr(candidate, f.name) for f in fields(ModelSet)}
@@ -120,61 +143,43 @@ def validate(candidate) -> ModelSet:
     H = _as_matrix_list(record.get("H", ()))
     K = len(F)
     if K == 0:
-        raise EmptyModelSet("model set must contain at least one model")
+        raise EmptyModelSet("model set must contain at least one model", "F")
     if len(H) != K:
-        raise DimensionMismatch(f"got {K} F matrices but {len(H)} H matrices")
-
+        raise DimensionMismatch(f"got {K} F matrices but {len(H)} H matrices", "H")
     n = F[0].shape[0]
     m = H[0].shape[0]
-    for i, Fi in enumerate(F):
-        if Fi.shape != (n, n):
-            raise DimensionMismatch(f"F[{i}] has shape {Fi.shape}, expected ({n}, {n})")
-    for i, Hi in enumerate(H):
-        if Hi.shape != (m, n):
-            raise DimensionMismatch(f"H[{i}] has shape {Hi.shape}, expected ({m}, {n})")
+    F = _stack("F", F, (n, n))
+    H = _stack("H", H, (m, n))
 
     B_raw = record.get("B", None)
     if B_raw is None or (hasattr(B_raw, "__len__") and len(B_raw) == 0):
         p = 0
-        B = []
+        B = ()
     else:
         B = _as_matrix_list(B_raw)
         if len(B) != K:
-            raise DimensionMismatch(f"got {K} models but {len(B)} B matrices")
+            raise DimensionMismatch(f"got {K} models but {len(B)} B matrices", "B")
         p = B[0].shape[1]
-        for i, Bi in enumerate(B):
-            if Bi.shape != (n, p):
-                raise DimensionMismatch(f"B[{i}] has shape {Bi.shape}, expected ({n}, {p})")
+        B = _stack("B", B, (n, p))
 
-    Q = check_spd(np.atleast_2d(np.asarray(record["Q"], dtype=float)), "Q")
-    R = check_spd(np.atleast_2d(np.asarray(record["R"], dtype=float)), "R")
-    P0 = check_spd(np.atleast_2d(np.asarray(record["P0"], dtype=float)), "P0")
-    if Q.shape != (n, n):
-        raise DimensionMismatch(f"Q has shape {Q.shape}, expected ({n}, {n})")
-    if R.shape != (m, m):
-        raise DimensionMismatch(f"R has shape {R.shape}, expected ({m}, {m})")
-    if P0.shape != (n, n):
-        raise DimensionMismatch(f"P0 has shape {P0.shape}, expected ({n}, {n})")
+    weights = {}
+    for name, dim in (("Q", n), ("R", m), ("P0", n)):
+        if record.get(name) is None:
+            raise NotPositiveDefinite(f"{name} is missing", name)
+        W = check_spd(np.atleast_2d(np.asarray(record[name], dtype=float)), name)
+        if W.shape != (dim, dim):
+            raise DimensionMismatch(f"{name} has shape {W.shape}, expected ({dim}, {dim})", name)
+        weights[name] = _freeze(W)
 
-    gamma = float(record["gamma"])
-    if not gamma > 0:
-        raise NonpositiveGamma(f"gamma must be > 0, got {gamma}")
+    gamma = record.get("gamma")
+    if not (finite_real(gamma) and gamma > 0):
+        raise NonpositiveGamma(f"gamma must be a finite real number > 0, got {gamma!r}", "gamma")
 
     xhat0 = np.asarray(record.get("xhat0", np.zeros(n)), dtype=float).reshape(-1)
     if xhat0.shape != (n,):
-        raise DimensionMismatch(f"xhat0 has shape {xhat0.shape}, expected ({n},)")
+        raise DimensionMismatch(f"xhat0 has shape {xhat0.shape}, expected ({n},)", "xhat0")
+    if not np.isfinite(xhat0).all():
+        raise DimensionMismatch("xhat0 has a non-finite entry", "xhat0")
 
-    return ModelSet(
-        K=K,
-        n=n,
-        m=m,
-        p=p,
-        F=_freeze(np.stack(F)),
-        H=_freeze(np.stack(H)),
-        B=_freeze(np.stack(B)) if p else (),
-        Q=_freeze(Q),
-        R=_freeze(R),
-        P0=_freeze(P0),
-        gamma=gamma,
-        xhat0=_freeze(xhat0),
-    )
+    return ModelSet(K=K, n=n, m=m, p=p, F=F, H=H, B=B, gamma=float(gamma),
+                    xhat0=_freeze(xhat0), **weights)

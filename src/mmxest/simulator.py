@@ -12,7 +12,6 @@ prior prediction, before any data.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +21,7 @@ import numpy as np
 from . import bayes as _bayes
 from . import filter_bank, minimax, riccati
 from .exceptions import DimensionMismatch, IndexOutOfRange
-from .model_bank import ModelSet
+from .model_bank import ModelSet, finite_real
 from .rng import Xorshift64Star
 
 NOISE_KINDS = ("gaussian", "uniform-bounded", "zero")
@@ -40,8 +39,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not math.isfinite(self.scale) or self.scale < 0:
-            raise ValueError(f"noise scale must be finite and nonnegative, got {self.scale!r}")
+        if not finite_real(self.scale) or self.scale < 0:
+            raise ValueError(f"noise scale must be a finite number >= 0, got {self.scale!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
 
@@ -71,8 +70,8 @@ class InputSpec:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.kind == "sequence" and self.values is None:
             raise ValueError("sequence input needs values")
-        if not math.isfinite(self.rate):
-            raise ValueError(f"input rate must be finite, got {self.rate!r}")
+        if not finite_real(self.rate):
+            raise ValueError(f"input rate must be a finite number, got {self.rate!r}")
         if self.values is not None and not np.isfinite(np.asarray(self.values, dtype=float)).all():
             raise ValueError("input values must be finite")
 

@@ -160,6 +160,41 @@ def test_non_finite_input_rate_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, old, new", [
+    pytest.param("Q", "Q: 1.0", "Q: abc", id="Q-abc"),
+    pytest.param("Q", "Q: 1.0", "Q: [[1.0], [1.0, 2.0]]", id="Q-ragged"),
+    pytest.param("models.H", "H: [1.0]", "H: x", id="H-x"),
+    pytest.param("models.H", "H: [1.0]", "H: [[1.0], [1.0, 2.0]]", id="H-ragged"),
+    pytest.param("models.F", "F: [[[1.0]]]", "F: [[[1.0]], [[1.0, 2.0]]]", id="F-ragged"),
+    pytest.param("models.F_scales", "F: [[[1.0]]]", "F_base: [[1.0]]\n  F_scales: [a, 1]",
+                 id="F_scales-a"),
+    pytest.param("models.F_base", "F: [[[1.0]]]", "F_base: x\n  F_scales: [1.0]", id="F_base-x"),
+    pytest.param("gamma", "gamma: 3.0", "gamma: .inf", id="gamma-inf"),
+    pytest.param("gamma", "gamma: 3.0", "gamma: [3]", id="gamma-list"),
+    pytest.param("xhat0", "horizon: 4", "horizon: 4\nxhat0: [a]", id="xhat0-a"),
+    pytest.param("xhat0", "horizon: 4", "horizon: 4\nxhat0: [.nan]", id="xhat0-nan"),
+    pytest.param("Q", "Q: 1.0", "Q: .nan", id="Q-nan"),
+    pytest.param("models.F", "F: [[[1.0]]]", "F: [[[.nan]]]", id="F-nan"),
+    pytest.param("input", "H: [1.0]\n",
+                 "H: [1.0]\n  B: [1.0]\ninput: {kind: sequence, values: [0.0, 1.0, 2.0]}\n",
+                 id="input-short-sequence"),
+    pytest.param("stationry", "horizon: 4", "horizon: 4\nstationry: true", id="typo-key"),
+    pytest.param("B", "horizon: 4", "horizon: 4\nB: [1.0]", id="root-B"),
+    pytest.param("models.G", "H: [1.0]\n", "H: [1.0]\n  G: [1.0]\n", id="models-unknown"),
+    pytest.param("estimators.bayes", "horizon: 4", "horizon: 4\nestimators: {bayes: false}",
+                 id="estimators-unknown"),
+])
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, key, old, new):
+    # Each of these used to end in a traceback, a NaN solve (exit 1) or a
+    # run that ignored the key (exit 0); gamma [3] is kept as a regression case.
+    assert old in SCALAR_UNIT
+    cfgp = write(tmp_path, SCALAR_UNIT.replace(old, new, 1))
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: field {key}: ")
+    assert not out.exists()
+
+
 def test_infeasible_gamma_exit_code(tmp_path, paper_config_path, capsys):
     body = open(paper_config_path, encoding="utf-8").read()
     cfgp = write(tmp_path, body.replace("gamma: 3.0", "gamma: 0.1"))

@@ -1,9 +1,12 @@
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmxest as mx
+from mmxest import config
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -179,6 +182,7 @@ def test_noise_fields_accept_integers_and_finite_scales(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("scale", float("nan")), ("scale", float("inf")),
+                                          ("scale", True), ("scale", "2"),
                                           ("seed", 1.5), ("seed", True), ("seed", "3")])
 def test_noise_spec_rejects_bad_scale_and_seed(field, value):
     with pytest.raises(ValueError, match=f"noise {field}"):
@@ -193,14 +197,31 @@ def test_noise_spec_rejects_bad_scale_and_seed(field, value):
     "{kind: sequence, values: [0.0, 1.0, -.inf, 0.0, 0.0]}",
 ])
 def test_input_fields_must_be_finite(tmp_path, entry):
-    body = MINIMAL + "B: [1.0]\n" + f"input: {entry}\n"
+    body = MINIMAL.replace("  H: [1.0]\n", "  H: [1.0]\n  B: [1.0]\n") + f"input: {entry}\n"
     with pytest.raises(mx.ConfigError, match=r"field input\b.*finite"):
         mx.load_config(write_cfg(tmp_path, body))
 
 
 @pytest.mark.parametrize("spec", [{"kind": "sinusoid", "rate": float("nan")},
                                   {"kind": "sinusoid", "rate": -float("inf")},
+                                  {"kind": "sinusoid", "rate": "fast"},
+                                  {"kind": "sinusoid", "rate": True},
                                   {"kind": "sequence", "values": np.array([0.0, float("nan")])}])
 def test_input_spec_rejects_non_finite(spec):
-    with pytest.raises(ValueError, match="finite"):
+    field = "rate" if "rate" in spec else "values"
+    with pytest.raises(ValueError, match=rf"input {field} .*finite"):
         mx.InputSpec(**spec)
+
+
+def test_readme_config_format_lists_the_accepted_keys():
+    # Every key load_config accepts is documented, and nothing else: a
+    # bullet under "Config format" starts with the keys it describes.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    heads = [line[2:].split(": ", 1)[0] for line in section.splitlines()
+             if line.startswith("- ")]
+    documented = {key for head in heads for key in re.findall(r"`([^`]+)`", head)}
+    accepted = set(config.ROOT_KEYS) - {"models", "estimators"}
+    accepted |= {f"models.{key}" for key in config.MODEL_KEYS}
+    accepted |= {f"estimators.{key}" for key in config.ESTIMATOR_KEYS}
+    assert documented == accepted

@@ -71,12 +71,35 @@ def test_weights_must_be_spd():
         mx.validate(spec)
 
 
+@pytest.mark.parametrize("key, cls", [
+    ("F", mx.DimensionMismatch), ("H", mx.DimensionMismatch), ("B", mx.DimensionMismatch),
+    ("xhat0", mx.DimensionMismatch), ("Q", mx.NotPositiveDefinite),
+    ("R", mx.NotPositiveDefinite), ("P0", mx.NotPositiveDefinite)])
+def test_non_finite_or_missing_arrays_rejected(key, cls):
+    # A NaN passes the Cholesky test, so it used to reach the solvers.
+    spec = paper_spec()
+    spec["xhat0"] = np.zeros(3)
+    value = np.array(spec[key], dtype=float)
+    value[(0,) * value.ndim] = np.nan
+    spec[key] = value
+    with pytest.raises(cls, match=rf"{key} has a non-finite entry") as err:
+        mx.validate(spec)
+    assert err.value.field == key
+    if cls is mx.NotPositiveDefinite:
+        del spec[key]
+        with pytest.raises(cls, match=f"{key} is missing"):
+            mx.validate(spec)
+
+
 def test_gamma_must_be_positive():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, float("inf"), "x", None):
         spec = paper_spec()
         spec["gamma"] = bad
-        with pytest.raises(mx.NonpositiveGamma):
+        if bad is None:
+            del spec["gamma"]
+        with pytest.raises(mx.NonpositiveGamma, match="gamma") as err:
             mx.validate(spec)
+        assert err.value.field == "gamma"
 
 
 def test_input_matrix_optional():
