@@ -16,12 +16,14 @@ closed-form.  Weak duality gives phi(lam) <= J* <= max_i f_i(yhat) for every
 lam on the simplex and every yhat; :func:`solve` returns an answer only
 with such a pair whose gap is within tolerance.
 
-The solve has two exact stages.  First a dominance check: if some piece's
-minimum value o_i, taken at its center, is at least every other piece's
-value there, that center is optimal and lam = e_i certifies it with gap 0.
-Only the piece with the largest offset can pass, so one row of piece
-values is tested.  This is the common case once the bank has singled out a
-model.  Otherwise the epigraph form
+The solve tries three stages in order.  First a dominance check: if some
+piece's minimum value o_i, taken at its center, is at least every other
+piece's value there, that center is optimal and lam = e_i certifies it
+with gap 0.  Only the piece with the largest offset can pass, so one row
+of piece values is tested.  This is the common case once the bank has
+singled out a model.  Otherwise, for scalar outputs (m = 1), the answer is
+a crossing of two parabolas, found from every pair's roots and weighted by
+its zero-slope condition; the gap decides.  Failing that, the epigraph form
 
     min s   subject to   f_i(yhat) + r_i = s,   r >= 0,
 
@@ -141,6 +143,38 @@ def _certify(lam, y, W, centers, offsets):
     return yhat, upper, float(lam @ f)
 
 
+def _crossing(W, centers, offsets):
+    """The lowest crossing of two scalar pieces (m = 1), if it certifies.
+
+    Without a dominant vertex, the envelope is lowest where two parabolas on
+    it cross with slopes g_i <= 0 <= g_j.  Each pair's roots of f_i - f_j =
+    A y^2 + B y + C come from the stable quadratic formula; swapping i and j
+    negates A, B and C exactly, so the roots do not depend on the order of
+    the pieces.  The lowest such crossing gets lam_i g_i + lam_j g_j = 0, and
+    pairs tied at it share equally (so copies of a piece do).  Returns
+    (yhat, lam, gap, 0) if the gap is within SOLVE_TOL, else None.
+    """
+    a, c, o = W[:, 0, 0], centers[:, 0], offsets
+    b, h = a * c, a * c * c + o
+    # Arrays over [root, i, j]; a diagonal pair has A = B = C = 0.
+    A, B, C = a[:, None] - a, -2.0 * (b[:, None] - b), h[:, None] - h
+    with np.errstate(all="ignore"):  # no real root, A = 0 or q = 0: not finite
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+        y = np.stack((q / A, C / q))
+        gi, gj = 2.0 * a[:, None] * (y - c[:, None]), 2.0 * a * (y - c)
+        fi, fj = a[:, None] * (y - c[:, None]) ** 2 + o[:, None], a * (y - c) ** 2 + o
+        env = (a * (y[..., None] - c) ** 2 + o).max(axis=-1)
+        on = (np.maximum(fi, fj) == env) & (gi * gj <= 0.0) & (gi != gj)  # a kink
+        best = env[on].min(initial=np.inf)
+        if best == np.inf:
+            return None
+        tie = on & (env == best)  # (i, j) gives lam_i, (j, i) at the same root lam_j
+        lam = np.where(tie, gj / (gj - gi), 0.0).sum(axis=(0, 2))
+    lam /= lam.sum()
+    yhat, upper, lower = _certify(lam, y[tie].min(keepdims=True), W, centers, offsets)
+    return (yhat, lam, upper - lower, 0) if upper - lower <= SOLVE_TOL else None
+
+
 def _max_step(v, dv):
     """Largest a <= 1 keeping v + a dv >= 0, for v > 0: 1 / max(1, max_i -dv_i / v_i),
     with no mask (a growing or fixed component gives a ratio <= 0)."""
@@ -199,17 +233,40 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
     return y + a * step[:m], s + a * step[m], r + a * dr, lam + a_dual * dlam
 
 
+def _interior_point(W, centers, offsets):
+    """(yhat, lam, gap, iterations) of the interior point from uniform lam, once
+    lam certifies within SOLVE_TOL, the gap is not finite, SOLVE_MAX_ITER
+    iterations have run or a step breaks down; the caller checks the gap."""
+    K = len(offsets)
+    lam = np.full(K, 1.0 / K)
+    y = _inner_argmin(lam, W, centers)
+    f = _piece_values(y, W, centers, offsets)
+    s = 2.0 * float(f.max()) - float(lam @ f)
+    r = s - f
+    iterations = 0
+    while True:
+        yhat, upper, lower = _certify(lam / lam.sum(), y, W, centers, offsets)
+        gap = upper - lower
+        if gap <= SOLVE_TOL or not math.isfinite(gap) or iterations == SOLVE_MAX_ITER:
+            break
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                y, s, r, lam = _interior_step(y, s, r, lam, W, centers, offsets)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            break
+        iterations += 1
+    return yhat, lam / lam.sum(), gap, iterations
+
+
 def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= SOLVE_TOL.
 
-    A piece whose center no other piece exceeds is returned at once, with
-    lam = e_i, gap 0 and ``iterations`` 0; several such (tied) pieces
-    share uniform weights.  Otherwise a primal-dual interior point runs on
-    the epigraph form with the offsets shifted by their maximum, and stops
-    once its normalized multipliers lam certify phi(lam) <= J* <=
-    max_i f_i(yhat) within SOLVE_TOL, yhat being the better of the iterate
-    and yhat(lam).  The multipliers start uniform.  ``iterations`` counts
-    interior-point iterations.
+    The first stage that certifies answers: :func:`_dominant` (lam = e_i,
+    gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
+    (the zero-slope weights of the lowest crossing of two pieces), then
+    :func:`_interior_point` from uniform multipliers.  The last two shift
+    the offsets by their maximum and return the better of their candidate
+    and yhat(lam).  ``iterations`` counts interior-point iterations.
 
     Raises
     ------
@@ -225,37 +282,19 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     if K == 0:
         raise EmptyPieceList("minimax program needs at least one piece")
 
-    top = _dominant(W, centers, offsets)
-    if top.size:
+    active = _dominant(W, centers, offsets)
+    if active.size:
         lam = np.zeros(K)
-        lam[top] = 1.0 / top.size
-        return MinimaxEstimate(yhat=centers[top[0]].copy(), value=float(offsets[top[0]]),
-                               weights=lam, active=tuple(top.tolist()), gap=0.0, iterations=0)
-
-    o = offsets - offsets.max()
-    lam = np.full(K, 1.0 / K)
-    y = _inner_argmin(lam, W, centers)
-    f = _piece_values(y, W, centers, o)
-    s = 2.0 * float(f.max()) - float(lam @ f)
-    r = s - f
-    iterations = 0
-    while True:
-        yhat, upper, lower = _certify(lam / lam.sum(), y, W, centers, o)
-        gap = upper - lower
-        if gap <= SOLVE_TOL or not math.isfinite(gap) or iterations == SOLVE_MAX_ITER:
-            break
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                y, s, r, lam = _interior_step(y, s, r, lam, W, centers, o)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            break
-        iterations += 1
-
-    lam = lam / lam.sum()
-    estimate = MinimaxEstimate(
-        yhat=yhat, value=float(_piece_values(yhat, W, centers, offsets).max()), weights=lam,
-        active=tuple(np.flatnonzero(lam > ACTIVE_THRESHOLD).tolist()), gap=gap,
-        iterations=iterations)
+        lam[active] = 1.0 / active.size
+        yhat, value, gap, iterations = centers[active[0]].copy(), float(offsets[active[0]]), 0.0, 0
+    else:
+        o = offsets - offsets.max()
+        found = _crossing(W, centers, o) if centers.shape[1] == 1 else None
+        yhat, lam, gap, iterations = found or _interior_point(W, centers, o)
+        value = float(_piece_values(yhat, W, centers, offsets).max())
+        active = np.flatnonzero(lam > ACTIVE_THRESHOLD)
+    estimate = MinimaxEstimate(yhat=yhat, value=value, weights=lam, active=tuple(active.tolist()),
+                               gap=gap, iterations=iterations)
     if not gap <= SOLVE_TOL:
         raise NoConvergence(
             f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "

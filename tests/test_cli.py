@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import mmxest as mx
-from mmxest import cli
+from mmxest import cli, config
 from conftest import make_random_models
 from oracles import trace_lines_per_value
 
@@ -160,7 +162,7 @@ def test_non_finite_input_rate_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, old, new", [
+MALFORMED_CONFIGS = [
     pytest.param("Q", "Q: 1.0", "Q: abc", id="Q-abc"),
     pytest.param("Q", "Q: 1.0", "Q: [[1.0], [1.0, 2.0]]", id="Q-ragged"),
     pytest.param("models.H", "H: [1.0]", "H: x", id="H-x"),
@@ -183,7 +185,15 @@ def test_non_finite_input_rate_exit_code(tmp_path, capsys):
     pytest.param("models.G", "H: [1.0]\n", "H: [1.0]\n  G: [1.0]\n", id="models-unknown"),
     pytest.param("estimators.bayes", "horizon: 4", "horizon: 4\nestimators: {bayes: false}",
                  id="estimators-unknown"),
-])
+    pytest.param("process_noise", "process_noise: {kind: gaussian, scale: 1.0, seed: 5}",
+                 "process_noise: [1]", id="process_noise-list"),
+    pytest.param("input.rat", "horizon: 4", "horizon: 4\ninput: {rat: 0.2}", id="input-unknown"),
+    pytest.param("models.F_base", "F: [[[1.0]]]", "F_base: [[1.0, 2.0]]\n  F_scales: [1.0]",
+                 id="F_base-shape"),
+]
+
+
+@pytest.mark.parametrize("key, old, new", MALFORMED_CONFIGS)
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, key, old, new):
     # Each of these used to end in a traceback, a NaN solve (exit 1) or a
     # run that ignored the key (exit 0); gamma [3] is kept as a regression case.
@@ -193,6 +203,43 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, key, old, n
     assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: field {key}: ")
     assert not out.exists()
+
+
+def loaded_with(loader, path):
+    """load_config(path) parsed by the given YAML loader: the config, or the error text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "_LOADER", loader)
+        try:
+            return config.load_config(path)
+        except mx.ConfigError as exc:
+            return str(exc)
+
+
+def assert_same_config(got, want):
+    """Equal configs: dataclass fields compared one by one, arrays exactly."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            assert_same_config(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(want, (np.ndarray, list, tuple)):
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("key, old, new",
+                         [pytest.param(None, "", "", id="bundled")] + MALFORMED_CONFIGS)
+def test_c_and_python_yaml_loaders_agree(tmp_path, paper_config_path, key, old, new):
+    # The bundled config loads to equal configs with libyaml's parser and
+    # with PyYAML's own; every malformed one fails with the same message.
+    path = write(tmp_path, SCALAR_UNIT.replace(old, new, 1)) if key else paper_config_path
+    fast, slow = loaded_with(yaml.CSafeLoader, path), loaded_with(yaml.SafeLoader, path)
+    if key is None:
+        assert isinstance(slow, config.ExperimentConfig)
+    else:
+        assert slow.startswith(f"field {key}: ")
+    assert_same_config(fast, slow)
 
 
 def test_infeasible_gamma_exit_code(tmp_path, paper_config_path, capsys):

@@ -114,6 +114,28 @@ def test_error_messages_name_the_field(tmp_path):
             mx.load_config(write_cfg(tmp_path, body))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("horizon: 5", "horizon: 5\nprocess_noise: [1]", "field process_noise: must be a mapping"),
+    ("horizon: 5", "horizon: 5\nmeasurement_noise: 0.5",
+     "field measurement_noise: must be a mapping"),
+    ("horizon: 5", "horizon: 5\nprocess_noise: 0", "field process_noise: must be a mapping"),
+    ("horizon: 5", "horizon: 5\ninput: []", "field input: must be a mapping"),
+    ("horizon: 5", "horizon: 5\nestimators: 0", "field estimators: must be a mapping"),
+    ("horizon: 5", "horizon: 5\ninput: {rat: 0.2}", "field input.rat: unknown"),
+    ("horizon: 5", "horizon: 5\nprocess_noise: {sclae: 2}", "field process_noise.sclae: unknown"),
+    ("F: [[[0.5]], [[-0.5]]]", "F_base: [[1.0, 2.0]]\n  F_scales: [1.0]",
+     "field models.F_base: F[0] has shape (1, 2), expected (1, 1)"),
+], ids=["process_noise-list", "measurement_noise-scalar", "process_noise-zero", "input-empty-list",
+        "estimators-zero", "input-unknown", "process_noise-unknown", "F_base-shape"])
+def test_section_errors_name_the_config_key(tmp_path, old, new, message):
+    # The message names the key as the config spells it, not a Python call:
+    # a section that is not a mapping (a falsy one is not taken as empty) or
+    # has an unknown key, and a bank built from F_base that fails its shape check.
+    with pytest.raises(mx.ConfigError) as err:
+        mx.load_config(write_cfg(tmp_path, MINIMAL.replace(old, new, 1)))
+    assert str(err.value) == message
+
+
 def test_invalid_yaml_and_missing_file(tmp_path):
     with pytest.raises(mx.ConfigError):
         mx.load_config(write_cfg(tmp_path, "models: [unclosed"))

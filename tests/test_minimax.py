@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,9 +142,14 @@ def test_solve_empty_piece_list():
 
 
 def test_solve_no_convergence_carries_best(monkeypatch):
+    # Two pieces in the plane (m = 2), which only the interior point solves;
+    # it certifies them in 3 iterations.
     monkeypatch.setattr(minimax, "SOLVE_MAX_ITER", 1)
+    pieces = QuadraticPieces(W=np.array([np.eye(2), np.diag([2.0, 1.0])]),
+                             centers=np.array([[-1.0, 0.0], [1.5, 0.5]]),
+                             offsets=np.array([0.0, -0.5]))
     with pytest.raises(mx.NoConvergence) as err:
-        solve(scalar_pieces((1.0, -1.0, 0.0), (2.0, 1.5, -0.5)))
+        solve(pieces)
     assert "after 1 interior-point iterations" in str(err.value)
     best = err.value.last
     assert best is not None
@@ -314,10 +321,17 @@ def piece_sets(max_m=3, max_k=32):
 @settings(max_examples=150, deadline=None)
 @given(piece_sets(max_m=1))
 def test_solve_matches_scalar_oracle(pieces):
+    # solve, and the interior point alone, which solve no longer reaches
+    # on scalar pieces that the exact stages settle.
     J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
     est = solve(pieces)
     assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
     assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
+    shifted = pieces.offsets - pieces.offsets.max()
+    yhat, lam, gap, _ = minimax._interior_point(pieces.W, pieces.centers, shifted)
+    assert gap <= SOLVE_TOL
+    assert abs(values_at(pieces, yhat).max() - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
+    assert abs(yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,6 +373,26 @@ def tie_heavy_piece_sets():
         offsets = draw(arrays(np.float64, K, elements=st.sampled_from([-40.0, -3.0, -1.0, 0.0])))
         return QuadraticPieces(W=W, centers=centers, offsets=offsets)
     return build()
+
+
+def scalar_piece_sets():
+    """piece_sets(max_m=1) and the m = 1 draws of tie_heavy_piece_sets()."""
+    return st.one_of(piece_sets(max_m=1),
+                     tie_heavy_piece_sets().filter(lambda pieces: pieces.centers.shape[1] == 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_piece_sets())
+def test_scalar_solves_need_no_interior_point(pieces):
+    # With one output the answer is a vertex (the dominance check) or the
+    # crossing of two pieces (the crossing stage); either way it is certified
+    # without an interior-point iteration and matches the exact oracle.
+    est = solve(pieces)
+    J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
+    assert est.iterations == 0
+    assert_certified(pieces, est)
+    assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
+    assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
 
 
 @settings(max_examples=400, deadline=None)
@@ -419,8 +453,9 @@ def test_step_length_matches_masked_form(v, data):
 
 
 def reference_checked_solve(pieces):
-    """solve(pieces), with each interior-point step also taken by the reference
-    kernel from the same iterate.  Returns the estimate and, per step, the
+    """The interior point on the pieces, offsets shifted as solve shifts them,
+    with each step also taken by the reference kernel from the same iterate.
+    Returns its result (yhat, weights, gap, iterations) and, per step, the
     relative difference of the two (dy, ds) moves and the condition number
     of that step's Newton matrix."""
     kernel, steps = minimax._interior_step, []
@@ -436,8 +471,9 @@ def reference_checked_solve(pieces):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimax, "_interior_step", checked)
-        est = solve(pieces)
-    return est, steps
+        result = minimax._interior_point(pieces.W, pieces.centers,
+                                         pieces.offsets - pieces.offsets.max())
+    return SimpleNamespace(**dict(zip(("yhat", "weights", "gap", "iterations"), result))), steps
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,10 +8,12 @@ sides back to back, the parent first on odd seeds and the change first on
 even seeds, so that a drift in machine speed falls on both sides alike.
 
 Prints one line per pair as it finishes, then for every end-to-end metric
-the median and quartiles of each side, the change of the medians, and in
-how many pairs the change was better ("better" as ``BENCHMARK.json`` of the
-change checkout defines it; lower where it does not say).  Exits 1 if any
-run exits nonzero or prints no result line.  Standard library only; it
+the median and quartiles of each side, the change of the medians, in how
+many pairs the change was better ("better" and "bound" as ``BENCHMARK.json``
+of the change checkout defines them; lower and no bound where it does not
+say), and two verdicts (see ``verdicts``): whether a claimed gain is met and
+whether the change is worse than its bound allows.  Exits 1 if any run exits
+nonzero or prints no result line.  Standard library only; it
 changes nothing in either checkout beyond what the benchmark itself does.
 """
 import argparse
@@ -38,13 +40,14 @@ def run_once(checkout, workload, seed, seconds):
         return None
 
 
-def directions(checkout):
-    """{metric: "lower" or "higher"} from the checkout's BENCHMARK.json."""
+def gates(checkout):
+    """{metric: ("lower" or "higher", bound or None)} from the checkout's BENCHMARK.json."""
     path = Path(checkout) / "BENCHMARK.json"
     if not path.exists():
         return {}
     spec = json.loads(path.read_text(encoding="utf-8"))
-    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+    return {m["name"]: (m.get("better", "lower"), m.get("bound"))
+            for m in spec.get("end_to_end", [])}
 
 
 def quartiles(values):
@@ -52,6 +55,22 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdicts(parent, change, better="lower", bound=None):
+    """(wins, claim met, bound exceeded) for one metric's per-pair values.
+
+    The claim is met when at least 10 pairs ran, the change is better in at
+    least 9 of every 10 and its median beats the parent's by more than the
+    parent's interquartile range.  The bound is exceeded when the change median is
+    worse than the parent's by more than ``bound`` times the parent median.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    qa, qb = quartiles(parent), quartiles(change)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(parent, change))
+    gain = sign * (qb[1] - qa[1])
+    claim = len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > qa[2] - qa[0]
+    return wins, claim, bound is not None and -gain > bound * abs(qa[1])
 
 
 def main(argv=None):
@@ -86,22 +105,25 @@ def main(argv=None):
 
     if not results["change"]:
         return 1
-    better = directions(args.change)
+    spec = gates(args.change)
     names = [n for n in results["change"][0]["metrics"] if n in results["parent"][0]["metrics"]]
     print(f"\n{args.workload}: {len(results['change'])} pairs, {args.seconds:g} s per run; "
           f"parent {args.parent}, change {args.change}")
     print(f"{'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
-          f"{'change':>8s} {'wins':>6s}")
+          f"{'change':>8s} {'wins':>6s}  verdicts")
     for name in names:
         a = [r["metrics"][name]["value"] for r in results["parent"]]
         b = [r["metrics"][name]["value"] for r in results["change"]]
         qa, qb = quartiles(a), quartiles(b)
-        higher = better.get(name, "lower") == "higher"
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        better, bound = spec.get(name, ("lower", None))
+        wins, claim, exceeded = verdicts(a, b, better, bound)
         rel = f"{100 * (qb[1] / qa[1] - 1):+.1f}%" if qa[1] else "n/a"
         spread_a = f"{qa[1]:.5g} [{qa[0]:.5g}, {qa[2]:.5g}]"
         spread_b = f"{qb[1]:.5g} [{qb[0]:.5g}, {qb[2]:.5g}]"
-        print(f"{name:12s} {spread_a:>34s} {spread_b:>34s} {rel:>8s} {f'{wins}/{len(a)}':>6s}")
+        shown = (f"{'claim met' if claim else 'claim not met'}, "
+                 f"{'bound exceeded' if exceeded else 'within bound'}")
+        print(f"{name:12s} {spread_a:>34s} {spread_b:>34s} {rel:>8s} {f'{wins}/{len(a)}':>6s}  "
+              f"{shown}")
     return 0 if ok else 1
 
 
