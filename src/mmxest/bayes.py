@@ -9,7 +9,7 @@ single most probable model's prediction (MAP).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ LIKELIHOOD_FLOOR = 1e-300
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class BayesPosterior:
-    """Posterior model probabilities; nonnegative, summing to one."""
+class BayesPosterior(NamedTuple):
+    """Posterior model probabilities, nonnegative and summing to one; an
+    immutable record."""
 
     mu: np.ndarray
 
@@ -46,14 +46,19 @@ def bayes_step(posterior: BayesPosterior, state: FilterBankState) -> BayesPoster
     computed once per (model, t)), which give the one-step predictive
     density of y under model i.  Likelihoods are computed in log space to
     survive large innovations.  An initial state has absorbed nothing; its
-    equal likelihoods leave the posterior as it is.
+    equal likelihoods leave the posterior as it is.  The one fresh array is
+    updated in place.
     """
-    m = state.gains.models.m
-    loglik = -0.5 * (m * LOG_2PI + state.innovation_logdet + state.innovation_cost)
+    w = state.gains.models.m * LOG_2PI + state.innovation_logdet
+    w += state.innovation_cost
+    w *= -0.5
     # Shift before exponentiating; the shift cancels in the normalization.
-    w = posterior.mu * np.exp(loglik - loglik.max())
-    w = np.maximum(w, LIKELIHOOD_FLOOR)
-    return BayesPosterior(mu=w / w.sum())
+    w -= w.max()
+    np.exp(w, out=w)
+    w *= posterior.mu
+    np.maximum(w, LIKELIHOOD_FLOOR, out=w)
+    w /= w.sum()
+    return BayesPosterior(w)
 
 
 def bayes_estimate(posterior: BayesPosterior, state: FilterBankState,

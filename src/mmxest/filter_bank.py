@@ -19,8 +19,7 @@ the prediction game.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,20 +28,20 @@ from .linalg import transpose
 from .riccati import GainSchedule
 
 
-@dataclass(frozen=True)
-class FilterBankState:
-    """Snapshot of the filter bank at time t.
+class FilterBankState(NamedTuple):
+    """Snapshot of the filter bank at time t, an immutable record.
 
     ``xbreve`` stacks the K per-model estimates row-wise ((K, n) array) and
     ``c`` holds the K accumulated costs.  ``innovation_cost`` and
     ``innovation_logdet`` hold, per model, e^T S^{-1} e and log det S of the
     innovation the step into this state absorbed (zeros at t = 0, where
     nothing has been absorbed).  ``gains`` is the gain schedule in use; the
-    model bank is ``gains.models``.  Instances are immutable; :func:`step`
-    returns a fresh state.
+    model bank is ``gains.models``.  :func:`step` returns a fresh state.
 
-    ``col``, the schedule column of time t, is resolved once, when the
-    state is made (:class:`HorizonExceeded` past the horizon).
+    ``col``, the schedule column of time t, and ``yhat``, each model's
+    output prediction H_i xb_i as a (K, m) array, are computed once, when
+    :func:`init` or :func:`step` makes the state; every caller gets the one
+    ``yhat`` array and must not write to it.
     """
 
     t: int
@@ -51,26 +50,23 @@ class FilterBankState:
     gains: GainSchedule
     innovation_cost: np.ndarray
     innovation_logdet: np.ndarray
-    col: int = field(init=False, repr=False, compare=False)
+    col: int
+    yhat: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "col", self.gains.column(self.t, terminal=True))
 
-    @cached_property
-    def yhat(self) -> np.ndarray:
-        """Each model's output prediction H_i xb_i, (K, m), computed once; every
-        caller gets this one array and must not write to it."""
-        return (self.gains.models.H @ self.xbreve[:, :, None])[:, :, 0]
+def _state(t, xbreve, c, gains, cost, logdet) -> FilterBankState:
+    """The state at time t, with its schedule column (:class:`HorizonExceeded`
+    past the horizon) and its predictions H_i xb_i."""
+    return FilterBankState(t, xbreve, c, gains, cost, logdet, gains.column(t, terminal=True),
+                           (gains.models.H @ xbreve[:, :, None])[:, :, 0])
 
 
 def init(gains: GainSchedule) -> FilterBankState:
     """Start the bank of ``gains.models`` at t = 0 with every estimate at
     xhat0 and zero cost."""
     models = gains.models
-    xbreve = np.tile(models.xhat0, (models.K, 1))
-    return FilterBankState(t=0, xbreve=xbreve, c=np.zeros(models.K), gains=gains,
-                           innovation_cost=np.zeros(models.K),
-                           innovation_logdet=np.zeros(models.K))
+    return _state(0, np.tile(models.xhat0, (models.K, 1)), np.zeros(models.K), gains,
+                  np.zeros(models.K), np.zeros(models.K))
 
 
 def innovations(state: FilterBankState, y: np.ndarray):
@@ -109,5 +105,4 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
                           + gains.P[:, col] @ (transpose(models.H) @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve = xbreve + models.B @ u
-    return FilterBankState(t=state.t + 1, xbreve=xbreve, c=state.c + cost, gains=gains,
-                           innovation_cost=cost, innovation_logdet=gains.logdet_S[:, col])
+    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, gains.logdet_S[:, col])

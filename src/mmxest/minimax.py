@@ -21,9 +21,12 @@ piece's minimum value o_i, taken at its center, is at least every other
 piece's value there, that center is optimal and lam = e_i certifies it
 with gap 0.  Only the piece with the largest offset can pass, so one row
 of piece values is tested.  This is the common case once the bank has
-singled out a model.  Otherwise, for scalar outputs (m = 1), the answer is
-a crossing of two parabolas, found from every pair's roots and weighted by
-its zero-slope condition; the gap decides.  Failing that, the epigraph form
+singled out a model.  Otherwise exact copies of a piece are merged into
+one, and the copies share its weight equally, so their weights do not
+depend on the order of the pieces.  Then, for scalar outputs (m = 1), the
+answer is a crossing of two parabolas, found from every pair's roots and
+weighted by its zero-slope condition, or a vertex the dominance test lost
+to rounding; the gap decides.  Failing that, the epigraph form
 
     min s   subject to   f_i(yhat) + r_i = s,   r >= 0,
 
@@ -32,22 +35,27 @@ predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
 its multipliers, normalized, are the certificate weights.  A gap that is
 not finite (a NaN piece) never certifies.
 
-Each iteration factors its (m+1) x (m+1) Newton matrix once, M = L L^T
-(a matrix that is not numerically positive definite ends the solve), and
-inverts the triangular factor.  Both directions of the step are then
-products, x = L^{-T} (L^{-1} b), refined once by x += L^{-T} L^{-1} (b - M x):
-near convergence M is ill-conditioned, and with the refinement the solve
-breaks down on random piece sets as rarely as with two triangular solves
-per direction.  M^{-1} itself is never formed.  A step length is 1 / max(1, max_i -dv_i / v_i), the largest
-a <= 1 that keeps v + a dv >= 0 for v > 0.
+Each iteration scales its (m+1) x (m+1) Newton matrix M to unit diagonal,
+D M D = L L^T with D = diag(M)^{-1/2}, factors it once (a matrix that is
+not numerically positive definite ends the solve) and inverts the
+triangular factor.  Both directions of the step are then products,
+x = D L^{-T} (L^{-1} (D b)), refined once with the residual b - M x.  Near
+convergence M is ill-conditioned (lam_i / r_i grows without bound on active
+pieces); with the scaling and the refinement each move stays within
+2 eps cond(M) of the move two triangular solves per direction give, which
+the unscaled products missed on rare sets.  M^{-1} itself is never formed.
+A step length is 1 / max(1, max_i -dv_i / v_i), the largest a <= 1 that
+keeps v + a dv >= 0 for v > 0.
 
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
+The interior point runs on the pieces sorted into one canonical order, so
+that its weights do not depend on the order they were given in.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,19 +67,19 @@ SOLVE_MAX_ITER = 100
 ACTIVE_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
-class QuadraticPieces:
+class QuadraticPieces(NamedTuple):
     """K stacked pieces f_i(yhat) = |yhat - centers[i]|^2_{W[i]} + offsets[i]:
-    W (K, m, m) symmetric positive definite, centers (K, m), offsets (K,)."""
+    W (K, m, m) symmetric positive definite, centers (K, m), offsets (K,).
+    An immutable record."""
 
     W: np.ndarray
     centers: np.ndarray
     offsets: np.ndarray
 
 
-@dataclass(frozen=True)
-class MinimaxEstimate:
-    """Solution of the min-max program with its optimality certificate.
+class MinimaxEstimate(NamedTuple):
+    """Solution of the min-max program with its optimality certificate; an
+    immutable record.
 
     ``weights`` lie on the probability simplex and certify ``value`` up to
     ``gap`` via weak duality.  ``active`` holds the (0-based) indices of
@@ -144,15 +152,19 @@ def _certify(lam, y, W, centers, offsets):
 
 
 def _crossing(W, centers, offsets):
-    """The lowest crossing of two scalar pieces (m = 1), if it certifies.
+    """The lowest crossing of two scalar pieces (m = 1), or the top vertex,
+    if it certifies.
 
     Without a dominant vertex, the envelope is lowest where two parabolas on
     it cross with slopes g_i <= 0 <= g_j.  Each pair's roots of f_i - f_j =
     A y^2 + B y + C come from the stable quadratic formula; swapping i and j
     negates A, B and C exactly, so the roots do not depend on the order of
     the pieces.  The lowest such crossing gets lam_i g_i + lam_j g_j = 0, and
-    pairs tied at it share equally (so copies of a piece do).  Returns
-    (yhat, lam, gap, 0) if the gap is within SOLVE_TOL, else None.
+    pairs tied at it share equally.  If that does not certify, the center of
+    the piece with the largest offset is offered with lam = e_top: the
+    dominance test rounds f_j there, and can miss a vertex that is optimal
+    to within rounding.  Returns (yhat, lam, gap, 0) for the first candidate
+    whose gap is within SOLVE_TOL, else None.
     """
     a, c, o = W[:, 0, 0], centers[:, 0], offsets
     b, h = a * c, a * c * c + o
@@ -166,13 +178,33 @@ def _crossing(W, centers, offsets):
         env = (a * (y[..., None] - c) ** 2 + o).max(axis=-1)
         on = (np.maximum(fi, fj) == env) & (gi * gj <= 0.0) & (gi != gj)  # a kink
         best = env[on].min(initial=np.inf)
-        if best == np.inf:
-            return None
-        tie = on & (env == best)  # (i, j) gives lam_i, (j, i) at the same root lam_j
-        lam = np.where(tie, gj / (gj - gi), 0.0).sum(axis=(0, 2))
-    lam /= lam.sum()
-    yhat, upper, lower = _certify(lam, y[tie].min(keepdims=True), W, centers, offsets)
+        if best < np.inf:
+            tie = on & (env == best)  # (i, j) gives lam_i, (j, i) at the same root lam_j
+            lam = np.where(tie, gj / (gj - gi), 0.0).sum(axis=(0, 2))
+            lam /= lam.sum()
+            yhat, upper, lower = _certify(lam, y[tie].min(keepdims=True), W, centers, offsets)
+            if upper - lower <= SOLVE_TOL:
+                return yhat, lam, upper - lower, 0
+    top = int(o.argmax())
+    lam = np.zeros(len(o))
+    lam[top] = 1.0
+    yhat, upper, lower = _certify(lam, centers[top], W, centers, offsets)
     return (yhat, lam, upper - lower, 0) if upper - lower <= SOLVE_TOL else None
+
+
+def _copies(W, centers, offsets):
+    """Index of each piece's first exact copy (itself if none), or None when
+    all pieces differ; a piece with a NaN copies nothing."""
+    same = offsets[:, None] == offsets
+    np.fill_diagonal(same, False)
+    if not same.any():
+        return None
+    K = len(offsets)
+    same &= (W.reshape(K, 1, -1) == W.reshape(1, K, -1)).all(axis=-1)
+    same &= (centers[:, None] == centers).all(axis=-1)
+    np.fill_diagonal(same, True)
+    first = same.argmax(axis=1)
+    return None if (first == np.arange(K)).all() else first
 
 
 def _max_step(v, dv):
@@ -190,12 +222,12 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
         f_i(y) - s + r_i = 0,        lam_i r_i = sigma mu,
 
     and eliminates dr and dlam, leaving one symmetric positive definite
-    (m+1) x (m+1) system M in (dy, ds).  Its Cholesky factor is inverted
-    once and serves both the predictor (sigma = 0) and the corrector.
-    Primal (y, s, r) and dual lam take separate step lengths; with one
-    common length the iteration cycled on some random piece sets.  Returns
-    the new (y, s, r, lam); raises LinAlgError when M is not numerically
-    positive definite.
+    (m+1) x (m+1) system M in (dy, ds).  The Cholesky factor of M scaled to
+    unit diagonal is inverted once and serves both the predictor
+    (sigma = 0) and the corrector.  Primal (y, s, r) and dual lam take
+    separate step lengths; with one common length the iteration cycled on
+    some random piece sets.  Returns the new (y, s, r, lam); raises
+    LinAlgError when M is not numerically positive definite.
     """
     K, m = centers.shape
     d = y - centers
@@ -209,15 +241,19 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
     M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
     M[:m, m] = M[m, :m] = -(ratio @ g)
     M[m, m] = ratio.sum()
-    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    unit = 1.0 / np.sqrt(M.diagonal())  # M^{-1} = D (D M D)^{-1} D, D = diag(unit)
+    Linv = np.linalg.inv(np.linalg.cholesky(M * unit[:, None] * unit))
     rhs = np.empty(m + 1)
+
+    def solve_m(v):
+        return unit * (Linv.T @ (Linv @ (unit * v)))
 
     def direction(res_c):
         b = ratio * res_p - res_c / r
         rhs[:m] = -res_y - b @ g
         rhs[m] = b.sum() - res_s
-        step = Linv.T @ (Linv @ rhs)
-        step += Linv.T @ (Linv @ (rhs - M @ step))  # one refinement step
+        step = solve_m(rhs)
+        step += solve_m(rhs - M @ step)  # one refinement step
         dlam = ratio * (g @ step[:m] - step[m]) + b
         return step, (-res_c - r * dlam) / lam, dlam
 
@@ -263,10 +299,14 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
 
     The first stage that certifies answers: :func:`_dominant` (lam = e_i,
     gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
-    (the zero-slope weights of the lowest crossing of two pieces), then
-    :func:`_interior_point` from uniform multipliers.  The last two shift
-    the offsets by their maximum and return the better of their candidate
-    and yhat(lam).  ``iterations`` counts interior-point iterations.
+    (the zero-slope weights of the lowest crossing of two pieces, or the
+    top piece's vertex), then :func:`_interior_point` from uniform
+    multipliers, on the pieces sorted into one canonical order.  The last
+    two shift the offsets by their maximum, run on one copy of each distinct
+    piece (:func:`_copies`), whose weight the copies then share equally,
+    and return the better of their candidate and yhat(lam).  So the weights
+    follow the pieces under any reordering.  ``iterations`` counts
+    interior-point iterations.
 
     Raises
     ------
@@ -277,24 +317,43 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
         is not finite (a NaN piece), or a step breaks down numerically
         first; the last estimate is attached as ``last``.
     """
-    W, centers, offsets = pieces.W, pieces.centers, pieces.offsets
+    W, centers, offsets = pieces
     K = len(offsets)
     if K == 0:
         raise EmptyPieceList("minimax program needs at least one piece")
 
     active = _dominant(W, centers, offsets)
     if active.size:
+        i = int(active[0])
         lam = np.zeros(K)
-        lam[active] = 1.0 / active.size
-        yhat, value, gap, iterations = centers[active[0]].copy(), float(offsets[active[0]]), 0.0, 0
+        if active.size == 1:  # lam = e_i
+            lam[i] = 1.0
+            active = (i,)
+        else:
+            lam[active] = 1.0 / active.size
+            active = tuple(active.tolist())
+        return MinimaxEstimate(centers[i].copy(), float(offsets[i]), lam, active, 0.0, 0)
+
+    o = offsets - offsets.max()
+    first = _copies(W, centers, o)
+    keep = slice(None) if first is None else np.flatnonzero(first == np.arange(K))
+    W1, c1, o1 = W[keep], centers[keep], o[keep]
+    found = _crossing(W1, c1, o1) if centers.shape[1] == 1 else None
+    if found is None:
+        # In one order of the pieces, whatever the caller's, so that its
+        # weights follow the pieces even where they are not unique.
+        order = np.lexsort(np.column_stack((W1.reshape(len(o1), -1), c1, o1)).T)
+        yhat, lam, gap, iterations = _interior_point(W1[order], c1[order], o1[order])
+        lam = lam[np.argsort(order)]
     else:
-        o = offsets - offsets.max()
-        found = _crossing(W, centers, o) if centers.shape[1] == 1 else None
-        yhat, lam, gap, iterations = found or _interior_point(W, centers, o)
-        value = float(_piece_values(yhat, W, centers, offsets).max())
-        active = np.flatnonzero(lam > ACTIVE_THRESHOLD)
-    estimate = MinimaxEstimate(yhat=yhat, value=value, weights=lam, active=tuple(active.tolist()),
-                               gap=gap, iterations=iterations)
+        yhat, lam, gap, iterations = found
+    if first is not None:  # each copy gets an equal share of its piece's weight
+        merged = np.zeros(K)
+        merged[keep] = lam
+        lam = merged[first] / np.bincount(first, minlength=K)[first]
+    value = float(_piece_values(yhat, W, centers, offsets).max())
+    active = np.flatnonzero(lam > ACTIVE_THRESHOLD)
+    estimate = MinimaxEstimate(yhat, value, lam, tuple(active.tolist()), gap, iterations)
     if not gap <= SOLVE_TOL:
         raise NoConvergence(
             f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "

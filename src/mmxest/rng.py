@@ -4,11 +4,15 @@ Simulation noise must replay bit-for-bit from a seed, on any platform,
 independent of numpy's generator versioning.  This module pins the exact
 algorithms: a splitmix64 seed expander feeding an xorshift64* stream, with
 53-bit uniforms and Box-Muller normals on top.  Tests reimplement the same
-constants independently; do not change them.
+constants independently; do not change them.  :meth:`Xorshift64Star.uniforms`
+and :meth:`Xorshift64Star.normals` fill an array with the same bits as
+repeated scalar draws and leave the same state behind.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,6 +47,22 @@ class Xorshift64Star:
         self._state = s
         return (s * 0x2545F4914F6CDD1D) & _MASK64
 
+    def _top53(self, count: int) -> np.ndarray:
+        """The top 53 bits of the next ``count`` outputs, as exact floats.
+
+        Only the xorshift runs word by word; the multiply (wrapping mod
+        2**64 in uint64) and the shift act on the whole array.
+        """
+        states = np.empty(count, dtype=np.uint64)
+        s = self._state
+        for k in range(count):
+            s ^= (s >> 12)
+            s ^= (s << 25) & _MASK64
+            s ^= (s >> 27)
+            states[k] = s
+        self._state = s
+        return ((states * np.uint64(0x2545F4914F6CDD1D)) >> np.uint64(11)).astype(float)
+
     def uniform(self) -> float:
         """Uniform on [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
@@ -61,3 +81,31 @@ class Xorshift64Star:
         r = math.sqrt(-2.0 * math.log(u1))
         self._cached_normal = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """``count`` draws of :meth:`uniform`, as an array."""
+        return self._top53(count) * 2.0 ** -53
+
+    def normals(self, count: int) -> np.ndarray:
+        """``count`` draws of :meth:`normal`, as an array, with the same bits.
+
+        A partner carried from an earlier draw comes first, and an odd
+        remainder carries the last pair's partner on.  The logarithm, cosine
+        and sine are the ``math`` module's, one call per pair as in
+        :meth:`normal`; the square root is correctly rounded either way.
+        """
+        out = np.empty(count)
+        k = 0
+        if count and self._cached_normal is not None:
+            out[0], self._cached_normal, k = self._cached_normal, None, 1
+        pairs = (count - k + 1) // 2
+        bits = self._top53(2 * pairs)
+        u1 = (bits[0::2] + 1.0) * 2.0 ** -53
+        angle = 2.0 * math.pi * (bits[1::2] * 2.0 ** -53)
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, pairs))
+        out[k::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
+        sin = r * np.fromiter(map(math.sin, angle), float, pairs)
+        out[k + 1::2] = sin[:(count - k) // 2]
+        if (count - k) % 2:
+            self._cached_normal = float(sin[-1])
+        return out

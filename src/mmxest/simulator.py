@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -49,12 +50,12 @@ class NoiseSpec:
         if self.kind == "zero" or self.scale == 0.0:
             return np.zeros((length, width))
         rng = Xorshift64Star(self.seed)
-        scale, count = self.scale, length * width
         if self.kind == "gaussian":
-            draws = [scale * rng.normal() for _ in range(count)]
+            draws = rng.normals(length * width)
         else:
-            draws = [scale * (2.0 * rng.uniform() - 1.0) for _ in range(count)]
-        return np.array(draws, dtype=float).reshape(length, width)
+            draws = 2.0 * rng.uniforms(length * width) - 1.0
+        draws *= self.scale
+        return draws.reshape(length, width)
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,8 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     tr_J = np.full(N, np.nan)
     tr_lam = np.full((N, K), np.nan)
 
-    for t in range(N):
+    inputs = u if models.p > 0 else repeat(None, N)
+    for t, (y_t, u_t) in enumerate(zip(y, inputs)):
         tr_c[t] = state.c
         tr_mu[t] = posterior.mu
         tr_models[t] = state.yhat
@@ -211,7 +213,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
             tr_lam[t] = est.weights
         if run_bayes:
             tr_bayes[t] = _bayes.bayes_estimate(posterior, state, mode=bayes_mode)
-        state = filter_bank.step(state, y[t], u[t] if models.p > 0 else None)
+        state = filter_bank.step(state, y_t, u_t)
         if run_bayes:
             posterior = _bayes.bayes_step(posterior, state)
 

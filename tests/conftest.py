@@ -1,9 +1,26 @@
+import os
 from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mmxest as mx
+
+# Tier-1 runs replay the same examples every time and keep no database, so a
+# run cannot fail on a draw no earlier run saw.  HYPOTHESIS_PROFILE=stress
+# draws fresh examples, ten times as many.
+STRESS_FACTOR = 10
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("stress", max_examples=STRESS_FACTOR * settings.default.max_examples,
+                          database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+def examples(n):
+    """A test's own example count, scaled as the loaded profile scales the
+    default: a per-test ``max_examples`` overrides the profile's."""
+    return n * settings.default.max_examples // settings.get_profile("tier1").max_examples
 
 
 @pytest.fixture(scope="session")

@@ -58,6 +58,9 @@ def test_bayes_step_survives_huge_innovation():
     assert np.isfinite(post.mu).all()
     assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
     assert post.mu.min() > 0  # floored, never exactly zero
+    # The floor applies to prior times likelihood: model 1's is 0.5 * 0,
+    # floored to 1e-300, against model 0's 0.5.
+    assert post.mu[1] == pytest.approx(2.0 * bayes.LIKELIHOOD_FLOOR, rel=1e-12, abs=0.0)
 
 
 def test_bayes_estimate_average_and_map():

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmxest import cli
-from mmxest.minimax import SOLVE_TOL
+from mmxest import cli, init, run_recursion
+from mmxest.minimax import SOLVE_TOL, build_pieces, solve
 
 DATA = Path(__file__).resolve().parent / "data"
 REL_TOL = 1e-12
@@ -76,3 +76,16 @@ def test_interior_point_trace_matches_golden(tmp_path, paper_config_path):
     lam = got[:, [j for c, j in col.items() if c.startswith("lam")]]
     assert np.all(lam >= 0.0)
     np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_opening_tie_keeps_uniform_weights(paper_config):
+    # At t = 0 both models predict H xhat0 at zero cost: two tied top pieces
+    # with one center, which share the weight equally, as the golden trace
+    # records.
+    header, want = read_columns(DATA / "paper_full.csv")
+    assert [want[0, header.index(c)] for c in ("lam0", "lam1")] == [0.5, 0.5]
+    gains = run_recursion(paper_config.models, paper_config.horizon)
+    est = solve(build_pieces(init(gains)))
+    assert est.weights.tolist() == [0.5, 0.5]
+    assert est.active == (0, 1)
+    assert est.gap == 0.0 and est.iterations == 0

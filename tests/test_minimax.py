@@ -2,14 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mmxest as mx
 from mmxest import filter_bank, minimax
 from mmxest.minimax import SOLVE_TOL, QuadraticPieces, build_pieces, solve
-from conftest import make_random_models, unit_bank
+from conftest import examples, make_random_models, unit_bank
 from oracles import (
     PreconditionViolated,
     concave_quadratic_max,
@@ -288,6 +288,24 @@ def test_solve_dominant_piece_is_exact():
     assert est.active == (0,)
 
 
+@pytest.mark.parametrize("i", range(4))
+def test_single_dominant_piece_gives_unit_weight(i):
+    # Piece i sits above the others at its own center: lam = e_i exactly,
+    # and i is the only active index.
+    W = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, 3.0]), 0.5 * np.eye(2)])
+    centers = np.array([[0.0, 0.0], [0.2, -0.1], [-0.3, 0.4], [0.1, 0.1]])
+    offsets = np.full(4, -5.0)
+    offsets[i] = 1.0
+    est = solve(QuadraticPieces(W=W, centers=centers, offsets=offsets))
+    want = np.zeros(4)
+    want[i] = 1.0
+    assert est.weights.tobytes() == want.tobytes()
+    assert est.active == (i,)
+    assert est.value == 1.0 and est.gap == 0.0 and est.iterations == 0
+    np.testing.assert_array_equal(est.yhat, centers[i])
+    assert not np.shares_memory(est.yhat, centers)
+
+
 def test_solve_identical_pieces_share_weights():
     # Three copies of one piece, and a piece below them at their center.
     tied = (1.5, 0.2, -1.0)
@@ -318,7 +336,7 @@ def piece_sets(max_m=3, max_k=32):
     return build()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(piece_sets(max_m=1))
 def test_solve_matches_scalar_oracle(pieces):
     # solve, and the interior point alone, which solve no longer reaches
@@ -334,20 +352,50 @@ def test_solve_matches_scalar_oracle(pieces):
     assert abs(yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(piece_sets())
 def test_solve_certificate_holds(pieces):
     assert_certified(pieces, solve(pieces))
 
 
-@settings(max_examples=150, deadline=None)
-@given(piece_sets(), st.data())
-def test_solve_unique_minimizer_across_starts(pieces, data):
-    # The minimizer is unique, so reordering the pieces, which changes the
-    # interior point's arithmetic, finds the same yhat and value; the
-    # weights follow the pieces.
-    K = len(pieces.offsets)
-    perm = np.array(data.draw(st.permutations(range(K))))
+def permuted_piece_sets():
+    """piece_sets() and a permutation of their pieces."""
+    @st.composite
+    def build(draw):
+        pieces = draw(piece_sets())
+        return pieces, draw(st.permutations(range(len(pieces.offsets))))
+    return build()
+
+
+def _copies_at_zero():
+    """K = 20, m = 3, every offset 0: 16 copies of one piece centered at 0.
+    At the minimizer (3.5, 0, 0) the copies' gradient is 2/3 of piece 18's
+    plus 1/3 of piece 19's, so the certifying weights are not unique.  The
+    interior point in the caller's order gave weights that moved by 2.0e-6
+    under the permutation below."""
+    J = np.full((3, 3), 12.0) + np.eye(3)
+    W = np.stack([J] * 16 + [np.array([[13.0, 8, 12], [8, 9, 8], [12, 8, 13]]), J,
+                             np.array([[13.0, 12, 14], [12, 13, 14], [14, 14, 18]]),
+                             np.array([[13.0, 12, 8], [12, 13, 8], [8, 8, 9]])])
+    centers = np.zeros((20, 3))
+    centers[17, 0] = 7.0
+    return QuadraticPieces(W=W, centers=centers, offsets=np.zeros(20))
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(permuted_piece_sets())
+@example((_copies_at_zero(),
+          [16, 4, 13, 1, 3, 14, 0, 11, 9, 7, 19, 12, 5, 15, 2, 8, 17, 10, 6, 18]))
+@example((scalar_pieces((1.0, -1.0, -1.0), (1.0, -1.15e-190, -2.0e-307),
+                        (1.0, -1.15e-190, -2.0e-307)), [0, 2, 1]))
+def test_solve_unique_minimizer_across_starts(case):
+    # The minimizer is unique, so reordering the pieces finds the same yhat
+    # and value.  The weights follow the pieces: copies share their piece's
+    # weight, and the interior point runs in one order of the pieces.  In
+    # the second pinned set the answer is the vertex of a piece with two
+    # copies, which the dominance test misses by rounding.
+    pieces, perm = case
+    perm = np.array(perm)
     base = solve(pieces)
     again = solve(QuadraticPieces(W=pieces.W[perm], centers=pieces.centers[perm],
                                   offsets=pieces.offsets[perm]))
@@ -381,12 +429,15 @@ def scalar_piece_sets():
                      tie_heavy_piece_sets().filter(lambda pieces: pieces.centers.shape[1] == 1))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(scalar_piece_sets())
+@example(scalar_pieces((1.0, -1.0, -1.0), (1.0, -1.15e-190, -2.0e-307)))
 def test_scalar_solves_need_no_interior_point(pieces):
     # With one output the answer is a vertex (the dominance check) or the
     # crossing of two pieces (the crossing stage); either way it is certified
-    # without an interior-point iteration and matches the exact oracle.
+    # without an interior-point iteration and matches the exact oracle.  In
+    # the pinned set f_0 at the vertex c_1 rounds to 0 > o_1, so the dominance
+    # test misses it, and the crossing stage offers the top vertex itself.
     est = solve(pieces)
     J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
     assert est.iterations == 0
@@ -395,7 +446,7 @@ def test_scalar_solves_need_no_interior_point(pieces):
     assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(tie_heavy_piece_sets())
 def test_one_row_dominance_matches_all_rows(pieces):
     got = minimax._dominant(pieces.W, pieces.centers, pieces.offsets)
@@ -438,7 +489,7 @@ def test_solve_rejects_nan_pieces(where, index):
     assert err.value.last.iterations == 0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(arrays(np.float64, st.integers(1, 40), elements=st.floats(1e-12, 1e3)), st.data())
 def test_step_length_matches_masked_form(v, data):
     # 1 / max(1, max(-dv / v)) against the minimum over the shrinking
@@ -476,8 +527,26 @@ def reference_checked_solve(pieces):
     return SimpleNamespace(**dict(zip(("yhat", "weights", "gap", "iterations"), result))), steps
 
 
-@settings(max_examples=150, deadline=None)
+def _newton_k25():
+    """K = 25, m = 2, equal offsets: 17 copies of one piece at the origin
+    and 8 pieces near it.  Without diagonal scaling, the kernel's step at
+    cond(M) = 9.9e9 moved 2.08 eps cond(M) away from the reference's."""
+    J = np.array([[15.709063186210484, 14.709063186210484],
+                  [14.709063186210484, 15.709063186210484]])
+    W = np.stack([J] * 25)
+    W[17] = [[15.709063186210484, 5.149927190600763], [5.149927190600763, 9.015386810057272]]
+    centers = np.zeros((25, 2))
+    for k, at, value in ((3, 1, -1.4197396419139152e-213), (4, 0, 0.5),
+                         (7, 0, -1.9717599970364618e-70), (8, 1, 0.8129300197138933),
+                         (14, 0, 1.0), (15, 0, -1.9717599970364618e-70),
+                         (24, 0, -2.9113896408349549e-32)):
+        centers[k, at] = value
+    return QuadraticPieces(W=W, centers=centers, offsets=np.full(25, -3.8644704827896073))
+
+
+@settings(max_examples=examples(150), deadline=None)
 @given(piece_sets())
+@example(_newton_k25())
 def test_newton_moves_match_two_solve_kernel(pieces):
     # Within 1e-10 relative while the Newton matrix is well conditioned.
     # Near convergence its condition number passes 1e8 (lam_i / r_i grows

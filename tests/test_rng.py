@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmxest.rng import Xorshift64Star, splitmix64
+from conftest import examples
 
 MASK = (1 << 64) - 1
 
@@ -95,3 +98,32 @@ def test_state_never_zero():
     vals = {rng.next_uint64() for _ in range(10)}
     assert vals != {0}
     assert len(vals) == 10
+
+
+def _same_state(a, b):
+    return a._state == b._state and a._cached_normal == b._cached_normal
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, MASK), half=st.integers(0, 40), before=st.integers(0, 3))
+def test_batched_draws_match_scalar_draws(parity, seed, half, before):
+    # n draws at once give the bits of n scalar draws and leave the same
+    # state: the carried Box-Muller partner first (after an odd number of
+    # earlier normals), a partner carried on after an odd n.
+    n = 2 * half + parity
+    one, batch = Xorshift64Star(seed), Xorshift64Star(seed)
+    for _ in range(before):
+        assert batch.normal() == one.normal()
+    want = np.array([one.normal() for _ in range(n)], dtype=float)
+    got = batch.normals(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert _same_state(one, batch)
+    assert [batch.normal() for _ in range(3)] == [one.normal() for _ in range(3)]
+
+    want = np.array([one.uniform() for _ in range(n)], dtype=float)
+    got = batch.uniforms(n)
+    assert got.tobytes() == want.tobytes()
+    assert _same_state(one, batch)
+    assert batch.next_uint64() == one.next_uint64()
