@@ -102,7 +102,8 @@ def build_pieces(state: FilterBankState) -> QuadraticPieces:
     at that time.
     """
     gains = state.gains
-    gains.require_feasible(state.t)
+    if not gains.bank_feasible[state.col]:
+        gains.require_feasible(state.t)
     return QuadraticPieces(W=gains.W[:, state.col], centers=state.yhat,
                            offsets=-gains.gamma_sq * state.c)
 

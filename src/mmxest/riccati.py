@@ -20,10 +20,15 @@ and the minimax weight matrix (I - gamma^{-2} H P H^T)^{-1} exists.
 Boundary cases are infeasible: the weight matrix is singular there.
 
 None of this depends on the data: it is computed once per run as a
-:class:`GainSchedule`, with arrays stacked over the K models.  The
+:class:`GainSchedule`, with arrays stacked over the K models.  Each model's
 time-varying recursion settles to its fixed point within rounding after a
-transient (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4); the schedule
-stores that transient only and serves its last column for every later t.
+transient (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4), and models
+settle at different steps.  Each model leaves the batched update at its own
+settle step T_i, and its certificates are computed for t <= T_i only; its
+column T_i then stands for every later t, which moves P by about 16 eps /
+(1 - rho_i) relative to an unclamped recursion contracting at rate rho_i.
+The schedule keeps a dense [model, column] grid up to T = max_i T_i, so
+memory grows with the slowest transient, not with the horizon.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ from .model_bank import ModelSet
 
 ARE_TOL = 1e-10
 ARE_MAX_ITER = 10000
-# The recursion is settled once every model's max|P_{t+1} - P_t| has stayed
+# Model i's recursion is settled once its max|P_{t+1} - P_t| has stayed
 # within SETTLE_ULPS * eps * max|P_t| for SETTLE_STEPS consecutive steps.
 SETTLE_ULPS = 16
 SETTLE_STEPS = 3
@@ -74,44 +79,60 @@ def _next_cov(P, F, Q, FPHt, gain):
 
 
 def _certificates(P, H, gsq):
-    """Margins gamma^2 - lambda_max(H P H^T), the per-column flag "every
-    margin positive" and minimax weights W = (I - gamma^{-2} H P H^T)^{-1}
-    over a [model, column] grid of P.
+    """Margins gamma^2 - lambda_max(H P H^T) and minimax weights W = (I -
+    gamma^{-2} H P H^T)^{-1} for a stack of covariances P, H[j] being the
+    output map of P[j].
 
     W is NaN wherever the margin is not positive, so that an infeasible
     bank still yields a schedule; :meth:`GainSchedule.require_feasible`
-    guards every reader.  W is read-only: every step's pieces are views of it.
+    guards every reader.
     """
-    # no (K, columns, m, n) temporary H P; eigvalsh reads one triangle only
-    HPHt = np.einsum("kij,ktjl,kml->ktim", H, P, H)
+    # no (count, m, n) temporary H P; eigvalsh reads one triangle only
+    HPHt = np.einsum("kij,kjl,kml->kim", H, P, H)
     margin = gsq - np.linalg.eigvalsh(HPHt)[..., -1]
     W = symmetrize(_inverse(np.eye(HPHt.shape[-1]) - HPHt / gsq))
     W[margin <= 0] = np.nan
-    W.flags.writeable = False
-    return margin, (margin > 0).all(axis=0), W
+    return margin, W
 
 
-def _settled(P_next, P) -> bool:
-    """True iff every model's step max|P_next - P| is within SETTLE_ULPS ulps
-    of its max|P|.  The bank-wide maxima rule out most unsettled steps first."""
-    tol = SETTLE_ULPS * np.finfo(float).eps
+def _calm(P_next, P, tol):
+    """Per model, whether max|P_next - P| is within tol * max|P|; None when
+    no model is.  Model i's own bound is at most tol times the bank's max|P|,
+    so the (0, 0) entries rule out most unsettled steps first."""
     step = np.abs(P_next - P)
-    if step.max() > tol * np.abs(P).max():
-        return False
-    return bool((step.max(axis=(-2, -1)) <= tol * np.abs(P).max(axis=(-2, -1))).all())
+    size = np.abs(P)
+    if step[:, 0, 0].min() > tol * size.max():
+        return None
+    k = len(P)
+    return step.reshape(k, -1).max(axis=1) <= tol * size.reshape(k, -1).max(axis=1)
 
 
-def _logdet_S(Sinv, timed):
-    """log det S from the eigenvalues of S^{-1} over a [model, column] grid;
-    raises at the earliest column, then model, whose S is not positive definite."""
+def _logdet_S(Sinv, where):
+    """log det S from the eigenvalues of a stack of S^{-1}; raises at the first
+    S in the stack that is not positive definite, named by ``where(j)``."""
     w = np.linalg.eigvalsh(Sinv)
     ok = w[..., 0] > 0
     if not ok.all():
-        t, i = (int(v) for v in np.argwhere(~ok.T)[0])
-        where = f"model {i}, t={t}" if timed else f"model {i}"
         raise FactorizationFailure(
-            f"{where}: innovation covariance R + H P H^T is not positive definite")
+            f"{where(int(np.argmin(ok)))}: innovation covariance R + H P H^T "
+            "is not positive definite")
     return -np.log(w).sum(axis=-1)
+
+
+def _schedule(models, horizon, P, Sinv, who, pos, where, solutions=()):
+    """The schedule whose [model, column] grid reads P[pos] and Sinv[pos],
+    with the certificates of each stacked P[j], a covariance of model
+    ``who[j]``, computed once; ``where(j)`` names P[j] in a diagnostic."""
+    gsq = models.gamma ** 2
+    margin, W = _certificates(P, models.H[who], gsq)
+    logdet_S = _logdet_S(Sinv, where)
+    # gain data exists for t < N only
+    S_pos = pos if horizon is None else pos[:, :horizon]
+    margin, W = margin[pos], W[pos]
+    W.flags.writeable = False  # every step's pieces are views of it
+    return GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P[pos],
+                        Sinv=Sinv[S_pos], logdet_S=logdet_S[S_pos], margin=margin,
+                        bank_feasible=(margin > 0).all(axis=0), W=W, solutions=solutions)
 
 
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
@@ -133,13 +154,15 @@ class GainSchedule:
     H^T)^{-1}, NaN where the margin is not positive.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
-    column T for every later t.  T = N (and ``Sinv``, ``logdet_S`` stop at
-    N - 1) unless the recursion settled first (see :func:`run_recursion`);
-    then T < N and every array has T + 1 columns, so memory grows with the
-    transient, not with N.  A stationary schedule (``horizon`` None) has one
-    column, used at every t, and the per-model AreSolution in
-    ``solutions``.  Gains are not stored; :meth:`gain` rebuilds them from P
-    and the ``models`` the schedule was computed for.
+    column T for every later t.  Model i settles at its own step T_i (see
+    :func:`run_recursion`), and its columns past T_i equal its column T_i.
+    T = max_i T_i, or T = N (and ``Sinv``, ``logdet_S`` stop at N - 1) when
+    some model does not settle within N steps; otherwise every array has
+    T + 1 columns, so memory grows with the slowest transient, not with N.
+    A stationary schedule (``horizon`` None) has one column, used at every
+    t, and the per-model AreSolution in ``solutions``.  Gains are not
+    stored; :meth:`gain` rebuilds them from P and the ``models`` the
+    schedule was computed for.
     """
 
     horizon: int | None
@@ -217,43 +240,67 @@ class AreSolution:
 def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     """Propagate the Riccati recursions of all K models from P0 over t = 0..N.
 
-    Each time step is one batched update over the bank.  The recursion stops
-    at the step T at which it has settled: every model's max|P_{t+1} - P_t|
-    has stayed within SETTLE_ULPS * eps * max|P_t| for the last SETTLE_STEPS
-    steps.  Column T then stands for every t > T.  Where the recursion
-    contracts at rate rho, that clamp moves P by about SETTLE_ULPS * eps /
-    (1 - rho) relative to an unclamped recursion (1.2e-12 relative on a
-    scalar bank with F = 0.999, Q = 1e-6, R = 1).  A recursion that does not
-    settle within N steps keeps all N + 1 columns.
+    Each time step is one batched update over the models still active.
+    Model i leaves at the step T_i at which it has settled: its max|P_{t+1}
+    - P_t| has stayed within SETTLE_ULPS * eps * max|P_t| for the last
+    SETTLE_STEPS steps.  Its column T_i then stands for every t > T_i.  Where
+    model i's recursion contracts at rate rho_i, that clamp moves its P by
+    about SETTLE_ULPS * eps / (1 - rho_i) relative to an unclamped recursion
+    (1.2e-12 relative on a scalar model with F = 0.999, Q = 1e-6, R = 1).
+    The loop ends when no model is left or at N, so the schedule has
+    T + 1 columns, T = max_i T_i; a model that does not settle within N
+    steps keeps all N + 1.
 
-    After the loop, every S is checked at once (the earliest failure is
-    raised) and margins and weights are recorded at every stored column
-    without raising; see :meth:`GainSchedule.require_feasible`.
+    Each (model, t) with t <= T_i is computed once: after the loop, every
+    such S is checked (the earliest failing (t, model) is raised), and
+    margins and weights are recorded without raising; see
+    :meth:`GainSchedule.require_feasible`.  Columns past T_i repeat
+    column T_i.
     """
     if N < 0:
         raise ValueError(f"horizon must be >= 0, got {N}")
     K, n, m = models.K, models.n, models.m
-    P, Sinv = [], []
+    F, H, Q, R = models.F, models.H, models.Q, models.R
+    tol = SETTLE_ULPS * np.finfo(float).eps
+    active = np.arange(K)
+    settle = np.full(K, N)     # T_i, the step at which model i left the loop
+    calm = 0                    # steps each active model has stayed calm
+    P, Sinv, who = [], [], []   # one block of the active models per step
     Pt = np.broadcast_to(models.P0, (K, n, n))
-    calm = 0
-    for _ in range(N):
+    for t in range(N):
         P.append(Pt)
-        Sinv_t, FPHt, gain = _gain_terms(Pt, models.F, models.H, models.R)
+        who.append(active)
+        Sinv_t, FPHt, gain = _gain_terms(Pt, F, H, R)
         Sinv.append(Sinv_t)
-        P_next = _next_cov(Pt, models.F, models.Q, FPHt, gain)
-        calm = calm + 1 if _settled(P_next, Pt) else 0
-        Pt = P_next
-        if calm == SETTLE_STEPS:
+        Pt_next = _next_cov(Pt, F, Q, FPHt, gain)
+        ok = _calm(Pt_next, Pt, tol)
+        Pt = Pt_next
+        if ok is None:
+            calm = 0
+            continue
+        calm = (calm + 1) * ok
+        if calm.max() < SETTLE_STEPS:
+            continue
+        keep = calm < SETTLE_STEPS
+        settle[active[~keep]] = t
+        if not keep.any():
             break
+        active, calm, Pt, F, H = active[keep], calm[keep], Pt[keep], F[keep], H[keep]
     else:
         P.append(Pt)
-    P = np.stack(P, axis=1)
-    Sinv = np.stack(Sinv, axis=1) if Sinv else np.empty((K, 0, m, m))
-    gsq = models.gamma ** 2
-    margin, bank_feasible, W = _certificates(P, models.H, gsq)
-    return GainSchedule(horizon=N, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
-                        logdet_S=_logdet_S(Sinv, timed=True), margin=margin,
-                        bank_feasible=bank_feasible, W=W)
+        who.append(active)
+    # The blocks stack into one array of every (model, t <= T_i), t-major;
+    # pos maps each [model, column] to its entry, and every column after T_i
+    # to model i's entry at T_i.
+    T = len(P) - 1
+    ts = np.repeat(np.arange(T + 1), [len(a) for a in who])
+    who = np.concatenate(who)
+    pos = np.empty((K, T + 1), dtype=int)
+    pos[who, ts] = np.arange(len(who))
+    pos = np.take_along_axis(pos, np.minimum(np.arange(T + 1), settle[:, None]), axis=1)
+    P = np.concatenate(P)
+    Sinv = np.concatenate(Sinv) if Sinv else np.empty((0, m, m))
+    return _schedule(models, N, P, Sinv, who, pos, lambda j: f"model {who[j]}, t={ts[j]}")
 
 
 def solve_are(F, H, Q, R, P_init) -> AreSolution:
@@ -302,10 +349,8 @@ def stationary_gains(models: ModelSet) -> GainSchedule:
         except NoConvergence as exc:
             raise NoConvergence(f"model {i}: {exc}", last=exc.last) from None
         solutions.append(sol)
-    P = np.stack([sol.P for sol in solutions])[:, None]
-    Sinv = _gain_terms(P, models.F[:, None], models.H[:, None], models.R)[0]
-    gsq = models.gamma ** 2
-    margin, bank_feasible, W = _certificates(P, models.H, gsq)
-    return GainSchedule(horizon=None, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
-                        logdet_S=_logdet_S(Sinv, timed=False), margin=margin,
-                        bank_feasible=bank_feasible, W=W, solutions=tuple(solutions))
+    P = np.stack([sol.P for sol in solutions])
+    Sinv = _gain_terms(P, models.F, models.H, models.R)[0]
+    return _schedule(models, None, P, Sinv, np.arange(models.K),
+                     np.arange(models.K)[:, None], lambda j: f"model {j}",
+                     solutions=tuple(solutions))

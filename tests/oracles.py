@@ -3,7 +3,9 @@
 These deliberately avoid the library's recursions: the value function is
 minimized as one stacked least-squares problem over the whole trajectory,
 the concave quadratic maximum is found from its first-order condition, and
-the Kalman quantities are the textbook measurement and time updates.
+the Kalman quantities are the textbook measurement and time updates.  The
+settle rule is applied one model at a time to the one-step formula, with
+none of the batched recursion's bookkeeping.
 
 The verification devices of the paper (the forward value function, the
 worst-case state and the closed-form quadratic maximum) live here too: no
@@ -128,6 +130,40 @@ def textbook_schedule(models, N):
         for k, v in rows.items():
             out[k].append(np.array(v))
     return {k: np.stack(v) for k, v in out.items()}
+
+
+def settle_schedule(models, N):
+    """Each model's settle step T_i and covariances P_0..P_{T_i}, by the
+    documented rule run on one model at a time with scalar bookkeeping.
+
+    Model i's recursion (``riccati_step``, the library's one-step formula,
+    so that the iterates are bit-for-bit those of the batched update) is
+    settled at the first step t whose max|P_{t+1} - P_t| and the
+    SETTLE_STEPS - 1 before it are each within SETTLE_ULPS * eps * max|P_t|;
+    T_i = N if that does not happen within N steps.  Returns (T, P) with
+    T a list of the T_i and P a list of (T_i + 1, n, n) arrays.
+    """
+    from mmxest import riccati
+
+    tol = riccati.SETTLE_ULPS * np.finfo(float).eps
+    settle, covs = [], []
+    for i in range(models.K):
+        P = np.array(models.P0, dtype=float)
+        seen, calm, T = [P], 0, N
+        for t in range(N):
+            P_next = mx.riccati_step(P, models.F[i], models.H[i], models.Q, models.R)
+            if np.abs(P_next - P).max() <= tol * np.abs(P).max():
+                calm += 1
+            else:
+                calm = 0
+            if calm == riccati.SETTLE_STEPS:
+                T = t
+                break
+            P = P_next
+            seen.append(P)
+        settle.append(T)
+        covs.append(np.array(seen))
+    return settle, covs
 
 
 def concave_quadratic_max(x, y, A, X, Y, gamma):

@@ -4,7 +4,8 @@
 ``expected_call_problems`` requires the call counts a delivered run implies.
 A refactor that breaks that contract makes the traced benchmark report an
 error; these tests report it first, through the benchmark's own check, on a
-paper-config simulation, a K=8, n=4, m=2 random bank and a CLI seed sweep.
+paper-config simulation, a K=8, n=4, m=2 random bank, the benchmark's K=32,
+n=4, m=2, N=200 bank and a CLI seed sweep.
 """
 import sys
 from pathlib import Path
@@ -42,12 +43,22 @@ def test_traced_simulation_meets_call_contract(paper_config, stationary):
     assert tracer.expected_call_problems(summary, 1, 0) == []
 
 
-def test_traced_random_bank_meets_call_contract():
-    models = make_random_models(np.random.default_rng(1), 8, 4, 2)
-    summary = traced(lambda: mx.simulate(models, 0, 40, mx.NoiseSpec(seed=0),
+def assert_traced_bank_meets_call_contract(models, N):
+    summary = traced(lambda: mx.simulate(models, 0, N, mx.NoiseSpec(seed=0),
                                          mx.NoiseSpec(seed=1)))
-    assert [(run["ok"], run["K"], run["N"]) for run in summary["runs"]] == [(True, 8, 40)]
+    assert [(run["ok"], run["K"], run["N"]) for run in summary["runs"]] == [(True, models.K, N)]
     assert tracer.expected_call_problems(summary, 1, 0) == []
+
+
+def test_traced_random_bank_meets_call_contract():
+    assert_traced_bank_meets_call_contract(make_random_models(np.random.default_rng(1), 8, 4, 2), 40)
+
+
+def test_traced_k32_bank_meets_call_contract():
+    # The benchmark's bank seed 0 at K=32, whose models settle at t = 15..110.
+    rng = np.random.default_rng(0)
+    make_random_models(rng, 8, 4, 2)
+    assert_traced_bank_meets_call_contract(make_random_models(rng, 32, 4, 2), 200)
 
 
 def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):

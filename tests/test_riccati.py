@@ -9,7 +9,7 @@ import scipy.linalg
 import mmxest as mx
 from mmxest import riccati
 from conftest import make_random_models, unit_bank
-from oracles import kalman_step, textbook_schedule
+from oracles import kalman_step, settle_schedule, textbook_schedule
 
 I1 = np.eye(1)
 
@@ -322,6 +322,15 @@ def test_schedule_stores_nan_weights_where_infeasible():
 
 
 SLOW_BANK = {"F": [0.999 * I1], "H": [I1], "Q": 1e-6 * I1, "R": I1, "P0": I1, "gamma": 3.0}
+# Each model has a calm step, then one that is not, shortly before it
+# settles (at t = 22 and t = 39); a calm count that is not reset by the
+# step that is not calm would let each leave one step early.
+DIP_BANK = {"F": [[[-0.5, -0.3], [1.3, -0.2]], [[0.4, 1.0], [-0.3, 0.6]]],
+            "H": [[[0.2, 0.8]], [[-0.3, 0.3]]], "Q": 0.9 * np.eye(2), "R": I1,
+            "P0": np.eye(2), "gamma": 100.0}
+# SLOW_BANK's model settles at t = 10365, the fast one at t = 35.
+FAST_AND_SLOW_BANK = {"F": [0.5 * I1, 0.999 * I1], "H": [I1, I1], "Q": 1e-6 * I1, "R": I1,
+                      "P0": I1, "gamma": 3.0}
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +338,8 @@ def settle_banks(paper_models):
     # K8 and K32 are the benchmark's bank seed 0: drawn in turn from one rng.
     rng = np.random.default_rng(0)
     return {"paper": paper_models, "K8": make_random_models(rng, 8, 4, 2),
-            "K32": make_random_models(rng, 32, 4, 2), "slow": mx.validate(SLOW_BANK)}
+            "K32": make_random_models(rng, 32, 4, 2), "slow": mx.validate(SLOW_BANK),
+            "dip": mx.validate(DIP_BANK), "mixed": mx.validate(FAST_AND_SLOW_BANK)}
 
 
 def contraction_rate(models, P):
@@ -362,6 +372,69 @@ def test_settled_schedule_matches_unclamped_recursion(bank, N, settle_banks):
     margin = seq.margin[:, terminal]
     assert (np.abs(margin - want["margin"]) <= tol * np.abs(want["margin"])).all()
     assert np.abs(seq.logdet_S[:, gain] - want["logdet_S"]).max() <= models.m * tol
+
+
+GRIDS = ("P", "Sinv", "logdet_S", "margin", "W")
+
+
+def assert_clamped(seq, i, T):
+    """Model i's columns after T repeat its column T exactly, in every grid."""
+    for name in GRIDS:
+        grid = getattr(seq, name)[i]
+        np.testing.assert_array_equal(grid[T + 1:], np.broadcast_to(grid[T], grid[T + 1:].shape),
+                                      err_msg=name)
+
+
+@pytest.mark.parametrize("bank", ["paper", "K8", "K32", "dip"])
+def test_each_model_settles_at_its_own_step(bank, settle_banks):
+    models = settle_banks[bank]
+    N = 200
+    seq = mx.run_recursion(models, N)
+    settle, covs = settle_schedule(models, N)
+    assert seq.P.shape[1] - 1 == max(settle) < N
+    if bank in ("K32", "dip"):
+        assert min(settle) < max(settle)  # the models leave the loop at different steps
+    if bank == "dip":
+        assert settle == [22, 39]
+    for i, T in enumerate(settle):
+        np.testing.assert_array_equal(seq.P[i, :T + 1], covs[i])
+        assert_clamped(seq, i, T)
+
+
+def test_mixed_bank_clamps_only_the_settled_model(settle_banks):
+    N = 2000
+    seq = mx.run_recursion(settle_banks["mixed"], N)
+    assert (seq.P.shape[1], seq.Sinv.shape[1], seq.logdet_S.shape[1]) == (N + 1, N, N)
+    assert (seq.margin.shape[1], seq.W.shape[1]) == (N + 1, N + 1)
+    settle, _ = settle_schedule(settle_banks["mixed"], N)
+    assert settle[0] < N == settle[1]
+    assert_clamped(seq, 0, settle[0])
+    # the slow model is the unclamped recursion, bit for bit
+    alone = mx.run_recursion(mx.validate(SLOW_BANK), N)
+    assert alone.P.shape[1] == N + 1
+    for name in GRIDS:
+        np.testing.assert_array_equal(getattr(seq, name)[1], getattr(alone, name)[0], err_msg=name)
+    np.testing.assert_array_equal(seq.bank_feasible, alone.bank_feasible)
+
+
+@pytest.mark.parametrize("bank, N", [("K32", 200), ("mixed", 2000)])
+def test_certificates_match_dense_recomputation(bank, N, settle_banks):
+    # Each certificate is computed once per (model, column) up to the
+    # model's settle step and spread to the columns after it; every column
+    # must read what the definitions give on its own P.
+    models = settle_banks[bank]
+    seq = mx.run_recursion(models, N)
+    gsq, H, m = seq.gamma_sq, models.H, models.m
+    HPHt = np.einsum("kij,ktjl,kml->ktim", H, seq.P, H)
+    np.testing.assert_array_equal(seq.margin, gsq - np.linalg.eigvalsh(HPHt)[..., -1])
+    W = np.linalg.inv(np.eye(m) - HPHt / gsq)
+    np.testing.assert_array_equal(seq.W, 0.5 * (W + W.swapaxes(-1, -2)))
+    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=0))
+    cols = seq.Sinv.shape[1]
+    S = models.R + H[:, None] @ (seq.P[:, :cols] @ H[:, None].swapaxes(-1, -2))
+    np.testing.assert_array_equal(seq.Sinv, np.linalg.inv(0.5 * (S + S.swapaxes(-1, -2))))
+    np.testing.assert_array_equal(seq.logdet_S, -np.log(np.linalg.eigvalsh(seq.Sinv)).sum(axis=-1))
+    np.testing.assert_allclose(seq.logdet_S, np.linalg.slogdet(S)[1], rtol=0, atol=1e-12)
 
 
 def test_settled_schedule_clamps_to_last_column(paper_models):
