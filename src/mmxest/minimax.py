@@ -16,24 +16,31 @@ closed-form.  Weak duality gives phi(lam) <= J* <= max_i f_i(yhat) for every
 lam on the simplex and every yhat; :func:`solve` returns an answer only
 with such a pair whose gap is within tolerance.
 
-The solve tries three stages in order.  First a dominance check: if some
-piece's minimum value o_i, taken at its center, is at least every other
-piece's value there, that center is optimal and lam = e_i certifies it
-with gap 0.  Only the piece with the largest offset can pass, so one row
-of piece values is tested.  This is the common case once the bank has
-singled out a model.  Otherwise exact copies of a piece are merged into
-one, and the copies share its weight equally, so their weights do not
-depend on the order of the pieces.  Then, for scalar outputs (m = 1), the
-answer is a crossing of two parabolas, found from every pair's roots and
-weighted by its zero-slope condition, or a vertex the dominance test lost
-to rounding; the gap decides.  Failing that, the epigraph form
+The solve tries its stages in order; the first that certifies answers.
+First a dominance check: if some piece's minimum value o_i, taken at its
+center, is at least every other piece's value there, that center is
+optimal and lam = e_i certifies it with gap 0.  Only the piece with the
+largest offset can pass, so one row of piece values is tested.  This is
+the common case once the bank has singled out a model.  Otherwise exact
+copies of a piece are merged into one, and the copies share its weight
+equally, so their weights do not depend on the order of the pieces.  Then,
+for scalar outputs (m = 1), the answer is a crossing of two parabolas,
+found from every pair's roots and weighted by its zero-slope condition;
+the gap decides.  Then the exact active-set stage
+(:func:`mmxest.kkt.newton_stage`): from the top piece's vertex (which
+answers when the dominance test lost it to rounding), pieces enter and
+leave a set of at most m + 1 whose optimality conditions Newton's method
+solves, until no piece lies above the set's level; its gaps are at
+rounding level.  Failing that, the epigraph form
 
     min s   subject to   f_i(yhat) + r_i = s,   r >= 0,
 
 is solved by a primal-dual interior point with Mehrotra's
 predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
-its multipliers, normalized, are the certificate weights.  A gap that is
-not finite (a NaN piece) never certifies.
+its multipliers, normalized, are the certificate weights.  If it stops
+uncertified (a breakdown or the iteration cap), the active-set stage
+starts again from its last weights.  A gap that is not finite (a NaN
+piece) never certifies.
 
 Each iteration scales its (m+1) x (m+1) Newton matrix M to unit diagonal,
 D M D = L L^T with D = diag(M)^{-1/2}, factors it once (a matrix that is
@@ -49,8 +56,8 @@ keeps v + a dv >= 0 for v > 0.
 
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
-The interior point runs on the pieces sorted into one canonical order, so
-that its weights do not depend on the order they were given in.
+The last two stages run on the pieces sorted into one canonical order, so
+that their weights do not depend on the order they were given in.
 """
 from __future__ import annotations
 
@@ -61,6 +68,7 @@ import numpy as np
 
 from .exceptions import EmptyPieceList, NoConvergence
 from .filter_bank import FilterBankState
+from .kkt import certify, inner_argmin, newton_stage, piece_values
 
 SOLVE_TOL = 1e-8
 SOLVE_MAX_ITER = 100
@@ -108,18 +116,6 @@ def build_pieces(state: FilterBankState) -> QuadraticPieces:
                            offsets=-gains.gamma_sq * state.c)
 
 
-def _inner_argmin(lam, W, centers):
-    """yhat(lam) = (sum lam_i W_i)^{-1} sum lam_i W_i center_i."""
-    A = np.einsum("k,kij->ij", lam, W)
-    b = np.einsum("k,kij,kj->i", lam, W, centers)
-    return np.linalg.solve(A, b)
-
-
-def _piece_values(y, W, centers, offsets):
-    d = y[None, :] - centers
-    return np.einsum("ki,kij,kj->k", d, W, d) + offsets
-
-
 def _dominant(W, centers, offsets):
     """Indices i with f_j(center_i) <= offset_i for every j.
 
@@ -134,38 +130,21 @@ def _dominant(W, centers, offsets):
     """
     i = int(offsets.argmax())
     top = offsets[i]
-    if (_piece_values(centers[i], W, centers, offsets) <= top).all():
+    if (piece_values(centers[i], W, centers, offsets) <= top).all():
         return (offsets == top).nonzero()[0]
     return np.empty(0, dtype=np.intp)
 
 
-def _certify(lam, y, W, centers, offsets):
-    """Weak-duality bounds for weights lam on the simplex: (yhat, upper, lower).
-
-    ``lower`` is phi(lam); ``upper`` is max_i f_i(yhat), yhat being the
-    better of yhat(lam) and the candidate ``y``.
-    """
-    y_lam = _inner_argmin(lam, W, centers)
-    f = _piece_values(y_lam, W, centers, offsets)
-    upper, upper_y = float(f.max()), float(_piece_values(y, W, centers, offsets).max())
-    yhat, upper = (y, upper_y) if upper_y < upper else (y_lam, upper)
-    return yhat, upper, float(lam @ f)
-
-
 def _crossing(W, centers, offsets):
-    """The lowest crossing of two scalar pieces (m = 1), or the top vertex,
-    if it certifies.
+    """The lowest crossing of two scalar pieces (m = 1), if it certifies.
 
     Without a dominant vertex, the envelope is lowest where two parabolas on
     it cross with slopes g_i <= 0 <= g_j.  Each pair's roots of f_i - f_j =
     A y^2 + B y + C come from the stable quadratic formula; swapping i and j
     negates A, B and C exactly, so the roots do not depend on the order of
     the pieces.  The lowest such crossing gets lam_i g_i + lam_j g_j = 0, and
-    pairs tied at it share equally.  If that does not certify, the center of
-    the piece with the largest offset is offered with lam = e_top: the
-    dominance test rounds f_j there, and can miss a vertex that is optimal
-    to within rounding.  Returns (yhat, lam, gap, 0) for the first candidate
-    whose gap is within SOLVE_TOL, else None.
+    pairs tied at it share equally.  Returns (yhat, lam, gap, 0) if the gap
+    is within SOLVE_TOL, else None.
     """
     a, c, o = W[:, 0, 0], centers[:, 0], offsets
     b, h = a * c, a * c * c + o
@@ -183,14 +162,10 @@ def _crossing(W, centers, offsets):
             tie = on & (env == best)  # (i, j) gives lam_i, (j, i) at the same root lam_j
             lam = np.where(tie, gj / (gj - gi), 0.0).sum(axis=(0, 2))
             lam /= lam.sum()
-            yhat, upper, lower = _certify(lam, y[tie].min(keepdims=True), W, centers, offsets)
+            yhat, upper, lower = certify(lam, y[tie].min(keepdims=True), W, centers, offsets)
             if upper - lower <= SOLVE_TOL:
                 return yhat, lam, upper - lower, 0
-    top = int(o.argmax())
-    lam = np.zeros(len(o))
-    lam[top] = 1.0
-    yhat, upper, lower = _certify(lam, centers[top], W, centers, offsets)
-    return (yhat, lam, upper - lower, 0) if upper - lower <= SOLVE_TOL else None
+    return None
 
 
 def _copies(W, centers, offsets):
@@ -276,13 +251,13 @@ def _interior_point(W, centers, offsets):
     iterations have run or a step breaks down; the caller checks the gap."""
     K = len(offsets)
     lam = np.full(K, 1.0 / K)
-    y = _inner_argmin(lam, W, centers)
-    f = _piece_values(y, W, centers, offsets)
+    y = inner_argmin(lam, W, centers)
+    f = piece_values(y, W, centers, offsets)
     s = 2.0 * float(f.max()) - float(lam @ f)
     r = s - f
     iterations = 0
     while True:
-        yhat, upper, lower = _certify(lam / lam.sum(), y, W, centers, offsets)
+        yhat, upper, lower = certify(lam / lam.sum(), y, W, centers, offsets)
         gap = upper - lower
         if gap <= SOLVE_TOL or not math.isfinite(gap) or iterations == SOLVE_MAX_ITER:
             break
@@ -295,28 +270,50 @@ def _interior_point(W, centers, offsets):
     return yhat, lam / lam.sum(), gap, iterations
 
 
+def _sorted_stages(W, centers, offsets):
+    """(yhat, lam, gap, iterations) of the first certified answer among: the
+    active-set stage from the top piece's vertex, the interior point, and,
+    if the interior point stops uncertified, the active-set stage from its
+    last weights above ACTIVE_THRESHOLD; else the interior point's."""
+    top = np.zeros(len(offsets))
+    top[offsets.argmax()] = 1.0
+    found = newton_stage(W, centers, offsets, top)
+    if found is not None and found[2] <= SOLVE_TOL:
+        return found + (0,)
+    yhat, lam, gap, iterations = _interior_point(W, centers, offsets)
+    if not gap <= SOLVE_TOL:
+        found = newton_stage(W, centers, offsets, np.where(lam > ACTIVE_THRESHOLD, lam, 0.0))
+        if found is not None and found[2] <= SOLVE_TOL:
+            return found + (iterations,)
+    return yhat, lam, gap, iterations
+
+
 def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= SOLVE_TOL.
 
     The first stage that certifies answers: :func:`_dominant` (lam = e_i,
     gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
-    (the zero-slope weights of the lowest crossing of two pieces, or the
-    top piece's vertex), then :func:`_interior_point` from uniform
-    multipliers, on the pieces sorted into one canonical order.  The last
-    two shift the offsets by their maximum, run on one copy of each distinct
-    piece (:func:`_copies`), whose weight the copies then share equally,
-    and return the better of their candidate and yhat(lam).  So the weights
-    follow the pieces under any reordering.  ``iterations`` counts
-    interior-point iterations.
+    (the zero-slope weights of the lowest crossing of two pieces), then, on
+    the pieces sorted into one canonical
+    order, the active-set stage from the top piece's vertex and
+    :func:`_interior_point` from uniform multipliers, rescued by the
+    active-set stage from its last weights if it stops uncertified
+    (:func:`_sorted_stages`).  All but the first shift the offsets by their
+    maximum, run on one copy of each distinct piece (:func:`_copies`), whose
+    weight the copies then share equally, and return the better of their
+    candidate and yhat(lam).  So the weights follow the pieces under any
+    reordering.  ``iterations`` counts interior-point iterations: 0 when
+    a stage before the interior point answers.
 
     Raises
     ------
     EmptyPieceList
         If no pieces are given.
     NoConvergence
-        If the gap is still above SOLVE_TOL after SOLVE_MAX_ITER iterations,
-        is not finite (a NaN piece), or a step breaks down numerically
-        first; the last estimate is attached as ``last``.
+        If the interior point's gap is still above SOLVE_TOL after
+        SOLVE_MAX_ITER iterations, is not finite (a NaN piece), or a step
+        breaks down numerically first, and the rescue does not certify;
+        the interior point's last estimate is attached as ``last``.
     """
     W, centers, offsets = pieces
     K = len(offsets)
@@ -341,10 +338,10 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     W1, c1, o1 = W[keep], centers[keep], o[keep]
     found = _crossing(W1, c1, o1) if centers.shape[1] == 1 else None
     if found is None:
-        # In one order of the pieces, whatever the caller's, so that its
+        # In one order of the pieces, whatever the caller's, so that the
         # weights follow the pieces even where they are not unique.
         order = np.lexsort(np.column_stack((W1.reshape(len(o1), -1), c1, o1)).T)
-        yhat, lam, gap, iterations = _interior_point(W1[order], c1[order], o1[order])
+        yhat, lam, gap, iterations = _sorted_stages(W1[order], c1[order], o1[order])
         lam = lam[np.argsort(order)]
     else:
         yhat, lam, gap, iterations = found
@@ -352,7 +349,7 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
         merged = np.zeros(K)
         merged[keep] = lam
         lam = merged[first] / np.bincount(first, minlength=K)[first]
-    value = float(_piece_values(yhat, W, centers, offsets).max())
+    value = float(piece_values(yhat, W, centers, offsets).max())
     active = np.flatnonzero(lam > ACTIVE_THRESHOLD)
     estimate = MinimaxEstimate(yhat, value, lam, tuple(active.tolist()), gap, iterations)
     if not gap <= SOLVE_TOL:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mmxest as mx
-from mmxest import filter_bank, minimax
-from mmxest.minimax import SOLVE_TOL, QuadraticPieces, build_pieces, solve
+from mmxest import filter_bank, kkt, minimax
+from mmxest.minimax import SOLVE_TOL, MinimaxEstimate, QuadraticPieces, build_pieces, solve
 from conftest import examples, make_random_models, unit_bank
 from oracles import (
     PreconditionViolated,
@@ -22,6 +22,7 @@ from oracles import (
 )
 
 I1 = np.eye(1)
+ROUNDING = 64 * np.finfo(float).eps  # a gap at rounding level, relative to 1 + |J*|
 
 
 def scalar_pieces(*triples):
@@ -142,9 +143,11 @@ def test_solve_empty_piece_list():
 
 
 def test_solve_no_convergence_carries_best(monkeypatch):
-    # Two pieces in the plane (m = 2), which only the interior point solves;
-    # it certifies them in 3 iterations.
+    # Two pieces in the plane (m = 2).  The active-set stage certifies them,
+    # so it is withheld here, before the interior point and as its rescue;
+    # the interior point alone certifies them in 3 iterations.
     monkeypatch.setattr(minimax, "SOLVE_MAX_ITER", 1)
+    monkeypatch.setattr(minimax, "newton_stage", lambda *args: None)
     pieces = QuadraticPieces(W=np.array([np.eye(2), np.diag([2.0, 1.0])]),
                              centers=np.array([[-1.0, 0.0], [1.5, 0.5]]),
                              offsets=np.array([0.0, -0.5]))
@@ -259,15 +262,20 @@ def assert_certified(pieces, est):
     assert -scale <= est.gap <= SOLVE_TOL
 
 
+def known_k32_pieces():
+    """The game at t = 0 of the bank drawn by default_rng(0) after its K = 8
+    bank (K = 32, n = 4, m = 2): the benchmark's bank0-K32."""
+    rng = np.random.default_rng(0)
+    make_random_models(rng, 8, 4, 2)
+    models = make_random_models(rng, 32, 4, 2)
+    return build_pieces(filter_bank.init(mx.run_recursion(models, 1)))
+
+
 def test_solve_certifies_known_k32_stall():
     # The bank whose first program the projected-gradient solver could not
     # certify (gap 1.4e-7 after 210 iterations).  SLSQP on the epigraph
     # form gives 25.7475778782.
-    rng = np.random.default_rng(0)
-    make_random_models(rng, 8, 4, 2)
-    models = make_random_models(rng, 32, 4, 2)
-    state = filter_bank.init(mx.run_recursion(models, 1))
-    pieces = build_pieces(state)
+    pieces = known_k32_pieces()
     est = solve(pieces)
     assert_certified(pieces, est)
     assert est.value == pytest.approx(25.7475778782, abs=2e-8)
@@ -391,7 +399,7 @@ def _copies_at_zero():
 def test_solve_unique_minimizer_across_starts(case):
     # The minimizer is unique, so reordering the pieces finds the same yhat
     # and value.  The weights follow the pieces: copies share their piece's
-    # weight, and the interior point runs in one order of the pieces.  In
+    # weight, and the later stages run in one order of the pieces.  In
     # the second pinned set the answer is the vertex of a piece with two
     # copies, which the dominance test misses by rounding.
     pieces, perm = case
@@ -437,7 +445,8 @@ def test_scalar_solves_need_no_interior_point(pieces):
     # crossing of two pieces (the crossing stage); either way it is certified
     # without an interior-point iteration and matches the exact oracle.  In
     # the pinned set f_0 at the vertex c_1 rounds to 0 > o_1, so the dominance
-    # test misses it, and the crossing stage offers the top vertex itself.
+    # test misses it, and the active-set stage answers at its starting point,
+    # the top vertex.
     est = solve(pieces)
     J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
     assert est.iterations == 0
@@ -559,27 +568,39 @@ def test_newton_moves_match_two_solve_kernel(pieces):
         assert diff <= 1e-10 + 2 * np.finfo(float).eps * cond
 
 
-def test_solve_matches_two_solve_kernel_on_random_sets():
-    # 500 piece sets with K 2..32, m 1..3 and W scaled up to 1e3: every set
-    # the library certifies, the reference kernel certifies too, and the two
-    # values agree within both gaps.
+def random_piece_sets():
+    """500 piece sets with K 2..32, m 1..3 and W scaled up to 1e3, in a
+    fixed order (the n-th set is the same in every test)."""
     rng = np.random.default_rng(8)
-    iterations, broke = 0, []
-    for n in range(500):
+    for _ in range(500):
         K, m = int(rng.integers(2, 33)), int(rng.integers(1, 4))
         A = rng.normal(size=(K, m, m))
         W = (A @ np.swapaxes(A, 1, 2) + np.eye(m)) * 10.0 ** rng.uniform(0, 3, size=(K, 1, 1))
-        pieces = QuadraticPieces(W=W, centers=rng.normal(size=(K, m)),
-                                 offsets=rng.uniform(-10.0, 0.0, size=K))
+        yield QuadraticPieces(W=W, centers=rng.normal(size=(K, m)),
+                              offsets=rng.uniform(-10.0, 0.0, size=K))
+
+
+def interior_point_estimate(pieces):
+    """The interior point alone on the pieces, offsets shifted as solve
+    shifts them, as an estimate; None if it stops uncertified."""
+    yhat, lam, gap, iterations = minimax._interior_point(
+        pieces.W, pieces.centers, pieces.offsets - pieces.offsets.max())
+    if not gap <= SOLVE_TOL:
+        return None
+    return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), lam, (), gap, iterations)
+
+
+def test_interior_point_matches_two_solve_kernel_on_random_sets():
+    # Every set the library kernel certifies, the reference kernel certifies
+    # too, and the two values agree within both gaps.  The interior point
+    # runs on every set directly: solve answers most of them before it.
+    iterations, broke = 0, []
+    for n, pieces in enumerate(random_piece_sets()):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(minimax, "_interior_step", interior_step_two_solves)
-            try:
-                ref = solve(pieces)
-            except mx.NoConvergence:
-                ref = None
-        try:
-            est = solve(pieces)
-        except mx.NoConvergence:
+            ref = interior_point_estimate(pieces)
+        est = interior_point_estimate(pieces)
+        if est is None:
             broke.append(n)
             assert ref is None
             continue
@@ -592,3 +613,115 @@ def test_solve_matches_two_solve_kernel_on_random_sets():
     # m = 3) breaks down with either kernel.  Its Newton matrix stops being
     # numerically positive definite (cond > 1e16) while the gap is 3e-3.
     assert broke == [97]
+
+
+def test_solve_certifies_every_random_set():
+    # solve certifies all 500 sets, set 97 included: the active-set stage
+    # answers it before the interior point.
+    for pieces in random_piece_sets():
+        assert_certified(pieces, solve(pieces))
+
+
+def test_stage_answers_every_two_piece_set():
+    # Past the dominance check two pieces are equal at the answer, and the
+    # stage needs no interior point on any two-piece set of the 500: not on
+    # sets 11 and 97, where the linearized path would drop the top piece too
+    # early (phi there is lower), nor on set 345, where the first Newton step
+    # from the entering weights overshoots in y.
+    two = [pieces for pieces in random_piece_sets() if len(pieces.offsets) == 2]
+    assert len(two) >= 10
+    for pieces in two:
+        est = solve(pieces)
+        assert est.iterations == 0
+        assert_certified(pieces, est)
+
+
+def test_breakdown_is_rescued_from_the_last_weights(monkeypatch):
+    # Set 97 with the stage's first attempt withheld: the interior point
+    # breaks down on it, and the stage, started from the interior point's
+    # last weights above the activity threshold, certifies it.
+    pieces = list(random_piece_sets())[97]
+    starts = []
+    stage = minimax.newton_stage
+
+    def second_attempt_only(W, centers, offsets, lam):
+        starts.append(lam)
+        return stage(W, centers, offsets, lam) if len(starts) > 1 else None
+
+    monkeypatch.setattr(minimax, "newton_stage", second_attempt_only)
+    est = solve(pieces)
+    assert len(starts) == 2
+    assert np.count_nonzero(starts[1]) == 2  # both pieces carry weight
+    assert est.iterations > 0  # the interior point's, which ran first
+    assert_certified(pieces, est)
+    assert est.gap <= ROUNDING * (1.0 + abs(est.value))
+
+
+def test_stage_gives_up_to_the_interior_point(monkeypatch):
+    # Set 210 (K = 3, m = 2): the stage's best weights do not certify, and
+    # the interior point answers; the stage is not offered a rescue.
+    pieces = list(random_piece_sets())[210]
+    gaps = []
+    stage = minimax.newton_stage
+
+    def recorded(*args):
+        found = stage(*args)
+        gaps.append(found[2])
+        return found
+
+    monkeypatch.setattr(minimax, "newton_stage", recorded)
+    est = solve(pieces)
+    assert len(gaps) == 1 and gaps[0] > SOLVE_TOL
+    assert est.iterations > 0
+    assert_certified(pieces, est)
+
+
+def benchmark_games():
+    """(pieces, estimate) of every solve on the benchmark's random banks:
+    default_rng(b) draws a K = 8 then a K = 32 bank (n = 4, m = 2) for
+    b = 0, 1, each run for N = 200 steps on noise streams 0 and 1."""
+    games = []
+    solve_ = minimax.solve
+
+    def recording(pieces):
+        games.append((pieces, solve_(pieces)))
+        return games[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "solve", recording)
+        for b in (0, 1):
+            rng = np.random.default_rng(b)
+            for K in (8, 32):
+                mx.simulate(make_random_models(rng, K, 4, 2), 0, 200,
+                            mx.NoiseSpec(seed=0), mx.NoiseSpec(seed=1))
+    return games
+
+
+def test_stage_certifies_benchmark_games_at_rounding_level():
+    # Every game past the dominance check is answered by the active-set
+    # stage, with no interior-point iteration and a gap at rounding level.
+    hard = [(p, est) for p, est in benchmark_games()
+            if minimax._dominant(p.W, p.centers, p.offsets).size == 0]
+    assert hard
+    for pieces, est in hard:
+        assert est.iterations == 0
+        assert est.gap <= ROUNDING * (1.0 + abs(est.value))
+        assert_certified(pieces, est)
+
+
+def test_stage_exchanges_on_known_k32_game(monkeypatch):
+    # The answer's three pieces are reached through an exchange: a piece
+    # enters a set that already holds m + 1 = 3 pieces, and one leaves.
+    sizes = []
+    enter = kkt._enter
+
+    def recorded(j, active, *args):
+        sizes.append(len(active))
+        return enter(j, active, *args)
+
+    monkeypatch.setattr(kkt, "_enter", recorded)
+    est = solve(known_k32_pieces())
+    assert 3 in sizes
+    assert est.iterations == 0
+    assert est.active == (4, 27, 30)
+    assert est.gap <= ROUNDING * (1.0 + abs(est.value))
