@@ -9,18 +9,11 @@ seeded portable simulator plus a CLI make runs reproducible to the byte.
 from .bayes import BayesPosterior, bayes_estimate, bayes_init, bayes_step
 from .config import ExperimentConfig, load_config, with_seed
 from .exceptions import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyModelSet,
-    EmptyPieceList,
     EstimationError,
     FactorizationFailure,
     GammaInfeasible,
-    HorizonExceeded,
-    IndexOutOfRange,
+    InvalidInput,
     NoConvergence,
-    NonpositiveGamma,
-    NotPositiveDefinite,
 )
 from .filter_bank import FilterBankState, init, step
 from .minimax import MinimaxEstimate, QuadraticPieces, build_pieces, solve
@@ -47,25 +40,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AreSolution",
     "BayesPosterior",
-    "ConfigError",
-    "DimensionMismatch",
-    "EmptyModelSet",
-    "EmptyPieceList",
     "EstimationError",
     "ExperimentConfig",
     "FactorizationFailure",
     "FilterBankState",
     "GainSchedule",
     "GammaInfeasible",
-    "HorizonExceeded",
-    "IndexOutOfRange",
     "InputSpec",
+    "InvalidInput",
     "MinimaxEstimate",
     "ModelSet",
     "NoConvergence",
     "NoiseSpec",
-    "NonpositiveGamma",
-    "NotPositiveDefinite",
     "QuadraticPieces",
     "SimulationTrace",
     "bayes_estimate",

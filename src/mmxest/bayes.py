@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import EmptyModelSet
+from .exceptions import InvalidInput
 from .filter_bank import FilterBankState
 from .model_bank import ModelSet
 
@@ -21,6 +21,7 @@ from .model_bank import ModelSet
 # unlikely innovation cannot zero out a model forever.
 LIKELIHOOD_FLOOR = 1e-300
 LOG_2PI = float(np.log(2.0 * np.pi))
+BAYES_MODES = ("average", "map")
 
 
 class BayesPosterior(NamedTuple):
@@ -33,7 +34,7 @@ class BayesPosterior(NamedTuple):
 def bayes_init(models: ModelSet) -> BayesPosterior:
     """Uniform prior over the bank."""
     if models.K == 0:
-        raise EmptyModelSet("posterior needs at least one model")
+        raise InvalidInput("posterior needs at least one model", "models")
     return BayesPosterior(mu=np.full(models.K, 1.0 / models.K))
 
 
@@ -73,4 +74,4 @@ def bayes_estimate(posterior: BayesPosterior, state: FilterBankState,
         return posterior.mu @ preds
     if mode == "map":
         return preds[int(np.argmax(posterior.mu))]
-    raise ValueError(f"unknown mode {mode!r}; expected 'average' or 'map'")
+    raise InvalidInput(f"unknown mode {mode!r}; expected 'average' or 'map'", "mode")

@@ -4,10 +4,12 @@ Subcommands: ``run`` simulates a configured experiment and writes the trace
 as semicolon-separated CSV; ``riccati`` reports each model's stationary
 solution; ``check`` verifies gamma-feasibility over the whole horizon.
 
-Exit codes: 0 success, 1 solver failed to converge, 2 bad configuration
-(message names the field), 3 gamma-infeasibility (message reports
-lambda_max(H P H^T) and gamma^2).  Failures always write diagnostics to
-standard error.
+Exit codes (:data:`EXIT_CODES`): 0 success; 2 invalid input, a bad config
+value, option or output path (:class:`InvalidInput`, the message names the
+field); 3 gamma-infeasibility (:class:`GammaInfeasible`, the message reports
+lambda_max(H P H^T) and gamma^2); 1 numerical failure, any other library
+error (:class:`NoConvergence`, :class:`FactorizationFailure`).  A failure
+writes exactly one ``error: ...`` line to standard error.
 """
 from __future__ import annotations
 
@@ -21,12 +23,24 @@ import numpy as np
 from . import riccati as _riccati
 from . import simulator as _simulator
 from .config import ExperimentConfig, load_config, with_seed
-from .exceptions import ConfigError, GammaInfeasible, NoConvergence
+from .exceptions import (
+    EstimationError,
+    FactorizationFailure,
+    GammaInfeasible,
+    InvalidInput,
+    NoConvergence,
+)
 
 EXIT_OK = 0
-EXIT_NO_CONVERGENCE = 1
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
+# (exit code, message prefix) per error class; an error takes the entry of
+# the nearest class in its MRO, so EstimationError covers any other one.
+EXIT_CODES = {
+    InvalidInput: (2, ""),
+    GammaInfeasible: (3, "gamma-infeasible: "),
+    NoConvergence: (1, "no convergence: "),
+    FactorizationFailure: (1, "factorization failure: "),
+    EstimationError: (1, ""),
+}
 
 
 def _fmt(x) -> str:
@@ -67,8 +81,11 @@ def write_trace(trace, path, full: bool = False) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"field output: cannot write: {exc}", "output") from None
 
 
 def _seed_path(path: str, seed: int) -> str:
@@ -81,9 +98,9 @@ def _parse_seed_range(text: str) -> list:
         a, b = text.split("..")
         lo, hi = int(a), int(b)
     except ValueError:
-        raise ConfigError(f"field --seeds: {text!r} is not of the form a..b") from None
+        raise InvalidInput(f"field --seeds: {text!r} is not of the form a..b", "--seeds") from None
     if hi < lo:
-        raise ConfigError(f"field --seeds: empty range {text!r}")
+        raise InvalidInput(f"field --seeds: empty range {text!r}", "--seeds")
     return list(range(lo, hi + 1))
 
 
@@ -114,7 +131,7 @@ def cmd_run(args) -> int:
     if args.seeds is not None:
         seeds = _parse_seed_range(args.seeds)
         if cfg.output is None:
-            raise ConfigError("field output: required with --seeds (one file per seed)")
+            raise InvalidInput("field output: required with --seeds (one file per seed)", "output")
         for s in seeds:
             trace = _simulate(with_seed(cfg, s))
             write_trace(trace, _seed_path(cfg.output, s), full=args.full)
@@ -185,15 +202,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GammaInfeasible as exc:
-        print(f"error: gamma-infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NoConvergence as exc:
-        print(f"error: no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    except EstimationError as exc:
+        code, prefix = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ checks it (``validate``, ``NoiseSpec``, ``InputSpec``); this module only
 expands the shorthands: a scalar means that multiple of I, a vector is a row
 (one output) or a column, a single H or B is shared by every model, and
 F_base with F_scales builds {scale_i * F_base}.  Unknown keys are rejected,
-and every failure raises :class:`ConfigError` naming the config key.
+and every failure raises :class:`InvalidInput` naming the config key.
 """
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .exceptions import ConfigError, EstimationError
+from .bayes import BAYES_MODES
+from .exceptions import EstimationError, InvalidInput
 from .model_bank import ModelSet, validate
 from .simulator import InputSpec, NoiseSpec
 
-BAYES_MODES = ("average", "map")
 ROOT_KEYS = ("models", "Q", "R", "P0", "gamma", "xhat0", "true_model", "horizon",
              "process_noise", "measurement_noise", "input", "stationary",
              "bayes_mode", "output", "estimators")
@@ -51,11 +51,12 @@ class ExperimentConfig:
 
 @contextmanager
 def _field(name, f_key="F"):
-    """Report an owner's error as a ConfigError naming the config key.
+    """Report an owner's error as an InvalidInput naming the config key.
 
     A model-bank error names its own array in ``field``; that key wins (F as
     ``f_key``, the key the bank was built from), and F, H and B live under
-    ``models``.
+    ``models``.  Noise and input errors carry no ``field``, so the section
+    key stands.
     """
     try:
         yield
@@ -63,19 +64,28 @@ def _field(name, f_key="F"):
         key = getattr(exc, "field", None)
         if key is not None:
             name = f"models.{f_key if key == 'F' else key}" if key in MODEL_KEYS else key
-        raise ConfigError(f"field {name}: {exc}") from None
+        raise InvalidInput(f"field {name}: {exc}", name) from None
+
+
+def _require(ok, key, message):
+    """Raise "field <key>: <message>" unless ``ok``."""
+    if not ok:
+        raise InvalidInput(f"field {key}: {message}", key)
 
 
 def _known(section, keys, prefix=""):
     for key in section:
-        if key not in keys:
-            raise ConfigError(f"field {prefix}{key}: unknown")
+        _require(key in keys, f"{prefix}{key}", "unknown")
 
 
 def _required(section, key):
     if key not in section:
-        raise ValueError("missing")
+        raise InvalidInput("missing")
     return section[key]
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _matrix(value, rows):
@@ -96,8 +106,7 @@ def _per_model(value, K, rows):
 
 def _models(raw) -> ModelSet:
     section = raw.get("models")
-    if not isinstance(section, dict):
-        raise ConfigError("field models: missing or not a mapping")
+    _require(isinstance(section, dict), "models", "missing or not a mapping")
     _known(section, MODEL_KEYS, "models.")
     if "F" in section:
         with _field("models.F"):
@@ -108,10 +117,10 @@ def _models(raw) -> ModelSet:
         with _field("models.F_scales"):
             scales = np.asarray(_required(section, "F_scales"), dtype=float)
             if scales.ndim != 1:
-                raise ValueError("must be a list of numbers")
+                raise InvalidInput("must be a list of numbers")
         F = np.multiply.outer(scales, base)
     else:
-        raise ConfigError("field models.F: missing (give F or F_base + F_scales)")
+        raise InvalidInput("field models.F: missing (give F or F_base + F_scales)", "models.F")
     K, n = len(F), F.shape[-1] if F.ndim == 3 else 1
     with _field("models.H"):
         H = _per_model(_required(section, "H"), K, 1)
@@ -136,51 +145,40 @@ def load_config(path: str) -> ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from None
+        raise InvalidInput(f"cannot read config: {exc}") from None
+    except yaml.YAMLError as exc:  # PyYAML's message spans lines; the error is one
+        detail = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise InvalidInput(f"config is not valid YAML: {detail}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+        raise InvalidInput("config root must be a mapping")
     _known(raw, ROOT_KEYS)
     models = _models(raw)
 
     horizon = raw.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ConfigError("field horizon: missing or not an integer >= 1")
-
+    _require(_integer(horizon) and horizon >= 1, "horizon", "missing or not an integer >= 1")
     true_model = raw.get("true_model", 0)
-    if (not isinstance(true_model, int) or isinstance(true_model, bool)
-            or not 0 <= true_model < models.K):
-        raise ConfigError(f"field true_model: {true_model!r} is not an integer "
-                          f"in 0..{models.K - 1}")
-
+    _require(_integer(true_model) and 0 <= true_model < models.K, "true_model",
+             f"{true_model!r} is not an integer in 0..{models.K - 1}")
     stationary = raw.get("stationary", False)
-    if not isinstance(stationary, bool):
-        raise ConfigError("field stationary: must be a boolean")
-
+    _require(isinstance(stationary, bool), "stationary", "must be a boolean")
     bayes_mode = raw.get("bayes_mode", "average")
-    if bayes_mode not in BAYES_MODES:
-        raise ConfigError(f"field bayes_mode: {bayes_mode!r} not in {BAYES_MODES}")
-
+    _require(bayes_mode in BAYES_MODES, "bayes_mode", f"{bayes_mode!r} not in {BAYES_MODES}")
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("field output: must be a path string")
+    _require(output is None or isinstance(output, str), "output", "must be a path string")
 
     toggles = {} if raw.get("estimators") is None else raw["estimators"]
-    if not isinstance(toggles, dict):
-        raise ConfigError("field estimators: must be a mapping")
+    _require(isinstance(toggles, dict), "estimators", "must be a mapping")
     _known(toggles, ESTIMATOR_KEYS, "estimators.")
     run_minimax = toggles.get("minimax", True)
     run_bayes = toggles.get("bayesian", True)
-    if not isinstance(run_minimax, bool) or not isinstance(run_bayes, bool):
-        raise ConfigError("field estimators: toggles must be booleans")
+    _require(isinstance(run_minimax, bool) and isinstance(run_bayes, bool), "estimators",
+             "toggles must be booleans")
 
     specs = {}
     for key, spec in (("process_noise", NoiseSpec), ("measurement_noise", NoiseSpec),
                       ("input", InputSpec)):
         section = {} if raw.get(key) is None else raw[key]
-        if not isinstance(section, dict):
-            raise ConfigError(f"field {key}: must be a mapping")
+        _require(isinstance(section, dict), key, "must be a mapping")
         _known(section, [f.name for f in dataclasses.fields(spec)], f"{key}.")
         with _field(key):
             specs[key] = spec(**section)

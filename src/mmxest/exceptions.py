@@ -1,32 +1,27 @@
-"""Exception types raised by the estimation library."""
+"""Exception types raised by the estimation library.
+
+An input is either wrong (:class:`InvalidInput`) or the numerics could not
+produce a certified answer from it: the bank is not gamma-feasible
+(:class:`GammaInfeasible`), an iteration stopped short
+(:class:`NoConvergence`), or a matrix that must be positive definite was not
+(:class:`FactorizationFailure`).
+"""
 
 
 class EstimationError(Exception):
-    """Base class for all errors raised by this package.
+    """Base class for all errors raised by this package."""
 
-    ``field`` names the input value at fault (``"Q"``, ``"gamma"``, ...)
-    when the error is about one; ``validate`` sets it.
+
+class InvalidInput(EstimationError, ValueError):
+    """An argument, model-bank entry or config value is malformed.
+
+    ``field`` names the input value at fault (``"Q"``, ``"gamma"``,
+    ``"models.H"``, ...) when the error is about one, else it is None.
     """
 
     def __init__(self, message="", field=None):
         super().__init__(message)
         self.field = field
-
-
-class DimensionMismatch(EstimationError):
-    """Array shapes are inconsistent with the model set, or an entry is not finite."""
-
-
-class NotPositiveDefinite(EstimationError):
-    """A weight matrix is missing, non-finite, or not symmetric positive definite."""
-
-
-class EmptyModelSet(EstimationError):
-    """The candidate model family contains no models."""
-
-
-class NonpositiveGamma(EstimationError):
-    """The attenuation level gamma must be a finite real number > 0."""
 
 
 class FactorizationFailure(EstimationError):
@@ -49,14 +44,6 @@ class NoConvergence(EstimationError):
         self.last = last
 
 
-class HorizonExceeded(EstimationError):
-    """A filter step was requested past the precomputed gain horizon."""
-
-
-class IndexOutOfRange(EstimationError):
-    """A model index is outside the family."""
-
-
 class GammaInfeasible(EstimationError):
     """The condition lambda_max(H P H^T) < gamma^2 is violated.
 
@@ -70,11 +57,3 @@ class GammaInfeasible(EstimationError):
         self.gamma_sq = gamma_sq
         self.model = model
         self.t = t
-
-
-class EmptyPieceList(EstimationError):
-    """The minimax solver needs at least one quadratic piece."""
-
-
-class ConfigError(EstimationError):
-    """An experiment configuration file could not be parsed or validated."""

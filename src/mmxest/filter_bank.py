@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, HorizonExceeded
+from .exceptions import InvalidInput
 from .linalg import transpose
 from .riccati import GainSchedule
 
@@ -55,7 +55,7 @@ class FilterBankState(NamedTuple):
 
 
 def _state(t, xbreve, c, gains, cost, logdet) -> FilterBankState:
-    """The state at time t, with its schedule column (:class:`HorizonExceeded`
+    """The state at time t, with its schedule column (:class:`InvalidInput`
     past the horizon) and its predictions H_i xb_i."""
     return FilterBankState(t, xbreve, c, gains, cost, logdet, gains.column(t, terminal=True),
                            (gains.models.H @ xbreve[:, :, None])[:, :, 0])
@@ -90,15 +90,15 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     models = gains.models
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (models.m,):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({models.m},)")
+        raise InvalidInput(f"y has shape {y.shape}, expected ({models.m},)", "y")
     if u is not None:
         u = np.asarray(u, dtype=float).reshape(-1)
         if models.p == 0:
-            raise DimensionMismatch("model set has no input channel but u was given")
+            raise InvalidInput("model set has no input channel but u was given", "u")
         if u.shape != (models.p,):
-            raise DimensionMismatch(f"u has shape {u.shape}, expected ({models.p},)")
+            raise InvalidInput(f"u has shape {u.shape}, expected ({models.p},)", "u")
     if state.t == gains.horizon:
-        raise HorizonExceeded(f"no gain at t={state.t}; horizon is {gains.horizon}")
+        raise InvalidInput(f"no gain at t={state.t}; horizon is {gains.horizon}", "t")
     col = state.col
     Sinv_e, cost = innovations(state, y)
     xbreve = (models.F @ (state.xbreve[:, :, None]

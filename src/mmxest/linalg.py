@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NotPositiveDefinite
+from .exceptions import InvalidInput
 
 SYMMETRY_TOL = 1e-10
 
@@ -34,20 +34,20 @@ def check_spd(M: np.ndarray, name: str) -> np.ndarray:
     Asymmetry up to SYMMETRY_TOL (max-abs) is tolerated and removed; the
     definiteness test is Cholesky factorization success, which a NaN entry
     would pass, so finiteness is checked first.  Returns the symmetrized
-    matrix.  Raises :class:`NotPositiveDefinite` naming the offending matrix
+    matrix.  Raises :class:`InvalidInput` naming the offending matrix
     otherwise.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotPositiveDefinite(f"{name} must be square, got shape {M.shape}", name)
+        raise InvalidInput(f"{name} must be square, got shape {M.shape}", name)
     if not np.isfinite(M).all():
-        raise NotPositiveDefinite(f"{name} has a non-finite entry", name)
+        raise InvalidInput(f"{name} has a non-finite entry", name)
     asym = max_asymmetry(M)
     if asym > SYMMETRY_TOL:
-        raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})", name)
+        raise InvalidInput(f"{name} is not symmetric (max asymmetry {asym:.3e})", name)
     M = symmetrize(M)
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite", name) from None
+        raise InvalidInput(f"{name} is not positive definite", name) from None
     return M

@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import EmptyPieceList, NoConvergence
+from .exceptions import InvalidInput, NoConvergence
 from .filter_bank import FilterBankState
 from .kkt import certify, inner_argmin, newton_stage, piece_values
 
@@ -307,7 +307,7 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
 
     Raises
     ------
-    EmptyPieceList
+    InvalidInput
         If no pieces are given.
     NoConvergence
         If the interior point's gap is still above SOLVE_TOL after
@@ -318,7 +318,7 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     W, centers, offsets = pieces
     K = len(offsets)
     if K == 0:
-        raise EmptyPieceList("minimax program needs at least one piece")
+        raise InvalidInput("minimax program needs at least one piece", "pieces")
 
     active = _dominant(W, centers, offsets)
     if active.size:

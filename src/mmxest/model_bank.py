@@ -19,12 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    EmptyModelSet,
-    NonpositiveGamma,
-    NotPositiveDefinite,
-)
+from .exceptions import InvalidInput
 from .linalg import check_spd
 
 
@@ -85,9 +80,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def finite_real(value) -> bool:
-    """True for a finite real number; a bool or a numeric string is not one."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """True for a real number with a finite float value; a bool, a numeric
+    string or an integer beyond the float range is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _as_matrix_list(value):
@@ -98,10 +98,10 @@ def _stack(name, mats, shape):
     """Stack per-model matrices after checking each one's shape and entries."""
     for i, M in enumerate(mats):
         if M.shape != shape:
-            raise DimensionMismatch(f"{name}[{i}] has shape {M.shape}, expected {shape}", name)
+            raise InvalidInput(f"{name}[{i}] has shape {M.shape}, expected {shape}", name)
     stacked = np.stack(mats)
     if not np.isfinite(stacked).all():
-        raise DimensionMismatch(f"{name} has a non-finite entry", name)
+        raise InvalidInput(f"{name} has a non-finite entry", name)
     return _freeze(stacked)
 
 
@@ -118,18 +118,12 @@ def validate(candidate) -> ModelSet:
 
     Raises
     ------
-    EmptyModelSet
-        If the family has no models.
-    DimensionMismatch
-        If any matrix shape is inconsistent, or an entry of F, H, B or
-        xhat0 is not finite.
-    NotPositiveDefinite
-        If Q, R, or P0 is missing, has a non-finite entry, or fails the
-        symmetric factorization test.
-    NonpositiveGamma
-        If gamma is missing or not a finite real number > 0.
-
-    Each error's ``field`` names the record key at fault.
+    InvalidInput
+        If the family has no models, a matrix shape is inconsistent, an
+        entry of F, H, B or xhat0 is not finite, Q, R or P0 is missing or
+        fails the symmetric factorization test, or gamma is missing, not a
+        finite real number > 0, or has no finite nonzero square.  Its
+        ``field`` names the record key at fault.
     """
     if isinstance(candidate, ModelSet):
         record = {f.name: getattr(candidate, f.name) for f in fields(ModelSet)}
@@ -137,15 +131,15 @@ def validate(candidate) -> ModelSet:
     elif isinstance(candidate, Mapping):
         record = dict(candidate)
     else:
-        raise DimensionMismatch(f"cannot interpret {type(candidate).__name__} as a model set")
+        raise InvalidInput(f"cannot interpret {type(candidate).__name__} as a model set")
 
     F = _as_matrix_list(record.get("F", ()))
     H = _as_matrix_list(record.get("H", ()))
     K = len(F)
     if K == 0:
-        raise EmptyModelSet("model set must contain at least one model", "F")
+        raise InvalidInput("model set must contain at least one model", "F")
     if len(H) != K:
-        raise DimensionMismatch(f"got {K} F matrices but {len(H)} H matrices", "H")
+        raise InvalidInput(f"got {K} F matrices but {len(H)} H matrices", "H")
     n = F[0].shape[0]
     m = H[0].shape[0]
     F = _stack("F", F, (n, n))
@@ -158,28 +152,31 @@ def validate(candidate) -> ModelSet:
     else:
         B = _as_matrix_list(B_raw)
         if len(B) != K:
-            raise DimensionMismatch(f"got {K} models but {len(B)} B matrices", "B")
+            raise InvalidInput(f"got {K} models but {len(B)} B matrices", "B")
         p = B[0].shape[1]
         B = _stack("B", B, (n, p))
 
     weights = {}
     for name, dim in (("Q", n), ("R", m), ("P0", n)):
         if record.get(name) is None:
-            raise NotPositiveDefinite(f"{name} is missing", name)
+            raise InvalidInput(f"{name} is missing", name)
         W = check_spd(np.atleast_2d(np.asarray(record[name], dtype=float)), name)
         if W.shape != (dim, dim):
-            raise DimensionMismatch(f"{name} has shape {W.shape}, expected ({dim}, {dim})", name)
+            raise InvalidInput(f"{name} has shape {W.shape}, expected ({dim}, {dim})", name)
         weights[name] = _freeze(W)
 
     gamma = record.get("gamma")
     if not (finite_real(gamma) and gamma > 0):
-        raise NonpositiveGamma(f"gamma must be a finite real number > 0, got {gamma!r}", "gamma")
+        raise InvalidInput(f"gamma must be a finite real number > 0, got {gamma!r}", "gamma")
+    gamma = float(gamma)
+    if not 0.0 < gamma * gamma < math.inf:  # the certificates divide by gamma^2
+        raise InvalidInput(f"gamma^2 must be a finite number > 0, got {gamma!r}^2", "gamma")
 
     xhat0 = np.asarray(record.get("xhat0", np.zeros(n)), dtype=float).reshape(-1)
     if xhat0.shape != (n,):
-        raise DimensionMismatch(f"xhat0 has shape {xhat0.shape}, expected ({n},)", "xhat0")
+        raise InvalidInput(f"xhat0 has shape {xhat0.shape}, expected ({n},)", "xhat0")
     if not np.isfinite(xhat0).all():
-        raise DimensionMismatch("xhat0 has a non-finite entry", "xhat0")
+        raise InvalidInput("xhat0 has a non-finite entry", "xhat0")
 
-    return ModelSet(K=K, n=n, m=m, p=p, F=F, H=H, B=B, gamma=float(gamma),
+    return ModelSet(K=K, n=n, m=m, p=p, F=F, H=H, B=B, gamma=gamma,
                     xhat0=_freeze(xhat0), **weights)

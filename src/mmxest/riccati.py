@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    FactorizationFailure,
-    GammaInfeasible,
-    HorizonExceeded,
-    NoConvergence,
-)
+from .exceptions import FactorizationFailure, GammaInfeasible, InvalidInput, NoConvergence
 from .linalg import symmetrize, transpose
 from .model_bank import ModelSet
 
@@ -190,8 +185,8 @@ class GainSchedule:
         if self.stationary:
             return 0
         if not 0 <= t <= (self.horizon if terminal else self.horizon - 1):
-            raise HorizonExceeded(f"no {'covariance' if terminal else 'gain'} at t={t}; "
-                                  f"horizon is {self.horizon}")
+            raise InvalidInput(f"no {'covariance' if terminal else 'gain'} at t={t}; "
+                               f"horizon is {self.horizon}", "t")
         return min(t, self.P.shape[1] - 1)
 
     def cov(self, t, i) -> np.ndarray:
@@ -237,6 +232,8 @@ class AreSolution:
     residual: float
 
 
+# a diverging bank overflows; _logdet_S reports the first (model, t) it breaks
+@np.errstate(over="ignore", invalid="ignore")
 def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     """Propagate the Riccati recursions of all K models from P0 over t = 0..N.
 
@@ -258,7 +255,7 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     column T_i.
     """
     if N < 0:
-        raise ValueError(f"horizon must be >= 0, got {N}")
+        raise InvalidInput(f"horizon must be >= 0, got {N}", "N")
     K, n, m = models.K, models.n, models.m
     F, H, Q, R = models.F, models.H, models.Q, models.R
     tol = SETTLE_ULPS * np.finfo(float).eps

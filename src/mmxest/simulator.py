@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bayes as _bayes
 from . import filter_bank, minimax, riccati
-from .exceptions import DimensionMismatch, IndexOutOfRange
+from .exceptions import InvalidInput
 from .model_bank import ModelSet, finite_real
 from .rng import Xorshift64Star
 
@@ -39,11 +39,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise InvalidInput(f"unknown noise kind {self.kind!r}")
         if not finite_real(self.scale) or self.scale < 0:
-            raise ValueError(f"noise scale must be a finite number >= 0, got {self.scale!r}")
+            raise InvalidInput(f"noise scale must be a finite number >= 0, got {self.scale!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
+            raise InvalidInput(f"noise seed must be an integer, got {self.seed!r}")
 
     def stream(self, length: int, width: int) -> np.ndarray:
         """Draw a (length, width) block from this source's own stream, row by row."""
@@ -68,13 +68,13 @@ class InputSpec:
 
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
-            raise ValueError(f"unknown input kind {self.kind!r}")
+            raise InvalidInput(f"unknown input kind {self.kind!r}")
         if self.kind == "sequence" and self.values is None:
-            raise ValueError("sequence input needs values")
+            raise InvalidInput("sequence input needs values")
         if not finite_real(self.rate):
-            raise ValueError(f"input rate must be a finite number, got {self.rate!r}")
+            raise InvalidInput(f"input rate must be a finite number, got {self.rate!r}")
         if self.values is not None and not np.isfinite(np.asarray(self.values, dtype=float)).all():
-            raise ValueError("input values must be finite")
+            raise InvalidInput("input values must be finite")
 
     def build(self, horizon: int, p: int) -> np.ndarray:
         if p == 0:
@@ -88,7 +88,7 @@ class InputSpec:
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape != (horizon, p):
-            raise ValueError(
+            raise InvalidInput(
                 f"input sequence has shape {vals.shape}, need ({horizon}, {p})")
         return vals.copy()
 
@@ -130,10 +130,9 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     y are formed from the whole x afterwards.
     """
     if not 0 <= true_model < models.K:
-        raise IndexOutOfRange(
-            f"true_model {true_model} outside 0..{models.K - 1}")
+        raise InvalidInput(f"true_model {true_model} outside 0..{models.K - 1}", "true_model")
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise InvalidInput("horizon must be at least 1", "horizon")
     F = models.F[true_model]
     H = models.H[true_model]
 
@@ -159,11 +158,11 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     """Replay a measurement record through both estimators.
 
     ``y`` must be (N, m) and ``u`` (N, p), or None for no input; a 1-D
-    record is taken as one column.  Other shapes raise
-    :class:`DimensionMismatch` before any work.  Gamma-feasibility is
-    checked for every model over the whole horizon (terminal covariance
-    included) before any data is processed; an infeasible pair raises
-    :class:`GammaInfeasible` immediately.
+    record is taken as one column.  Other shapes, and a ``bayes_mode`` not
+    in BAYES_MODES, raise :class:`InvalidInput` before any work.
+    Gamma-feasibility is checked for every model over the whole horizon
+    (terminal covariance included) before any data is processed; an
+    infeasible pair raises :class:`GammaInfeasible` immediately.
 
     Skipped estimators leave NaN columns.  ``x`` and ``z`` are carried into
     the trace when given (a pure-estimation replay may omit them).
@@ -172,7 +171,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     if y.ndim == 1:
         y = y[:, None]
     if y.ndim != 2 or y.shape[1] != models.m:
-        raise DimensionMismatch(f"y has shape {y.shape}, expected (N, {models.m})")
+        raise InvalidInput(f"y has shape {y.shape}, expected (N, {models.m})", "y")
     N = y.shape[0]
     if u is None:
         u = np.zeros((N, models.p))
@@ -181,7 +180,9 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
         if u.ndim == 1:
             u = u[:, None]
         if u.shape != (N, models.p):
-            raise DimensionMismatch(f"u has shape {u.shape}, expected ({N}, {models.p})")
+            raise InvalidInput(f"u has shape {u.shape}, expected ({N}, {models.p})", "u")
+    if bayes_mode not in _bayes.BAYES_MODES:
+        raise InvalidInput(f"bayes_mode {bayes_mode!r} not in {_bayes.BAYES_MODES}", "bayes_mode")
 
     if stationary:
         gains = riccati.stationary_gains(models)

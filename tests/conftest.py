@@ -1,4 +1,5 @@
 import os
+from contextlib import contextmanager
 from importlib.resources import files
 
 import numpy as np
@@ -15,6 +16,15 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("stress", max_examples=STRESS_FACTOR * settings.default.max_examples,
                           database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+@contextmanager
+def raises_invalid(field, match):
+    """``pytest.raises(InvalidInput, match=match)`` that also checks the
+    error's ``field`` (None for an error about no single field)."""
+    with pytest.raises(mx.InvalidInput, match=match) as err:
+        yield err
+    assert err.value.field == field
 
 
 def examples(n):

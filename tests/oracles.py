@@ -235,10 +235,10 @@ def value_function(state, x, i):
     of a filter-bank state; :func:`stacked_ls_value` is its oracle."""
     models = state.gains.models
     if not 0 <= i < models.K:
-        raise mx.IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
+        raise mx.InvalidInput(f"model index {i} outside 0..{models.K - 1}", "i")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (models.n,):
-        raise mx.DimensionMismatch(f"x has shape {x.shape}, expected ({models.n},)")
+        raise mx.InvalidInput(f"x has shape {x.shape}, expected ({models.n},)", "x")
     d = x - state.xbreve[i]
     P = state.gains.cov(state.t, i)
     return float(d @ spd_solve(P, d, context=f"P[{i}] at t={state.t}")) + float(state.c[i])
@@ -259,10 +259,10 @@ def worst_case_state(yhat, i, state):
     gains = state.gains
     models = gains.models
     if not 0 <= i < models.K:
-        raise mx.IndexOutOfRange(f"model index {i} outside 0..{models.K - 1}")
+        raise mx.InvalidInput(f"model index {i} outside 0..{models.K - 1}", "i")
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
     if yhat.shape != (models.m,):
-        raise mx.DimensionMismatch(f"yhat has shape {yhat.shape}, expected ({models.m},)")
+        raise mx.InvalidInput(f"yhat has shape {yhat.shape}, expected ({models.m},)", "yhat")
     gains.require_feasible(state.t)
     H = models.H[i]
     P = gains.cov(state.t, i)

@@ -3,7 +3,7 @@ import pytest
 
 import mmxest as mx
 from mmxest import bayes, filter_bank
-from conftest import make_random_models
+from conftest import make_random_models, raises_invalid
 
 I1 = np.eye(1)
 
@@ -71,7 +71,7 @@ def test_bayes_estimate_average_and_map():
     assert avg[0] == pytest.approx(0.75 * 0.5 + 0.25 * (-0.5), abs=1e-12)
     top = bayes.bayes_estimate(post, state, mode="map")
     assert top[0] == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
+    with raises_invalid("mode", "^unknown mode 'median'; expected 'average' or 'map'$"):
         bayes.bayes_estimate(post, state, mode="median")
 
 

@@ -173,6 +173,8 @@ MALFORMED_CONFIGS = [
     pytest.param("models.F_base", "F: [[[1.0]]]", "F_base: x\n  F_scales: [1.0]", id="F_base-x"),
     pytest.param("gamma", "gamma: 3.0", "gamma: .inf", id="gamma-inf"),
     pytest.param("gamma", "gamma: 3.0", "gamma: [3]", id="gamma-list"),
+    pytest.param("gamma", "gamma: 3.0", "gamma: 1.0e+300", id="gamma-square-overflows"),
+    pytest.param("gamma", "gamma: 3.0", "gamma: 1" + "0" * 400, id="gamma-int-beyond-float"),
     pytest.param("xhat0", "horizon: 4", "horizon: 4\nxhat0: [a]", id="xhat0-a"),
     pytest.param("xhat0", "horizon: 4", "horizon: 4\nxhat0: [.nan]", id="xhat0-nan"),
     pytest.param("Q", "Q: 1.0", "Q: .nan", id="Q-nan"),
@@ -211,7 +213,7 @@ def loaded_with(loader, path):
         mp.setattr(config, "_LOADER", loader)
         try:
             return config.load_config(path)
-        except mx.ConfigError as exc:
+        except mx.InvalidInput as exc:
             return str(exc)
 
 
@@ -262,6 +264,48 @@ def test_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--config", cfgp,
                      "--out", str(tmp_path / "x.csv")]) == 1
     assert "convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", [[], ["--seeds", "0..1"]], ids=["one-run", "seeds"])
+def test_unwritable_output_exits_2(tmp_path, paper_config_path, capsys, seeds):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["run", "--config", paper_config_path, "--out", str(out)] + seeds) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field output: cannot write: ")
+    assert err.count("\n") == 1 and "missing" in err
+
+
+DIVERGING_BANK = SCALAR_UNIT.replace("F: [[[1.0]]]", "F: [[[1.0e+200]], [[0.5]]]").replace(
+    "gamma: 3.0", "gamma: 1.0e+100").replace("kind: gaussian", "kind: zero")
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_diverging_bank_names_model_and_t(tmp_path, capsys, command):
+    # P of model 0 overflows at t = 1; the recursion ignores the overflow
+    # (RuntimeWarnings are errors under this suite) and the factorization
+    # check reports where S stopped being positive definite.
+    cfgp = write(tmp_path, DIVERGING_BANK)
+    assert cli.main([command, "--config", cfgp]) == 1
+    assert capsys.readouterr().err == (
+        "error: factorization failure: model 0, t=1: innovation covariance "
+        "R + H P H^T is not positive definite\n")
+
+
+@pytest.mark.parametrize("cls, code", [
+    (mx.InvalidInput, 2), (mx.GammaInfeasible, 3), (mx.NoConvergence, 1),
+    (mx.FactorizationFailure, 1), (mx.EstimationError, 1),
+    (type("LibraryError", (mx.EstimationError,), {}), 1),
+    (type("BadSeed", (mx.InvalidInput,), {}), 2)])
+def test_every_library_error_exits_with_one_line(tmp_path, monkeypatch, capsys, cls, code):
+    cfgp = write(tmp_path, SCALAR_UNIT)
+
+    def fail(*args, **kwargs):
+        raise cls("forced")
+
+    monkeypatch.setattr(cli, "_simulate", fail)
+    assert cli.main(["run", "--config", cfgp]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("forced\n") and err.count("\n") == 1
 
 
 def test_riccati_reports_golden_ratio(tmp_path, capsys):

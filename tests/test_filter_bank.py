@@ -3,7 +3,7 @@ import pytest
 
 import mmxest as mx
 from mmxest import filter_bank
-from conftest import make_random_models, unit_bank
+from conftest import make_random_models, raises_invalid, unit_bank
 from oracles import kalman_step, stacked_ls_value, value_function, worst_case_state
 
 I1 = np.eye(1)
@@ -82,19 +82,19 @@ def test_value_function_scalar_oracle():
 
 def test_value_function_checks_model_index():
     models, state = singleton_state()
-    with pytest.raises(mx.IndexOutOfRange):
+    with raises_invalid("i", r"^model index 1 outside 0\.\.0$"):
         value_function(state, np.array([0.0]), 1)
 
 
 def test_step_rejects_bad_measurement_shape(paper_models):
     state = filter_bank.init(mx.run_recursion(paper_models, 3))
-    with pytest.raises(mx.DimensionMismatch):
+    with raises_invalid("y", r"^y has shape \(2,\), expected \(1,\)$"):
         filter_bank.step(state, np.array([1.0, 2.0]))
 
 
 def test_step_rejects_input_when_inputless():
     models, state = singleton_state()
-    with pytest.raises(mx.DimensionMismatch):
+    with raises_invalid("u", "^model set has no input channel but u was given$"):
         filter_bank.step(state, np.array([1.0]), u=np.array([1.0]))
 
 
@@ -169,7 +169,7 @@ def test_step_past_horizon_raises(paper_models):
     u = np.array([0.0])
     state = filter_bank.step(state, y, u)
     state = filter_bank.step(state, y, u)
-    with pytest.raises(mx.HorizonExceeded):
+    with raises_invalid("t", "^no gain at t=2; horizon is 2$"):
         filter_bank.step(state, y, u)
 
 

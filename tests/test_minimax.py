@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import mmxest as mx
 from mmxest import filter_bank, kkt, minimax
 from mmxest.minimax import SOLVE_TOL, MinimaxEstimate, QuadraticPieces, build_pieces, solve
-from conftest import examples, make_random_models, unit_bank
+from conftest import examples, make_random_models, raises_invalid, unit_bank
 from oracles import (
     PreconditionViolated,
     concave_quadratic_max,
@@ -138,7 +138,7 @@ def test_solve_certificates():
 
 
 def test_solve_empty_piece_list():
-    with pytest.raises(mx.EmptyPieceList):
+    with raises_invalid("pieces", "^minimax program needs at least one piece$"):
         solve(scalar_pieces())
 
 

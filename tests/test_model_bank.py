@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import mmxest as mx
+from conftest import raises_invalid
 
 
 def paper_spec():
@@ -29,65 +32,65 @@ def test_empty_model_list_rejected():
     spec["F"] = []
     spec["H"] = []
     spec["B"] = []
-    with pytest.raises(mx.EmptyModelSet):
+    with raises_invalid("F", "^model set must contain at least one model$"):
         mx.validate(spec)
 
 
 def test_mismatched_shapes_rejected():
     spec = paper_spec()
     spec["H"] = [np.array([[1.0, 0.0]])] * 2  # wrong state dimension
-    with pytest.raises(mx.DimensionMismatch):
+    with raises_invalid("H", r"^H\[0\] has shape \(1, 2\), expected \(1, 3\)$"):
         mx.validate(spec)
 
     spec = paper_spec()
     spec["F"][0] = np.eye(2)  # one model with a different n
-    with pytest.raises(mx.DimensionMismatch):
+    with raises_invalid("F", r"^F\[1\] has shape \(3, 3\), expected \(2, 2\)$"):
         mx.validate(spec)
 
 
 def test_nonsquare_f_rejected():
     spec = paper_spec()
     spec["F"] = [np.ones((3, 2)), np.ones((3, 2))]
-    with pytest.raises(mx.DimensionMismatch):
+    with raises_invalid("F", r"^F\[0\] has shape \(3, 2\), expected \(3, 3\)$"):
         mx.validate(spec)
 
 
 def test_weights_must_be_spd():
     spec = paper_spec()
     spec["Q"] = np.diag([1.0, -1.0, 1.0])
-    with pytest.raises(mx.NotPositiveDefinite, match="Q"):
+    with raises_invalid("Q", "^Q is not positive definite$"):
         mx.validate(spec)
 
     spec = paper_spec()
     spec["R"] = np.array([[0.0]])
-    with pytest.raises(mx.NotPositiveDefinite, match="R"):
+    with raises_invalid("R", "^R is not positive definite$"):
         mx.validate(spec)
 
     spec = paper_spec()
     asym = np.eye(3)
     asym[0, 1] = 0.5  # asymmetric P0 is not a valid weight
     spec["P0"] = asym
-    with pytest.raises(mx.NotPositiveDefinite, match="P0"):
+    with raises_invalid("P0", r"^P0 is not symmetric \(max asymmetry 5\.000e-01\)$"):
         mx.validate(spec)
 
 
-@pytest.mark.parametrize("key, cls", [
-    ("F", mx.DimensionMismatch), ("H", mx.DimensionMismatch), ("B", mx.DimensionMismatch),
-    ("xhat0", mx.DimensionMismatch), ("Q", mx.NotPositiveDefinite),
-    ("R", mx.NotPositiveDefinite), ("P0", mx.NotPositiveDefinite)])
-def test_non_finite_or_missing_arrays_rejected(key, cls):
+# The ids keep the names these checks' errors had before InvalidInput merged them.
+@pytest.mark.parametrize("key", [pytest.param(key, id=f"{key}-{old}") for key, old in (
+    ("F", "DimensionMismatch"), ("H", "DimensionMismatch"), ("B", "DimensionMismatch"),
+    ("xhat0", "DimensionMismatch"), ("Q", "NotPositiveDefinite"),
+    ("R", "NotPositiveDefinite"), ("P0", "NotPositiveDefinite"))])
+def test_non_finite_or_missing_arrays_rejected(key):
     # A NaN passes the Cholesky test, so it used to reach the solvers.
     spec = paper_spec()
     spec["xhat0"] = np.zeros(3)
     value = np.array(spec[key], dtype=float)
     value[(0,) * value.ndim] = np.nan
     spec[key] = value
-    with pytest.raises(cls, match=rf"{key} has a non-finite entry") as err:
+    with raises_invalid(key, rf"^{key} has a non-finite entry$"):
         mx.validate(spec)
-    assert err.value.field == key
-    if cls is mx.NotPositiveDefinite:
+    if key in ("Q", "R", "P0"):
         del spec[key]
-        with pytest.raises(cls, match=f"{key} is missing"):
+        with raises_invalid(key, f"^{key} is missing$"):
             mx.validate(spec)
 
 
@@ -97,9 +100,16 @@ def test_gamma_must_be_positive():
         spec["gamma"] = bad
         if bad is None:
             del spec["gamma"]
-        with pytest.raises(mx.NonpositiveGamma, match="gamma") as err:
+        with raises_invalid("gamma", re.escape(
+                f"gamma must be a finite real number > 0, got {bad!r}")):
             mx.validate(spec)
-        assert err.value.field == "gamma"
+    # the certificates divide by gamma^2: its square must be finite and nonzero
+    for bad, text in ((1e300, "1e+300"), (1e-200, "1e-200")):
+        spec = paper_spec()
+        spec["gamma"] = bad
+        with raises_invalid("gamma", re.escape(
+                f"gamma^2 must be a finite number > 0, got {text}^2")):
+            mx.validate(spec)
 
 
 def test_input_matrix_optional():

@@ -1,18 +1,23 @@
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 
 import mmxest as mx
+from mmxest import cli, exceptions
 
 PUBLIC_NAMES = [
-    "AreSolution", "BayesPosterior", "ConfigError", "DimensionMismatch", "EmptyModelSet",
-    "EmptyPieceList", "EstimationError", "ExperimentConfig", "FactorizationFailure",
-    "FilterBankState", "GainSchedule", "GammaInfeasible", "HorizonExceeded",
-    "IndexOutOfRange", "InputSpec", "MinimaxEstimate", "ModelSet", "NoConvergence",
-    "NoiseSpec", "NonpositiveGamma", "NotPositiveDefinite", "QuadraticPieces",
-    "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step", "build_pieces",
-    "generate_truth", "init", "load_config", "riccati_step", "run_estimators",
+    "AreSolution", "BayesPosterior", "EstimationError", "ExperimentConfig",
+    "FactorizationFailure", "FilterBankState", "GainSchedule", "GammaInfeasible", "InputSpec",
+    "InvalidInput", "MinimaxEstimate", "ModelSet", "NoConvergence", "NoiseSpec",
+    "QuadraticPieces", "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step",
+    "build_pieces", "generate_truth", "init", "load_config", "riccati_step", "run_estimators",
     "run_recursion", "simulate", "solve", "solve_are", "stationary_gains", "step",
     "validate", "with_seed",
 ]
+ERROR_CLASSES = {name: cls for name, cls in vars(exceptions).items()
+                 if inspect.isclass(cls) and issubclass(cls, mx.EstimationError)}
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -38,3 +43,26 @@ def test_per_step_records_reject_assignment(paper_models, index, cls):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+def test_every_raise_constructs_a_package_error():
+    # The CLI turns a package error into one "error: ..." line and its exit
+    # code; anything else would end in a traceback.
+    assert sorted(ERROR_CLASSES) == ["EstimationError", "FactorizationFailure",
+                                     "GammaInfeasible", "InvalidInput", "NoConvergence"]
+    bad = []
+    for path in sorted(Path(mx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare re-raise
+                continue
+            func = node.exc.func if isinstance(node.exc, ast.Call) else None
+            if not (isinstance(func, ast.Name) and func.id in ERROR_CLASSES):
+                bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
+
+
+def test_every_error_class_has_an_exit_code():
+    assert set(cli.EXIT_CODES) == set(ERROR_CLASSES.values())
+    assert {cls.__name__: cli.EXIT_CODES[cls][0] for cls in cli.EXIT_CODES} == {
+        "InvalidInput": 2, "GammaInfeasible": 3, "NoConvergence": 1,
+        "FactorizationFailure": 1, "EstimationError": 1}

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import mmxest as mx
 from mmxest import riccati
-from conftest import make_random_models, unit_bank
+from conftest import make_random_models, raises_invalid, unit_bank
 from oracles import kalman_step, settle_schedule, textbook_schedule
 
 I1 = np.eye(1)
@@ -165,9 +165,9 @@ def test_run_recursion_shapes_and_bounds(paper_models):
     np.testing.assert_array_equal(seq.cov(0, 1), np.eye(3))
     assert seq.cov(N, 0).shape == (3, 3)
     assert seq.gain(N - 1, 1).shape == (3, 1)
-    with pytest.raises(mx.HorizonExceeded):
+    with raises_invalid("t", "^no covariance at t=8; horizon is 7$"):
         seq.cov(N + 1, 0)
-    with pytest.raises(mx.HorizonExceeded):
+    with raises_invalid("t", "^no gain at t=7; horizon is 7$"):
         seq.gain(N, 0)  # gains exist only up to N - 1
     assert seq.feasible.all()
 
@@ -266,10 +266,10 @@ def test_stationary_schedule_matches_solve_are():
 def test_schedule_accessors_raise_out_of_range():
     seq = mx.run_recursion(oracle_bank(), 4)
     for t in (-1, 5):
-        with pytest.raises(mx.HorizonExceeded):
+        with raises_invalid("t", f"^no covariance at t={t}; horizon is 4$"):
             seq.cov(t, 0)
     for t in (-1, 4):
-        with pytest.raises(mx.HorizonExceeded):
+        with raises_invalid("t", f"^no gain at t={t}; horizon is 4$"):
             seq.gain(t, 0)
 
 
@@ -452,10 +452,10 @@ def test_settled_schedule_clamps_to_last_column(paper_models):
     np.testing.assert_array_equal(seq.cov(N, 0), seq.P[0, T])
     np.testing.assert_array_equal(seq.gain(N - 1, 1), seq.gain(T, 1))
     for t in (-1, N + 1):
-        with pytest.raises(mx.HorizonExceeded):
+        with raises_invalid("t", f"^no covariance at t={t}; horizon is {N}$"):
             seq.cov(t, 0)
     for t in (-1, N):
-        with pytest.raises(mx.HorizonExceeded):
+        with raises_invalid("t", f"^no gain at t={t}; horizon is {N}$"):
             seq.gain(t, 0)
 
 

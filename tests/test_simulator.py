@@ -7,7 +7,7 @@ import mmxest as mx
 from mmxest import filter_bank, riccati
 from mmxest.rng import Xorshift64Star
 from mmxest.simulator import InputSpec, NoiseSpec
-from conftest import make_random_models
+from conftest import make_random_models, raises_invalid
 from oracles import truth_loop
 
 
@@ -20,9 +20,9 @@ def paper_setup(cfg, **overrides):
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ValueError):
+    with raises_invalid(None, "^unknown noise kind 'poisson'$"):
         NoiseSpec(kind="poisson")
-    with pytest.raises(ValueError):
+    with raises_invalid(None, "^noise scale must be a finite number >= 0, got -1.0$"):
         NoiseSpec(scale=-1.0)
 
 
@@ -82,11 +82,11 @@ def test_input_spec_kinds():
     np.testing.assert_allclose(sin[:, 0], np.sin(0.2 * np.arange(5)))
     seq = InputSpec(kind="sequence", values=np.arange(3.0)).build(3, 1)
     np.testing.assert_array_equal(seq, [[0.0], [1.0], [2.0]])
-    with pytest.raises(ValueError):
+    with raises_invalid(None, "^sequence input needs values$"):
         InputSpec(kind="sequence")  # values required
-    with pytest.raises(ValueError):
+    with raises_invalid(None, r"^input sequence has shape \(3, 1\), need \(4, 1\)$"):
         InputSpec(kind="sequence", values=np.arange(3.0)).build(4, 1)
-    with pytest.raises(ValueError):
+    with raises_invalid(None, "^unknown input kind 'ramp'$"):
         InputSpec(kind="ramp")
 
 
@@ -155,9 +155,9 @@ def test_run_estimators_forms_each_innovation_once(paper_config, monkeypatch):
 def test_generate_truth_validates_arguments(paper_config):
     cfg = paper_config
     zero = NoiseSpec(kind="zero")
-    with pytest.raises(mx.IndexOutOfRange):
+    with raises_invalid("true_model", r"^true_model 2 outside 0\.\.1$"):
         mx.generate_truth(cfg.models, 2, 5, zero, zero)
-    with pytest.raises(ValueError):
+    with raises_invalid("horizon", "^horizon must be at least 1$"):
         mx.generate_truth(cfg.models, 0, 0, zero, zero)
 
 
@@ -242,10 +242,14 @@ def test_run_estimators_checks_record_shapes(paper_config, monkeypatch, run_baye
         raise AssertionError("gain schedule computed before the record was checked")
 
     monkeypatch.setattr(riccati, "run_recursion", no_work)
-    with pytest.raises(mx.DimensionMismatch, match=r"y has shape \(6, 2\)"):
+    with raises_invalid("y", r"^y has shape \(6, 2\), expected \(N, 1\)$"):
         mx.run_estimators(cfg.models, np.zeros((6, 2)), u=np.zeros((6, 1)), run_bayes=run_bayes)
-    with pytest.raises(mx.DimensionMismatch, match=r"u has shape \(5, 1\), expected \(6, 1\)"):
+    with raises_invalid("u", r"^u has shape \(5, 1\), expected \(6, 1\)$"):
         mx.run_estimators(cfg.models, np.zeros((6, 1)), u=np.zeros((5, 1)), run_bayes=run_bayes)
+    # bayes_mode is checked up front too, whether or not the Bayes baseline runs
+    with raises_invalid("bayes_mode", r"^bayes_mode 'avg' not in \('average', 'map'\)$"):
+        mx.run_estimators(cfg.models, np.zeros((6, 1)), u=np.zeros((6, 1)), run_bayes=run_bayes,
+                          bayes_mode="avg")
 
 
 def test_single_step_horizon(paper_config):
