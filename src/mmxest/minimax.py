@@ -37,22 +37,12 @@ rounding level.  Failing that, the epigraph form
 
 is solved by a primal-dual interior point with Mehrotra's
 predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
-its multipliers, normalized, are the certificate weights.  If it stops
-uncertified (a breakdown or the iteration cap), the active-set stage
-starts again from its last weights.  A gap that is not finite (a NaN
-piece) never certifies.
-
-Each iteration scales its (m+1) x (m+1) Newton matrix M to unit diagonal,
-D M D = L L^T with D = diag(M)^{-1/2}, factors it once (a matrix that is
-not numerically positive definite ends the solve) and inverts the
-triangular factor.  Both directions of the step are then products,
-x = D L^{-T} (L^{-1} (D b)), refined once with the residual b - M x.  Near
-convergence M is ill-conditioned (lam_i / r_i grows without bound on active
-pieces); with the scaling and the refinement each move stays within
-2 eps cond(M) of the move two triangular solves per direction give, which
-the unscaled products missed on rare sets.  M^{-1} itself is never formed.
-A step length is 1 / max(1, max_i -dv_i / v_i), the largest a <= 1 that
-keeps v + a dv >= 0 for v > 0.
+its multipliers, normalized, are the certificate weights.  Each iteration
+factors its (m+1) x (m+1) Newton matrix M = L L^T once and solves with L,
+then L^T.  If it stops uncertified (a breakdown, such as an M that is not
+numerically positive definite, or the iteration cap), the active-set
+stage starts again from its last weights.  A gap that is not finite (a
+NaN piece) never certifies.
 
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
@@ -198,12 +188,12 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
         f_i(y) - s + r_i = 0,        lam_i r_i = sigma mu,
 
     and eliminates dr and dlam, leaving one symmetric positive definite
-    (m+1) x (m+1) system M in (dy, ds).  The Cholesky factor of M scaled to
-    unit diagonal is inverted once and serves both the predictor
-    (sigma = 0) and the corrector.  Primal (y, s, r) and dual lam take
-    separate step lengths; with one common length the iteration cycled on
-    some random piece sets.  Returns the new (y, s, r, lam); raises
-    LinAlgError when M is not numerically positive definite.
+    (m+1) x (m+1) system M in (dy, ds).  Its Cholesky factor L serves the
+    predictor (sigma = 0) and the corrector, each by solves with L and L^T.
+    Primal (y, s, r) and dual lam take separate step lengths; with one
+    common length the iteration cycled on some random piece sets.  Returns
+    the new (y, s, r, lam); raises LinAlgError when M is not numerically
+    positive definite.
     """
     K, m = centers.shape
     d = y - centers
@@ -217,19 +207,11 @@ def _interior_step(y, s, r, lam, W, centers, offsets):
     M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
     M[:m, m] = M[m, :m] = -(ratio @ g)
     M[m, m] = ratio.sum()
-    unit = 1.0 / np.sqrt(M.diagonal())  # M^{-1} = D (D M D)^{-1} D, D = diag(unit)
-    Linv = np.linalg.inv(np.linalg.cholesky(M * unit[:, None] * unit))
-    rhs = np.empty(m + 1)
-
-    def solve_m(v):
-        return unit * (Linv.T @ (Linv @ (unit * v)))
+    L = np.linalg.cholesky(M)
 
     def direction(res_c):
         b = ratio * res_p - res_c / r
-        rhs[:m] = -res_y - b @ g
-        rhs[m] = b.sum() - res_s
-        step = solve_m(rhs)
-        step += solve_m(rhs - M @ step)  # one refinement step
+        step = np.linalg.solve(L.T, np.linalg.solve(L, np.append(-res_y - b @ g, b.sum() - res_s)))
         dlam = ratio * (g @ step[:m] - step[m]) + b
         return step, (-res_c - r * dlam) / lam, dlam
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bayes as _bayes
 from . import filter_bank, minimax, riccati
-from .exceptions import InvalidInput
+from .exceptions import InvalidInput, NoConvergence
 from .model_bank import ModelSet, finite_real
 from .rng import Xorshift64Star
 
@@ -124,10 +124,10 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
                    input_spec: InputSpec = InputSpec()):
     """Roll the true model forward from the bank's prior mean.  Returns (u, x, y, z).
 
-    x has horizon + 1 rows (terminal state included); y_t = H x_t + v_t and
-    z_t = H x_t for t < horizon.  The loop only advances
-    x_{t+1} = F x_t + w_t + B u_t, with every B u_t formed before it; z and
-    y are formed from the whole x afterwards.
+    x has horizon + 1 rows (terminal state included), x_{t+1} = F x_t + w_t
+    + B u_t; y_t = H x_t + v_t and z_t = H x_t for t < horizon.  A state
+    that is not finite raises :class:`InvalidInput` (field ``horizon``)
+    naming the first such t.
     """
     if not 0 <= true_model < models.K:
         raise InvalidInput(f"true_model {true_model} outside 0..{models.K - 1}", "true_model")
@@ -143,10 +143,15 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
 
     x = np.empty((horizon + 1, models.n))
     x[0] = models.xhat0
-    for t in range(horizon):
-        x[t + 1] = F @ x[t] + w[t]
-        if Bu is not None:
-            x[t + 1] += Bu[t]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once below
+        for t in range(horizon):
+            x[t + 1] = F @ x[t] + w[t]
+            if Bu is not None:
+                x[t + 1] += Bu[t]
+    if not np.isfinite(x).all():
+        t = int((~np.isfinite(x).all(axis=1)).argmax())
+        raise InvalidInput(f"state of true model {true_model} is not finite at t={t} "
+                           f"(horizon {horizon})", "horizon")
     z = x[:-1] @ H.T
     return u, x, z + v, z
 
@@ -158,14 +163,16 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     """Replay a measurement record through both estimators.
 
     ``y`` must be (N, m) and ``u`` (N, p), or None for no input; a 1-D
-    record is taken as one column.  Other shapes, and a ``bayes_mode`` not
-    in BAYES_MODES, raise :class:`InvalidInput` before any work.
-    Gamma-feasibility is checked for every model over the whole horizon
-    (terminal covariance included) before any data is processed; an
-    infeasible pair raises :class:`GammaInfeasible` immediately.
-
-    Skipped estimators leave NaN columns.  ``x`` and ``z`` are carried into
-    the trace when given (a pure-estimation replay may omit them).
+    record is taken as one column.  Other shapes, values that are not
+    finite and a ``bayes_mode`` not in BAYES_MODES raise
+    :class:`InvalidInput` before any work.  Gamma-feasibility is checked
+    for every model over the whole horizon (terminal covariance included)
+    before any data is processed; an infeasible pair raises
+    :class:`GammaInfeasible` immediately.  A solve that stops uncertified
+    raises :class:`NoConvergence` naming its t and the first (model, t)
+    whose offset -gamma^2 c_i overflowed, if any.  Skipped estimators leave
+    NaN columns.  ``x`` and ``z`` are carried into the trace when given (a
+    pure-estimation replay may omit them).
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -181,6 +188,10 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
             u = u[:, None]
         if u.shape != (N, models.p):
             raise InvalidInput(f"u has shape {u.shape}, expected ({N}, {models.p})", "u")
+    for name, record in (("y", y), ("u", u)):
+        if not np.isfinite(record).all():
+            t = int((~np.isfinite(record).all(axis=1)).argmax())
+            raise InvalidInput(f"{name} is not finite at t={t}", name)
     if bayes_mode not in _bayes.BAYES_MODES:
         raise InvalidInput(f"bayes_mode {bayes_mode!r} not in {_bayes.BAYES_MODES}", "bayes_mode")
 
@@ -203,20 +214,26 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     tr_lam = np.full((N, K), np.nan)
 
     inputs = u if models.p > 0 else repeat(None, N)
-    for t, (y_t, u_t) in enumerate(zip(y, inputs)):
-        tr_c[t] = state.c
-        tr_mu[t] = posterior.mu
-        tr_models[t] = state.yhat
-        if run_minimax:
-            est = minimax.solve(minimax.build_pieces(state))
-            tr_mini[t] = est.yhat
-            tr_J[t] = est.value
-            tr_lam[t] = est.weights
-        if run_bayes:
-            tr_bayes[t] = _bayes.bayes_estimate(posterior, state, mode=bayes_mode)
-        state = filter_bank.step(state, y_t, u_t)
-        if run_bayes:
-            posterior = _bayes.bayes_step(posterior, state)
+    with np.errstate(over="ignore", invalid="ignore"):  # a piece that overflows fails its solve
+        for t, (y_t, u_t) in enumerate(zip(y, inputs)):
+            tr_c[t] = state.c
+            tr_mu[t] = posterior.mu
+            tr_models[t] = state.yhat
+            if run_minimax:
+                try:
+                    est = minimax.solve(minimax.build_pieces(state))
+                except NoConvergence as exc:  # name the first offset that overflowed, if any
+                    t0, i = np.nonzero(~np.isfinite(gains.gamma_sq * tr_c[:t + 1]))
+                    where = f"model {i[0]}, t={t0[0]}: gamma^2 c overflows; " if i.size else ""
+                    raise NoConvergence(f"{where}at t={t}: {exc}", last=exc.last) from None
+                tr_mini[t] = est.yhat
+                tr_J[t] = est.value
+                tr_lam[t] = est.weights
+            if run_bayes:
+                tr_bayes[t] = _bayes.bayes_estimate(posterior, state, mode=bayes_mode)
+            state = filter_bank.step(state, y_t, u_t)
+            if run_bayes:
+                posterior = _bayes.bayes_step(posterior, state)
 
     x_arr = np.full((N + 1, models.n), np.nan) if x is None else np.asarray(x, dtype=float)
     z_arr = np.full((N, m), np.nan) if z is None else np.asarray(z, dtype=float).reshape(N, m)

@@ -14,8 +14,8 @@ oracle above or an identity of the paper.
 
 The reference kernels at the end are the straightforward forms of rewritten
 library kernels: the dominance test over every top row, the per-step truth
-loop, the per-value CSV renderer, and the interior-point step with a masked
-step length and two triangular solves per Newton direction.
+loop, the per-value CSV renderer, and the interior point's step length as a
+minimum over the shrinking components only.
 """
 import numpy as np
 
@@ -372,50 +372,3 @@ def max_step_masked(v, dv):
     shrinking = dv < 0
     return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
 
-
-def cholesky_direction(L, rhs):
-    """M^{-1} rhs from the Cholesky factor L of M, by two triangular solves."""
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-
-
-def newton_matrix(y, r, lam, W, centers):
-    """The (m+1) x (m+1) Newton matrix of the interior point at an iterate,
-    and the piece gradients g_i = 2 W_i (y - center_i) it is built from."""
-    m = centers.shape[1]
-    g = 2.0 * np.einsum("kij,kj->ki", W, y - centers)
-    ratio = lam / r
-    M = np.empty((m + 1, m + 1))
-    M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
-    M[:m, m] = M[m, :m] = -(ratio @ g)
-    M[m, m] = ratio.sum()
-    return M, g
-
-
-def interior_step_two_solves(y, s, r, lam, W, centers, offsets):
-    """One Mehrotra predictor-corrector step for min s s.t. f_i(y) + r_i = s,
-    as the library's interior point takes it, with each Newton direction
-    from :func:`cholesky_direction` and each step length from
-    :func:`max_step_masked`.  Returns the new (y, s, r, lam)."""
-    K, m = centers.shape
-    d = y - centers
-    M, g = newton_matrix(y, r, lam, W, centers)
-    res_p = 0.5 * np.einsum("ki,ki->k", d, g) + offsets - s + r
-    res_y = lam @ g
-    res_s = 1.0 - lam.sum()
-    ratio = lam / r
-    L = np.linalg.cholesky(M)
-
-    def direction(res_c):
-        b = ratio * res_p - res_c / r
-        step = cholesky_direction(L, np.append(-res_y - b @ g, b.sum() - res_s))
-        dlam = ratio * (g @ step[:m] - step[m]) + b
-        return step, (-res_c - r * dlam) / lam, dlam
-
-    mu = float(lam @ r) / K
-    _, dr, dlam = direction(lam * r)
-    a = min(max_step_masked(r, dr), max_step_masked(lam, dlam))
-    shrink = float((r + a * dr) @ (lam + a * dlam)) / K / mu
-    step, dr, dlam = direction(lam * r + dr * dlam - shrink ** 3 * mu)
-    eta = 1.0 - min(0.01, shrink)
-    a, a_dual = eta * max_step_masked(r, dr), eta * max_step_masked(lam, dlam)
-    return y + a * step[:m], s + a * step[m], r + a * dr, lam + a_dual * dlam

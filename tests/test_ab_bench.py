@@ -53,3 +53,33 @@ def test_verdicts_bound_is_relative_to_the_parent_median():
 def test_verdicts_need_ten_pairs_for_a_claim():
     assert verdicts(PARENT[:9], [0.5] * 9, "lower", 0.25) == (False, False)
     assert verdicts(PARENT[:1], [0.5], "lower", 0.25) == (False, False)
+
+
+def result(correct=True, attempted=10, failed=0):
+    return {"correct": correct, "attempted": attempted, "failed": failed}
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    ([result()] * 3, [result()] * 3, (0, 0.0, 0.0, True)),
+    ([result(False)] + [result()] * 2, [result()] * 3, (1, 0.0, 0.0, False)),  # either side
+    ([result()] * 3, [result()] * 2 + [result(False)], (1, 0.0, 0.0, False)),
+    ([result()] * 2, [result(), result(failed=1)], (0, 0.0, 0.05, False)),     # larger share
+    ([result(failed=2)] * 2, [result(failed=1), result(failed=3)], (0, 0.2, 0.2, True)),
+    ([result(attempted=10, failed=1)], [result(attempted=20, failed=1)], (0, 0.1, 0.05, True)),
+    ([result(attempted=0)], [result(attempted=0)], (0, 0.0, 0.0, True)),
+])
+def test_correctness(parent, change, want):
+    assert ab_bench.correctness(parent, change) == want
+
+
+@pytest.mark.parametrize("correct, failed, code", [(True, 0, 0), (False, 0, 1), (True, 1, 1)],
+                         ids=["clean", "incorrect", "more-failures"])
+def test_exit_code_follows_correctness(monkeypatch, capsys, correct, failed, code):
+    # Two pairs; the change's runs carry the flags, the parent's are clean.
+    def run_once(checkout, workload, seed, seconds):
+        ok, bad = (correct, failed) if checkout == "change" else (True, 0)
+        return {**result(ok, failed=bad), "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    assert ab_bench.main(["parent", "change", "w", "2"]) == code
+    assert capsys.readouterr().out.splitlines()[-1].endswith("passed" if code == 0 else "FAILED")

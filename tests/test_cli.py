@@ -263,7 +263,9 @@ def test_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("mmxest.simulator.minimax.solve", explode)
     assert cli.main(["run", "--config", cfgp,
                      "--out", str(tmp_path / "x.csv")]) == 1
-    assert "convergence" in capsys.readouterr().err
+    # the failing step is named; no offset overflowed
+    err = capsys.readouterr().err
+    assert err == "error: no convergence: at t=0: forced for the exit-code path\n"
 
 
 @pytest.mark.parametrize("seeds", [[], ["--seeds", "0..1"]], ids=["one-run", "seeds"])
@@ -289,6 +291,34 @@ def test_diverging_bank_names_model_and_t(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: factorization failure: model 0, t=1: innovation covariance "
         "R + H P H^T is not positive definite\n")
+
+
+OVERFLOWING = textwrap.dedent("""
+    models:
+      F: [[[{F}]], [[0.5]]]
+      H: 1.0
+    Q: 1.0
+    R: 1.0
+    P0: 1.0
+    gamma: {gamma}
+    horizon: {horizon}
+""")
+
+
+@pytest.mark.parametrize("F, gamma, horizon, code, line", [
+    ("1.0e+200", "1.0e+100", 20, 2, "state of true model 0 is not finite at t=3 (horizon 20)"),
+    ("1.5", "10.0", 1800, 2, "state of true model 0 is not finite at t=1755 (horizon 1800)"),
+    ("1.5", "10.0", 900, 1, "no convergence: model 1, t=876: gamma^2 c overflows; at t=880: "
+                            "duality gap inf > tol 1.000e-08 after 0 interior-point iterations"),
+], ids=["truth-at-3", "truth-at-1755", "cost"])
+def test_overflow_ends_in_one_line_naming_where(tmp_path, capsys, F, gamma, horizon, code, line):
+    # Either the true state overflows (checked once after the truth loop), or
+    # the truth stays finite and gamma^2 c of the wrong model 1 overflows at
+    # t = 876, which the solve cannot certify from t = 880 on.  No
+    # RuntimeWarning on the way: they are errors under this suite.
+    cfgp = write(tmp_path, OVERFLOWING.format(F=F, gamma=gamma, horizon=horizon))
+    assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "x.csv")]) == code
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("cls, code", [

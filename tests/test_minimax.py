@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +12,7 @@ from oracles import (
     PreconditionViolated,
     concave_quadratic_max,
     dominant_all_rows,
-    interior_step_two_solves,
     max_step_masked,
-    newton_matrix,
     quadratic_max_closed_form,
     scalar_minimax,
 )
@@ -512,34 +508,10 @@ def test_step_length_matches_masked_form(v, data):
     assert abs(got - want) <= 4 * np.spacing(want)
 
 
-def reference_checked_solve(pieces):
-    """The interior point on the pieces, offsets shifted as solve shifts them,
-    with each step also taken by the reference kernel from the same iterate.
-    Returns its result (yhat, weights, gap, iterations) and, per step, the
-    relative difference of the two (dy, ds) moves and the condition number
-    of that step's Newton matrix."""
-    kernel, steps = minimax._interior_step, []
-
-    def checked(y, s, r, lam, W, centers, offsets):
-        got = kernel(y, s, r, lam, W, centers, offsets)
-        want = interior_step_two_solves(y, s, r, lam, W, centers, offsets)
-        move = np.append(got[0] - y, got[1] - s)
-        move_want = np.append(want[0] - y, want[1] - s)
-        steps.append((float(np.linalg.norm(move - move_want) / np.linalg.norm(move_want)),
-                      float(np.linalg.cond(newton_matrix(y, r, lam, W, centers)[0]))))
-        return got
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minimax, "_interior_step", checked)
-        result = minimax._interior_point(pieces.W, pieces.centers,
-                                         pieces.offsets - pieces.offsets.max())
-    return SimpleNamespace(**dict(zip(("yhat", "weights", "gap", "iterations"), result))), steps
-
-
 def _newton_k25():
     """K = 25, m = 2, equal offsets: 17 copies of one piece at the origin
-    and 8 pieces near it.  Without diagonal scaling, the kernel's step at
-    cond(M) = 9.9e9 moved 2.08 eps cond(M) away from the reference's."""
+    and 8 pieces near it.  The interior point certifies it in 11
+    iterations, its Newton matrix reaching cond(M) = 4.7e11 on the last."""
     J = np.array([[15.709063186210484, 14.709063186210484],
                   [14.709063186210484, 15.709063186210484]])
     W = np.stack([J] * 25)
@@ -551,21 +523,6 @@ def _newton_k25():
                          (24, 0, -2.9113896408349549e-32)):
         centers[k, at] = value
     return QuadraticPieces(W=W, centers=centers, offsets=np.full(25, -3.8644704827896073))
-
-
-@settings(max_examples=examples(150), deadline=None)
-@given(piece_sets())
-@example(_newton_k25())
-def test_newton_moves_match_two_solve_kernel(pieces):
-    # Within 1e-10 relative while the Newton matrix is well conditioned.
-    # Near convergence its condition number passes 1e8 (lam_i / r_i grows
-    # without bound on active pieces), and any two ways of solving it then
-    # differ at the level eps * cond(M); both carry that error against an
-    # exact solve.
-    est, steps = reference_checked_solve(pieces)
-    assert len(steps) == est.iterations
-    for diff, cond in steps:
-        assert diff <= 1e-10 + 2 * np.finfo(float).eps * cond
 
 
 def random_piece_sets():
@@ -590,28 +547,23 @@ def interior_point_estimate(pieces):
     return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), lam, (), gap, iterations)
 
 
-def test_interior_point_matches_two_solve_kernel_on_random_sets():
-    # Every set the library kernel certifies, the reference kernel certifies
-    # too, and the two values agree within both gaps.  The interior point
-    # runs on every set directly: solve answers most of them before it.
+def test_interior_point_alone_on_random_sets():
+    # The interior point runs on every set directly (solve answers most of
+    # them before it) and certifies each but one, in more than 2000
+    # iterations in all; _newton_k25, with its ill-conditioned Newton
+    # matrices, is one more input.
     iterations, broke = 0, []
-    for n, pieces in enumerate(random_piece_sets()):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(minimax, "_interior_step", interior_step_two_solves)
-            ref = interior_point_estimate(pieces)
+    for n, pieces in enumerate([*random_piece_sets(), _newton_k25()]):
         est = interior_point_estimate(pieces)
         if est is None:
             broke.append(n)
-            assert ref is None
             continue
         assert_certified(pieces, est)
-        assert_certified(pieces, ref)
-        assert abs(est.value - ref.value) <= 2 * SOLVE_TOL
         iterations += est.iterations
     assert iterations > 2000
     # A known weakness of the interior point, kept in view: set 97 (K = 2,
-    # m = 3) breaks down with either kernel.  Its Newton matrix stops being
-    # numerically positive definite (cond > 1e16) while the gap is 3e-3.
+    # m = 3) breaks down.  Its Newton matrix stops being numerically
+    # positive definite (cond > 1e16) while the gap is 3e-3.
     assert broke == [97]
 
 

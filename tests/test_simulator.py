@@ -159,6 +159,15 @@ def test_generate_truth_validates_arguments(paper_config):
         mx.generate_truth(cfg.models, 2, 5, zero, zero)
     with raises_invalid("horizon", "^horizon must be at least 1$"):
         mx.generate_truth(cfg.models, 0, 0, zero, zero)
+    # A true state that overflows is reported at its first t, with no warning
+    # (RuntimeWarnings are errors under this suite).
+    one = np.eye(1)
+    for F, gamma, horizon, t in ((1.0e200, 1.0e100, 20, 3), (1.5, 10.0, 1800, 1755)):
+        models = mx.validate({"F": [F * one, 0.5 * one], "H": [one, one], "Q": one, "R": one,
+                              "P0": one, "gamma": gamma})
+        with raises_invalid("horizon", rf"^state of true model 0 is not finite at t={t} "
+                                       rf"\(horizon {horizon}\)$"):
+            mx.generate_truth(models, 0, horizon, NoiseSpec(), NoiseSpec(seed=1))
 
 
 def test_trace_shapes(paper_config):
@@ -246,6 +255,11 @@ def test_run_estimators_checks_record_shapes(paper_config, monkeypatch, run_baye
         mx.run_estimators(cfg.models, np.zeros((6, 2)), u=np.zeros((6, 1)), run_bayes=run_bayes)
     with raises_invalid("u", r"^u has shape \(5, 1\), expected \(6, 1\)$"):
         mx.run_estimators(cfg.models, np.zeros((6, 1)), u=np.zeros((5, 1)), run_bayes=run_bayes)
+    for name, t, bad in (("y", 3, np.nan), ("u", 2, np.inf), ("u", 5, -np.inf)):
+        record = {"y": np.zeros((6, 1)), "u": np.zeros((6, 1))}
+        record[name][t] = bad
+        with raises_invalid(name, rf"^{name} is not finite at t={t}$"):
+            mx.run_estimators(cfg.models, record["y"], u=record["u"], run_bayes=run_bayes)
     # bayes_mode is checked up front too, whether or not the Bayes baseline runs
     with raises_invalid("bayes_mode", r"^bayes_mode 'avg' not in \('average', 'map'\)$"):
         mx.run_estimators(cfg.models, np.zeros((6, 1)), u=np.zeros((6, 1)), run_bayes=run_bayes,

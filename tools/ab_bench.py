@@ -12,8 +12,10 @@ the median and quartiles of each side, the change of the medians, in how
 many pairs the change was better ("better" and "bound" as ``BENCHMARK.json``
 of the change checkout defines them; lower and no bound where it does not
 say), and two verdicts (see ``verdicts``): whether a claimed gain is met and
-whether the change is worse than its bound allows.  Exits 1 if any run exits
-nonzero or prints no result line.  Standard library only; it
+whether the change is worse than its bound allows.  A last line checks
+correctness (see ``correctness``).  Exits 1 if any run exits nonzero, prints
+no result line or reports ``correct: false``, or if the change fails a
+larger share of its operations than the parent.  Standard library only; it
 changes nothing in either checkout beyond what the benchmark itself does.
 """
 import argparse
@@ -73,6 +75,24 @@ def verdicts(parent, change, better="lower", bound=None):
     return wins, claim, bound is not None and -gain > bound * abs(qa[1])
 
 
+def correctness(parent, change):
+    """(incorrect runs, parent's failed share, change's failed share, passed)
+    for the result lines of both sides.
+
+    A side's failed share is its failed over its attempted operations,
+    summed over its runs.  It passes when no run on either side reports
+    ``correct: false`` and the change's share is no larger than the
+    parent's, the benchmark's own rule for rejecting a change.
+    """
+    def share(runs):
+        attempted = sum(r["attempted"] for r in runs)
+        return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+    incorrect = sum(not r["correct"] for r in parent + change)
+    a, b = share(parent), share(change)
+    return incorrect, a, b, incorrect == 0 and b <= a
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -124,7 +144,10 @@ def main(argv=None):
                  f"{'bound exceeded' if exceeded else 'within bound'}")
         print(f"{name:12s} {spread_a:>34s} {spread_b:>34s} {rel:>8s} {f'{wins}/{len(a)}':>6s}  "
               f"{shown}")
-    return 0 if ok else 1
+    incorrect, share_a, share_b, passed = correctness(results["parent"], results["change"])
+    print(f"correctness: {incorrect} runs report correct: false; failed share parent "
+          f"{share_a:.4g}, change {share_b:.4g}; {'passed' if passed else 'FAILED'}")
+    return 0 if ok and passed else 1
 
 
 if __name__ == "__main__":
