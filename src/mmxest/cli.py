@@ -9,7 +9,8 @@ value, option or output path (:class:`InvalidInput`, the message names the
 field); 3 gamma-infeasibility (:class:`GammaInfeasible`, the message reports
 lambda_max(H P H^T) and gamma^2); 1 numerical failure, any other library
 error (:class:`NoConvergence`, :class:`FactorizationFailure`).  A failure
-writes exactly one ``error: ...`` line to standard error.
+writes exactly one ``error: ...`` line to standard error; a run that
+completes with a cost that is not finite writes one ``warning: ...`` line.
 """
 from __future__ import annotations
 
@@ -126,6 +127,19 @@ def _simulate(cfg: ExperimentConfig):
         bayes_mode=cfg.bayes_mode)
 
 
+def _warn_if_cost_overflowed(trace, where: str = "") -> None:
+    """One ``warning:`` line naming the first (model, t) whose cost is not finite.
+
+    A run without the minimax solve does not fail on an overflowed cost, so
+    the recorded costs are checked once, after the run.
+    """
+    finite = np.isfinite(trace.c)
+    if not finite.all():
+        t, i = np.argwhere(~finite)[0]
+        print(f"warning: {where}model {i}: accumulated cost is not finite from t={t}",
+              file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if args.seeds is not None:
@@ -135,9 +149,11 @@ def cmd_run(args) -> int:
         for s in seeds:
             trace = _simulate(with_seed(cfg, s))
             write_trace(trace, _seed_path(cfg.output, s), full=args.full)
+            _warn_if_cost_overflowed(trace, f"seed {s}: ")
         return EXIT_OK
     trace = _simulate(cfg)
     write_trace(trace, cfg.output, full=args.full)
+    _warn_if_cost_overflowed(trace)
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .bayes import BAYES_MODES
 from .exceptions import EstimationError, InvalidInput
@@ -28,8 +27,9 @@ ROOT_KEYS = ("models", "Q", "R", "P0", "gamma", "xhat0", "true_model", "horizon"
              "bayes_mode", "output", "estimators")
 MODEL_KEYS = ("F", "F_base", "F_scales", "H", "B")
 ESTIMATOR_KEYS = ("minimax", "bayesian")
-# libyaml's parser where PyYAML has it: the same documents, about 7x faster
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# The YAML loader class; None (unless a test sets one) picks libyaml's parser
+# where PyYAML has it: the same documents, about 7x faster
+_LOADER = None
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,17 @@ def _models(raw) -> ModelSet:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read a config file, expand its shorthands and build each section."""
+    """Read a config file, expand its shorthands and build each section.
+
+    PyYAML is imported here, on the first call, so that ``import mmxest``
+    costs numpy and the package only.
+    """
+    import yaml
+
+    loader = _LOADER or (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_LOADER)
+            raw = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise InvalidInput(f"cannot read config: {exc}") from None
     except yaml.YAMLError as exc:  # PyYAML's message spans lines; the error is one

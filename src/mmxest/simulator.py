@@ -207,7 +207,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     K, m = models.K, models.m
     tr_models = np.zeros((N, K, m))
     tr_c = np.zeros((N, K))
-    tr_mu = np.zeros((N, K))
+    tr_mu = np.full((N, K), np.nan)
     tr_mini = np.full((N, m), np.nan)
     tr_bayes = np.full((N, m), np.nan)
     tr_J = np.full(N, np.nan)
@@ -217,7 +217,6 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     with np.errstate(over="ignore", invalid="ignore"):  # a piece that overflows fails its solve
         for t, (y_t, u_t) in enumerate(zip(y, inputs)):
             tr_c[t] = state.c
-            tr_mu[t] = posterior.mu
             tr_models[t] = state.yhat
             if run_minimax:
                 try:
@@ -230,6 +229,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                 tr_J[t] = est.value
                 tr_lam[t] = est.weights
             if run_bayes:
+                tr_mu[t] = posterior.mu
                 tr_bayes[t] = _bayes.bayes_estimate(posterior, state, mode=bayes_mode)
             state = filter_bank.step(state, y_t, u_t)
             if run_bayes:

@@ -1,6 +1,7 @@
 import os
 from contextlib import contextmanager
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def examples(n):
     """A test's own example count, scaled as the loaded profile scales the
     default: a per-test ``max_examples`` overrides the profile's."""
     return n * settings.default.max_examples // settings.get_profile("tier1").max_examples
+
+
+def child_env():
+    """The environment, with the directory holding the mmxest under test
+    first on PYTHONPATH, so a child interpreter imports the same sources."""
+    src = str(Path(mx.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,14 +73,50 @@ def test_correctness(parent, change, want):
     assert ab_bench.correctness(parent, change) == want
 
 
-@pytest.mark.parametrize("correct, failed, code", [(True, 0, 0), (False, 0, 1), (True, 1, 1)],
-                         ids=["clean", "incorrect", "more-failures"])
-def test_exit_code_follows_correctness(monkeypatch, capsys, correct, failed, code):
-    # Two pairs; the change's runs carry the flags, the parent's are clean.
+def stub_runs(monkeypatch, correct=True, failed=0, traced=(0, "")):
+    """Stub the benchmark: the pairs' result lines (the change's carry the
+    flags, the parent's are clean) and the traced run's (exit code, stderr).
+    Returns the list the traced runs' commands and directories go to."""
     def run_once(checkout, workload, seed, seconds):
         ok, bad = (correct, failed) if checkout == "change" else (True, 0)
         return {**result(ok, failed=bad), "metrics": {"wall_s": {"value": 1.0}}}
 
+    calls = []
+
+    def run(cmd, cwd, **kwargs):
+        calls.append((cmd[1:], cwd))
+        return subprocess.CompletedProcess(cmd, traced[0], "", traced[1])
+
     monkeypatch.setattr(ab_bench, "run_once", run_once)
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    return calls
+
+
+@pytest.mark.parametrize("correct, failed, code", [(True, 0, 0), (False, 0, 1), (True, 1, 1)],
+                         ids=["clean", "incorrect", "more-failures"])
+def test_exit_code_follows_correctness(monkeypatch, capsys, correct, failed, code):
+    stub_runs(monkeypatch, correct, failed)
     assert ab_bench.main(["parent", "change", "w", "2"]) == code
     assert capsys.readouterr().out.splitlines()[-1].endswith("passed" if code == 0 else "FAILED")
+
+
+@pytest.mark.parametrize("traced, error", [
+    ((0, ""), None),
+    ((1, "benchmark error: span check: filter_bank.step called 3 times\n"),
+     "benchmark error: span check: filter_bank.step called 3 times"),
+    ((1, "warning: x\nbenchmark error: metric a: got None None\nnote\n"),
+     "benchmark error: metric a: got None None"),
+    ((2, "error: no mmxest sources under src\n"), "error: no mmxest sources under src"),
+    ((1, ""), "traced run exited 1"),
+], ids=["passes", "span-check", "among-lines", "other-error", "silent"])
+def test_one_traced_run_of_the_change_gates_the_exit_code(monkeypatch, capsys, traced, error):
+    # Clean pairs; after them the change runs once traced, and a failure of
+    # that run fails the comparison with the benchmark's own error line.
+    calls = stub_runs(monkeypatch, traced=traced)
+    assert ab_bench.main(["parent", "change", "w", "2"]) == (0 if error is None else 1)
+    assert calls == [(["perfbench/run.py", "--workload", "w", "--trace", "1", "--seconds", "1"],
+                      "change")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == f"traced run of the change (--trace 1 --seconds 1): {error or 'passed'}"
+    assert out[-1].endswith("traced run passed; passed" if error is None
+                            else "traced run failed; FAILED")

@@ -1,9 +1,7 @@
 import dataclasses
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ import yaml
 
 import mmxest as mx
 from mmxest import cli, config
-from conftest import make_random_models
+from conftest import child_env, make_random_models
 from oracles import trace_lines_per_value
 
 SCALAR_UNIT = textwrap.dedent("""
@@ -321,6 +319,37 @@ def test_overflow_ends_in_one_line_naming_where(tmp_path, capsys, F, gamma, hori
     assert capsys.readouterr().err == f"error: {line}\n"
 
 
+OVERFLOWING_COST = OVERFLOWING.format(F="1.5", gamma="10.0", horizon=1700) + \
+    "estimators: {{minimax: {minimax}}}\n"
+
+
+@pytest.mark.parametrize("seeds, line", [
+    ([], "model 1: accumulated cost is not finite from t=881"),
+    (["--seeds", "0..1"], "seed 0: model 1: accumulated cost is not finite from t=881\n"
+                          "warning: seed 1: model 1: accumulated cost is not finite from t=878"),
+], ids=["one-run", "seeds"])
+def test_overflowed_cost_without_minimax_warns_once_per_run(tmp_path, capsys, seeds, line):
+    # Without the minimax solve nothing fails on c1 = inf; the run checks its
+    # recorded costs once, warns, and still exits 0 with the trace as rendered.
+    cfgp = write(tmp_path, OVERFLOWING_COST.format(minimax="false"))
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", cfgp, "--out", str(out), "--full"] + seeds) == 0
+    assert capsys.readouterr().err == f"warning: {line}\n"
+    if not seeds:  # the trace as the library renders it, inf included
+        trace = paper_trace(config.load_config(cfgp), run_minimax=False)
+        assert out.read_text(encoding="utf-8") == "\n".join(cli.trace_lines(trace, True)) + "\n"
+    header, rows = read_csv(tmp_path / "x_seed0.csv" if seeds else out)
+    c1 = [row[header.index("c1")] for row in rows]
+    assert c1.index("inf") == 881 and set(c1[881:]) == {"inf"}
+
+
+def test_overflowed_cost_with_minimax_is_still_an_error(tmp_path, capsys):
+    cfgp = write(tmp_path, OVERFLOWING_COST.format(minimax="true"))
+    assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no convergence: model 1, t=876: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("cls, code", [
     (mx.InvalidInput, 2), (mx.GammaInfeasible, 3), (mx.NoConvergence, 1),
     (mx.FactorizationFailure, 1), (mx.EstimationError, 1),
@@ -385,14 +414,6 @@ def test_stationary_and_bayes_mode_flags(tmp_path, paper_config_path):
     assert rows_a != rows_b  # gain schedule changes the estimates
     assert [r[1] for r in rows_a] == [r[1] for r in rows_c]  # same truth
     assert [r[3] for r in rows_a] != [r[3] for r in rows_c]  # mode changes zh_ba
-
-
-def child_env():
-    """The environment, with the directory holding the mmxest under test
-    first on PYTHONPATH, so a child interpreter imports the same sources."""
-    src = str(Path(mx.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_console_entry_point_subprocess(tmp_path, paper_config_path):

@@ -1,11 +1,14 @@
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import mmxest as mx
 from mmxest import cli, exceptions
+from conftest import child_env
 
 PUBLIC_NAMES = [
     "AreSolution", "BayesPosterior", "EstimationError", "ExperimentConfig",
@@ -66,3 +69,19 @@ def test_every_error_class_has_an_exit_code():
     assert {cls.__name__: cli.EXIT_CODES[cls][0] for cls in cli.EXIT_CODES} == {
         "InvalidInput": 2, "GammaInfeasible": 3, "NoConvergence": 1,
         "FactorizationFailure": 1, "EstimationError": 1}
+
+
+def test_yaml_is_imported_by_load_config_only(paper_config_path):
+    # Only config files need a YAML parser: the package and the CLI module
+    # import without PyYAML, and the first load_config brings it in.
+    code = ("import sys\n"
+            "import mmxest\n"
+            "print('yaml' in sys.modules)\n"
+            "import mmxest.cli\n"
+            "print('yaml' in sys.modules)\n"
+            f"mmxest.load_config({paper_config_path!r})\n"
+            "print('yaml' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]

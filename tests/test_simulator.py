@@ -307,3 +307,17 @@ def test_estimator_toggles(paper_config):
                            run_bayes=False)
     assert np.isnan(tr.yhat_bayes).all()
     assert np.isfinite(tr.yhat_minimax).all()
+
+
+def test_mu_columns_follow_the_bayes_toggle(paper_config):
+    # With Bayes off the posterior columns are NaN, as every skipped
+    # estimator's are; with it on, row t is the posterior before y_t.
+    cfg = paper_config
+    y, u = np.linspace(-1.0, 1.0, 6)[:, None], np.zeros((6, 1))
+    assert np.isnan(mx.run_estimators(cfg.models, y, u=u, run_bayes=False).mu).all()
+    tr = mx.run_estimators(cfg.models, y, u=u)
+    state, posterior = mx.init(mx.run_recursion(cfg.models, 6)), mx.bayes_init(cfg.models)
+    for t in range(6):
+        np.testing.assert_array_equal(tr.mu[t], posterior.mu)
+        state = mx.step(state, y[t], u[t])
+        posterior = mx.bayes_step(posterior, state)

@@ -13,10 +13,13 @@ many pairs the change was better ("better" and "bound" as ``BENCHMARK.json``
 of the change checkout defines them; lower and no bound where it does not
 say), and two verdicts (see ``verdicts``): whether a claimed gain is met and
 whether the change is worse than its bound allows.  A last line checks
-correctness (see ``correctness``).  Exits 1 if any run exits nonzero, prints
-no result line or reports ``correct: false``, or if the change fails a
-larger share of its operations than the parent.  Standard library only; it
-changes nothing in either checkout beyond what the benchmark itself does.
+correctness (see ``correctness``), including one traced run of the change
+(``--trace 1 --seconds 1``, see ``traced_error``), whose span check the
+untraced pairs never reach.  Exits 1 if any run exits nonzero, prints no
+result line or reports ``correct: false``, if the change fails a larger
+share of its operations than the parent, or if the traced run fails.
+Standard library only; it changes nothing in either checkout beyond what
+the benchmark itself does.
 """
 import argparse
 import json
@@ -40,6 +43,23 @@ def run_once(checkout, workload, seed, seconds):
     except json.JSONDecodeError:
         sys.stderr.write(f"{checkout}: seed {seed} printed no result line\n")
         return None
+
+
+def traced_error(checkout, workload):
+    """Run the traced benchmark once; None if it passes, else its error line.
+
+    The traced run checks each layer's call counts against the work the
+    operation delivered (its span check) and reports a failure as one
+    ``benchmark error:`` line on standard error.
+    """
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1",
+           "--seconds", "1"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return None
+    lines = proc.stderr.strip().splitlines()
+    return next((line for line in reversed(lines) if line.startswith("benchmark error:")),
+                lines[-1] if lines else f"traced run exited {proc.returncode}")
 
 
 def gates(checkout):
@@ -145,8 +165,12 @@ def main(argv=None):
         print(f"{name:12s} {spread_a:>34s} {spread_b:>34s} {rel:>8s} {f'{wins}/{len(a)}':>6s}  "
               f"{shown}")
     incorrect, share_a, share_b, passed = correctness(results["parent"], results["change"])
+    error = traced_error(args.change, args.workload)
+    print(f"traced run of the change (--trace 1 --seconds 1): {error or 'passed'}")
+    passed = passed and error is None
     print(f"correctness: {incorrect} runs report correct: false; failed share parent "
-          f"{share_a:.4g}, change {share_b:.4g}; {'passed' if passed else 'FAILED'}")
+          f"{share_a:.4g}, change {share_b:.4g}; traced run {'failed' if error else 'passed'}; "
+          f"{'passed' if passed else 'FAILED'}")
     return 0 if ok and passed else 1
 
 
