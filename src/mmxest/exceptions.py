@@ -2,7 +2,7 @@
 
 An input is either wrong (:class:`InvalidInput`) or the numerics could not
 produce a certified answer from it: the bank is not gamma-feasible
-(:class:`GammaInfeasible`), an iteration stopped short
+(:class:`GammaInfeasible`), a solver stopped short
 (:class:`NoConvergence`), or a matrix that must be positive definite was not
 (:class:`FactorizationFailure`).
 """
@@ -33,10 +33,11 @@ class FactorizationFailure(EstimationError):
 
 
 class NoConvergence(EstimationError):
-    """An iterative solver stopped short of its tolerance.
+    """A solver stopped short of its tolerance.
 
-    It hit its iteration cap or, for the minimax solver, a step broke down
-    numerically.  The last iterate is attached as ``last`` for diagnostics.
+    The Riccati iteration hit its iteration cap, or the minimax solver,
+    which has none, ended with a duality gap above its tolerance or not
+    finite.  The last iterate is attached as ``last`` for diagnostics.
     """
 
     def __init__(self, message, last=None):

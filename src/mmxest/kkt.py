@@ -1,4 +1,5 @@
-"""Weak-duality kernels of the min-max game and its exact active-set stage.
+"""Weak-duality kernels of the min-max game, its exact active-set stage and
+the dual ascent behind it.
 
 :func:`inner_argmin` gives the dual's inner minimizer y(lam),
 :func:`piece_values` the pieces f_i(y) = |y - c_i|^2_{W_i} + o_i and
@@ -17,6 +18,9 @@ pieces with independent gradients, nonsingular; Newton's method converges on
 them quadratically, so a certificate comes out at rounding level.  The stage
 keeps |A| <= m + 1, and the weights it returns are the unique ones of that
 set.
+
+:func:`dual_ascent` climbs the concave dual phi face by face of the simplex
+with the same conditions, on any number of pieces and from any weights.
 """
 from __future__ import annotations
 
@@ -199,3 +203,71 @@ def newton_stage(W, centers, offsets, lam):
         weights[active] = lam / lam.sum()
         yhat, upper, lower = certify(weights, y, W, centers, offsets)
     return yhat, weights, upper - lower
+
+
+def dual_ascent(W, centers, offsets, lam, tol):
+    """Monotone Newton ascent on phi from weights lam: (yhat, weights, gap,
+    steps) where it ends.
+
+    On the face of pieces A with positive weight, each step follows the
+    lam-part of Newton's step (:func:`_kkt` at (y(lam), phi(lam), lam)) or,
+    where [g^T; 1^T] has dependent columns, its null vector, oriented so
+    that phi does not fall.  A ratio test stops the step where a weight
+    reaches 0, and that piece leaves A; a Newton step is at most 1 and is
+    halved until phi rises.  Once the rise it predicts is within phi's
+    rounding, the full step is taken while a piece leaves or the spread
+    max f_A - min f_A falls; otherwise the face is at its optimum.  There
+    the ascent ends if the gap is within ``tol``, no piece lies above phi
+    or phi has not risen since the last face optimum; else the highest
+    piece enters with weight 0.  A gap that is not finite ends it too.
+    """
+    eps = np.finfo(float).eps
+    m = centers.shape[1]
+
+    def at(lam):
+        lam = lam / lam.sum()
+        y = inner_argmin(lam, W, centers)
+        f = piece_values(y, W, centers, offsets)
+        return lam, y, f, float(lam @ f)
+
+    lam, y, f, phi = at(lam)
+    face, level, steps = lam > 0.0, -math.inf, 0
+    while math.isfinite(gap := float(f.max()) - phi):
+        A = np.flatnonzero(face)
+        res, J = _kkt(y, phi, lam[A], W[A], centers[A], offsets[A])
+        _, sv, vt = np.linalg.svd(J[:m + 1, m + 1:])
+        null = np.count_nonzero(sv > sv.max() * len(J) * eps) < len(A)
+        d = vt[-1] if null else -np.linalg.solve(J, res)[m + 1:]
+        rise = float(d @ (f[A] - phi))
+        if null and rise < 0.0:
+            d, rise = -d, -rise
+        shrink = np.flatnonzero(d < 0.0)
+        ratios = lam[A[shrink]] / -d[shrink]
+        reach = ratios.min(initial=math.inf)
+
+        def step(alpha):
+            trial = lam.copy()
+            trial[A] = np.maximum(lam[A] + alpha * d, 0.0)
+            if alpha == reach:
+                trial[A[shrink[ratios.argmin()]]] = 0.0
+            return at(trial)
+
+        alpha = full = reach if null else min(1.0, reach)
+        trial = first = step(full)
+        rounding = eps * float(lam @ (np.abs(f) + np.abs(offsets)))
+        while not trial[3] > phi and alpha * rise > rounding:
+            alpha *= 0.5
+            trial = step(alpha)
+        if not (trial[3] > phi and alpha * rise > rounding):
+            trial = first
+            if full < reach and not np.ptp(first[2][A]) < np.ptp(f[A]):  # a face optimum
+                j = int(np.where(face, -math.inf, f).argmax())
+                if gap <= tol or face[j] or not f[j] > phi > level:
+                    break
+                level, face[j] = phi, True
+                continue
+        lam, y, f, phi = trial
+        face = lam > 0.0
+        steps += 1
+    yhat, upper, lower = certify(lam, y, W, centers, offsets)
+    return yhat, lam, upper - lower, steps

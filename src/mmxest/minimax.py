@@ -31,18 +31,10 @@ the gap decides.  Then the exact active-set stage
 answers when the dominance test lost it to rounding), pieces enter and
 leave a set of at most m + 1 whose optimality conditions Newton's method
 solves, until no piece lies above the set's level; its gaps are at
-rounding level.  Failing that, the epigraph form
-
-    min s   subject to   f_i(yhat) + r_i = s,   r >= 0,
-
-is solved by a primal-dual interior point with Mehrotra's
-predictor-corrector (Boyd & Vandenberghe, *Convex Optimization*, 11.7);
-its multipliers, normalized, are the certificate weights.  Each iteration
-factors its (m+1) x (m+1) Newton matrix M = L L^T once and solves with L,
-then L^T.  If it stops uncertified (a breakdown, such as an M that is not
-numerically positive definite, or the iteration cap), the active-set
-stage starts again from its last weights.  A gap that is not finite (a
-NaN piece) never certifies.
+rounding level.  Failing that, a monotone Newton ascent on phi
+(:func:`mmxest.kkt.dual_ascent`) starts from the stage's best weights and
+runs, face by face of the simplex, until its gap certifies or no piece
+lies above phi.  A gap that is not finite (a NaN piece) never certifies.
 
 The minimizer yhat* is unique (every W_i is positive definite); the
 certifying weights lam need not be when more than m+1 pieces are active.
@@ -58,10 +50,9 @@ import numpy as np
 
 from .exceptions import InvalidInput, NoConvergence
 from .filter_bank import FilterBankState
-from .kkt import certify, inner_argmin, newton_stage, piece_values
+from .kkt import certify, dual_ascent, newton_stage, piece_values
 
 SOLVE_TOL = 1e-8
-SOLVE_MAX_ITER = 100
 ACTIVE_THRESHOLD = 1e-6
 
 
@@ -146,7 +137,7 @@ def _crossing(W, centers, offsets):
         gi, gj = 2.0 * a[:, None] * (y - c[:, None]), 2.0 * a * (y - c)
         fi, fj = a[:, None] * (y - c[:, None]) ** 2 + o[:, None], a * (y - c) ** 2 + o
         env = (a * (y[..., None] - c) ** 2 + o).max(axis=-1)
-        on = (np.maximum(fi, fj) == env) & (gi * gj <= 0.0) & (gi != gj)  # a kink
+        on = (np.maximum(fi, fj) == env) & (np.sign(gi) != np.sign(gj))  # a kink
         best = env[on].min(initial=np.inf)
         if best < np.inf:
             tie = on & (env == best)  # (i, j) gives lam_i, (j, i) at the same root lam_j
@@ -173,101 +164,19 @@ def _copies(W, centers, offsets):
     return None if (first == np.arange(K)).all() else first
 
 
-def _max_step(v, dv):
-    """Largest a <= 1 keeping v + a dv >= 0, for v > 0: 1 / max(1, max_i -dv_i / v_i),
-    with no mask (a growing or fixed component gives a ratio <= 0)."""
-    return 1.0 / max(1.0, float((-dv / v).max()))
-
-
-def _interior_step(y, s, r, lam, W, centers, offsets):
-    """One Mehrotra predictor-corrector step for min s s.t. f_i(y) + r_i = s.
-
-    Linearizes the KKT conditions
-
-        sum lam_i grad f_i(y) = 0,   sum lam_i = 1,
-        f_i(y) - s + r_i = 0,        lam_i r_i = sigma mu,
-
-    and eliminates dr and dlam, leaving one symmetric positive definite
-    (m+1) x (m+1) system M in (dy, ds).  Its Cholesky factor L serves the
-    predictor (sigma = 0) and the corrector, each by solves with L and L^T.
-    Primal (y, s, r) and dual lam take separate step lengths; with one
-    common length the iteration cycled on some random piece sets.  Returns
-    the new (y, s, r, lam); raises LinAlgError when M is not numerically
-    positive definite.
-    """
-    K, m = centers.shape
-    d = y - centers
-    Wd = np.einsum("kij,kj->ki", W, d)
-    g = 2.0 * Wd
-    res_p = np.einsum("ki,ki->k", d, Wd) + offsets - s + r
-    res_y = lam @ g
-    res_s = 1.0 - lam.sum()
-    ratio = lam / r
-    M = np.empty((m + 1, m + 1))
-    M[:m, :m] = 2.0 * np.einsum("k,kij->ij", lam, W) + (g.T * ratio) @ g
-    M[:m, m] = M[m, :m] = -(ratio @ g)
-    M[m, m] = ratio.sum()
-    L = np.linalg.cholesky(M)
-
-    def direction(res_c):
-        b = ratio * res_p - res_c / r
-        step = np.linalg.solve(L.T, np.linalg.solve(L, np.append(-res_y - b @ g, b.sum() - res_s)))
-        dlam = ratio * (g @ step[:m] - step[m]) + b
-        return step, (-res_c - r * dlam) / lam, dlam
-
-    mu = float(lam @ r) / K
-    _, dr, dlam = direction(lam * r)
-    a = min(_max_step(r, dr), _max_step(lam, dlam))
-    shrink = float((r + a * dr) @ (lam + a * dlam)) / K / mu
-    step, dr, dlam = direction(lam * r + dr * dlam - shrink ** 3 * mu)
-    # Stop short of the boundary r, lam > 0 by the predicted reduction of
-    # mu, at most 1%, so steps lengthen as the iterates converge.
-    eta = 1.0 - min(0.01, shrink)
-    a, a_dual = eta * _max_step(r, dr), eta * _max_step(lam, dlam)
-    return y + a * step[:m], s + a * step[m], r + a * dr, lam + a_dual * dlam
-
-
-def _interior_point(W, centers, offsets):
-    """(yhat, lam, gap, iterations) of the interior point from uniform lam, once
-    lam certifies within SOLVE_TOL, the gap is not finite, SOLVE_MAX_ITER
-    iterations have run or a step breaks down; the caller checks the gap."""
-    K = len(offsets)
-    lam = np.full(K, 1.0 / K)
-    y = inner_argmin(lam, W, centers)
-    f = piece_values(y, W, centers, offsets)
-    s = 2.0 * float(f.max()) - float(lam @ f)
-    r = s - f
-    iterations = 0
-    while True:
-        yhat, upper, lower = certify(lam / lam.sum(), y, W, centers, offsets)
-        gap = upper - lower
-        if gap <= SOLVE_TOL or not math.isfinite(gap) or iterations == SOLVE_MAX_ITER:
-            break
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                y, s, r, lam = _interior_step(y, s, r, lam, W, centers, offsets)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            break
-        iterations += 1
-    return yhat, lam / lam.sum(), gap, iterations
-
-
 def _sorted_stages(W, centers, offsets):
-    """(yhat, lam, gap, iterations) of the first certified answer among: the
-    active-set stage from the top piece's vertex, the interior point, and,
-    if the interior point stops uncertified, the active-set stage from its
-    last weights above ACTIVE_THRESHOLD; else the interior point's."""
+    """(yhat, lam, gap, steps) of the active-set stage from the top piece's
+    vertex if it certifies, else of the dual ascent from the stage's best
+    weights.  Where the stage has none, or their gap is NaN (a piece that
+    overflows), the ascent starts from uniform weights, at which such a
+    piece shows as an infinite gap."""
     top = np.zeros(len(offsets))
     top[offsets.argmax()] = 1.0
     found = newton_stage(W, centers, offsets, top)
     if found is not None and found[2] <= SOLVE_TOL:
         return found + (0,)
-    yhat, lam, gap, iterations = _interior_point(W, centers, offsets)
-    if not gap <= SOLVE_TOL:
-        found = newton_stage(W, centers, offsets, np.where(lam > ACTIVE_THRESHOLD, lam, 0.0))
-        if found is not None and found[2] <= SOLVE_TOL:
-            return found + (iterations,)
-    return yhat, lam, gap, iterations
+    start = found[1] if found is not None and not math.isnan(found[2]) else np.ones(len(offsets))
+    return dual_ascent(W, centers, offsets, start, SOLVE_TOL)
 
 
 def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
@@ -276,26 +185,22 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     The first stage that certifies answers: :func:`_dominant` (lam = e_i,
     gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
     (the zero-slope weights of the lowest crossing of two pieces), then, on
-    the pieces sorted into one canonical
-    order, the active-set stage from the top piece's vertex and
-    :func:`_interior_point` from uniform multipliers, rescued by the
-    active-set stage from its last weights if it stops uncertified
-    (:func:`_sorted_stages`).  All but the first shift the offsets by their
-    maximum, run on one copy of each distinct piece (:func:`_copies`), whose
-    weight the copies then share equally, and return the better of their
-    candidate and yhat(lam).  So the weights follow the pieces under any
-    reordering.  ``iterations`` counts interior-point iterations: 0 when
-    a stage before the interior point answers.
+    the pieces sorted into one canonical order, the active-set stage from
+    the top piece's vertex and, if it does not certify, the dual ascent
+    from its best weights (:func:`_sorted_stages`).  All but the first
+    shift the offsets by their maximum, run on one copy of each distinct
+    piece (:func:`_copies`), whose weight the copies then share equally,
+    and return the better of their candidate and yhat(lam).  So the weights
+    follow the pieces under any reordering.  ``iterations`` counts the
+    ascent's steps: 0 when an exact stage answers.
 
     Raises
     ------
     InvalidInput
         If no pieces are given.
     NoConvergence
-        If the interior point's gap is still above SOLVE_TOL after
-        SOLVE_MAX_ITER iterations, is not finite (a NaN piece), or a step
-        breaks down numerically first, and the rescue does not certify;
-        the interior point's last estimate is attached as ``last``.
+        If the ascent ends with a gap above SOLVE_TOL or not finite (a NaN
+        piece); its last estimate is attached as ``last``.
     """
     W, centers, offsets = pieces
     K = len(offsets)
@@ -335,7 +240,6 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     active = np.flatnonzero(lam > ACTIVE_THRESHOLD)
     estimate = MinimaxEstimate(yhat, value, lam, tuple(active.tolist()), gap, iterations)
     if not gap <= SOLVE_TOL:
-        raise NoConvergence(
-            f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "
-            f"interior-point iterations", last=estimate)
+        raise NoConvergence(f"duality gap {gap:.3e} > tol {SOLVE_TOL:.3e} after {iterations} "
+                            f"ascent steps", last=estimate)
     return estimate

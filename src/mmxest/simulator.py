@@ -71,6 +71,8 @@ class InputSpec:
             raise InvalidInput(f"unknown input kind {self.kind!r}")
         if self.kind == "sequence" and self.values is None:
             raise InvalidInput("sequence input needs values")
+        if self.kind != "sequence" and self.values is not None:
+            raise InvalidInput(f"input values need kind 'sequence', not {self.kind!r}")
         if not finite_real(self.rate):
             raise InvalidInput(f"input rate must be a finite number, got {self.rate!r}")
         if self.values is not None and not np.isfinite(np.asarray(self.values, dtype=float)).all():

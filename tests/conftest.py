@@ -73,9 +73,9 @@ def make_random_models(rng, K, n, m, gamma=None, with_input=False):
     """Random stable bank with gamma chosen comfortably feasible."""
     F = [0.9 * _random_contraction(rng, n) for _ in range(K)]
     H = [rng.normal(size=(m, n)) for _ in range(K)]
-    Q = _random_spd(rng, n)
-    R = _random_spd(rng, m)
-    P0 = _random_spd(rng, n)
+    Q = random_spd(rng, n)
+    R = random_spd(rng, m)
+    P0 = random_spd(rng, n)
     spec = {"F": F, "H": H, "Q": Q, "R": R, "P0": P0, "gamma": 1.0,
             "xhat0": rng.normal(size=n)}
     if with_input:
@@ -100,6 +100,6 @@ def _random_contraction(rng, n):
     return A / max(1.0, float(np.max(np.abs(np.linalg.eigvals(A)))))
 
 
-def _random_spd(rng, n):
+def random_spd(rng, n):
     A = rng.normal(size=(n, n))
     return A @ A.T + n * np.eye(n)

@@ -14,8 +14,7 @@ oracle above or an identity of the paper.
 
 The reference kernels at the end are the straightforward forms of rewritten
 library kernels: the dominance test over every top row, the per-step truth
-loop, the per-value CSV renderer, and the interior point's step length as a
-minimum over the shrinking components only.
+loop and the per-value CSV renderer.
 """
 import numpy as np
 
@@ -364,11 +363,3 @@ def trace_lines_per_value(trace, full=False):
             row += [_fmt(v) for v in trace.lam[t]]
         lines.append(";".join(row))
     return lines
-
-
-def max_step_masked(v, dv):
-    """Largest a <= 1 keeping v + a dv >= 0, for v > 0, over the shrinking
-    components only."""
-    shrinking = dv < 0
-    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
-

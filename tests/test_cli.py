@@ -307,7 +307,7 @@ OVERFLOWING = textwrap.dedent("""
     ("1.0e+200", "1.0e+100", 20, 2, "state of true model 0 is not finite at t=3 (horizon 20)"),
     ("1.5", "10.0", 1800, 2, "state of true model 0 is not finite at t=1755 (horizon 1800)"),
     ("1.5", "10.0", 900, 1, "no convergence: model 1, t=876: gamma^2 c overflows; at t=880: "
-                            "duality gap inf > tol 1.000e-08 after 0 interior-point iterations"),
+                            "duality gap inf > tol 1.000e-08 after 0 ascent steps"),
 ], ids=["truth-at-3", "truth-at-1755", "cost"])
 def test_overflow_ends_in_one_line_naming_where(tmp_path, capsys, F, gamma, horizon, code, line):
     # Either the true state overflows (checked once after the truth loop), or

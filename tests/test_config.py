@@ -227,6 +227,15 @@ def test_input_fields_must_be_finite(tmp_path, entry):
         mx.load_config(write_cfg(tmp_path, body))
 
 
+@pytest.mark.parametrize("entry, kind", [("{values: [1.0, 2.0, 3.0, 4.0, 5.0]}", "none"),
+                                         ("{kind: sinusoid, values: [1.0, 2.0]}", "sinusoid")])
+def test_input_values_need_a_sequence(tmp_path, entry, kind):
+    body = MINIMAL.replace("  H: [1.0]\n", "  H: [1.0]\n  B: [1.0]\n") + f"input: {entry}\n"
+    want = rf"^field input: input values need kind 'sequence', not '{kind}'$"
+    with raises_invalid("input", want):
+        mx.load_config(write_cfg(tmp_path, body))
+
+
 @pytest.mark.parametrize("spec", [{"kind": "sinusoid", "rate": float("nan")},
                                   {"kind": "sinusoid", "rate": -float("inf")},
                                   {"kind": "sinusoid", "rate": "fast"},

@@ -6,12 +6,12 @@ with ``--stationary``) before the gain schedule was batched over models.
 Refactors of the numerics must reproduce every column to within 1e-12 of the
 column's largest magnitude.
 
-Neither of those traces needs an interior-point iteration: every solve there
-is settled by the dominance check.  ``tests/data/paper_full_stationary_seed52.csv``
-was written by ``mmxest run --config <bundled paper cfg> --seeds 52..52
---stationary --full`` before the interior point's Newton solve was rewritten;
-seed 52 takes 22 interior-point iterations, the most of seeds 0..63.  Its
-minimax columns are checked at the solver's certificate level, since a
+Every solve in those traces is settled by the dominance check.
+``tests/data/paper_full_stationary_seed52.csv`` was written by ``mmxest run
+--config <bundled paper cfg> --seeds 52..52 --stationary --full`` with an
+iterative solver that the exact stages have since replaced; every solve of
+seed 52 is now settled by the dominance check or the crossing of two pieces.
+Its minimax columns are checked at the solver's certificate level, since a
 certified answer is all the solver promises.
 """
 from pathlib import Path
@@ -51,7 +51,7 @@ def test_full_trace_matches_golden(tmp_path, paper_config_path, name, flags):
         assert err <= REL_TOL * scale, f"column {column}: max error {err:.3e}, scale {scale:.3e}"
 
 
-def test_interior_point_trace_matches_golden(tmp_path, paper_config_path):
+def test_seed52_trace_matches_golden(tmp_path, paper_config_path):
     out = tmp_path / "seed.csv"
     assert cli.main(["run", "--config", paper_config_path, "--seeds", "52..52",
                      "--stationary", "--full", "--out", str(out)]) == 0

@@ -7,12 +7,11 @@ from hypothesis.extra.numpy import arrays
 import mmxest as mx
 from mmxest import filter_bank, kkt, minimax
 from mmxest.minimax import SOLVE_TOL, MinimaxEstimate, QuadraticPieces, build_pieces, solve
-from conftest import examples, make_random_models, raises_invalid, unit_bank
+from conftest import examples, make_random_models, random_spd, raises_invalid, unit_bank
 from oracles import (
     PreconditionViolated,
     concave_quadratic_max,
     dominant_all_rows,
-    max_step_masked,
     quadratic_max_closed_form,
     scalar_minimax,
 )
@@ -140,19 +139,21 @@ def test_solve_empty_piece_list():
 
 def test_solve_no_convergence_carries_best(monkeypatch):
     # Two pieces in the plane (m = 2).  The active-set stage certifies them,
-    # so it is withheld here, before the interior point and as its rescue;
-    # the interior point alone certifies them in 3 iterations.
-    monkeypatch.setattr(minimax, "SOLVE_MAX_ITER", 1)
+    # so it is withheld here, and no gap meets the tolerance: the ascent from
+    # uniform weights still ends, at the face optimum where no piece lies
+    # above phi, and its last estimate comes with the error.
+    monkeypatch.setattr(minimax, "SOLVE_TOL", -np.inf)
     monkeypatch.setattr(minimax, "newton_stage", lambda *args: None)
     pieces = QuadraticPieces(W=np.array([np.eye(2), np.diag([2.0, 1.0])]),
                              centers=np.array([[-1.0, 0.0], [1.5, 0.5]]),
                              offsets=np.array([0.0, -0.5]))
     with pytest.raises(mx.NoConvergence) as err:
         solve(pieces)
-    assert "after 1 interior-point iterations" in str(err.value)
     best = err.value.last
     assert best is not None
-    assert best.gap > 1e-8
+    assert f"after {best.iterations} ascent steps" in str(err.value)
+    assert best.iterations > 0
+    assert abs(best.gap) <= ROUNDING * (1.0 + abs(best.value))
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -343,21 +344,44 @@ def piece_sets(max_m=3, max_k=32):
 @settings(max_examples=examples(150), deadline=None)
 @given(piece_sets(max_m=1))
 def test_solve_matches_scalar_oracle(pieces):
-    # solve, and the interior point alone, which solve no longer reaches
-    # on scalar pieces that the exact stages settle.
+    # solve, and the dual ascent alone from e_top, which solve does not
+    # reach on scalar pieces that the exact stages settle.
     J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
     est = solve(pieces)
     assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
     assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
-    shifted = pieces.offsets - pieces.offsets.max()
-    yhat, lam, gap, _ = minimax._interior_point(pieces.W, pieces.centers, shifted)
-    assert gap <= SOLVE_TOL
-    assert abs(values_at(pieces, yhat).max() - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
-    assert abs(yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
+    est = ascent_estimate(pieces)
+    assert est.gap <= SOLVE_TOL
+    assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
+    assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
+
+
+def _singular_face():
+    """K = 4, m = 3, offsets 0: unit pieces at (4.5, 0, 0), (0, 6.9, 0) and
+    the origin, and W = diag(2, 1, 1) at the origin too.  A stress draw: the
+    two pieces at the origin have parallel gradients wherever y_1 = 0, so
+    faces that hold both can be singular."""
+    W = np.stack([np.eye(3), np.diag([2.0, 1.0, 1.0]), np.eye(3), np.eye(3)])
+    centers = np.zeros((4, 3))
+    centers[0, 0], centers[2, 1] = 4.49850932, 6.89780828
+    return QuadraticPieces(W=W, centers=centers, offsets=np.zeros(4))
+
+
+def _near_tie():
+    """K = 6, m = 3, every W the identity: centers and offsets tied to within
+    e = -1.1920929e-07, a stress draw.  The ascent's face of four pieces
+    there is rank-deficient and takes a null-vector step."""
+    e = -1.1920929e-07
+    centers = np.array([[0.0, 1.0, e], [0.0, e, e], [e, e, e], [e, e, e], [e, e, e],
+                        [-1.0, e, e]])
+    return QuadraticPieces(W=np.stack([np.eye(3)] * 6), centers=centers,
+                           offsets=np.array([e, 0.0, 0.0, e, e, e]))
 
 
 @settings(max_examples=examples(150), deadline=None)
 @given(piece_sets())
+@example(_singular_face())
+@example(_near_tie())
 def test_solve_certificate_holds(pieces):
     assert_certified(pieces, solve(pieces))
 
@@ -374,9 +398,9 @@ def permuted_piece_sets():
 def _copies_at_zero():
     """K = 20, m = 3, every offset 0: 16 copies of one piece centered at 0.
     At the minimizer (3.5, 0, 0) the copies' gradient is 2/3 of piece 18's
-    plus 1/3 of piece 19's, so the certifying weights are not unique.  The
-    interior point in the caller's order gave weights that moved by 2.0e-6
-    under the permutation below."""
+    plus 1/3 of piece 19's, so the certifying weights are not unique.
+    Weights found in the caller's order once moved by 2.0e-6 under the
+    permutation below."""
     J = np.full((3, 3), 12.0) + np.eye(3)
     W = np.stack([J] * 16 + [np.array([[13.0, 8, 12], [8, 9, 8], [12, 8, 13]]), J,
                              np.array([[13.0, 12, 14], [12, 13, 14], [14, 14, 18]]),
@@ -436,13 +460,19 @@ def scalar_piece_sets():
 @settings(max_examples=examples(300), deadline=None)
 @given(scalar_piece_sets())
 @example(scalar_pieces((1.0, -1.0, -1.0), (1.0, -1.15e-190, -2.0e-307)))
+@example(scalar_pieces((1.0, 1.0, -1.0), (1.25, 2.26169315e-202, -2.26169315e-202),
+                       (1.0, 2.26169315e-202, -2.26169315e-202)))
+@example(scalar_pieces((1.0, 1.0, -1.0), (2.0, 2.26169315e-202, -2.26169315e-202),
+                       (1.0, 2.26169315e-202, -2.26169315e-202)))
 def test_scalar_solves_need_no_interior_point(pieces):
     # With one output the answer is a vertex (the dominance check) or the
     # crossing of two pieces (the crossing stage); either way it is certified
-    # without an interior-point iteration and matches the exact oracle.  In
-    # the pinned set f_0 at the vertex c_1 rounds to 0 > o_1, so the dominance
-    # test misses it, and the active-set stage answers at its starting point,
-    # the top vertex.
+    # without an ascent step and matches the exact oracle.  In the first
+    # pinned set f_0 at the vertex c_1 rounds to 0 > o_1, so the dominance
+    # test misses it, and the active-set stage answers at its starting
+    # point, the top vertex.  In the other two the slopes of pieces 1 and 2
+    # at their crossings have one sign but a product that underflows to 0,
+    # which must not count as a kink.
     est = solve(pieces)
     J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
     assert est.iterations == 0
@@ -494,24 +524,10 @@ def test_solve_rejects_nan_pieces(where, index):
     assert err.value.last.iterations == 0
 
 
-@settings(max_examples=examples(300), deadline=None)
-@given(arrays(np.float64, st.integers(1, 40), elements=st.floats(1e-12, 1e3)), st.data())
-def test_step_length_matches_masked_form(v, data):
-    # 1 / max(1, max(-dv / v)) against the minimum over the shrinking
-    # components only; zeros and both signs in dv.  The masked form's
-    # -v / dv overflows for subnormal dv, where both answers are 1.
-    dv = data.draw(arrays(np.float64, v.shape,
-                          elements=st.one_of(st.just(0.0), st.floats(-1e3, 1e3))))
-    with np.errstate(over="ignore"):
-        want = max_step_masked(v, dv)
-    got = minimax._max_step(v, dv)
-    assert abs(got - want) <= 4 * np.spacing(want)
-
-
 def _newton_k25():
     """K = 25, m = 2, equal offsets: 17 copies of one piece at the origin
-    and 8 pieces near it.  The interior point certifies it in 11
-    iterations, its Newton matrix reaching cond(M) = 4.7e11 on the last."""
+    and 8 pieces near it.  An interior point's Newton matrix reached
+    cond(M) = 4.7e11 on it."""
     J = np.array([[15.709063186210484, 14.709063186210484],
                   [14.709063186210484, 15.709063186210484]])
     W = np.stack([J] * 25)
@@ -537,46 +553,40 @@ def random_piece_sets():
                               offsets=rng.uniform(-10.0, 0.0, size=K))
 
 
-def interior_point_estimate(pieces):
-    """The interior point alone on the pieces, offsets shifted as solve
-    shifts them, as an estimate; None if it stops uncertified."""
-    yhat, lam, gap, iterations = minimax._interior_point(
-        pieces.W, pieces.centers, pieces.offsets - pieces.offsets.max())
-    if not gap <= SOLVE_TOL:
-        return None
-    return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), lam, (), gap, iterations)
+def ascent_estimate(pieces):
+    """The dual ascent alone on the pieces from e_top, offsets shifted as
+    solve shifts them, as an estimate."""
+    offsets = pieces.offsets - pieces.offsets.max()
+    top = np.zeros(len(offsets))
+    top[offsets.argmax()] = 1.0
+    yhat, lam, gap, steps = kkt.dual_ascent(pieces.W, pieces.centers, offsets, top, SOLVE_TOL)
+    return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), lam, (), gap, steps)
 
 
-def test_interior_point_alone_on_random_sets():
-    # The interior point runs on every set directly (solve answers most of
-    # them before it) and certifies each but one, in more than 2000
-    # iterations in all; _newton_k25, with its ill-conditioned Newton
-    # matrices, is one more input.
-    iterations, broke = 0, []
-    for n, pieces in enumerate([*random_piece_sets(), _newton_k25()]):
-        est = interior_point_estimate(pieces)
-        if est is None:
-            broke.append(n)
-            continue
+def test_ascent_alone_on_random_sets():
+    # The ascent runs on every set directly (solve answers most of them
+    # before it) and certifies each at rounding level, set 97 (K = 2, m = 3)
+    # included; _newton_k25, with its ill-conditioned Newton matrices, is
+    # one more input.
+    steps = 0
+    for pieces in [*random_piece_sets(), _newton_k25()]:
+        est = ascent_estimate(pieces)
         assert_certified(pieces, est)
-        iterations += est.iterations
-    assert iterations > 2000
-    # A known weakness of the interior point, kept in view: set 97 (K = 2,
-    # m = 3) breaks down.  Its Newton matrix stops being numerically
-    # positive definite (cond > 1e16) while the gap is 3e-3.
-    assert broke == [97]
+        assert est.gap <= ROUNDING * (1.0 + abs(est.value))
+        steps += est.iterations
+    assert steps > 2000
 
 
 def test_solve_certifies_every_random_set():
     # solve certifies all 500 sets, set 97 included: the active-set stage
-    # answers it before the interior point.
+    # answers it.
     for pieces in random_piece_sets():
         assert_certified(pieces, solve(pieces))
 
 
 def test_stage_answers_every_two_piece_set():
     # Past the dominance check two pieces are equal at the answer, and the
-    # stage needs no interior point on any two-piece set of the 500: not on
+    # stage needs no ascent step on any two-piece set of the 500: not on
     # sets 11 and 97, where the linearized path would drop the top piece too
     # early (phi there is lower), nor on set 345, where the first Newton step
     # from the entering weights overshoots in y.
@@ -588,31 +598,11 @@ def test_stage_answers_every_two_piece_set():
         assert_certified(pieces, est)
 
 
-def test_breakdown_is_rescued_from_the_last_weights(monkeypatch):
-    # Set 97 with the stage's first attempt withheld: the interior point
-    # breaks down on it, and the stage, started from the interior point's
-    # last weights above the activity threshold, certifies it.
-    pieces = list(random_piece_sets())[97]
-    starts = []
-    stage = minimax.newton_stage
-
-    def second_attempt_only(W, centers, offsets, lam):
-        starts.append(lam)
-        return stage(W, centers, offsets, lam) if len(starts) > 1 else None
-
-    monkeypatch.setattr(minimax, "newton_stage", second_attempt_only)
-    est = solve(pieces)
-    assert len(starts) == 2
-    assert np.count_nonzero(starts[1]) == 2  # both pieces carry weight
-    assert est.iterations > 0  # the interior point's, which ran first
-    assert_certified(pieces, est)
-    assert est.gap <= ROUNDING * (1.0 + abs(est.value))
-
-
-def test_stage_gives_up_to_the_interior_point(monkeypatch):
+def test_ascent_answers_where_the_stage_gives_up(monkeypatch):
     # Set 210 (K = 3, m = 2): the stage's best weights do not certify, and
-    # the interior point answers; the stage is not offered a rescue.
-    pieces = list(random_piece_sets())[210]
+    # the ascent from them answers.  Set 97 (K = 2, m = 3) with the stage
+    # withheld: the ascent answers from uniform weights.
+    sets = list(random_piece_sets())
     gaps = []
     stage = minimax.newton_stage
 
@@ -622,10 +612,19 @@ def test_stage_gives_up_to_the_interior_point(monkeypatch):
         return found
 
     monkeypatch.setattr(minimax, "newton_stage", recorded)
+    pieces = sets[210]
     est = solve(pieces)
     assert len(gaps) == 1 and gaps[0] > SOLVE_TOL
     assert est.iterations > 0
     assert_certified(pieces, est)
+    assert est.gap <= ROUNDING * (1.0 + abs(est.value))
+
+    monkeypatch.setattr(minimax, "newton_stage", lambda *args: None)
+    pieces = sets[97]
+    est = solve(pieces)
+    assert est.iterations > 0
+    assert_certified(pieces, est)
+    assert est.gap <= ROUNDING * (1.0 + abs(est.value))
 
 
 def benchmark_games():
@@ -651,7 +650,7 @@ def benchmark_games():
 
 def test_stage_certifies_benchmark_games_at_rounding_level():
     # Every game past the dominance check is answered by the active-set
-    # stage, with no interior-point iteration and a gap at rounding level.
+    # stage, with no ascent step and a gap at rounding level.
     hard = [(p, est) for p, est in benchmark_games()
             if minimax._dominant(p.W, p.centers, p.offsets).size == 0]
     assert hard
@@ -659,6 +658,43 @@ def test_stage_certifies_benchmark_games_at_rounding_level():
         assert est.iterations == 0
         assert est.gap <= ROUNDING * (1.0 + abs(est.value))
         assert_certified(pieces, est)
+
+
+def test_random_banks_run_certified_to_the_end(monkeypatch):
+    # Twelve random banks (K 2..8, n 1..4, m 1..3, spectral radius at most
+    # 0.99), each run for 400 steps at gamma^2 = 1.0001, 1.01 and 2 times
+    # the largest lambda_max(H P H^T) of its schedule: every one of the
+    # 14400 solves certifies, so every run reaches its end, and the ascent
+    # answers at least one of them.
+    steps = []
+    solve_ = minimax.solve
+
+    def recording(pieces):
+        est = solve_(pieces)
+        steps.append(est.iterations)
+        return est
+
+    monkeypatch.setattr(minimax, "solve", recording)
+    for b in range(12):
+        rng = np.random.default_rng(1000 + b)
+        K, n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        F = []
+        for _ in range(K):
+            A = rng.normal(size=(n, n))
+            F.append(A * (0.99 * rng.uniform(0.2, 1.0) / np.abs(np.linalg.eigvals(A)).max()))
+        spec = {"F": F, "H": [rng.normal(size=(m, n)) for _ in range(K)],
+                "Q": random_spd(rng, n), "R": random_spd(rng, m), "P0": random_spd(rng, n),
+                "gamma": 1.0}
+        true_model = int(rng.integers(K))
+        schedule = mx.run_recursion(mx.validate(spec), 400)
+        peak = max(float(schedule.lambda_max(t).max()) for t in range(401))
+        for factor in (1.0001, 1.01, 2.0):
+            models = mx.validate({**spec, "gamma": float(np.sqrt(factor * peak))})
+            trace = mx.simulate(models, true_model, 400, mx.NoiseSpec(seed=2 * b),
+                                mx.NoiseSpec(seed=2 * b + 1))
+            assert np.isfinite(trace.J_star).all()
+    assert len(steps) == 36 * 400
+    assert max(steps) > 0
 
 
 def test_stage_exchanges_on_known_k32_game(monkeypatch):

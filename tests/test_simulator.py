@@ -90,6 +90,13 @@ def test_input_spec_kinds():
         InputSpec(kind="ramp")
 
 
+@pytest.mark.parametrize("kind", ["none", "sinusoid"])
+def test_input_spec_rejects_values_of_other_kinds(kind):
+    # Only a sequence reads its values; elsewhere they would be dropped.
+    with raises_invalid(None, rf"^input values need kind 'sequence', not '{kind}'$"):
+        InputSpec(kind=kind, values=np.arange(3.0))
+
+
 def test_generate_truth_recursion_exact(paper_config):
     cfg = paper_config
     zero = NoiseSpec(kind="zero")
