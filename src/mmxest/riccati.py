@@ -180,14 +180,17 @@ class GainSchedule:
         return self.margin > 0
 
     def column(self, t: int, terminal: bool = False) -> int:
-        """Column holding time t: gain data for t < N, covariances also at t = N;
-        times past the last stored column read that column."""
+        """Column holding time t >= 0: gain data for t < N, covariances also at
+        t = N; times past the last stored column read that column."""
         if self.stationary:
-            return 0
-        if not 0 <= t <= (self.horizon if terminal else self.horizon - 1):
-            raise InvalidInput(f"no {'covariance' if terminal else 'gain'} at t={t}; "
-                               f"horizon is {self.horizon}", "t")
-        return min(t, self.P.shape[1] - 1)
+            if t >= 0:
+                return 0
+            limit = "a stationary schedule starts at t=0"
+        elif 0 <= t <= (self.horizon if terminal else self.horizon - 1):
+            return min(t, self.P.shape[1] - 1)
+        else:
+            limit = f"horizon is {self.horizon}"
+        raise InvalidInput(f"no {'covariance' if terminal else 'gain'} at t={t}; {limit}", "t")
 
     def cov(self, t, i) -> np.ndarray:
         return self.P[i, self.column(t, terminal=True)]

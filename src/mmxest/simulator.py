@@ -79,13 +79,17 @@ class InputSpec:
             raise InvalidInput("input values must be finite")
 
     def build(self, horizon: int, p: int) -> np.ndarray:
-        if p == 0:
-            return np.zeros((horizon, 0))
         if self.kind == "none":
             return np.zeros((horizon, p))
+        if p == 0:
+            raise InvalidInput(f"{self.kind} input needs models.B; the bank has no input")
         if self.kind == "sinusoid":
-            t = np.arange(horizon)
-            return np.tile(np.sin(self.rate * t)[:, None], (1, p))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                wave = np.sin(self.rate * np.arange(horizon))
+            if not np.isfinite(wave).all():
+                raise InvalidInput(f"input sin(rate * t) is not finite at "
+                                   f"t={int(np.isfinite(wave).argmin())}")
+            return np.tile(wave[:, None], (1, p))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 import mmxest as mx
+import workloads
 
 # Tier-1 runs replay the same examples every time and keep no database, so a
 # run cannot fail on a draw no earlier run saw.  HYPOTHESIS_PROFILE=stress
@@ -70,36 +71,18 @@ def scalar_singleton():
 
 
 def make_random_models(rng, K, n, m, gamma=None, with_input=False):
-    """Random stable bank with gamma chosen comfortably feasible."""
-    F = [0.9 * _random_contraction(rng, n) for _ in range(K)]
-    H = [rng.normal(size=(m, n)) for _ in range(K)]
-    Q = random_spd(rng, n)
-    R = random_spd(rng, m)
-    P0 = random_spd(rng, n)
-    spec = {"F": F, "H": H, "Q": Q, "R": R, "P0": P0, "gamma": 1.0,
-            "xhat0": rng.normal(size=n)}
+    """The benchmark's random bank (``workloads.random_bank_spec``), with
+    ``gamma`` in place of its own if given and, if ``with_input``, one random
+    n x 1 B per model, drawn after the bank's draws."""
+    spec = workloads.random_bank_spec(mx, rng, K, n, m)
     if with_input:
         spec["B"] = [rng.normal(size=(n, 1)) for _ in range(K)]
-    models = mx.validate(spec)
-    if gamma is None:
-        # Bound H P H^T over a long run, then double the bound.
-        seq = mx.run_recursion(models, 60)
-        lam = 0.0
-        for i in range(K):
-            for t in range(61):
-                P = seq.cov(t, i)
-                lam = max(lam, float(np.linalg.eigvalsh(
-                    H[i] @ P @ H[i].T)[-1]))
-        gamma = float(np.sqrt(2.0 * lam))
-    spec["gamma"] = gamma
+    if gamma is not None:
+        spec["gamma"] = gamma
     return mx.validate(spec)
 
 
-def _random_contraction(rng, n):
-    A = rng.normal(size=(n, n))
-    return A / max(1.0, float(np.max(np.abs(np.linalg.eigvals(A)))))
-
-
-def random_spd(rng, n):
-    A = rng.normal(size=(n, n))
-    return A @ A.T + n * np.eye(n)
+@pytest.fixture(scope="session")
+def bench_banks():
+    """The benchmark's random banks by label, ``bank0-K8`` to ``bank1-K32``."""
+    return {label: mx.validate(spec) for label, spec in workloads.bank_specs(mx)}

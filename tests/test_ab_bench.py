@@ -1,13 +1,8 @@
-import importlib.util
 import subprocess
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
-spec = importlib.util.spec_from_file_location("ab_bench", TOOL)
-ab_bench = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(ab_bench)
+import ab_bench
 
 
 def verdicts(*args):

@@ -7,18 +7,11 @@ error; these tests report it first, through the benchmark's own check, on a
 paper-config simulation, a K=8, n=4, m=2 random bank, the benchmark's K=32,
 n=4, m=2, N=200 bank and a CLI seed sweep.
 """
-import sys
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 import mmxest as mx
+import tracer
 from mmxest import cli
-from conftest import make_random_models
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import tracer  # noqa: E402
 
 
 def traced(work):
@@ -50,15 +43,13 @@ def assert_traced_bank_meets_call_contract(models, N):
     assert tracer.expected_call_problems(summary, 1, 0) == []
 
 
-def test_traced_random_bank_meets_call_contract():
-    assert_traced_bank_meets_call_contract(make_random_models(np.random.default_rng(1), 8, 4, 2), 40)
+def test_traced_random_bank_meets_call_contract(bench_banks):
+    assert_traced_bank_meets_call_contract(bench_banks["bank1-K8"], 40)
 
 
-def test_traced_k32_bank_meets_call_contract():
+def test_traced_k32_bank_meets_call_contract(bench_banks):
     # The benchmark's bank seed 0 at K=32, whose models settle at t = 15..110.
-    rng = np.random.default_rng(0)
-    make_random_models(rng, 8, 4, 2)
-    assert_traced_bank_meets_call_contract(make_random_models(rng, 32, 4, 2), 200)
+    assert_traced_bank_meets_call_contract(bench_banks["bank0-K32"], 200)
 
 
 def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):

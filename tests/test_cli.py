@@ -205,10 +205,10 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, key, old, n
     assert not out.exists()
 
 
-def loaded_with(loader, path):
-    """load_config(path) parsed by the given YAML loader: the config, or the error text."""
+def loaded_with(libyaml, path):
+    """load_config(path) with libyaml's parser or PyYAML's own: the config, or the error text."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(config, "_LOADER", loader)
+        mp.setattr(yaml, "__with_libyaml__", libyaml)
         try:
             return config.load_config(path)
         except mx.InvalidInput as exc:
@@ -234,7 +234,7 @@ def test_c_and_python_yaml_loaders_agree(tmp_path, paper_config_path, key, old, 
     # The bundled config loads to equal configs with libyaml's parser and
     # with PyYAML's own; every malformed one fails with the same message.
     path = write(tmp_path, SCALAR_UNIT.replace(old, new, 1)) if key else paper_config_path
-    fast, slow = loaded_with(yaml.CSafeLoader, path), loaded_with(yaml.SafeLoader, path)
+    fast, slow = loaded_with(True, path), loaded_with(False, path)
     if key is None:
         assert isinstance(slow, config.ExperimentConfig)
     else:
@@ -317,6 +317,21 @@ def test_overflow_ends_in_one_line_naming_where(tmp_path, capsys, F, gamma, hori
     cfgp = write(tmp_path, OVERFLOWING.format(F=F, gamma=gamma, horizon=horizon))
     assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "x.csv")]) == code
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("B, entry, line", [
+    ("", "{kind: sequence, values: [1.0, 2.0]}",
+     "sequence input needs models.B; the bank has no input"),
+    ("  B: 1.0\n", "{kind: sinusoid, rate: 1.0e+308}", "input sin(rate * t) is not finite at t=2"),
+], ids=["no-B", "wave-overflows"])
+def test_bad_input_ends_in_one_line(tmp_path, capsys, B, entry, line):
+    # An input that no B reads, and a wave whose rate * t overflows at t = 2:
+    # both fail when the config loads, before any state is computed.
+    body = OVERFLOWING.format(F="0.5", gamma="3.0", horizon=5).replace(
+        "  H: 1.0\n", "  H: 1.0\n" + B) + f"input: {entry}\n"
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", write(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: field input: {line}\n" and not out.exists()
 
 
 OVERFLOWING_COST = OVERFLOWING.format(F="1.5", gamma="10.0", horizon=1700) + \

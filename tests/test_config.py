@@ -236,6 +236,17 @@ def test_input_values_need_a_sequence(tmp_path, entry, kind):
         mx.load_config(write_cfg(tmp_path, body))
 
 
+@pytest.mark.parametrize("entry, kind", [("{kind: sequence, values: [1.0, 2.0]}", "sequence"),
+                                         ("{kind: sinusoid, rate: 0.2}", "sinusoid")],
+                         ids=["sequence", "sinusoid"])
+def test_input_needs_models_b(tmp_path, entry, kind):
+    # MINIMAL has no B, so an input would drive nothing: the 2-row sequence
+    # (horizon 5) would go unchecked and the wave would be dropped.
+    want = rf"^field input: {kind} input needs models\.B; the bank has no input$"
+    with raises_invalid("input", want):
+        mx.load_config(write_cfg(tmp_path, MINIMAL + f"input: {entry}\n"))
+
+
 @pytest.mark.parametrize("spec", [{"kind": "sinusoid", "rate": float("nan")},
                                   {"kind": "sinusoid", "rate": -float("inf")},
                                   {"kind": "sinusoid", "rate": "fast"},

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 import mmxest as mx
 from mmxest import filter_bank, kkt, minimax
 from mmxest.minimax import SOLVE_TOL, MinimaxEstimate, QuadraticPieces, build_pieces, solve
-from conftest import examples, make_random_models, random_spd, raises_invalid, unit_bank
+import solver_sweep
+import workloads
+from conftest import examples, make_random_models, raises_invalid, unit_bank
 from oracles import (
     PreconditionViolated,
     concave_quadratic_max,
@@ -259,20 +263,17 @@ def assert_certified(pieces, est):
     assert -scale <= est.gap <= SOLVE_TOL
 
 
-def known_k32_pieces():
-    """The game at t = 0 of the bank drawn by default_rng(0) after its K = 8
-    bank (K = 32, n = 4, m = 2): the benchmark's bank0-K32."""
-    rng = np.random.default_rng(0)
-    make_random_models(rng, 8, 4, 2)
-    models = make_random_models(rng, 32, 4, 2)
-    return build_pieces(filter_bank.init(mx.run_recursion(models, 1)))
+@pytest.fixture()
+def known_k32_pieces(bench_banks):
+    """The game at t = 0 of the benchmark's bank0-K32 (K = 32, n = 4, m = 2)."""
+    return build_pieces(filter_bank.init(mx.run_recursion(bench_banks["bank0-K32"], 1)))
 
 
-def test_solve_certifies_known_k32_stall():
+def test_solve_certifies_known_k32_stall(known_k32_pieces):
     # The bank whose first program the projected-gradient solver could not
     # certify (gap 1.4e-7 after 210 iterations).  SLSQP on the epigraph
     # form gives 25.7475778782.
-    pieces = known_k32_pieces()
+    pieces = known_k32_pieces
     est = solve(pieces)
     assert_certified(pieces, est)
     assert est.value == pytest.approx(25.7475778782, abs=2e-8)
@@ -464,7 +465,7 @@ def scalar_piece_sets():
                        (1.0, 2.26169315e-202, -2.26169315e-202)))
 @example(scalar_pieces((1.0, 1.0, -1.0), (2.0, 2.26169315e-202, -2.26169315e-202),
                        (1.0, 2.26169315e-202, -2.26169315e-202)))
-def test_scalar_solves_need_no_interior_point(pieces):
+def test_scalar_solves_need_no_ascent_step(pieces):
     # With one output the answer is a vertex (the dominance check) or the
     # crossing of two pieces (the crossing stage); either way it is certified
     # without an ascent step and matches the exact oracle.  In the first
@@ -526,8 +527,8 @@ def test_solve_rejects_nan_pieces(where, index):
 
 def _newton_k25():
     """K = 25, m = 2, equal offsets: 17 copies of one piece at the origin
-    and 8 pieces near it.  An interior point's Newton matrix reached
-    cond(M) = 4.7e11 on it."""
+    and 8 pieces near it, so that copy merging has work to do and the KKT
+    matrices near the answer are ill-conditioned (cond 4.7e11 was seen)."""
     J = np.array([[15.709063186210484, 14.709063186210484],
                   [14.709063186210484, 15.709063186210484]])
     W = np.stack([J] * 25)
@@ -542,15 +543,9 @@ def _newton_k25():
 
 
 def random_piece_sets():
-    """500 piece sets with K 2..32, m 1..3 and W scaled up to 1e3, in a
-    fixed order (the n-th set is the same in every test)."""
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        K, m = int(rng.integers(2, 33)), int(rng.integers(1, 4))
-        A = rng.normal(size=(K, m, m))
-        W = (A @ np.swapaxes(A, 1, 2) + np.eye(m)) * 10.0 ** rng.uniform(0, 3, size=(K, 1, 1))
-        yield QuadraticPieces(W=W, centers=rng.normal(size=(K, m)),
-                              offsets=rng.uniform(-10.0, 0.0, size=K))
+    """The solver sweep's first 500 piece sets of seed 8, in a fixed order (the
+    n-th set is the same in every test)."""
+    return itertools.islice(solver_sweep.piece_sets(8), 500)
 
 
 def ascent_estimate(pieces):
@@ -627,10 +622,9 @@ def test_ascent_answers_where_the_stage_gives_up(monkeypatch):
     assert est.gap <= ROUNDING * (1.0 + abs(est.value))
 
 
-def benchmark_games():
-    """(pieces, estimate) of every solve on the benchmark's random banks:
-    default_rng(b) draws a K = 8 then a K = 32 bank (n = 4, m = 2) for
-    b = 0, 1, each run for N = 200 steps on noise streams 0 and 1."""
+def benchmark_games(banks):
+    """(pieces, estimate) of every solve on the benchmark's random banks,
+    each run for its horizon on noise streams 0 and 1."""
     games = []
     solve_ = minimax.solve
 
@@ -640,18 +634,16 @@ def benchmark_games():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimax, "solve", recording)
-        for b in (0, 1):
-            rng = np.random.default_rng(b)
-            for K in (8, 32):
-                mx.simulate(make_random_models(rng, K, 4, 2), 0, 200,
-                            mx.NoiseSpec(seed=0), mx.NoiseSpec(seed=1))
+        for models in banks.values():
+            mx.simulate(models, 0, workloads.BANK_HORIZON, mx.NoiseSpec(seed=0),
+                        mx.NoiseSpec(seed=1))
     return games
 
 
-def test_stage_certifies_benchmark_games_at_rounding_level():
+def test_stage_certifies_benchmark_games_at_rounding_level(bench_banks):
     # Every game past the dominance check is answered by the active-set
     # stage, with no ascent step and a gap at rounding level.
-    hard = [(p, est) for p, est in benchmark_games()
+    hard = [(p, est) for p, est in benchmark_games(bench_banks)
             if minimax._dominant(p.W, p.centers, p.offsets).size == 0]
     assert hard
     for pieces, est in hard:
@@ -683,7 +675,8 @@ def test_random_banks_run_certified_to_the_end(monkeypatch):
             A = rng.normal(size=(n, n))
             F.append(A * (0.99 * rng.uniform(0.2, 1.0) / np.abs(np.linalg.eigvals(A)).max()))
         spec = {"F": F, "H": [rng.normal(size=(m, n)) for _ in range(K)],
-                "Q": random_spd(rng, n), "R": random_spd(rng, m), "P0": random_spd(rng, n),
+                "Q": workloads._random_spd(rng, n), "R": workloads._random_spd(rng, m),
+                "P0": workloads._random_spd(rng, n),
                 "gamma": 1.0}
         true_model = int(rng.integers(K))
         schedule = mx.run_recursion(mx.validate(spec), 400)
@@ -697,7 +690,7 @@ def test_random_banks_run_certified_to_the_end(monkeypatch):
     assert max(steps) > 0
 
 
-def test_stage_exchanges_on_known_k32_game(monkeypatch):
+def test_stage_exchanges_on_known_k32_game(monkeypatch, known_k32_pieces):
     # The answer's three pieces are reached through an exchange: a piece
     # enters a set that already holds m + 1 = 3 pieces, and one leaves.
     sizes = []
@@ -708,7 +701,7 @@ def test_stage_exchanges_on_known_k32_game(monkeypatch):
         return enter(j, active, *args)
 
     monkeypatch.setattr(kkt, "_enter", recorded)
-    est = solve(known_k32_pieces())
+    est = solve(known_k32_pieces)
     assert 3 in sizes
     assert est.iterations == 0
     assert est.active == (4, 27, 30)

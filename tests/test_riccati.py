@@ -271,6 +271,12 @@ def test_schedule_accessors_raise_out_of_range():
     for t in (-1, 4):
         with raises_invalid("t", f"^no gain at t={t}; horizon is 4$"):
             seq.gain(t, 0)
+    stat = mx.stationary_gains(oracle_bank())  # one column for every t >= 0, none for t < 0
+    for what, read in (("covariance", lambda t: stat.cov(t, 0)), ("covariance", stat.lambda_max),
+                       ("covariance", stat.require_feasible), ("gain", lambda t: stat.gain(t, 0))):
+        read(10**6)
+        with raises_invalid("t", f"^no {what} at t=-1; a stationary schedule starts at t=0$"):
+            read(-1)
 
 
 @pytest.mark.parametrize("r", [-0.5, -0.25], ids=["negative", "singular"])
@@ -334,11 +340,10 @@ FAST_AND_SLOW_BANK = {"F": [0.5 * I1, 0.999 * I1], "H": [I1, I1], "Q": 1e-6 * I1
 
 
 @pytest.fixture(scope="module")
-def settle_banks(paper_models):
-    # K8 and K32 are the benchmark's bank seed 0: drawn in turn from one rng.
-    rng = np.random.default_rng(0)
-    return {"paper": paper_models, "K8": make_random_models(rng, 8, 4, 2),
-            "K32": make_random_models(rng, 32, 4, 2), "slow": mx.validate(SLOW_BANK),
+def settle_banks(paper_models, bench_banks):
+    # K8 and K32 are the benchmark's bank seed 0.
+    return {"paper": paper_models, "K8": bench_banks["bank0-K8"],
+            "K32": bench_banks["bank0-K32"], "slow": mx.validate(SLOW_BANK),
             "dip": mx.validate(DIP_BANK), "mixed": mx.validate(FAST_AND_SLOW_BANK)}
 
 

@@ -90,6 +90,17 @@ def test_input_spec_kinds():
         InputSpec(kind="ramp")
 
 
+def test_input_needs_b_and_a_finite_wave():
+    # Without B (p = 0) any input but none would be dropped.  rate * t
+    # overflows at t = 2, with no RuntimeWarning (errors under this suite).
+    assert InputSpec(kind="none").build(3, 0).shape == (3, 0)
+    for spec in (InputSpec(kind="sinusoid"), InputSpec(kind="sequence", values=np.arange(2.0))):
+        with raises_invalid(None, rf"^{spec.kind} input needs models\.B; the bank has no input$"):
+            spec.build(5, 0)
+    with raises_invalid(None, r"^input sin\(rate \* t\) is not finite at t=2$"):
+        InputSpec(kind="sinusoid", rate=1.0e308).build(5, 1)
+
+
 @pytest.mark.parametrize("kind", ["none", "sinusoid"])
 def test_input_spec_rejects_values_of_other_kinds(kind):
     # Only a sequence reads its values; elsewhere they would be dropped.

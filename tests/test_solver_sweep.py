@@ -1,11 +1,6 @@
-import importlib.util
 import re
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "solver_sweep.py"
-spec = importlib.util.spec_from_file_location("solver_sweep", TOOL)
-solver_sweep = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(solver_sweep)
+import solver_sweep
 
 
 def test_one_seed_certifies_every_set(capsys):
