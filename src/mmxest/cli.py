@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -185,6 +186,8 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+# one parser per process: a discarded parser is a reference cycle of about 28 KB
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmxest",

@@ -32,6 +32,7 @@ memory grows with the slowest transient, not with the horizon.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -310,7 +311,8 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
     is below ARE_TOL; the reported residual is the max-abs defect of the
     fixed-point equation at the returned iterate and is required to be
     within ARE_TOL as well.  Every iterate but the newest is finite, so a
-    step to a non-finite iterate shows as a non-finite change.
+    step to a non-finite iterate shows as a non-finite change.  Equal inputs
+    return one shared solution, solved once per process; its P is read-only.
 
     Raises
     ------
@@ -319,25 +321,29 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
         attached for diagnostics), or the iteration diverges to non-finite
         values.
     """
-    P = np.atleast_2d(np.asarray(P_init, dtype=float))
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    args = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (F, H, Q, R, P_init))
+    return _solve_are(*((a.shape, a.tobytes()) for a in args), ARE_TOL, ARE_MAX_ITER)
+
+
+@functools.lru_cache(maxsize=64)
+def _solve_are(F, H, Q, R, P, tol, max_iter):
+    """:func:`solve_are` on (shape, bytes) keys; a NoConvergence is not cached."""
+    F, H, Q, R, P = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P))
     # overflow is a handled outcome here, not a warning-worthy event
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, ARE_MAX_ITER + 1):
+        for it in range(1, max_iter + 1):
             Pn = riccati_step(P, F, H, Q, R)
             # P is finite (else the last step raised), so a non-finite Pn shows in delta
             delta = float(np.abs(Pn - P).max())
             if not math.isfinite(delta):
                 raise NoConvergence(f"Riccati iteration diverged after {it} steps", last=P)
             P = Pn
-            if delta < ARE_TOL:
+            if delta < tol:
                 residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))
-                if residual <= ARE_TOL:
+                if residual <= tol:
+                    P.flags.writeable = False  # shared by every caller
                     return AreSolution(P=P, iterations=it, residual=residual)
-    raise NoConvergence(f"no fixed point within {ARE_MAX_ITER} iterations", last=P)
+    raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P)
 
 
 def stationary_gains(models: ModelSet) -> GainSchedule:

@@ -68,13 +68,14 @@ def test_correctness(parent, change, want):
     assert ab_bench.correctness(parent, change) == want
 
 
-def stub_runs(monkeypatch, correct=True, failed=0, traced=(0, "")):
+def stub_runs(monkeypatch, correct=True, failed=0, traced=(0, ""), wall_s=1.0):
     """Stub the benchmark: the pairs' result lines (the change's carry the
-    flags, the parent's are clean) and the traced run's (exit code, stderr).
-    Returns the list the traced runs' commands and directories go to."""
+    flags and ``wall_s``, the parent's are clean and read 1.0) and the traced
+    run's (exit code, stderr).  Returns the list the traced runs' commands
+    and directories go to."""
     def run_once(checkout, workload, seed, seconds):
-        ok, bad = (correct, failed) if checkout == "change" else (True, 0)
-        return {**result(ok, failed=bad), "metrics": {"wall_s": {"value": 1.0}}}
+        ok, bad, wall = (correct, failed, wall_s) if checkout == "change" else (True, 0, 1.0)
+        return {**result(ok, failed=bad), "metrics": {"wall_s": {"value": wall}}}
 
     calls = []
 
@@ -115,3 +116,19 @@ def test_one_traced_run_of_the_change_gates_the_exit_code(monkeypatch, capsys, t
     assert out[-2] == f"traced run of the change (--trace 1 --seconds 1): {error or 'passed'}"
     assert out[-1].endswith("traced run passed; passed" if error is None
                             else "traced run failed; FAILED")
+
+
+@pytest.mark.parametrize("wall_s, verdict, code", [
+    (1.2, "within bound", 0),
+    (1.3, "bound exceeded", 1),
+])
+def test_exceeded_bound_fails_the_comparison(monkeypatch, capsys, wall_s, verdict, code):
+    # Correct runs and a passing traced run; a change median 30% worse than
+    # a 25% bound fails the comparison and is named in the last line.
+    stub_runs(monkeypatch, wall_s=wall_s)
+    monkeypatch.setattr(ab_bench, "gates", lambda checkout: {"wall_s": ("lower", 0.25)})
+    assert ab_bench.main(["parent", "change", "w", "2"]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert next(line for line in out if line.startswith("wall_s")).endswith(verdict)
+    assert out[-1].endswith("traced run passed; passed" if code == 0
+                            else "traced run passed; bound exceeded: wall_s; FAILED")

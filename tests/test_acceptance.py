@@ -27,6 +27,7 @@ def report(num, name, ok):
 
 def test_01_stationary_covariance_golden_ratio():
     one = np.eye(1)
+    mx.riccati._solve_are.cache_clear()  # time a solve, not a cache hit
     t0 = time.perf_counter()
     sol = mx.solve_are(one, one, one, one, one)
     elapsed = time.perf_counter() - t0

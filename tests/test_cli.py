@@ -64,6 +64,19 @@ def test_run_twice_is_byte_identical(tmp_path, paper_config_path):
         assert fa.read() == fb.read()
 
 
+def test_main_parses_each_call_on_its_own(tmp_path, paper_config_path):
+    # main reuses one parser per process; no option of one call reaches the next
+    a, b, c = (str(tmp_path / f"{name}.csv") for name in "abc")
+    assert cli.main(["run", "--config", paper_config_path, "--out", a]) == 0
+    assert cli.main(["run", "--config", paper_config_path, "--out", b, "--full",
+                     "--stationary", "--bayes-mode", "map"]) == 0
+    assert cli.main(["run", "--config", paper_config_path, "--out", c]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert len(read_csv(b)[0]) == 11
+    with open(a, "rb") as fa, open(c, "rb") as fc:
+        assert fa.read() == fc.read()
+
+
 def test_run_full_columns_round_trip(tmp_path, paper_config_path):
     out = str(tmp_path / "full.csv")
     assert cli.main(["run", "--config", paper_config_path, "--out", out,

@@ -128,15 +128,42 @@ def hand_iterated_are(F, H, Q, R, P):
 @pytest.mark.parametrize("bank", ["paper", "random_k3"])
 def test_solve_are_is_the_hand_iterated_recursion(bank, paper_models):
     # The loop tests finiteness through its step size alone; the iterates,
-    # the fixed point and the count are those of plain iteration.
+    # the fixed point and the count are those of plain iteration, from a
+    # cold cache.
     models = (paper_models if bank == "paper"
               else make_random_models(np.random.default_rng(5), 3, 4, 2))
+    riccati._solve_are.cache_clear()
     for i in range(models.K):
         args = (models.F[i], models.H[i], models.Q, models.R)
         sol = mx.solve_are(*args, models.P0)
+        assert riccati._solve_are.cache_info().misses == i + 1
         P, iterations = hand_iterated_are(*args, models.P0)
         np.testing.assert_array_equal(sol.P, P)
         assert sol.iterations == iterations
+
+
+def test_equal_are_inputs_share_one_read_only_solution():
+    riccati._solve_are.cache_clear()
+    sol = mx.solve_are(0.5 * I1, I1, I1, I1, I1)
+    # inputs are normalised to 2-D float64 before they are compared
+    again = mx.solve_are(np.array([[0.5]]), 1.0, [[1]], I1, np.ones((1, 1), np.float32))
+    assert again is sol
+    info = riccati._solve_are.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert not sol.P.flags.writeable
+    with pytest.raises(ValueError):
+        sol.P[0, 0] = 0.0
+    assert mx.solve_are(0.25 * I1, I1, I1, I1, I1) is not sol
+
+
+def test_patched_are_max_iter_raises_on_cached_inputs(monkeypatch):
+    sol = mx.solve_are(I1, I1, I1, I1, I1)
+    monkeypatch.setattr(riccati, "ARE_MAX_ITER", 2)
+    for _ in range(2):  # a NoConvergence is not cached
+        with pytest.raises(mx.NoConvergence, match="within 2 iterations"):
+            mx.solve_are(I1, I1, I1, I1, I1)
+    monkeypatch.undo()
+    assert mx.solve_are(I1, I1, I1, I1, I1) is sol
 
 
 def test_solve_are_divergence_names_first_non_finite_step():
@@ -212,6 +239,7 @@ def test_random_bank_recursion_matches_manual(paper_models):
 
 
 def test_solve_are_runtime_budget():
+    riccati._solve_are.cache_clear()  # time a solve, not a cache hit
     t0 = time.perf_counter()
     mx.solve_are(I1, I1, I1, I1, I1)
     assert time.perf_counter() - t0 < 1.0

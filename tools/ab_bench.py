@@ -17,7 +17,8 @@ correctness (see ``correctness``), including one traced run of the change
 (``--trace 1 --seconds 1``, see ``traced_error``), whose span check the
 untraced pairs never reach.  Exits 1 if any run exits nonzero, prints no
 result line or reports ``correct: false``, if the change fails a larger
-share of its operations than the parent, or if the traced run fails.
+share of its operations than the parent, if the traced run fails, or if
+any metric reads "bound exceeded" (the last line names it).
 Standard library only; it changes nothing in either checkout beyond what
 the benchmark itself does.
 """
@@ -151,12 +152,15 @@ def main(argv=None):
           f"parent {args.parent}, change {args.change}")
     print(f"{'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
           f"{'change':>8s} {'wins':>6s}  verdicts")
+    exceeded_by = []
     for name in names:
         a = [r["metrics"][name]["value"] for r in results["parent"]]
         b = [r["metrics"][name]["value"] for r in results["change"]]
         qa, qb = quartiles(a), quartiles(b)
         better, bound = spec.get(name, ("lower", None))
         wins, claim, exceeded = verdicts(a, b, better, bound)
+        if exceeded:
+            exceeded_by.append(name)
         rel = f"{100 * (qb[1] / qa[1] - 1):+.1f}%" if qa[1] else "n/a"
         spread_a = f"{qa[1]:.5g} [{qa[0]:.5g}, {qa[2]:.5g}]"
         spread_b = f"{qb[1]:.5g} [{qb[0]:.5g}, {qb[2]:.5g}]"
@@ -167,10 +171,11 @@ def main(argv=None):
     incorrect, share_a, share_b, passed = correctness(results["parent"], results["change"])
     error = traced_error(args.change, args.workload)
     print(f"traced run of the change (--trace 1 --seconds 1): {error or 'passed'}")
-    passed = passed and error is None
+    passed = passed and error is None and not exceeded_by
+    bounds = f"; bound exceeded: {', '.join(exceeded_by)}" if exceeded_by else ""
     print(f"correctness: {incorrect} runs report correct: false; failed share parent "
-          f"{share_a:.4g}, change {share_b:.4g}; traced run {'failed' if error else 'passed'}; "
-          f"{'passed' if passed else 'FAILED'}")
+          f"{share_a:.4g}, change {share_b:.4g}; traced run {'failed' if error else 'passed'}"
+          f"{bounds}; {'passed' if passed else 'FAILED'}")
     return 0 if ok and passed else 1
 
 
