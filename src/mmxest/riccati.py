@@ -19,22 +19,24 @@ which guarantees the inner maximization of the prediction game is concave
 and the minimax weight matrix (I - gamma^{-2} H P H^T)^{-1} exists.
 Boundary cases are infeasible: the weight matrix is singular there.
 
-None of this depends on the data: it is computed once per run as a
-:class:`GainSchedule`, with arrays stacked over the K models.  Each model's
-time-varying recursion settles to its fixed point within rounding after a
-transient (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4), and models
-settle at different steps.  Each model leaves the batched update at its own
-settle step T_i, and its certificates are computed for t <= T_i only; its
-column T_i then stands for every later t, which moves P by about 16 eps /
-(1 - rho_i) relative to an unclamped recursion contracting at rate rho_i.
-The schedule keeps a dense [model, column] grid up to T = max_i T_i, so
-memory grows with the slowest transient, not with the horizon.
+None of this depends on the data: it is computed once per process for
+each bank and horizon as a read-only :class:`GainSchedule`, with arrays
+stacked over the K models.  Each model's time-varying recursion settles to
+its fixed point within rounding after a transient (Anderson & Moore,
+*Optimal Filtering*, 1979, ch. 4), and models settle at different steps.
+Each model leaves the batched update at its own settle step T_i, and its
+certificates are computed for t <= T_i only; its column T_i then stands for
+every later t, which moves P by about 16 eps / (1 - rho_i) relative to an
+unclamped recursion contracting at rate rho_i.  The schedule keeps a dense
+[model, column] grid up to T = max_i T_i, so memory grows with the slowest
+transient, not with the horizon.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,20 +117,23 @@ def _logdet_S(Sinv, where):
     return -np.log(w).sum(axis=-1)
 
 
-def _schedule(models, horizon, P, Sinv, who, pos, where, solutions=()):
+def _schedule(gamma, H, horizon, P, Sinv, who, pos, where, models=None, solutions=()):
     """The schedule whose [model, column] grid reads P[pos] and Sinv[pos],
     with the certificates of each stacked P[j], a covariance of model
     ``who[j]``, computed once; ``where(j)`` names P[j] in a diagnostic."""
-    gsq = models.gamma ** 2
-    margin, W = _certificates(P, models.H[who], gsq)
+    gsq = gamma ** 2
+    margin, W = _certificates(P, H[who], gsq)
     logdet_S = _logdet_S(Sinv, where)
     # gain data exists for t < N only
     S_pos = pos if horizon is None else pos[:, :horizon]
     margin, W = margin[pos], W[pos]
-    W.flags.writeable = False  # every step's pieces are views of it
-    return GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P[pos],
-                        Sinv=Sinv[S_pos], logdet_S=logdet_S[S_pos], margin=margin,
-                        bank_feasible=(margin > 0).all(axis=0), W=W, solutions=solutions)
+    schedule = GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P[pos],
+                            Sinv=Sinv[S_pos], logdet_S=logdet_S[S_pos], margin=margin,
+                            bank_feasible=(margin > 0).all(axis=0), W=W, solutions=solutions)
+    for a in vars(schedule).values():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)  # shared by views and by equal inputs
+    return schedule
 
 
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
@@ -147,7 +152,7 @@ class GainSchedule:
     lambda_max(H P H^T) (model i is gamma-feasible at t iff it is positive),
     ``bank_feasible`` one flag per column, true iff every model's margin
     there is positive, and ``W`` the minimax weight (I - gamma^{-2} H P
-    H^T)^{-1}, NaN where the margin is not positive.
+    H^T)^{-1}, NaN where the margin is not positive.  Every array is read-only.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
     column T for every later t.  Model i settles at its own step T_i (see
@@ -236,8 +241,6 @@ class AreSolution:
     residual: float
 
 
-# a diverging bank overflows; _logdet_S reports the first (model, t) it breaks
-@np.errstate(over="ignore", invalid="ignore")
 def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     """Propagate the Riccati recursions of all K models from P0 over t = 0..N.
 
@@ -257,36 +260,53 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     margins and weights are recorded without raising; see
     :meth:`GainSchedule.require_feasible`.  Columns past T_i repeat
     column T_i.
+
+    Equal inputs share one schedule's arrays, computed once per process
+    (the last 16 are kept); each call's ``models`` is the caller's.
     """
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool):
+        raise InvalidInput(f"horizon must be an integer, got {N!r}", "N")
     if N < 0:
         raise InvalidInput(f"horizon must be >= 0, got {N}", "N")
-    K, n, m = models.K, models.n, models.m
-    F, H, Q, R = models.F, models.H, models.Q, models.R
-    tol = SETTLE_ULPS * np.finfo(float).eps
+    keys = ((a.shape, np.asarray(a, float).tobytes())
+            for a in (models.F, models.H, models.Q, models.R, models.P0))
+    shared = _run_recursion(*keys, models.gamma, int(N), SETTLE_ULPS, SETTLE_STEPS)
+    return replace(shared, models=models)
+
+
+@functools.lru_cache(maxsize=16)
+# a diverging bank overflows; _logdet_S reports the first (model, t) it breaks
+@np.errstate(over="ignore", invalid="ignore")
+def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
+    """:func:`run_recursion` on (shape, bytes) keys; a failure is not cached."""
+    F, H, Q, R, P0 = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P0))
+    (K, n, _), m = F.shape, H.shape[1]
+    Fa, Ha = F, H               # the maps of the models still active
+    tol = settle_ulps * np.finfo(float).eps
     active = np.arange(K)
     settle = np.full(K, N)     # T_i, the step at which model i left the loop
     calm = 0                    # steps each active model has stayed calm
     P, Sinv, who = [], [], []   # one block of the active models per step
-    Pt = np.broadcast_to(models.P0, (K, n, n))
+    Pt = np.broadcast_to(P0, (K, n, n))
     for t in range(N):
         P.append(Pt)
         who.append(active)
-        Sinv_t, FPHt, gain = _gain_terms(Pt, F, H, R)
+        Sinv_t, FPHt, gain = _gain_terms(Pt, Fa, Ha, R)
         Sinv.append(Sinv_t)
-        Pt_next = _next_cov(Pt, F, Q, FPHt, gain)
+        Pt_next = _next_cov(Pt, Fa, Q, FPHt, gain)
         ok = _calm(Pt_next, Pt, tol)
         Pt = Pt_next
         if ok is None:
             calm = 0
             continue
         calm = (calm + 1) * ok
-        if calm.max() < SETTLE_STEPS:
+        if calm.max() < settle_steps:
             continue
-        keep = calm < SETTLE_STEPS
+        keep = calm < settle_steps
         settle[active[~keep]] = t
         if not keep.any():
             break
-        active, calm, Pt, F, H = active[keep], calm[keep], Pt[keep], F[keep], H[keep]
+        active, calm, Pt, Fa, Ha = active[keep], calm[keep], Pt[keep], Fa[keep], Ha[keep]
     else:
         P.append(Pt)
         who.append(active)
@@ -301,7 +321,7 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     pos = np.take_along_axis(pos, np.minimum(np.arange(T + 1), settle[:, None]), axis=1)
     P = np.concatenate(P)
     Sinv = np.concatenate(Sinv) if Sinv else np.empty((0, m, m))
-    return _schedule(models, N, P, Sinv, who, pos, lambda j: f"model {who[j]}, t={ts[j]}")
+    return _schedule(gamma, H, N, P, Sinv, who, pos, lambda j: f"model {who[j]}, t={ts[j]}")
 
 
 def solve_are(F, H, Q, R, P_init) -> AreSolution:
@@ -357,6 +377,6 @@ def stationary_gains(models: ModelSet) -> GainSchedule:
         solutions.append(sol)
     P = np.stack([sol.P for sol in solutions])
     Sinv = _gain_terms(P, models.F, models.H, models.R)[0]
-    return _schedule(models, None, P, Sinv, np.arange(models.K),
+    return _schedule(models.gamma, models.H, None, P, Sinv, np.arange(models.K),
                      np.arange(models.K)[:, None], lambda j: f"model {j}",
-                     solutions=tuple(solutions))
+                     models=models, solutions=tuple(solutions))

@@ -5,7 +5,7 @@
 A refactor that breaks that contract makes the traced benchmark report an
 error; these tests report it first, through the benchmark's own check, on a
 paper-config simulation, a K=8, n=4, m=2 random bank, the benchmark's K=32,
-n=4, m=2, N=200 bank and a CLI seed sweep.
+n=4, m=2, N=200 bank and CLI seed sweeps, stationary and time-varying.
 """
 import pytest
 
@@ -52,12 +52,24 @@ def test_traced_k32_bank_meets_call_contract(bench_banks):
     assert_traced_bank_meets_call_contract(bench_banks["bank0-K32"], 200)
 
 
-def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):
-    out = str(tmp_path / "trace.csv")
-    argv = ["run", "--config", paper_config_path, "--seeds", "0..2", "--stationary",
-            "--full", "--out", out]
+def assert_traced_cli_seed_sweep_meets_call_contract(config_path, out, stationary):
+    argv = ["run", "--config", config_path, "--seeds", "0..2", "--full", "--out", str(out)]
+    if stationary:
+        argv.append("--stationary")
     codes = []
     summary = traced(lambda: codes.append(cli.main(argv)))
     assert codes == [0]
-    assert [(run["ok"], run["stationary"]) for run in summary["runs"]] == [(True, True)] * 3
+    assert [(run["ok"], run["stationary"]) for run in summary["runs"]] == [(True, stationary)] * 3
     assert tracer.expected_call_problems(summary, 3, 3) == []
+
+
+def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):
+    assert_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path / "t.csv", True)
+
+
+def test_traced_time_varying_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):
+    # Seeds 1 and 2 reuse the schedule of seed 0 (a cache hit inside
+    # run_recursion), and each run still makes its one run_recursion call.
+    mx.riccati._run_recursion.cache_clear()
+    assert_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path / "t.csv", False)
+    assert mx.riccati._run_recursion.cache_info().hits == 2

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import mmxest as mx
-from mmxest import cli, config
+from mmxest import cli, config, riccati
 from conftest import child_env, make_random_models
 from oracles import trace_lines_per_value
 
@@ -131,6 +131,21 @@ def test_run_seed_batch(tmp_path, paper_config_path):
                      measurement_noise=cfg.measurement_noise,
                      input_spec=cfg.input_spec)
     assert float(contents[2][3][1]) == tr.z[3, 0]
+
+
+def test_time_varying_seed_batch_computes_the_schedule_once(tmp_path, paper_config_path):
+    # The seeds share one bank and horizon: one recursion, three cache hits,
+    # and the same files as runs that each compute their own schedule.
+    argv = ["run", "--config", paper_config_path, "--full", "--out"]
+    riccati._run_recursion.cache_clear()
+    assert cli.main(argv + [str(tmp_path / "batch.csv"), "--seeds", "0..3"]) == 0
+    info = riccati._run_recursion.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    for s in range(4):
+        riccati._run_recursion.cache_clear()
+        assert cli.main(argv + [str(tmp_path / "one.csv"), "--seeds", f"{s}..{s}"]) == 0
+        batch = (tmp_path / f"batch_seed{s}.csv").read_bytes()
+        assert batch == (tmp_path / f"one_seed{s}.csv").read_bytes()
 
 
 def test_run_seed_batch_requires_output(tmp_path, capsys):

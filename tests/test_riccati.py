@@ -514,6 +514,7 @@ def test_settled_schedule_names_earliest_violation():
 
 def test_schedule_memory_flat_in_horizon(paper_models):
     def peak(N):
+        riccati._run_recursion.cache_clear()  # measure a recursion, not a cache hit
         tracemalloc.start()
         try:
             mx.run_recursion(paper_models, N)
@@ -544,3 +545,86 @@ def test_bank_feasible_flags_follow_margins():
     with pytest.raises(mx.GammaInfeasible) as err:
         stationary.require_feasible(7)
     assert (err.value.t, err.value.model) == (7, 0)
+
+
+@pytest.mark.parametrize("N, match", [
+    (-1, ">= 0, got -1$"), (2.5, "an integer, got 2.5$"), (20.0, "an integer, got 20.0$"),
+    (True, "an integer, got True$"), (np.bool_(True), "an integer, got "), ("3", "an integer"),
+], ids=["negative", "fraction", "float", "bool", "numpy-bool", "string"])
+def test_recursion_horizon_must_be_a_non_negative_integer(N, match):
+    with raises_invalid("N", "^horizon must be " + match):
+        mx.run_recursion(unit_bank(), N)
+
+
+def test_recursion_horizon_takes_numpy_integers():
+    seq = mx.run_recursion(unit_bank(), np.int64(3))
+    assert type(seq.horizon) is int and seq.horizon == 3
+    assert seq.P is mx.run_recursion(unit_bank(), 3).P
+
+
+def test_equal_banks_share_one_schedule_with_their_own_models(paper_models):
+    riccati._run_recursion.cache_clear()
+    seq = mx.run_recursion(paper_models, 30)
+    twin = dataclasses.replace(paper_models)  # equal, not the same object
+    again = mx.run_recursion(twin, 30)
+    info = riccati._run_recursion.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert seq.models is paper_models and again.models is twin
+    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
+        assert getattr(again, name) is getattr(seq, name)
+    assert mx.run_recursion(paper_models, 31).P is not seq.P
+    louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
+    assert mx.run_recursion(louder, 30).gamma_sq == 4.0 * seq.gamma_sq
+
+
+def test_bank_differing_in_input_map_and_start_filters_with_its_own():
+    # Same covariances, so the second bank's run is a cache hit; it must
+    # still filter with its own B and xhat0.
+    models = make_random_models(np.random.default_rng(7), 3, 3, 1, with_input=True)
+    other = dataclasses.replace(models, B=-2.0 * models.B, xhat0=models.xhat0 + 1.0)
+
+    def run(bank):
+        return mx.simulate(bank, 1, 30, input_spec=mx.InputSpec("sinusoid"))
+
+    riccati._run_recursion.cache_clear()
+    cold = run(other)
+    riccati._run_recursion.cache_clear()
+    own = run(models)
+    warm = run(other)
+    assert riccati._run_recursion.cache_info().hits == 1
+    for field in dataclasses.fields(cold):
+        a, b = getattr(cold, field.name), getattr(warm, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    assert not np.array_equal(own.yhat_models, warm.yhat_models)
+
+
+@pytest.mark.parametrize("make", [lambda: mx.run_recursion(oracle_bank(), 4),
+                                  lambda: mx.stationary_gains(oracle_bank())],
+                         ids=["time-varying", "stationary"])
+def test_schedule_arrays_are_read_only(make):
+    seq = make()
+    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(seq, name)[0, ...] = 0
+
+
+def test_failed_recursion_is_not_cached():
+    # P of model 0 overflows at t = 1, so S_1 is not positive definite.
+    bank = mx.validate({"F": [1e200 * I1, 0.5 * I1], "H": [I1, I1], "Q": I1, "R": I1,
+                        "P0": I1, "gamma": 1e100})
+    riccati._run_recursion.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(mx.FactorizationFailure, match="model 0, t=1"):
+            mx.run_recursion(bank, 3)
+        info = riccati._run_recursion.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (calls, 0, 0)
+
+
+def test_patched_settle_steps_is_honoured_on_a_cached_bank(paper_models, monkeypatch):
+    seq = mx.run_recursion(paper_models, 1000)
+    monkeypatch.setattr(riccati, "SETTLE_STEPS", riccati.SETTLE_STEPS + 5)
+    later = mx.run_recursion(paper_models, 1000)
+    assert later.P.shape[1] == seq.P.shape[1] + 5
+    np.testing.assert_array_equal(later.P[:, :seq.P.shape[1]], seq.P)
+    monkeypatch.undo()
+    assert mx.run_recursion(paper_models, 1000).P is seq.P
