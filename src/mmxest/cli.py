@@ -164,7 +164,7 @@ def cmd_riccati(args) -> int:
     gains = _riccati.stationary_gains(models)
     out = []
     for i in range(models.K):
-        sol = gains.solutions[i]
+        sol = _riccati.solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0)
         out.append(f"model {i}:")
         out.append("  P = " + np.array2string(gains.cov(0, i), prefix="  P = "))
         out.append("  K = " + np.array2string(gains.gain(0, i), prefix="  K = "))

@@ -5,11 +5,9 @@ The covariance recursion propagated per model is
     P' = Q + F P F^T - F P H^T (R + H P H^T)^{-1} H P F^T,
 
 started from P0.  Its fixed point is the (estimation-form) algebraic
-Riccati equation, solved here by plain fixed-point iteration of the same
-recursion (:func:`riccati_step`, the one recursion formula) so that the
-stationary filter provably agrees with the time-varying one in the limit.
-Each iteration takes one reduction, max|P_{k+1} - P_k|, which serves both
-as the step size and as the finiteness test.
+Riccati equation.  One loop iterates the recursion for both gain modes: the
+stationary solution of a model is its time-varying recursion's settled
+column, bit for bit, not an approximation of it.
 
 A covariance P is gamma-feasible for output map H when
 
@@ -44,7 +42,6 @@ from .exceptions import FactorizationFailure, GammaInfeasible, InvalidInput, NoC
 from .linalg import symmetrize, transpose
 from .model_bank import ModelSet
 
-ARE_TOL = 1e-10
 ARE_MAX_ITER = 10000
 # Model i's recursion is settled once its max|P_{t+1} - P_t| has stayed
 # within SETTLE_ULPS * eps * max|P_t| for SETTLE_STEPS consecutive steps.
@@ -93,18 +90,6 @@ def _certificates(P, H, gsq):
     return margin, W
 
 
-def _calm(P_next, P, tol):
-    """Per model, whether max|P_next - P| is within tol * max|P|; None when
-    no model is.  Model i's own bound is at most tol times the bank's max|P|,
-    so the (0, 0) entries rule out most unsettled steps first."""
-    step = np.abs(P_next - P)
-    size = np.abs(P)
-    if step[:, 0, 0].min() > tol * size.max():
-        return None
-    k = len(P)
-    return step.reshape(k, -1).max(axis=1) <= tol * size.reshape(k, -1).max(axis=1)
-
-
 def _logdet_S(Sinv, where):
     """log det S from the eigenvalues of a stack of S^{-1}; raises at the first
     S in the stack that is not positive definite, named by ``where(j)``."""
@@ -117,7 +102,7 @@ def _logdet_S(Sinv, where):
     return -np.log(w).sum(axis=-1)
 
 
-def _schedule(gamma, H, horizon, P, Sinv, who, pos, where, models=None, solutions=()):
+def _schedule(gamma, H, horizon, P, Sinv, who, pos, where, models=None):
     """The schedule whose [model, column] grid reads P[pos] and Sinv[pos],
     with the certificates of each stacked P[j], a covariance of model
     ``who[j]``, computed once; ``where(j)`` names P[j] in a diagnostic."""
@@ -129,7 +114,7 @@ def _schedule(gamma, H, horizon, P, Sinv, who, pos, where, models=None, solution
     margin, W = margin[pos], W[pos]
     schedule = GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P[pos],
                             Sinv=Sinv[S_pos], logdet_S=logdet_S[S_pos], margin=margin,
-                            bank_feasible=(margin > 0).all(axis=0), W=W, solutions=solutions)
+                            bank_feasible=(margin > 0).all(axis=0), W=W)
     for a in vars(schedule).values():
         if isinstance(a, np.ndarray):
             a.setflags(write=False)  # shared by views and by equal inputs
@@ -161,9 +146,8 @@ class GainSchedule:
     some model does not settle within N steps; otherwise every array has
     T + 1 columns, so memory grows with the slowest transient, not with N.
     A stationary schedule (``horizon`` None) has one column, used at every
-    t, and the per-model AreSolution in ``solutions``.  Gains are not
-    stored; :meth:`gain` rebuilds them from P and the ``models`` the
-    schedule was computed for.
+    t.  Gains are not stored; :meth:`gain` rebuilds them from P and the
+    ``models`` the schedule was computed for.
     """
 
     horizon: int | None
@@ -175,7 +159,6 @@ class GainSchedule:
     margin: np.ndarray
     bank_feasible: np.ndarray
     W: np.ndarray
-    solutions: tuple = ()
 
     @property
     def stationary(self):
@@ -253,7 +236,8 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     (1.2e-12 relative on a scalar model with F = 0.999, Q = 1e-6, R = 1).
     The loop ends when no model is left or at N, so the schedule has
     T + 1 columns, T = max_i T_i; a model that does not settle within N
-    steps keeps all N + 1.
+    steps keeps all N + 1.  It also ends at the first t whose covariances
+    are not all finite; that t's S check then raises.
 
     Each (model, t) with t <= T_i is computed once: after the loop, every
     such S is checked (the earliest failing (t, model) is raised), and
@@ -274,31 +258,39 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     return replace(shared, models=models)
 
 
-@functools.lru_cache(maxsize=16)
-# a diverging bank overflows; _logdet_S reports the first (model, t) it breaks
-@np.errstate(over="ignore", invalid="ignore")
-def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
-    """:func:`run_recursion` on (shape, bytes) keys; a failure is not cached."""
-    F, H, Q, R, P0 = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P0))
-    (K, n, _), m = F.shape, H.shape[1]
+def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps):
+    """The recursion of :func:`run_recursion` on the models (F[i], H[i]) from
+    P0: lists P, Sinv and who of one block per step t (P_t, S_t^{-1} and the
+    models still active at t), and each model's settle step (N if none).  The
+    last block is the first one not all finite, or t = N's, without S_N^{-1}.
+    """
+    K, n = F.shape[:2]
     Fa, Ha = F, H               # the maps of the models still active
     tol = settle_ulps * np.finfo(float).eps
     active = np.arange(K)
-    settle = np.full(K, N)     # T_i, the step at which model i left the loop
+    settle = np.full(K, N)
     calm = 0                    # steps each active model has stayed calm
-    P, Sinv, who = [], [], []   # one block of the active models per step
+    P, Sinv, who = [], [], []
     Pt = np.broadcast_to(P0, (K, n, n))
     for t in range(N):
         P.append(Pt)
         who.append(active)
         Sinv_t, FPHt, gain = _gain_terms(Pt, Fa, Ha, R)
         Sinv.append(Sinv_t)
+        size = np.abs(Pt)
+        top = size.max()
+        if not math.isfinite(top):
+            break
         Pt_next = _next_cov(Pt, Fa, Q, FPHt, gain)
-        ok = _calm(Pt_next, Pt, tol)
+        step = np.abs(Pt_next - Pt)
         Pt = Pt_next
-        if ok is None:
+        # model i is calm within tol * max|P_t[i]| <= tol * top, so the (0, 0)
+        # entries rule out most unsettled steps first
+        if step[:, 0, 0].min() > tol * top:
             calm = 0
             continue
+        k = len(step)
+        ok = step.reshape(k, -1).max(axis=1) <= tol * size.reshape(k, -1).max(axis=1)
         calm = (calm + 1) * ok
         if calm.max() < settle_steps:
             continue
@@ -310,73 +302,78 @@ def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
     else:
         P.append(Pt)
         who.append(active)
+    return P, Sinv, who, settle
+
+
+@functools.lru_cache(maxsize=16)
+# a diverging bank overflows; _logdet_S reports the first (model, t) it breaks
+@np.errstate(over="ignore", invalid="ignore")
+def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
+    """:func:`run_recursion` on (shape, bytes) keys; a failure is not cached."""
+    F, H, Q, R, P0 = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P0))
+    P, Sinv, who, settle = _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps)
     # The blocks stack into one array of every (model, t <= T_i), t-major;
     # pos maps each [model, column] to its entry, and every column after T_i
     # to model i's entry at T_i.
     T = len(P) - 1
     ts = np.repeat(np.arange(T + 1), [len(a) for a in who])
     who = np.concatenate(who)
-    pos = np.empty((K, T + 1), dtype=int)
+    pos = np.empty((len(F), T + 1), dtype=int)
     pos[who, ts] = np.arange(len(who))
     pos = np.take_along_axis(pos, np.minimum(np.arange(T + 1), settle[:, None]), axis=1)
     P = np.concatenate(P)
-    Sinv = np.concatenate(Sinv) if Sinv else np.empty((0, m, m))
+    Sinv = np.concatenate(Sinv) if Sinv else np.empty((0, H.shape[1], H.shape[1]))
     return _schedule(gamma, H, N, P, Sinv, who, pos, lambda j: f"model {who[j]}, t={ts[j]}")
 
 
 def solve_are(F, H, Q, R, P_init) -> AreSolution:
     """Solve the stationary Riccati equation by fixed-point iteration.
 
-    Iterates :func:`riccati_step` from ``P_init`` until the max-abs change
-    is below ARE_TOL; the reported residual is the max-abs defect of the
-    fixed-point equation at the returned iterate and is required to be
-    within ARE_TOL as well.  Every iterate but the newest is finite, so a
-    step to a non-finite iterate shows as a non-finite change.  Equal inputs
-    return one shared solution, solved once per process; its P is read-only.
+    Returns the covariance at which the recursion of :func:`run_recursion`,
+    run on the one model from ``P_init``, settles: its column at the settle
+    step T, bit for bit; ``iterations`` is T, and ``residual`` the max-abs
+    defect |riccati_step(P) - P| there.  Equal inputs return one shared
+    solution, solved once per process; its P is read-only.
 
     Raises
     ------
     NoConvergence
-        If ARE_MAX_ITER steps do not reach tolerance (the last iterate is
-        attached for diagnostics), or the iteration diverges to non-finite
-        values.
+        If the recursion does not settle within ARE_MAX_ITER steps (the last
+        iterate is attached for diagnostics), or at its first iterate that is
+        not finite (the one before it is attached).
     """
     args = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (F, H, Q, R, P_init))
-    return _solve_are(*((a.shape, a.tobytes()) for a in args), ARE_TOL, ARE_MAX_ITER)
+    return _solve_are(*((a.shape, a.tobytes()) for a in args), ARE_MAX_ITER,
+                      SETTLE_ULPS, SETTLE_STEPS)
 
 
 @functools.lru_cache(maxsize=64)
-def _solve_are(F, H, Q, R, P, tol, max_iter):
+# overflow is a handled outcome here, not a warning-worthy event
+@np.errstate(over="ignore", invalid="ignore")
+def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
     """:func:`solve_are` on (shape, bytes) keys; a NoConvergence is not cached."""
     F, H, Q, R, P = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P))
-    # overflow is a handled outcome here, not a warning-worthy event
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            Pn = riccati_step(P, F, H, Q, R)
-            # P is finite (else the last step raised), so a non-finite Pn shows in delta
-            delta = float(np.abs(Pn - P).max())
-            if not math.isfinite(delta):
-                raise NoConvergence(f"Riccati iteration diverged after {it} steps", last=P)
-            P = Pn
-            if delta < tol:
-                residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))
-                if residual <= tol:
-                    P.flags.writeable = False  # shared by every caller
-                    return AreSolution(P=P, iterations=it, residual=residual)
-    raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P)
+    P = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps)[0]
+    T = len(P) - 1
+    if not np.isfinite(P[T]).all():
+        raise NoConvergence(f"Riccati iteration diverged after {T} steps", last=P[T - 1][0])
+    if T == max_iter:
+        raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P[T][0])
+    P = P[T][0]
+    P.setflags(write=False)  # shared by every caller
+    residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))
+    return AreSolution(P=P, iterations=T, residual=residual)
 
 
 def stationary_gains(models: ModelSet) -> GainSchedule:
     """Solve the per-model AREs from P0 and package them as a length-1 schedule."""
-    solutions = []
+    P = []
     for i in range(models.K):
         try:
-            sol = solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0)
+            P.append(solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0).P)
         except NoConvergence as exc:
             raise NoConvergence(f"model {i}: {exc}", last=exc.last) from None
-        solutions.append(sol)
-    P = np.stack([sol.P for sol in solutions])
+    P = np.stack(P)
     Sinv = _gain_terms(P, models.F, models.H, models.R)[0]
     return _schedule(models.gamma, models.H, None, P, Sinv, np.arange(models.K),
-                     np.arange(models.K)[:, None], lambda j: f"model {j}",
-                     models=models, solutions=tuple(solutions))
+                     np.arange(models.K)[:, None], lambda j: f"model {j}", models=models)

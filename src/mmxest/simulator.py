@@ -131,10 +131,13 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     """Roll the true model forward from the bank's prior mean.  Returns (u, x, y, z).
 
     x has horizon + 1 rows (terminal state included), x_{t+1} = F x_t + w_t
-    + B u_t; y_t = H x_t + v_t and z_t = H x_t for t < horizon.  A state
-    that is not finite raises :class:`InvalidInput` (field ``horizon``)
-    naming the first such t.
+    + B u_t; y_t = H x_t + v_t and z_t = H x_t for t < horizon.  A
+    non-integer (or bool) or out-of-range ``true_model`` or ``horizon``, or a
+    state that is not finite (named by its first t), raises InvalidInput.
     """
+    for name, value in (("true_model", true_model), ("horizon", horizon)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}", name)
     if not 0 <= true_model < models.K:
         raise InvalidInput(f"true_model {true_model} outside 0..{models.K - 1}", "true_model")
     if horizon < 1:

@@ -27,13 +27,18 @@ def traced(work):
 
 @pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
 def test_traced_simulation_meets_call_contract(paper_config, stationary):
+    # From a cold ARE memo, so the stationary run's K solves iterate under
+    # the tracer: an ARE reaching the recursion through run_recursion would
+    # be counted there and break the contract.
     cfg = paper_config
+    mx.riccati._solve_are.cache_clear()
     summary = traced(lambda: mx.simulate(
         cfg.models, cfg.true_model, 50, process_noise=cfg.process_noise,
         measurement_noise=cfg.measurement_noise, input_spec=cfg.input_spec,
         stationary=stationary))
     assert [run["ok"] for run in summary["runs"]] == [True]
     assert tracer.expected_call_problems(summary, 1, 0) == []
+    assert mx.riccati._solve_are.cache_info().misses == (cfg.models.K if stationary else 0)
 
 
 def assert_traced_bank_meets_call_contract(models, N):
@@ -63,8 +68,13 @@ def assert_traced_cli_seed_sweep_meets_call_contract(config_path, out, stationar
     assert tracer.expected_call_problems(summary, 3, 3) == []
 
 
-def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):
+def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, paper_models, tmp_path):
+    # Seed 0 solves each model's ARE under the tracer (a cold memo); seeds 1
+    # and 2 reuse the solutions.
+    mx.riccati._solve_are.cache_clear()
     assert_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path / "t.csv", True)
+    info = mx.riccati._solve_are.cache_info()
+    assert (info.misses, info.hits) == (paper_models.K, 2 * paper_models.K)
 
 
 def test_traced_time_varying_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):

@@ -161,6 +161,13 @@ def test_bad_seed_range(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_empty_seed_range(tmp_path, capsys):
+    cfgp = write(tmp_path, SCALAR_UNIT)
+    assert cli.main(["run", "--config", cfgp, "--out",
+                     str(tmp_path / "x.csv"), "--seeds", "5..3"]) == 2
+    assert capsys.readouterr().err == "error: field --seeds: empty range '5..3'\n"
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfgp = write(tmp_path, SCALAR_UNIT.replace("horizon: 4", "horizon: 0"))
     assert cli.main(["run", "--config", cfgp,
@@ -219,6 +226,19 @@ MALFORMED_CONFIGS = [
     pytest.param("models.F_base", "F: [[[1.0]]]", "F_base: [[1.0, 2.0]]\n  F_scales: [1.0]",
                  id="F_base-shape"),
 ]
+
+
+@pytest.mark.parametrize("body, line", [
+    (SCALAR_UNIT.replace("F: [[[1.0]]]", "F_base: [[1.0]]\n  F_scales: 2.0"),
+     "field models.F_scales: must be a list of numbers"),
+    (SCALAR_UNIT.replace("  F: [[[1.0]]]\n", ""),
+     "field models.F: missing (give F or F_base + F_scales)"),
+    ("- 1\n- 2\n", "config root must be a mapping"),
+], ids=["F_scales-scalar", "no-F", "root-list"])
+def test_config_shape_error_ends_in_one_line(tmp_path, capsys, body, line):
+    cfgp = write(tmp_path, body)
+    assert cli.main(["run", "--config", cfgp]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("key, old, new", MALFORMED_CONFIGS)
@@ -317,6 +337,17 @@ def test_diverging_bank_names_model_and_t(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: factorization failure: model 0, t=1: innovation covariance "
         "R + H P H^T is not positive definite\n")
+
+
+@pytest.mark.parametrize("argv", [["run", "--stationary"], ["riccati"]], ids=["run", "riccati"])
+def test_diverging_are_names_the_model(tmp_path, capsys, argv):
+    # Model 1 (F = 2, H = 0) has P_k = 4 P_{k-1} + 1, which overflows at step
+    # 512; the stationary solve names the model it failed on.
+    body = SCALAR_UNIT.replace("F: [[[1.0]]]", "F: [[[0.5]], [[2.0]]]").replace(
+        "H: [1.0]", "H: [[[1.0]], [[0.0]]]")
+    assert cli.main(argv + ["--config", write(tmp_path, body)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no convergence: model 1: Riccati iteration diverged after 512 steps\n")
 
 
 OVERFLOWING = textwrap.dedent("""

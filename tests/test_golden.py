@@ -13,6 +13,11 @@ iterative solver that the exact stages have since replaced; every solve of
 seed 52 is now settled by the dominance check or the crossing of two pieces.
 Its minimax columns are checked at the solver's certificate level, since a
 certified answer is all the solver promises.
+
+``tests/data/paper_riccati.txt`` and ``tests/data/paper_check.txt`` are the
+standard output of ``mmxest riccati`` and ``mmxest check`` on the bundled
+paper config, written once the stationary solution became the recursion's
+settled column; they are compared byte for byte.
 """
 from pathlib import Path
 
@@ -89,3 +94,9 @@ def test_opening_tie_keeps_uniform_weights(paper_config):
     assert est.weights.tolist() == [0.5, 0.5]
     assert est.active == (0, 1)
     assert est.gap == 0.0 and est.iterations == 0
+
+
+@pytest.mark.parametrize("command", ["riccati", "check"])
+def test_text_report_matches_golden(paper_config_path, capsys, command):
+    assert cli.main([command, "--config", paper_config_path]) == 0
+    assert capsys.readouterr().out == (DATA / f"paper_{command}.txt").read_text(encoding="utf-8")

@@ -16,9 +16,10 @@ I1 = np.eye(1)
 
 def scalar_are_root(f, q, r):
     # Fixed point of p = q + f^2 p - f^2 p^2 / (r + p) solves
-    # p^2 + (r - q - f^2 r) p - q r = 0; take the positive root.
+    # p^2 + (r - q - f^2 r) p - q r = 0; take the positive root, in the
+    # form without cancellation.
     b = r - q - f * f * r
-    return (-b + np.sqrt(b * b + 4.0 * q * r)) / 2.0
+    return 2.0 * q * r / (b + np.sqrt(b * b + 4.0 * q * r))
 
 
 def test_step_scalar_unit_system():
@@ -112,34 +113,19 @@ def test_solve_are_no_convergence_carries_last_iterate(monkeypatch):
     assert np.asarray(err.value.last).shape == (1, 1)
 
 
-def hand_iterated_are(F, H, Q, R, P):
-    """riccati_step from P until the max-abs change is below ARE_TOL, with
-    the finiteness of every iterate tested on its own; (P, iterations)."""
-    for it in range(1, riccati.ARE_MAX_ITER + 1):
-        Pn = mx.riccati_step(P, F, H, Q, R)
-        assert np.all(np.isfinite(Pn))
-        delta = float(np.max(np.abs(Pn - P)))
-        P = Pn
-        if delta < riccati.ARE_TOL:
-            return P, it
-    raise AssertionError("no fixed point")
-
-
 @pytest.mark.parametrize("bank", ["paper", "random_k3"])
 def test_solve_are_is_the_hand_iterated_recursion(bank, paper_models):
-    # The loop tests finiteness through its step size alone; the iterates,
-    # the fixed point and the count are those of plain iteration, from a
-    # cold cache.
+    # The fixed point and the count are those of riccati_step iterated from
+    # P0 to the settle rule one model at a time, from a cold cache.
     models = (paper_models if bank == "paper"
               else make_random_models(np.random.default_rng(5), 3, 4, 2))
     riccati._solve_are.cache_clear()
+    settle, covs = settle_schedule(models, riccati.ARE_MAX_ITER)
     for i in range(models.K):
-        args = (models.F[i], models.H[i], models.Q, models.R)
-        sol = mx.solve_are(*args, models.P0)
+        sol = mx.solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0)
         assert riccati._solve_are.cache_info().misses == i + 1
-        P, iterations = hand_iterated_are(*args, models.P0)
-        np.testing.assert_array_equal(sol.P, P)
-        assert sol.iterations == iterations
+        np.testing.assert_array_equal(sol.P, covs[i][-1])
+        assert sol.iterations == settle[i] < riccati.ARE_MAX_ITER
 
 
 def test_equal_are_inputs_share_one_read_only_solution():
@@ -171,6 +157,37 @@ def test_solve_are_divergence_names_first_non_finite_step():
     with pytest.raises(mx.NoConvergence, match="diverged after 512 steps") as err:
         mx.solve_are(2.0 * I1, np.zeros((1, 1)), 0.0 * I1, I1, I1)
     assert np.isfinite(err.value.last).all()
+
+
+def test_solve_are_meets_the_scalar_closed_form():
+    # Within the settle rule's documented SETTLE_ULPS eps / (1 - rho)
+    # relative, with a factor 2 for rounding; rho = (F - K H)^2 at the root.
+    f, q = 0.99, 1e-4
+    p = scalar_are_root(f, q, 1.0)
+    sol = mx.solve_are(f * I1, I1, q * I1, I1, I1)
+    rho = (f / (1.0 + p)) ** 2
+    tol = 2 * riccati.SETTLE_ULPS * np.finfo(float).eps / (1 - rho)
+    assert abs(sol.P[0, 0] - p) <= tol * p
+
+
+def test_stationary_gains_are_the_settled_recursion(paper_models, bench_banks):
+    # The stationary schedule is the time-varying one's settled column, bit
+    # for bit, and each model's ARE count is the column it was read from.
+    rng = np.random.default_rng(22)
+    banks = [paper_models, *bench_banks.values()]
+    for _ in range(20):
+        K, n, m = (int(rng.integers(1, hi)) for hi in (9, 5, 4))
+        banks.append(make_random_models(rng, K, n, m))
+    for models in banks:
+        st = mx.stationary_gains(models)
+        seq = mx.run_recursion(models, 5000)
+        assert seq.P.shape[1] <= 5000  # every model settled
+        for name in ("P", "Sinv", "W"):
+            np.testing.assert_array_equal(getattr(st, name)[:, 0], getattr(seq, name)[:, -1],
+                                          err_msg=name)
+        for i in range(models.K):
+            T = mx.solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0).iterations
+            np.testing.assert_array_equal(seq.P[i, T], st.P[i, 0])
 
 
 def test_gamma_feasibility_is_strict():
@@ -214,7 +231,9 @@ def test_stationary_gains_paper_system(paper_models):
     assert st.feasible.all()
     np.testing.assert_allclose(st.cov(0, 0), st.cov(123, 0))  # t ignored
     for i in range(2):
-        sol = st.solutions[i]
+        sol = mx.solve_are(paper_models.F[i], paper_models.H[i], paper_models.Q,
+                           paper_models.R, paper_models.P0)
+        np.testing.assert_array_equal(st.cov(0, i), sol.P)
         assert sol.residual <= 1e-10
         fixed = mx.riccati_step(sol.P, paper_models.F[i], paper_models.H[i],
                                 paper_models.Q, paper_models.R)
@@ -280,8 +299,7 @@ def test_stationary_schedule_matches_solve_are():
     for i in range(models.K):
         F, H = models.F[i], models.H[i]
         sol = mx.solve_are(F, H, models.Q, models.R, models.P0)
-        assert st.solutions[i].iterations == sol.iterations
-        np.testing.assert_allclose(st.cov(0, i), sol.P, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(st.cov(0, i), sol.P)
         np.testing.assert_allclose(st.cov(10 ** 6, i), sol.P, rtol=1e-12, atol=1e-12)
         S, gain, _ = kalman_step(sol.P, F, H, models.Q, models.R)
         np.testing.assert_allclose(st.gain(7, i), gain, rtol=1e-12, atol=1e-12)
@@ -356,6 +374,9 @@ def test_schedule_stores_nan_weights_where_infeasible():
 
 
 SLOW_BANK = {"F": [0.999 * I1], "H": [I1], "Q": 1e-6 * I1, "R": I1, "P0": I1, "gamma": 3.0}
+# P of model 0 overflows at t = 1, so S_1 is not positive definite.
+OVERFLOW_BANK = {"F": [1e200 * I1, 0.5 * I1], "H": [I1, I1], "Q": I1, "R": I1, "P0": I1,
+                 "gamma": 1e100}
 # Each model has a calm step, then one that is not, shortly before it
 # settles (at t = 22 and t = 39); a calm count that is not reset by the
 # step that is not calm would let each leave one step early.
@@ -416,6 +437,17 @@ def assert_clamped(seq, i, T):
         grid = getattr(seq, name)[i]
         np.testing.assert_array_equal(grid[T + 1:], np.broadcast_to(grid[T], grid[T + 1:].shape),
                                       err_msg=name)
+
+
+def test_stationary_gains_of_a_model_slower_than_are_max_iter_raise(settle_banks):
+    # SLOW_BANK's model settles at t = 10365: past ARE_MAX_ITER, so the ARE
+    # stops short, while the time-varying schedule still serves the bank.
+    models = settle_banks["slow"]
+    with pytest.raises(mx.NoConvergence, match=f"^model 0: no fixed point within "
+                                               f"{riccati.ARE_MAX_ITER} iterations$") as err:
+        mx.stationary_gains(models)
+    assert np.isfinite(err.value.last).all()
+    assert mx.run_recursion(models, 11000).P.shape[1] == 10366
 
 
 @pytest.mark.parametrize("bank", ["paper", "K8", "K32", "dip"])
@@ -609,9 +641,7 @@ def test_schedule_arrays_are_read_only(make):
 
 
 def test_failed_recursion_is_not_cached():
-    # P of model 0 overflows at t = 1, so S_1 is not positive definite.
-    bank = mx.validate({"F": [1e200 * I1, 0.5 * I1], "H": [I1, I1], "Q": I1, "R": I1,
-                        "P0": I1, "gamma": 1e100})
+    bank = mx.validate(OVERFLOW_BANK)
     riccati._run_recursion.cache_clear()
     for calls in (1, 2):
         with pytest.raises(mx.FactorizationFailure, match="model 0, t=1"):
@@ -628,3 +658,22 @@ def test_patched_settle_steps_is_honoured_on_a_cached_bank(paper_models, monkeyp
     np.testing.assert_array_equal(later.P[:, :seq.P.shape[1]], seq.P)
     monkeypatch.undo()
     assert mx.run_recursion(paper_models, 1000).P is seq.P
+
+
+def test_diverging_bank_fails_without_running_out_the_horizon():
+    # The loop ends at the first covariance that is not finite, so the
+    # failure is raised at once, and its peak does not grow with N.
+    bank = mx.validate(OVERFLOW_BANK)
+
+    def peak(N):
+        tracemalloc.start()
+        try:
+            with pytest.raises(mx.FactorizationFailure, match="^model 0, t=1: "):
+                mx.run_recursion(bank, N)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # first-call allocations stay out of both peaks
+    small = peak(1000)
+    assert peak(100_000) <= 1.1 * small

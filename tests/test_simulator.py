@@ -188,6 +188,26 @@ def test_generate_truth_validates_arguments(paper_config):
             mx.generate_truth(models, 0, horizon, NoiseSpec(), NoiseSpec(seed=1))
 
 
+@pytest.mark.parametrize("true_model, horizon, field, got", [
+    (0, 2.5, "horizon", "2.5"), (0, 20.0, "horizon", "20.0"), (0, True, "horizon", "True"),
+    (0, "3", "horizon", "'3'"), (True, 5, "true_model", "True"),
+    (np.bool_(True), 5, "true_model", "np.True_"), (1.5, 5, "true_model", "1.5"),
+], ids=["fraction", "float", "bool", "string", "model-bool", "model-numpy-bool", "model-fraction"])
+def test_simulate_takes_integer_horizon_and_true_model(paper_config, true_model, horizon,
+                                                        field, got):
+    with raises_invalid(field, f"^{field} must be an integer, got {got}$"):
+        mx.simulate(paper_config.models, true_model, horizon)
+
+
+def test_simulate_takes_numpy_integers(paper_config):
+    models = paper_config.models
+    want = mx.simulate(models, 1, 5)
+    got = mx.simulate(models, np.int64(1), np.int32(5))
+    assert got.horizon == 5 and got.true_model == 1
+    for name in ("x", "y", "z", "yhat_minimax", "yhat_bayes", "c", "mu", "lam"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_trace_shapes(paper_config):
     cfg = paper_config
     tr = mx.simulate(cfg.models, cfg.true_model, 12, **paper_setup(cfg))
