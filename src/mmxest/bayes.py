@@ -48,17 +48,17 @@ def bayes_step(posterior: BayesPosterior, state: FilterBankState) -> BayesPoster
     density of y under model i.  Likelihoods are computed in log space to
     survive large innovations.  An initial state has absorbed nothing; its
     equal likelihoods leave the posterior as it is.  The one fresh array is
-    updated in place.
+    updated in place, and reduced by ufunc reductions, not array methods.
     """
     w = state.gains.models.m * LOG_2PI + state.innovation_logdet
     w += state.innovation_cost
     w *= -0.5
     # Shift before exponentiating; the shift cancels in the normalization.
-    w -= w.max()
+    w -= np.maximum.reduce(w)
     np.exp(w, out=w)
     w *= posterior.mu
     np.maximum(w, LIKELIHOOD_FLOOR, out=w)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     return BayesPosterior(w)
 
 

@@ -9,10 +9,11 @@ which is xb' = F xb + B u + K e with the Kalman gain K = F P H^T S^{-1}.
 Covariances and inverse innovation covariances S^{-1} come from a
 precomputed :class:`~mmxest.riccati.GainSchedule` (time-varying or
 stationary), so a step advances all K filters with batched products and no
-solve.  A state resolves its schedule column once, when it is made, and
-computes its predictions H_i xb_i once, for every caller.  A step forms the
-innovation once and records on the new state what it absorbed: the costs
-e_i^T S_i^{-1} e_i and log det S_i, which is all the Bayesian update needs.
+solve.  A state's schedule column is resolved by :func:`init` at t = 0 and
+advanced by each step, min(col + 1, last), and its predictions H_i xb_i are
+computed once, for every caller.  A step forms the innovation once and
+records on the new state what it absorbed: the costs e_i^T S_i^{-1} e_i
+and log det S_i, which is all the Bayesian update needs.
 The accumulated cost c_{t,i} is the minimum disturbance energy needed to
 reconcile model i with the data seen so far; it is the learning signal of
 the prediction game.
@@ -26,6 +27,8 @@ import numpy as np
 from .exceptions import InvalidInput
 from .linalg import transpose
 from .riccati import GainSchedule
+
+_FLOAT = np.dtype(float)
 
 
 class FilterBankState(NamedTuple):
@@ -54,10 +57,9 @@ class FilterBankState(NamedTuple):
     yhat: np.ndarray
 
 
-def _state(t, xbreve, c, gains, cost, logdet) -> FilterBankState:
-    """The state at time t, with its schedule column (:class:`InvalidInput`
-    past the horizon) and its predictions H_i xb_i."""
-    return FilterBankState(t, xbreve, c, gains, cost, logdet, gains.column(t, terminal=True),
+def _state(t, xbreve, c, gains, cost, logdet, col) -> FilterBankState:
+    """The state at time t in schedule column ``col``, with its predictions."""
+    return FilterBankState(t, xbreve, c, gains, cost, logdet, col,
                            (gains.models.H @ xbreve[:, :, None])[:, :, 0])
 
 
@@ -66,7 +68,13 @@ def init(gains: GainSchedule) -> FilterBankState:
     xhat0 and zero cost."""
     models = gains.models
     return _state(0, np.tile(models.xhat0, (models.K, 1)), np.zeros(models.K), gains,
-                  np.zeros(models.K), np.zeros(models.K))
+                  np.zeros(models.K), np.zeros(models.K), gains.column(0, terminal=True))
+
+
+def _row(v, width):
+    if v.__class__ is np.ndarray and v.dtype is _FLOAT and v.shape == (width,):
+        return v
+    return np.asarray(v, dtype=float).reshape(-1)
 
 
 def innovations(state: FilterBankState, y: np.ndarray):
@@ -84,15 +92,16 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     returned state for :func:`~mmxest.bayes.bayes_step`.  The known input
     enters the state recursion only; it never contributes to the
     accumulated cost, since it is measured and carries no
-    model-discriminating information.
+    model-discriminating information.  A 1-D float64 ``y`` or ``u`` of the
+    right length is used as it is; any other form is reshaped to a row.
     """
     gains = state.gains
     models = gains.models
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _row(y, models.m)
     if y.shape != (models.m,):
         raise InvalidInput(f"y has shape {y.shape}, expected ({models.m},)", "y")
     if u is not None:
-        u = np.asarray(u, dtype=float).reshape(-1)
+        u = _row(u, models.p)
         if models.p == 0:
             raise InvalidInput("model set has no input channel but u was given", "u")
         if u.shape != (models.p,):
@@ -104,5 +113,6 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     xbreve = (models.F @ (state.xbreve[:, :, None]
                           + gains.P[:, col] @ (transpose(models.H) @ Sinv_e)))[:, :, 0]
     if u is not None:
-        xbreve = xbreve + models.B @ u
-    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, gains.logdet_S[:, col])
+        xbreve += models.B @ u
+    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, gains.logdet_S[:, col],
+                  min(col + 1, gains.P.shape[1] - 1))

@@ -98,22 +98,22 @@ def build_pieces(state: FilterBankState) -> QuadraticPieces:
 
 
 def _dominant(W, centers, offsets):
-    """Indices i with f_j(center_i) <= offset_i for every j.
+    """The first top piece i if f_j(center_i) <= offset_i for every j, else None.
 
     Since f_j >= offset_j, only pieces with the largest offset qualify, and
     only the first of them, i, needs testing: another top piece j qualifies
     iff f_j(center_i) = offset_i, i.e. iff center_j = center_i, and then its
-    row is row i.  So the answer is every top piece if row i passes, else
-    none.  For each such i, J* = offset_i: center_i reaches it and f_i alone
-    cannot go lower.  Uniform weights on all of them certify it with gap 0,
-    since each piece's minimum is that same offset.  A NaN anywhere in row i
-    fails the test.
+    row is row i.  So every top piece qualifies if row i passes, else none.
+    For each such i, J* = offset_i: center_i reaches it and f_i alone cannot
+    go lower; uniform weights on all of them certify it with gap 0.  Row i
+    passes in one pass iff the maximum of its piece values, NaN if any is,
+    is at most offset_i.
     """
     i = int(offsets.argmax())
-    top = offsets[i]
-    if (piece_values(centers[i], W, centers, offsets) <= top).all():
-        return (offsets == top).nonzero()[0]
-    return np.empty(0, dtype=np.intp)
+    d = centers[i] - centers
+    if np.maximum.reduce(np.einsum("ki,kij,kj->k", d, W, d) + offsets) <= offsets[i]:
+        return i
+    return None
 
 
 def _crossing(W, centers, offsets):
@@ -182,8 +182,8 @@ def _sorted_stages(W, centers, offsets):
 def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= SOLVE_TOL.
 
-    The first stage that certifies answers: :func:`_dominant` (lam = e_i,
-    gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
+    The first stage that certifies answers: :func:`_dominant` (one pass, lam
+    = e_i, gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
     (the zero-slope weights of the lowest crossing of two pieces), then, on
     the pieces sorted into one canonical order, the active-set stage from
     the top piece's vertex and, if it does not certify, the dual ascent
@@ -207,14 +207,14 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     if K == 0:
         raise InvalidInput("minimax program needs at least one piece", "pieces")
 
-    active = _dominant(W, centers, offsets)
-    if active.size:
-        i = int(active[0])
+    i = _dominant(W, centers, offsets)
+    if i is not None:
         lam = np.zeros(K)
-        if active.size == 1:  # lam = e_i
+        if np.count_nonzero(offsets == offsets[i]) == 1:  # lam = e_i
             lam[i] = 1.0
             active = (i,)
-        else:
+        else:  # tied top pieces, counted once the row has passed, share it
+            active = np.flatnonzero(offsets == offsets[i])
             lam[active] = 1.0 / active.size
             active = tuple(active.tolist())
         return MinimaxEstimate(centers[i].copy(), float(offsets[i]), lam, active, 0.0, 0)

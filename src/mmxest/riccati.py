@@ -24,13 +24,13 @@ its fixed point within rounding after a transient (Anderson & Moore,
 *Optimal Filtering*, 1979, ch. 4), and models settle at different steps.
 Each model leaves the batched update at its own settle step T_i, and its
 certificates are computed for t <= T_i only; its column T_i then stands for
-every later t, which moves P by about 16 eps / (1 - rho_i) relative to an
-unclamped recursion contracting at rate rho_i.  The schedule keeps a dense
+every later t (see :func:`run_recursion`).  The schedule keeps a dense
 [model, column] grid up to T = max_i T_i, so memory grows with the slowest
 transient, not with the horizon.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -140,11 +140,9 @@ class GainSchedule:
     H^T)^{-1}, NaN where the margin is not positive.  Every array is read-only.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
-    column T for every later t.  Model i settles at its own step T_i (see
-    :func:`run_recursion`), and its columns past T_i equal its column T_i.
-    T = max_i T_i, or T = N (and ``Sinv``, ``logdet_S`` stop at N - 1) when
-    some model does not settle within N steps; otherwise every array has
-    T + 1 columns, so memory grows with the slowest transient, not with N.
+    column T for every later t: T = max_i T_i (see :func:`run_recursion`),
+    or T = N (and ``Sinv``, ``logdet_S`` stop at N - 1) when some model does
+    not settle within N steps; otherwise every array has T + 1 columns.
     A stationary schedule (``horizon`` None) has one column, used at every
     t.  Gains are not stored; :meth:`gain` rebuilds them from P and the
     ``models`` the schedule was computed for.
@@ -242,8 +240,7 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     Each (model, t) with t <= T_i is computed once: after the loop, every
     such S is checked (the earliest failing (t, model) is raised), and
     margins and weights are recorded without raising; see
-    :meth:`GainSchedule.require_feasible`.  Columns past T_i repeat
-    column T_i.
+    :meth:`GainSchedule.require_feasible`.
 
     Equal inputs share one schedule's arrays, computed once per process
     (the last 16 are kept); each call's ``models`` is the caller's.
@@ -258,19 +255,19 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     return replace(shared, models=models)
 
 
-def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps):
+def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
     """The recursion of :func:`run_recursion` on the models (F[i], H[i]) from
-    P0: lists P, Sinv and who of one block per step t (P_t, S_t^{-1} and the
-    models still active at t), and each model's settle step (N if none).  The
-    last block is the first one not all finite, or t = N's, without S_N^{-1}.
-    """
+    P0: deques P, Sinv, who of the last ``maxlen`` (all if None) blocks, one
+    per step t (P_t, S_t^{-1}, the models still active at t), each model's
+    settle step (N if none) and the last step T, whose block is the first
+    not all finite, or t = N's, without S_N^{-1}."""
     K, n = F.shape[:2]
     Fa, Ha = F, H               # the maps of the models still active
     tol = settle_ulps * np.finfo(float).eps
     active = np.arange(K)
     settle = np.full(K, N)
     calm = 0                    # steps each active model has stayed calm
-    P, Sinv, who = [], [], []
+    P, Sinv, who = (collections.deque(maxlen=maxlen) for _ in range(3))
     Pt = np.broadcast_to(P0, (K, n, n))
     for t in range(N):
         P.append(Pt)
@@ -300,9 +297,10 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps):
             break
         active, calm, Pt, Fa, Ha = active[keep], calm[keep], Pt[keep], Fa[keep], Ha[keep]
     else:
+        t = N
         P.append(Pt)
         who.append(active)
-    return P, Sinv, who, settle
+    return P, Sinv, who, settle, t
 
 
 @functools.lru_cache(maxsize=16)
@@ -311,11 +309,10 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps):
 def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
     """:func:`run_recursion` on (shape, bytes) keys; a failure is not cached."""
     F, H, Q, R, P0 = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P0))
-    P, Sinv, who, settle = _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps)
+    P, Sinv, who, settle, T = _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps)
     # The blocks stack into one array of every (model, t <= T_i), t-major;
     # pos maps each [model, column] to its entry, and every column after T_i
     # to model i's entry at T_i.
-    T = len(P) - 1
     ts = np.repeat(np.arange(T + 1), [len(a) for a in who])
     who = np.concatenate(who)
     pos = np.empty((len(F), T + 1), dtype=int)
@@ -337,6 +334,8 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
 
     Raises
     ------
+    InvalidInput
+        Naming the first argument not finite or of a shape that does not fit.
     NoConvergence
         If the recursion does not settle within ARE_MAX_ITER steps (the last
         iterate is attached for diagnostics), or at its first iterate that is
@@ -353,13 +352,19 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
 def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
     """:func:`solve_are` on (shape, bytes) keys; a NoConvergence is not cached."""
     F, H, Q, R, P = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P))
-    P = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps)[0]
-    T = len(P) - 1
-    if not np.isfinite(P[T]).all():
-        raise NoConvergence(f"Riccati iteration diverged after {T} steps", last=P[T - 1][0])
+    n, m = len(F), len(H)
+    for name, a, shape in zip(("F", "H", "Q", "R", "P_init"), (F, H, Q, R, P),
+                              ((n, n), (m, n), (n, n), (m, m), (n, n))):
+        if a.shape != shape:
+            raise InvalidInput(f"{name} has shape {a.shape}, expected {shape}", name)
+        if not np.isfinite(a).all():
+            raise InvalidInput(f"{name} has a non-finite entry", name)
+    P, _, _, _, T = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps, 2)
+    if not np.isfinite(P[-1]).all():
+        raise NoConvergence(f"Riccati iteration diverged after {T} steps", last=P[-2][0])
     if T == max_iter:
-        raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P[T][0])
-    P = P[T][0]
+        raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P[-1][0])
+    P = P[-1][0]
     P.setflags(write=False)  # shared by every caller
     residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))
     return AreSolution(P=P, iterations=T, residual=residual)

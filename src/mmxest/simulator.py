@@ -152,11 +152,13 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
 
     x = np.empty((horizon + 1, models.n))
     x[0] = models.xhat0
+    x_t = x[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
         for t in range(horizon):
-            x[t + 1] = F @ x[t] + w[t]
+            x_t = F @ x_t + w[t]
             if Bu is not None:
-                x[t + 1] += Bu[t]
+                x_t += Bu[t]
+            x[t + 1] = x_t
     if not np.isfinite(x).all():
         t = int((~np.isfinite(x).all(axis=1)).argmax())
         raise InvalidInput(f"state of true model {true_model} is not finite at t={t} "
@@ -223,13 +225,16 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     tr_lam = np.full((N, K), np.nan)
 
     inputs = u if models.p > 0 else repeat(None, N)
+    # bound at call time, so that a wrapper installed around a layer is what runs
+    step, build_pieces, solve = filter_bank.step, minimax.build_pieces, minimax.solve
+    bayes_step, bayes_estimate = _bayes.bayes_step, _bayes.bayes_estimate
     with np.errstate(over="ignore", invalid="ignore"):  # a piece that overflows fails its solve
         for t, (y_t, u_t) in enumerate(zip(y, inputs)):
             tr_c[t] = state.c
             tr_models[t] = state.yhat
             if run_minimax:
                 try:
-                    est = minimax.solve(minimax.build_pieces(state))
+                    est = solve(build_pieces(state))
                 except NoConvergence as exc:  # name the first offset that overflowed, if any
                     t0, i = np.nonzero(~np.isfinite(gains.gamma_sq * tr_c[:t + 1]))
                     where = f"model {i[0]}, t={t0[0]}: gamma^2 c overflows; " if i.size else ""
@@ -239,10 +244,10 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                 tr_lam[t] = est.weights
             if run_bayes:
                 tr_mu[t] = posterior.mu
-                tr_bayes[t] = _bayes.bayes_estimate(posterior, state, mode=bayes_mode)
-            state = filter_bank.step(state, y_t, u_t)
+                tr_bayes[t] = bayes_estimate(posterior, state, mode=bayes_mode)
+            state = step(state, y_t, u_t)
             if run_bayes:
-                posterior = _bayes.bayes_step(posterior, state)
+                posterior = bayes_step(posterior, state)
 
     x_arr = np.full((N + 1, models.n), np.nan) if x is None else np.asarray(x, dtype=float)
     z_arr = np.full((N, m), np.nan) if z is None else np.asarray(z, dtype=float).reshape(N, m)

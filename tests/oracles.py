@@ -13,8 +13,8 @@ estimator needs them, and the tests check each against an independent
 oracle above or an identity of the paper.
 
 The reference kernels at the end are the straightforward forms of rewritten
-library kernels: the dominance test over every top row, the per-step truth
-loop and the per-value CSV renderer.
+library kernels: the dominance test over every top row, the estimators' step
+loop, the per-step truth loop and the per-value CSV renderer.
 """
 import numpy as np
 
@@ -313,6 +313,53 @@ def dominant_all_rows(W, centers, offsets):
     D = centers[top, None, :] - centers[None, :, :]
     values = np.einsum("ijk,jkl,ijl->ij", D, W, D) + offsets
     return top[values.max(axis=1) <= offsets[top]]
+
+
+def reference_estimators(models, y, u, stationary=False):
+    """The step loop of ``run_estimators`` written out from its formulas, with
+    none of the library's per-step records: the column of every t looked up
+    in the schedule, the dominance test over every top row
+    (:func:`dominant_all_rows`), the Bayes estimate and update, and the
+    filter step with its innovation.  A game no piece dominates goes to the
+    library's ``solve``.  Returns the trace's per-step arrays by field name.
+    """
+    from mmxest.bayes import LIKELIHOOD_FLOOR, LOG_2PI
+    from mmxest.minimax import QuadraticPieces, solve
+
+    N, K = len(y), models.K
+    gains = mx.stationary_gains(models) if stationary else mx.run_recursion(models, N)
+    xb, c, mu = np.tile(models.xhat0, (K, 1)), np.zeros(K), np.full(K, 1.0 / K)
+    rows = {k: [] for k in ("yhat_models", "c", "mu", "yhat_bayes", "yhat_minimax",
+                            "J_star", "lam")}
+    for t in range(N):
+        col = gains.column(t, terminal=True)
+        yhat = (models.H @ xb[:, :, None])[:, :, 0]
+        W, offsets = gains.W[:, col], -gains.gamma_sq * c
+        top = dominant_all_rows(W, yhat, offsets)
+        if top.size:
+            lam = np.zeros(K)
+            lam[top] = 1.0 / top.size
+            pred, J = yhat[top[0]], float(offsets[top[0]])
+        else:
+            est = solve(QuadraticPieces(W, yhat, offsets))
+            pred, J, lam = est.yhat, est.value, est.weights
+        for k, v in (("yhat_models", yhat), ("c", c), ("mu", mu), ("yhat_bayes", mu @ yhat),
+                     ("yhat_minimax", pred), ("J_star", J), ("lam", lam)):
+            rows[k].append(v)
+        # the filter step: xb' = F (xb + P H^T S^-1 e) + B u, c' = c + e^T S^-1 e
+        e = (y[t] - yhat)[:, :, None]
+        Sinv_e = gains.Sinv[:, col] @ e
+        cost = (e.swapaxes(1, 2) @ Sinv_e)[:, 0, 0]
+        xb = (models.F @ (xb[:, :, None]
+                          + gains.P[:, col] @ (models.H.swapaxes(1, 2) @ Sinv_e)))[:, :, 0]
+        if models.p > 0:
+            xb = xb + models.B @ u[t]
+        c = c + cost
+        # the Bayes update from the Gaussian likelihood of e, floored, renormalized
+        w = -0.5 * (models.m * LOG_2PI + gains.logdet_S[:, col] + cost)
+        w = np.maximum(np.exp(w - w.max()) * mu, LIKELIHOOD_FLOOR)
+        mu = w / w.sum()
+    return {k: np.array(v) for k, v in rows.items()}
 
 
 def truth_loop(models, true_model, u, w, v):

@@ -92,6 +92,39 @@ def test_step_rejects_bad_measurement_shape(paper_models):
         filter_bank.step(state, np.array([1.0, 2.0]))
 
 
+def state_bytes(state):
+    return (state.t, state.col) + tuple(a.tobytes() for a in (
+        state.xbreve, state.c, state.innovation_cost, state.innovation_logdet, state.yhat))
+
+
+@pytest.mark.parametrize("bank", ["paper", "random"])
+def test_step_takes_any_row_form_with_the_bytes_of_a_float64_row(bank, paper_models):
+    # The paper bank has m = p = 1, the random one m = 2, p = 1.  The values
+    # are exact in every form, so every form stands for the same float64 row.
+    models = (paper_models if bank == "paper"
+              else make_random_models(np.random.default_rng(5), 3, 4, 2, with_input=True))
+    state = filter_bank.init(mx.run_recursion(models, 5))
+    state = filter_bank.step(state, np.full(models.m, 0.5), np.full(models.p, 0.25))
+    y, u = np.array([3.0, -2.0])[:models.m], np.array([-1.0])
+
+    def forms(row):
+        out = [row.tolist(), row.astype(int), row.astype(np.float32), row[:, None],
+               np.stack([row, row], axis=1)[:, 0]]  # the last one strided
+        return out + ([float(row[0])] if row.size == 1 else [])
+
+    want = state_bytes(filter_bank.step(state, y, u))
+    for y_form in forms(y):
+        assert state_bytes(filter_bank.step(state, y_form, u)) == want
+    for u_form in forms(u):
+        assert state_bytes(filter_bank.step(state, y, u_form)) == want
+    m = models.m
+    for bad in (np.zeros(m + 1), np.zeros((m + 1, 1)), np.zeros(m + 1, np.float32)):
+        with raises_invalid("y", rf"^y has shape \({m + 1},\), expected \({m},\)$"):
+            filter_bank.step(state, bad, u)
+    with raises_invalid("u", r"^u has shape \(2,\), expected \(1,\)$"):
+        filter_bank.step(state, y, np.zeros(2))
+
+
 def test_step_rejects_input_when_inputless():
     models, state = singleton_state()
     with raises_invalid("u", "^model set has no input channel but u was given$"):

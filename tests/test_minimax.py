@@ -482,12 +482,21 @@ def test_scalar_solves_need_no_ascent_step(pieces):
     assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
 
 
+def dominant_active(W, centers, offsets):
+    """The pieces the dominance check answers with, as ``solve`` reports them
+    active; [] if the check does not answer."""
+    if minimax._dominant(W, centers, offsets) is None:
+        return []
+    return list(solve(QuadraticPieces(W, centers, offsets)).active)
+
+
 @settings(max_examples=examples(400), deadline=None)
 @given(tie_heavy_piece_sets())
 def test_one_row_dominance_matches_all_rows(pieces):
-    got = minimax._dominant(pieces.W, pieces.centers, pieces.offsets)
     want = dominant_all_rows(pieces.W, pieces.centers, pieces.offsets)
-    np.testing.assert_array_equal(got, want)
+    got = minimax._dominant(pieces.W, pieces.centers, pieces.offsets)
+    assert got == (want[0] if want.size else None)  # the first top piece
+    assert dominant_active(pieces.W, pieces.centers, pieces.offsets) == want.tolist()
 
 
 def test_one_row_dominance_ties():
@@ -497,10 +506,10 @@ def test_one_row_dominance_ties():
                           ([0.0, -9.0, 0.0], []),        # tie, distinct centers
                           ([-1.0, 0.0, -9.0], [1])):     # one top piece
         offsets = np.array(offsets)
-        np.testing.assert_array_equal(minimax._dominant(W, centers, offsets), want)
+        assert dominant_active(W, centers, offsets) == want
         np.testing.assert_array_equal(dominant_all_rows(W, centers, offsets), want)
-    one = minimax._dominant(np.eye(1)[None], np.array([[0.5]]), np.array([-3.0]))
-    np.testing.assert_array_equal(one, [0])  # K = 1
+    one = dominant_active(np.eye(1)[None], np.array([[0.5]]), np.array([-3.0]))
+    assert one == [0]  # K = 1
 
 
 @pytest.mark.parametrize("where", ["offset", "center", "weight"])
@@ -518,7 +527,7 @@ def test_solve_rejects_nan_pieces(where, index):
     else:
         W[index, 0, 0] = np.nan
     pieces = QuadraticPieces(W=W, centers=centers, offsets=offsets)
-    assert minimax._dominant(W, centers, offsets).size == 0
+    assert minimax._dominant(W, centers, offsets) is None
     with pytest.raises(mx.NoConvergence) as err:
         solve(pieces)
     assert np.isnan(err.value.last.gap)
@@ -644,7 +653,7 @@ def test_stage_certifies_benchmark_games_at_rounding_level(bench_banks):
     # Every game past the dominance check is answered by the active-set
     # stage, with no ascent step and a gap at rounding level.
     hard = [(p, est) for p, est in benchmark_games(bench_banks)
-            if minimax._dominant(p.W, p.centers, p.offsets).size == 0]
+            if minimax._dominant(p.W, p.centers, p.offsets) is None]
     assert hard
     for pieces, est in hard:
         assert est.iterations == 0

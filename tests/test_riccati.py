@@ -159,6 +159,38 @@ def test_solve_are_divergence_names_first_non_finite_step():
     assert np.isfinite(err.value.last).all()
 
 
+def test_solve_are_rejects_a_non_finite_input():
+    # Before any iteration: not a NoConvergence "diverged after 0 steps".
+    with raises_invalid("P_init", "^P_init has a non-finite entry$"):
+        mx.solve_are(I1, I1, I1, I1, np.inf * I1)
+    with raises_invalid("Q", "^Q has a non-finite entry$"):
+        mx.solve_are(I1, I1, np.nan * I1, I1, I1)
+
+
+def test_solve_are_rejects_mismatched_shapes():
+    # H must be m x n for the n x n F; numpy's matmul error no longer escapes.
+    F = 0.5 * np.eye(2)
+    with raises_invalid("H", r"^H has shape \(3, 3\), expected \(3, 2\)$"):
+        mx.solve_are(F, np.eye(3), np.eye(2), np.eye(3), np.eye(2))
+    with raises_invalid("P_init", r"^P_init has shape \(3, 3\), expected \(2, 2\)$"):
+        mx.solve_are(F, np.ones((1, 2)), np.eye(2), I1, np.eye(3))
+    with raises_invalid("F", r"^F has shape \(2, 3\), expected \(2, 2\)$"):
+        mx.solve_are(np.ones((2, 3)), np.ones((1, 3)), np.eye(3), I1, np.eye(3))
+
+
+def test_solve_are_memory_stays_flat_to_its_iteration_cap():
+    # F = 0.999, Q = 1e-6 settles only at t = 10365, so the solve runs all
+    # ARE_MAX_ITER steps; it keeps the last two blocks, not one per step.
+    tracemalloc.start()
+    try:
+        with pytest.raises(mx.NoConvergence, match="within 10000 iterations"):
+            mx.solve_are(0.999 * I1, I1, 1e-6 * I1, I1, I1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_solve_are_meets_the_scalar_closed_form():
     # Within the settle rule's documented SETTLE_ULPS eps / (1 - rho)
     # relative, with a factor 2 for rounding; rho = (F - K H)^2 at the root.

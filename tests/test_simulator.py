@@ -8,7 +8,7 @@ from mmxest import filter_bank, riccati
 from mmxest.rng import Xorshift64Star
 from mmxest.simulator import InputSpec, NoiseSpec
 from conftest import make_random_models, raises_invalid
-from oracles import truth_loop
+from oracles import reference_estimators, truth_loop
 
 
 def paper_setup(cfg, **overrides):
@@ -168,6 +168,26 @@ def test_run_estimators_forms_each_innovation_once(paper_config, monkeypatch):
     tr = mx.run_estimators(cfg.models, y, u=u)
     assert calls == list(range(30))
     assert np.isfinite(tr.yhat_bayes).all() and np.isfinite(tr.yhat_minimax).all()
+
+
+@pytest.mark.parametrize("case", ["paper", "paper-stationary", "bank1-K8"])
+def test_run_estimators_is_the_reference_step_loop_bit_for_bit(case, paper_config, bench_banks):
+    # N = 200 on the paper bank (m = 1, one input), and the benchmark's bank1-K8
+    # (m = 2, no input) on its fixed data, some of whose games no piece dominates.
+    stationary = case == "paper-stationary"
+    if case.startswith("paper"):
+        cfg = paper_config
+        models = cfg.models
+        u, _, y, _ = mx.generate_truth(models, cfg.true_model, 200, cfg.process_noise,
+                                       cfg.measurement_noise, cfg.input_spec)
+    else:
+        models = bench_banks[case]
+        u, _, y, _ = mx.generate_truth(models, 0, 200, NoiseSpec(seed=0), NoiseSpec(seed=1))
+    trace = mx.run_estimators(models, y, u=u, stationary=stationary)
+    want = reference_estimators(models, y, u, stationary=stationary)
+    for name, array in want.items():
+        got = getattr(trace, name)
+        assert got.shape == array.shape and got.tobytes() == array.tobytes(), name
 
 
 def test_generate_truth_validates_arguments(paper_config):
