@@ -24,9 +24,13 @@ largest offset can pass, so one row of piece values is tested.  This is
 the common case once the bank has singled out a model.  Otherwise exact
 copies of a piece are merged into one, and the copies share its weight
 equally, so their weights do not depend on the order of the pieces.  Then,
-for scalar outputs (m = 1), the answer is a crossing of two parabolas,
-found from every pair's roots and weighted by its zero-slope condition;
-the gap decides.  Then the exact active-set stage
+for scalar outputs (m = 1), the active-pair walk: from the top piece's
+vertex, the highest piece above the level enters a set of at most two,
+whose new point (the entering piece's vertex or its crossing with a piece
+of the set) is solved in closed form, until no piece lies above; the
+answer is a crossing of two parabolas weighted by its zero-slope
+condition, and the gap decides.  Each round is O(K).  Then the exact
+active-set stage
 (:func:`mmxest.kkt.newton_stage`): from the top piece's vertex (which
 answers when the dominance test lost it to rounding), pieces enter and
 leave a set of at most m + 1 whose optimality conditions Newton's method
@@ -50,7 +54,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NoConvergence
 from .filter_bank import FilterBankState
-from .kkt import certify, dual_ascent, newton_stage, piece_values
+from .kkt import dual_ascent, newton_stage, piece_values
 
 SOLVE_TOL = 1e-8
 ACTIVE_THRESHOLD = 1e-6
@@ -116,37 +120,124 @@ def _dominant(W, centers, offsets):
     return None
 
 
-def _crossing(W, centers, offsets):
-    """The lowest crossing of two scalar pieces (m = 1), if it certifies.
+def _roots(i, j, a, c, o):
+    """Where scalar pieces i and j cross: the real roots of f_i - f_j = A y^2
+    + B y + C, from the stable quadratic formula.  Swapping i and j negates
+    A, B and C exactly, so the roots do not depend on the order of the pair."""
+    A = a[i] - a[j]
+    B = -2.0 * (a[i] * c[i] - a[j] * c[j])
+    C = (a[i] * c[i] * c[i] + o[i]) - (a[j] * c[j] * c[j] + o[j])
+    disc = B * B - 4.0 * A * C
+    if not disc >= 0.0:
+        return ()
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    return ((q / A,) if A else ()) + ((C / q,) if q else ())
 
-    Without a dominant vertex, the envelope is lowest where two parabolas on
-    it cross with slopes g_i <= 0 <= g_j.  Each pair's roots of f_i - f_j =
-    A y^2 + B y + C come from the stable quadratic formula; swapping i and j
-    negates A, B and C exactly, so the roots do not depend on the order of
-    the pieces.  The lowest such crossing gets lam_i g_i + lam_j g_j = 0, and
-    pairs tied at it share equally.  Returns (yhat, lam, gap, 0) if the gap
-    is within SOLVE_TOL, else None.
+
+def _envelope(y, a, c, o):
+    """[f_k(y)] of every scalar piece."""
+    return [a_k * ((d := y - c_k) * d) + o_k for a_k, c_k, o_k in zip(a, c, o)]
+
+
+def _level(y, ks, a, c, o):
+    """max f_k(y) over the scalar pieces ks, in :func:`_envelope`'s arithmetic."""
+    return max([a[k] * ((d := y - c[k]) * d) + o[k] for k in ks])
+
+
+def _pair_walk(W, centers, offsets):
+    """The active-pair walk for scalar pieces (m = 1): (yhat, lam, gap, 0) if
+    it certifies within SOLVE_TOL, else None.
+
+    The walk keeps a set of one or two pieces and the point y where the max
+    of the set is lowest, its level.  It starts at the top piece's vertex.
+    While some piece lies above the level at y, the highest one, j, enters:
+    the set's new point is j's vertex or a crossing of j with a piece of the
+    set, whichever gives the three pieces the lowest max, and the pieces
+    that define it are the new set.  That max exceeds the old level, so no
+    set comes back, and each round evaluates each piece a bounded number of
+    times; where rounding keeps the level from rising the walk stops, and
+    the gap decides.  When no piece lies above the level, y minimizes the
+    envelope.
+
+    The answer is the lowest crossing, among the pieces within rounding of
+    the level at y (the set, its copies and ties), of two pieces on the
+    envelope with slopes of opposite sign, weighted by lam_i g_i + lam_j
+    g_j = 0; pairs tied at it share equally and yhat starts from the least
+    tied root.  Without such a crossing a walk that ended at a vertex
+    answers with lam = e_j.  The weak-duality bounds are those of
+    :func:`mmxest.kkt.certify`, piece by piece in its arithmetic.  Pieces
+    that are not all finite are left to the later stages.
     """
-    a, c, o = W[:, 0, 0], centers[:, 0], offsets
-    b, h = a * c, a * c * c + o
-    # Arrays over [root, i, j]; a diagonal pair has A = B = C = 0.
-    A, B, C = a[:, None] - a, -2.0 * (b[:, None] - b), h[:, None] - h
-    with np.errstate(all="ignore"):  # no real root, A = 0 or q = 0: not finite
-        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
-        y = np.stack((q / A, C / q))
-        gi, gj = 2.0 * a[:, None] * (y - c[:, None]), 2.0 * a * (y - c)
-        fi, fj = a[:, None] * (y - c[:, None]) ** 2 + o[:, None], a * (y - c) ** 2 + o
-        env = (a * (y[..., None] - c) ** 2 + o).max(axis=-1)
-        on = (np.maximum(fi, fj) == env) & (np.sign(gi) != np.sign(gj))  # a kink
-        best = env[on].min(initial=np.inf)
-        if best < np.inf:
-            tie = on & (env == best)  # (i, j) gives lam_i, (j, i) at the same root lam_j
-            lam = np.where(tie, gj / (gj - gi), 0.0).sum(axis=(0, 2))
-            lam /= lam.sum()
-            yhat, upper, lower = certify(lam, y[tie].min(keepdims=True), W, centers, offsets)
-            if upper - lower <= SOLVE_TOL:
-                return yhat, lam, upper - lower, 0
-    return None
+    a, c, o = W[:, 0, 0].tolist(), centers[:, 0].tolist(), offsets.tolist()
+    total = sum(a) + sum(c) + sum(o)
+    if total - total != 0.0:  # inf or NaN: some piece is not finite
+        return None
+    top = o.index(max(o))
+    pair, y, level = (top,), c[top], o[top]
+    env = _envelope(y, a, c, o)
+    s = max(env)
+    while s > level:
+        j = env.index(s)
+        three = pair + (j,)
+        new = (_level(c[j], three, a, c, o), c[j], (j,))
+        for i in pair:
+            for r in _roots(i, j, a, c, o):
+                if (e := _level(r, three, a, c, o)) < new[0]:
+                    new = (e, r, (i, j))
+        rises = new[0] > level  # unless rounding stalls the walk
+        level, y, pair = new
+        env = _envelope(y, a, c, o)
+        s = max(env)
+        if not rises:
+            break
+
+    # The pieces at the level: within rounding of the set's lower piece, so
+    # that walks ending beside one of two near-copies see both.
+    floor = min([env[i] for i in pair])
+    floor -= 64 * math.ulp(1.0) * (abs(floor) + max(map(abs, o)))
+    at_level = [k for k, v in enumerate(env) if v >= floor]
+    best, ties = math.inf, []
+    for n, i in enumerate(at_level):
+        for k in at_level[n + 1:]:
+            for r in _roots(i, k, a, c, o):
+                e = _level(r, (i, k), a, c, o)
+                if e > best or max(_envelope(r, a, c, o)) != e:
+                    continue
+                gi, gk = 2.0 * a[i] * (r - c[i]), 2.0 * a[k] * (r - c[k])
+                if (gi > 0.0) - (gi < 0.0) == (gk > 0.0) - (gk < 0.0):
+                    continue
+                if e < best:
+                    best, ties = e, []
+                ties.append((r, i, gk / (gk - gi), k, gi / (gi - gk)))
+    lam = [0.0] * len(a)
+    if ties:
+        for _, i, lam_i, k, lam_k in ties:
+            lam[i] += lam_i
+            lam[k] += lam_k
+        y = min([t[0] for t in ties])
+    elif len(pair) == 1:
+        lam[pair[0]] = 1.0
+    else:
+        return None
+    total = sum(lam)
+    lam = [v / total for v in lam]
+
+    support = [k for k in at_level if lam[k]]
+    den = sum([lam[k] * a[k] for k in support])
+    if not den > 0.0:
+        return None
+    y_lam = sum([lam[k] * a[k] * c[k] for k in support]) / den
+
+    def values(y):  # kkt.piece_values, one piece at a time
+        return [(d := y - c_k) * a_k * d + o_k for a_k, c_k, o_k in zip(a, c, o)]
+
+    f_lam = values(y_lam)
+    upper, upper_y = max(f_lam), max(values(y))
+    yhat, upper = (y, upper_y) if upper_y < upper else (y_lam, upper)
+    gap = upper - sum([lam[k] * f_lam[k] for k in support])
+    if not gap <= SOLVE_TOL:
+        return None
+    return np.array([yhat]), np.array(lam), gap, 0
 
 
 def _copies(W, centers, offsets):
@@ -183,8 +274,9 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     """Solve min_yhat max_i f_i(yhat) with a certified duality gap <= SOLVE_TOL.
 
     The first stage that certifies answers: :func:`_dominant` (one pass, lam
-    = e_i, gap 0; tied top pieces share uniform weights), for m = 1 :func:`_crossing`
-    (the zero-slope weights of the lowest crossing of two pieces), then, on
+    = e_i, gap 0; tied top pieces share uniform weights), for m = 1
+    :func:`_pair_walk` (a walk over sets of at most two pieces, O(K) per
+    round, ending at the zero-slope weights of the lowest crossing), then, on
     the pieces sorted into one canonical order, the active-set stage from
     the top piece's vertex and, if it does not certify, the dual ascent
     from its best weights (:func:`_sorted_stages`).  All but the first
@@ -223,7 +315,7 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     first = _copies(W, centers, o)
     keep = slice(None) if first is None else np.flatnonzero(first == np.arange(K))
     W1, c1, o1 = W[keep], centers[keep], o[keep]
-    found = _crossing(W1, c1, o1) if centers.shape[1] == 1 else None
+    found = _pair_walk(W1, c1, o1) if centers.shape[1] == 1 else None
     if found is None:
         # In one order of the pieces, whatever the caller's, so that the
         # weights follow the pieces even where they are not unique.

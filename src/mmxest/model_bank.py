@@ -74,7 +74,9 @@ class ModelSet:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-contiguous float64 copy: a view of the caller's array
+    would let the caller change the bank."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 

@@ -371,14 +371,27 @@ def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
 
 
 def stationary_gains(models: ModelSet) -> GainSchedule:
-    """Solve the per-model AREs from P0 and package them as a length-1 schedule."""
+    """Solve the per-model AREs from P0 and package them as a length-1 schedule.
+
+    Equal solutions and banks share one schedule's arrays, packaged once per
+    process (the last 16 are kept); each call's ``models`` is the caller's.
+    """
     P = []
     for i in range(models.K):
         try:
             P.append(solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0).P)
         except NoConvergence as exc:
             raise NoConvergence(f"model {i}: {exc}", last=exc.last) from None
-    P = np.stack(P)
-    Sinv = _gain_terms(P, models.F, models.H, models.R)[0]
-    return _schedule(models.gamma, models.H, None, P, Sinv, np.arange(models.K),
-                     np.arange(models.K)[:, None], lambda j: f"model {j}", models=models)
+    keys = ((a.shape, np.asarray(a, float).tobytes())
+            for a in (np.stack(P), models.F, models.H, models.R))
+    return replace(_stationary_schedule(*keys, models.gamma), models=models)
+
+
+@functools.lru_cache(maxsize=16)
+def _stationary_schedule(P, F, H, R, gamma):
+    """:func:`stationary_gains`' schedule on (shape, bytes) keys; a failure is not cached."""
+    P, F, H, R = (np.frombuffer(b).reshape(shape) for shape, b in (P, F, H, R))
+    Sinv = _gain_terms(P, F, H, R)[0]
+    K = len(P)
+    return _schedule(gamma, H, None, P, Sinv, np.arange(K), np.arange(K)[:, None],
+                     lambda j: f"model {j}")

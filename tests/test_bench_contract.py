@@ -69,12 +69,15 @@ def assert_traced_cli_seed_sweep_meets_call_contract(config_path, out, stationar
 
 
 def test_traced_cli_seed_sweep_meets_call_contract(paper_config_path, paper_models, tmp_path):
-    # Seed 0 solves each model's ARE under the tracer (a cold memo); seeds 1
-    # and 2 reuse the solutions.
+    # Seed 0 solves each model's ARE and packages the schedule under the
+    # tracer (cold memos); seeds 1 and 2 reuse both.
     mx.riccati._solve_are.cache_clear()
+    mx.riccati._stationary_schedule.cache_clear()
     assert_traced_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path / "t.csv", True)
     info = mx.riccati._solve_are.cache_info()
     assert (info.misses, info.hits) == (paper_models.K, 2 * paper_models.K)
+    info = mx.riccati._stationary_schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_traced_time_varying_cli_seed_sweep_meets_call_contract(paper_config_path, tmp_path):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -467,19 +467,106 @@ def scalar_piece_sets():
                        (1.0, 2.26169315e-202, -2.26169315e-202)))
 def test_scalar_solves_need_no_ascent_step(pieces):
     # With one output the answer is a vertex (the dominance check) or the
-    # crossing of two pieces (the crossing stage); either way it is certified
-    # without an ascent step and matches the exact oracle.  In the first
-    # pinned set f_0 at the vertex c_1 rounds to 0 > o_1, so the dominance
-    # test misses it, and the active-set stage answers at its starting
-    # point, the top vertex.  In the other two the slopes of pieces 1 and 2
-    # at their crossings have one sign but a product that underflows to 0,
-    # which must not count as a kink.
+    # crossing of two pieces (the active-pair walk); either way it is
+    # certified without an ascent step and matches the exact oracle.  In the
+    # first pinned set f_0 at the vertex c_1 rounds to 0 > o_1, so the
+    # dominance test misses it, and the active-set stage answers at its
+    # starting point, the top vertex.  In the other two the slopes of pieces
+    # 1 and 2 at their crossings have one sign but a product that underflows
+    # to 0, which must not count as a kink.
     est = solve(pieces)
     J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
     assert est.iterations == 0
     assert_certified(pieces, est)
     assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
     assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
+
+
+def walk_piece_sets():
+    """Scalar piece sets with K = 2..32 on a grid of 0.01, and a permutation
+    of their pieces.  A draw is plain or has exact copies, three or more
+    pieces through one kink at (0, 0) (the answer there), tied offsets or
+    near-equal curvatures."""
+    def grid(lo, hi):
+        return st.integers(lo * 100, hi * 100).map(lambda v: v / 100)
+
+    @st.composite
+    def build(draw):
+        K = draw(st.integers(2, 32))
+        a = draw(arrays(np.float64, K, elements=grid(1, 100)))
+        c = draw(arrays(np.float64, K, elements=grid(-10, 10)))
+        o = draw(arrays(np.float64, K, elements=grid(-100, 0)))
+        index = st.integers(0, K - 1)
+        kind = draw(st.sampled_from(["plain", "copies", "kink", "tied", "curvatures"]))
+        if kind == "copies":
+            for src, dst in draw(st.lists(st.tuples(index, index), min_size=1, max_size=4)):
+                a[dst], c[dst], o[dst] = a[src], c[src], o[src]
+        elif kind == "kink" and K >= 3:
+            n = draw(st.integers(3, K))
+            a[:n] = draw(arrays(np.float64, n, elements=st.sampled_from([0.5, 1.0, 2.0, 4.0])))
+            c[:n] = [-1.0, 1.0] + draw(st.lists(st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
+                                                min_size=n - 2, max_size=n - 2))
+            o[:n] = -a[:n] * c[:n] ** 2    # f_i(0) = 0 exactly, slopes of both signs
+            o[n:] -= a[n:] * c[n:] ** 2 + 1.0  # the rest below 0 at y = 0
+        elif kind == "tied":
+            o[draw(st.lists(index, min_size=2, max_size=K))] = o[0]
+        elif kind == "curvatures":
+            for i, j in draw(st.lists(st.tuples(index, index), min_size=1, max_size=4)):
+                a[j] = a[i] * (1.0 + draw(st.integers(1, 4)) * np.finfo(float).eps)
+        perm = draw(st.permutations(range(K)))
+        return QuadraticPieces(W=a[:, None, None], centers=c[:, None], offsets=o), perm
+    return build()
+
+
+def walk_estimate(pieces):
+    """The active-pair walk alone on the pieces, offsets shifted as solve
+    shifts them, as an estimate; None if it does not answer."""
+    found = minimax._pair_walk(pieces.W, pieces.centers, pieces.offsets - pieces.offsets.max())
+    if found is None:
+        return None
+    yhat, lam, gap, steps = found
+    return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), lam, (), gap, steps)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(walk_piece_sets())
+@example((scalar_pieces((1.0 + 2.0 ** -52, -0.39, 0.0), (1.0, -0.39, 0.0), (2.0, 0.01, -0.01),
+                        (1.25, 1.0, -0.01)), [2, 3, 1, 0]))
+def test_pair_walk_matches_scalar_oracle_and_follows_permutations(case):
+    # Past the dominance check the walk answers alone, copies unmerged, with
+    # the exact value and minimizer; the weights of several pieces through
+    # one kink are the average of its pairs' weights.  Reordered pieces get
+    # their own weights back, up to the order of the sums over three or more
+    # weighted pieces.  In the pinned set pieces 0 and 1 differ by an ulp of
+    # curvature: a walk that ends on either must weigh both alike.
+    pieces, perm = case
+    assume(minimax._dominant(*pieces) is None)
+    est = walk_estimate(pieces)
+    assert est is not None
+    J, y = scalar_minimax(pieces.W[:, 0, 0], pieces.centers[:, 0], pieces.offsets)
+    assert abs(est.value - J) <= SOLVE_TOL + 16 * np.finfo(float).eps * abs(J)
+    assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
+    assert_certified(pieces, est)
+    again = walk_estimate(QuadraticPieces(*(x[perm] for x in pieces)))
+    np.testing.assert_allclose(again.yhat, est.yhat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(again.weights, est.weights[perm], rtol=0, atol=1e-12)
+
+
+def test_pair_walk_answers_every_scalar_sweep_set(monkeypatch):
+    # Every m = 1 set of the sweep's seed 100 that the dominance check does
+    # not settle is answered by the walk, with no active-set stage and no
+    # ascent step.
+    def withheld(*args):
+        raise AssertionError("the active-pair walk did not answer")
+
+    monkeypatch.setattr(minimax, "newton_stage", withheld)
+    scalar = [p for p in solver_sweep.piece_sets(100)
+              if p.centers.shape[1] == 1 and minimax._dominant(*p) is None]
+    assert len(scalar) > 300
+    for pieces in scalar:
+        est = solve(pieces)
+        assert est.iterations == 0
+        assert_certified(pieces, est)
 
 
 def dominant_active(W, centers, offsets):

@@ -128,6 +128,26 @@ def test_model_set_is_immutable():
         models.Q[0, 0] = 99.0
 
 
+def test_caller_arrays_changed_after_validate_leave_the_bank_alone():
+    # Every field is a copy: contiguous float64 arrays (xhat0 here) were kept
+    # as views of the caller's, so the caller could change the bank.
+    spec = paper_spec()
+    spec["F"] = [spec["F"][0].copy(), spec["F"][1].copy()]
+    spec["H"] = [h.copy() for h in spec["H"]]
+    spec["B"] = [b.copy() for b in spec["B"]]
+    spec["xhat0"] = np.array([1.0, 2.0, 3.0])
+    models = mx.validate(spec)
+    before = {name: getattr(models, name).copy()
+              for name in ("F", "H", "B", "Q", "R", "P0", "xhat0")}
+    for name, value in spec.items():
+        for a in (value if isinstance(value, list) else [value]):
+            if isinstance(a, np.ndarray):
+                a += 42.0
+    for name, want in before.items():
+        np.testing.assert_array_equal(getattr(models, name), want, err_msg=name)
+        assert not getattr(models, name).flags.writeable, name
+
+
 def test_validate_is_idempotent_and_equal():
     a = mx.validate(paper_spec())
     b = mx.validate(paper_spec())

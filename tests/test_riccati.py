@@ -641,6 +641,59 @@ def test_equal_banks_share_one_schedule_with_their_own_models(paper_models):
     assert mx.run_recursion(louder, 30).gamma_sq == 4.0 * seq.gamma_sq
 
 
+def test_equal_stationary_banks_share_one_read_only_schedule(paper_models):
+    riccati._stationary_schedule.cache_clear()
+    seq = mx.stationary_gains(paper_models)
+    twin = dataclasses.replace(paper_models)  # equal, not the same object
+    again = mx.stationary_gains(twin)
+    info = riccati._stationary_schedule.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert seq.models is paper_models and again.models is twin
+    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
+        assert getattr(again, name) is getattr(seq, name)
+        assert not getattr(again, name).flags.writeable
+    louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
+    assert mx.stationary_gains(louder).gamma_sq == 4.0 * seq.gamma_sq
+
+
+@pytest.mark.parametrize("field", ["B", "xhat0"])
+def test_stationary_bank_differing_in_input_map_or_start_filters_with_its_own(field):
+    # Same covariances, so the second bank's schedule is a cache hit; it
+    # must still filter with its own B or xhat0.
+    models = make_random_models(np.random.default_rng(7), 3, 3, 1, with_input=True)
+    other = dataclasses.replace(models, **{field: getattr(models, field) + 1.0})
+
+    def run(bank):
+        return mx.simulate(bank, 1, 30, input_spec=mx.InputSpec("sinusoid"), stationary=True)
+
+    riccati._stationary_schedule.cache_clear()
+    cold = run(other)
+    riccati._stationary_schedule.cache_clear()
+    own = run(models)
+    warm = run(other)
+    assert riccati._stationary_schedule.cache_info().hits == 1
+    for f in dataclasses.fields(cold):
+        a, b = getattr(cold, f.name), getattr(warm, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    assert not np.array_equal(own.yhat_models, warm.yhat_models)
+
+
+def test_failed_stationary_schedule_is_raised_on_every_call(settle_banks):
+    # R < 0, past validate, makes S = R + H P H^T negative at the fixed point.
+    bank = mx.validate({"F": [0.5 * I1, 0.3 * I1], "H": [I1, I1], "Q": I1, "R": I1, "P0": I1,
+                        "gamma": 10.0})
+    bad = dataclasses.replace(bank, R=-5.0 * I1)
+    riccati._stationary_schedule.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(mx.FactorizationFailure, match="^model 0: innovation covariance"):
+            mx.stationary_gains(bad)
+        info = riccati._stationary_schedule.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (calls, 0, 0)
+    for _ in range(2):
+        with pytest.raises(mx.NoConvergence, match="^model 0: no fixed point"):
+            mx.stationary_gains(settle_banks["slow"])
+
+
 def test_bank_differing_in_input_map_and_start_filters_with_its_own():
     # Same covariances, so the second bank's run is a cache hit; it must
     # still filter with its own B and xhat0.

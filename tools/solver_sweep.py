@@ -7,14 +7,18 @@ piece sets with K in 2..32 pieces and m in 1..3 outputs:
 W_i = (A A^T + I) * 10^U(0, 3) with A standard normal, centers N(0, 1) and
 offsets U(-10, 0).  Every set goes through ``mmxest.minimax.solve``.
 
-Prints the number of sets, how many of them the dual ascent answered, how
-many raised ``NoConvergence``, and the worst gap among the ascent's answers
-in units of eps (1 + |J*|).  Exits 1 if any set is left uncertified.  Needs
-numpy and the package (``src`` on ``PYTHONPATH`` or installed); 1000 sets
-take about a second.
+For each output size m, prints the number of sets, how many of them the
+dominance check does not settle, for m = 1 how many of those went past the
+active-pair walk to the later stages (0 expected), and the seconds
+``solve`` took on all of them.  Then prints the number of sets, how many
+of them the dual ascent answered, how many raised ``NoConvergence``, and
+the worst gap among the ascent's answers in units of eps (1 + |J*|).
+Exits 1 if any set is left uncertified.  Needs numpy and the package
+(``src`` on ``PYTHONPATH`` or installed); 1000 sets take about a second.
 """
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -36,32 +40,43 @@ def piece_sets(seed):
 
 def sweep(first, last):
     """(sets, sets the ascent answered, NoConvergence count, worst gap of the
-    ascent's answers / eps (1 + |J*|)) over the seeds first..last."""
-    ascent = minimax.dual_ascent
-    calls = [0]
+    ascent's answers / eps (1 + |J*|), by_m) over the seeds first..last;
+    by_m maps each output size m to [sets, sets the dominance check does not
+    settle, sets past the active-pair walk, seconds in solve]."""
+    ascent, stages = minimax.dual_ascent, minimax._sorted_stages
+    calls = {ascent: 0, stages: 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return ascent(*args)
+    def counted(f):
+        def call(*args):
+            calls[f] += 1
+            return f(*args)
+        return call
 
-    minimax.dual_ascent = counted
+    minimax.dual_ascent, minimax._sorted_stages = counted(ascent), counted(stages)
     sets, answered, failed, worst = 0, 0, 0, 0.0
+    by_m = {}
     try:
         for seed in range(first, last + 1):
             for pieces in piece_sets(seed):
                 sets += 1
-                before = calls[0]
+                row = by_m.setdefault(pieces.centers.shape[1], [0, 0, 0, 0.0])
+                row[0] += 1
+                row[1] += minimax._dominant(*pieces) is None
+                before = dict(calls)
+                start = time.perf_counter()
                 try:
                     est = minimax.solve(pieces)
                 except NoConvergence:
                     failed += 1
-                    continue
-                if calls[0] > before:
+                    est = None
+                row[3] += time.perf_counter() - start
+                row[2] += calls[stages] > before[stages]
+                if est is not None and calls[ascent] > before[ascent]:
                     answered += 1
                     worst = max(worst, est.gap / (np.finfo(float).eps * (1.0 + abs(est.value))))
     finally:
-        minimax.dual_ascent = ascent
-    return sets, answered, failed, worst
+        minimax.dual_ascent, minimax._sorted_stages = ascent, stages
+    return sets, answered, failed, worst, by_m
 
 
 def main(argv=None):
@@ -69,7 +84,10 @@ def main(argv=None):
     parser.add_argument("first", type=int)
     parser.add_argument("last", type=int)
     args = parser.parse_args(argv)
-    sets, answered, failed, worst = sweep(args.first, args.last)
+    sets, answered, failed, worst, by_m = sweep(args.first, args.last)
+    for m, (count, undominated, past, seconds) in sorted(by_m.items()):
+        walk = f"past the walk {past}, " if m == 1 else ""
+        print(f"m {m}: sets {count}, non-dominated {undominated}, {walk}{seconds:.2f} s")
     print(f"sets {sets}, answered by the ascent {answered}, NoConvergence {failed}, "
           f"worst ascent gap {worst:.1f} eps (1 + |J*|)")
     return 1 if failed else 0
