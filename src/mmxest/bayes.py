@@ -20,7 +20,6 @@ from .model_bank import ModelSet
 # Likelihoods are floored before renormalizing so one astronomically
 # unlikely innovation cannot zero out a model forever.
 LIKELIHOOD_FLOOR = 1e-300
-LOG_2PI = float(np.log(2.0 * np.pi))
 BAYES_MODES = ("average", "map")
 
 
@@ -43,15 +42,16 @@ def bayes_step(posterior: BayesPosterior, state: FilterBankState) -> BayesPoster
 
     ``state`` is the filter bank state AFTER absorbing the measurement: the
     step that made it formed the innovation e_i = y - H_i xb_i once and
-    recorded its cost e_i^T S_i^{-1} e_i and log det S_i (the schedule's,
-    computed once per (model, t)), which give the one-step predictive
-    density of y under model i.  Likelihoods are computed in log space to
-    survive large innovations.  An initial state has absorbed nothing; its
-    equal likelihoods leave the posterior as it is.  The one fresh array is
+    recorded its cost e_i^T S_i^{-1} e_i and the log normalizer m log 2 pi +
+    log det S_i (read off its schedule column's record, computed once per
+    (model, t)), whose sum is -2 log of the one-step predictive density of y
+    under model i.  So the update adds two arrays and computes no constant.
+    Likelihoods are computed in log space to survive large innovations.  An
+    initial state has absorbed nothing (cost 0, log det S 0); its equal
+    likelihoods leave the posterior as it is.  The one fresh array is
     updated in place, and reduced by ufunc reductions, not array methods.
     """
-    w = state.gains.models.m * LOG_2PI + state.innovation_logdet
-    w += state.innovation_cost
+    w = state.innovation_lognorm + state.innovation_cost
     w *= -0.5
     # Shift before exponentiating; the shift cancels in the normalization.
     w -= np.maximum.reduce(w)

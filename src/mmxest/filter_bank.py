@@ -9,11 +9,13 @@ which is xb' = F xb + B u + K e with the Kalman gain K = F P H^T S^{-1}.
 Covariances and inverse innovation covariances S^{-1} come from a
 precomputed :class:`~mmxest.riccati.GainSchedule` (time-varying or
 stationary), so a step advances all K filters with batched products and no
-solve.  A state's schedule column is resolved by :func:`init` at t = 0 and
-advanced by each step, min(col + 1, last), and its predictions H_i xb_i are
-computed once, for every caller.  A step forms the innovation once and
-records on the new state what it absorbed: the costs e_i^T S_i^{-1} e_i
-and log det S_i, which is all the Bayesian update needs.
+solve; it reads its column's record and the stacked H^T the schedule built
+once, and slices nothing.  A state's schedule column is resolved by
+:func:`init` at t = 0 and advanced by each step, min(col + 1, last), and
+its predictions H_i xb_i are computed once, for every caller.  A step forms
+the innovation once and records on the new state what it absorbed: the
+costs e_i^T S_i^{-1} e_i, log det S_i and the log normalizer m log 2 pi +
+log det S_i, which is all the Bayesian update needs.
 The accumulated cost c_{t,i} is the minimum disturbance energy needed to
 reconcile model i with the data seen so far; it is the learning signal of
 the prediction game.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .exceptions import InvalidInput
 from .linalg import transpose
-from .riccati import GainSchedule
+from .riccati import LOG_2PI, GainSchedule
 
 _FLOAT = np.dtype(float)
 
@@ -35,11 +37,13 @@ class FilterBankState(NamedTuple):
     """Snapshot of the filter bank at time t, an immutable record.
 
     ``xbreve`` stacks the K per-model estimates row-wise ((K, n) array) and
-    ``c`` holds the K accumulated costs.  ``innovation_cost`` and
-    ``innovation_logdet`` hold, per model, e^T S^{-1} e and log det S of the
-    innovation the step into this state absorbed (zeros at t = 0, where
-    nothing has been absorbed).  ``gains`` is the gain schedule in use; the
-    model bank is ``gains.models``.  :func:`step` returns a fresh state.
+    ``c`` holds the K accumulated costs.  ``innovation_cost``,
+    ``innovation_logdet`` and ``innovation_lognorm`` hold, per model, e^T
+    S^{-1} e, log det S and m log 2 pi + log det S of the innovation the
+    step into this state absorbed (at t = 0, where nothing has been
+    absorbed, cost and log det S are zero).  ``gains`` is the gain schedule
+    in use; the model bank is ``gains.models``.  :func:`step` returns a
+    fresh state.
 
     ``col``, the schedule column of time t, and ``yhat``, each model's
     output prediction H_i xb_i as a (K, m) array, are computed once, when
@@ -53,22 +57,24 @@ class FilterBankState(NamedTuple):
     gains: GainSchedule
     innovation_cost: np.ndarray
     innovation_logdet: np.ndarray
+    innovation_lognorm: np.ndarray
     col: int
     yhat: np.ndarray
 
 
-def _state(t, xbreve, c, gains, cost, logdet, col) -> FilterBankState:
+def _state(t, xbreve, c, gains, cost, logdet, lognorm, col) -> FilterBankState:
     """The state at time t in schedule column ``col``, with its predictions."""
-    return FilterBankState(t, xbreve, c, gains, cost, logdet, col,
+    return FilterBankState(t, xbreve, c, gains, cost, logdet, lognorm, col,
                            (gains.models.H @ xbreve[:, :, None])[:, :, 0])
 
 
 def init(gains: GainSchedule) -> FilterBankState:
     """Start the bank of ``gains.models`` at t = 0 with every estimate at
     xhat0 and zero cost."""
-    models = gains.models
-    return _state(0, np.tile(models.xhat0, (models.K, 1)), np.zeros(models.K), gains,
-                  np.zeros(models.K), np.zeros(models.K), gains.column(0, terminal=True))
+    K = gains.models.K
+    return _state(0, np.tile(gains.models.xhat0, (K, 1)), np.zeros(K), gains, np.zeros(K),
+                  np.zeros(K), np.full(K, gains.models.m * LOG_2PI),
+                  gains.column(0, terminal=True))
 
 
 def _row(v, width):
@@ -81,15 +87,19 @@ def innovations(state: FilterBankState, y: np.ndarray):
     """Whitened innovations S_i^{-1} e_i, e_i = y - H_i xb_i, as (K, m, 1), and
     their costs e_i^T S_i^{-1} e_i (K,)."""
     e = (y - state.yhat)[:, :, None]
-    Sinv_e = state.gains.Sinv[:, state.col] @ e
+    Sinv_e = state.gains.columns[state.col].Sinv @ e
     return Sinv_e, (transpose(e) @ Sinv_e)[:, 0, 0]
 
 
 def step(state: FilterBankState, y, u=None) -> FilterBankState:
     """Advance every filter one step with measurement y (and known input u).
 
-    The innovation is formed once; its costs and log det S travel on the
-    returned state for :func:`~mmxest.bayes.bayes_step`.  The known input
+    One record, ``gains.columns[state.col]``, gives the column's P, S^{-1},
+    log det S and log normalizer as views, and ``gains.Ht`` the stacked
+    H^T; the update keeps the filter's order of products, F (xb + P (H^T
+    (S^{-1} e))).  The innovation is formed once; its costs, log det S and
+    log normalizer travel on the returned state for
+    :func:`~mmxest.bayes.bayes_step`.  The known input
     enters the state recursion only; it never contributes to the
     accumulated cost, since it is measured and carries no
     model-discriminating information.  A 1-D float64 ``y`` or ``u`` of the
@@ -109,10 +119,10 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     if state.t == gains.horizon:
         raise InvalidInput(f"no gain at t={state.t}; horizon is {gains.horizon}", "t")
     col = state.col
+    record = gains.columns[col]
     Sinv_e, cost = innovations(state, y)
-    xbreve = (models.F @ (state.xbreve[:, :, None]
-                          + gains.P[:, col] @ (transpose(models.H) @ Sinv_e)))[:, :, 0]
+    xbreve = (models.F @ (state.xbreve[:, :, None] + record.P @ (gains.Ht @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve += models.B @ u
-    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, gains.logdet_S[:, col],
-                  min(col + 1, gains.P.shape[1] - 1))
+    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, record.logdet_S,
+                  record.log_norm, min(col + 1, len(gains.columns) - 1))

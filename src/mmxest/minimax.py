@@ -95,10 +95,10 @@ def build_pieces(state: FilterBankState) -> QuadraticPieces:
     at that time.
     """
     gains = state.gains
-    if not gains.bank_feasible[state.col]:
+    record = gains.columns[state.col]
+    if not record.feasible:
         gains.require_feasible(state.t)
-    return QuadraticPieces(W=gains.W[:, state.col], centers=state.yhat,
-                           offsets=-gains.gamma_sq * state.c)
+    return QuadraticPieces(W=record.W, centers=state.yhat, offsets=-gains.gamma_sq * state.c)
 
 
 def _dominant(W, centers, offsets):
@@ -111,11 +111,19 @@ def _dominant(W, centers, offsets):
     For each such i, J* = offset_i: center_i reaches it and f_i alone cannot
     go lower; uniform weights on all of them certify it with gap 0.  Row i
     passes in one pass iff the maximum of its piece values, NaN if any is,
-    is at most offset_i.
+    is at most offset_i.  For m = 1 the row is einsum's own products, (d W)
+    d, formed without its set-up cost, so the test decides to the bit as
+    the einsum does.
     """
     i = int(offsets.argmax())
     d = centers[i] - centers
-    if np.maximum.reduce(np.einsum("ki,kij,kj->k", d, W, d) + offsets) <= offsets[i]:
+    if W.shape[1] == 1:
+        q = (d * W[:, 0])[:, 0]
+        q *= d[:, 0]
+    else:
+        q = np.einsum("ki,kij,kj->k", d, W, d)
+    q += offsets
+    if np.maximum.reduce(q) <= offsets[i]:
         return i
     return None
 
@@ -144,9 +152,15 @@ def _level(y, ks, a, c, o):
     return max([a[k] * ((d := y - c[k]) * d) + o[k] for k in ks])
 
 
+def _values(y, a, c, o):
+    """[f_k(y)] of every scalar piece in :func:`mmxest.kkt.piece_values`'
+    arithmetic, (d a) d + o, one piece at a time."""
+    return [(d := y - c_k) * a_k * d + o_k for a_k, c_k, o_k in zip(a, c, o)]
+
+
 def _pair_walk(W, centers, offsets):
-    """The active-pair walk for scalar pieces (m = 1): (yhat, lam, gap, 0) if
-    it certifies within SOLVE_TOL, else None.
+    """The active-pair walk for scalar pieces (m = 1): (yhat, lam, gap) as
+    Python floats and a list if it certifies within SOLVE_TOL, else None.
 
     The walk keeps a set of one or two pieces and the point y where the max
     of the set is lowest, its level.  It starts at the top piece's vertex.
@@ -164,9 +178,13 @@ def _pair_walk(W, centers, offsets):
     envelope with slopes of opposite sign, weighted by lam_i g_i + lam_j
     g_j = 0; pairs tied at it share equally and yhat starts from the least
     tied root.  Without such a crossing a walk that ended at a vertex
-    answers with lam = e_j.  The weak-duality bounds are those of
-    :func:`mmxest.kkt.certify`, piece by piece in its arithmetic.  Pieces
-    that are not all finite are left to the later stages.
+    answers with lam = e_j.  The pieces at the level are taken in one
+    canonical order, by (a, c, o), so the weights are accumulated and
+    normalized, and y(lam) = sum (lam a) c / sum lam a summed, in the same
+    order whatever the order of the pieces: yhat is the same to the bit.
+    The weak-duality bounds are those of :func:`mmxest.kkt.certify`, piece
+    by piece in its arithmetic.  Pieces that are not all finite are left to
+    the later stages.
     """
     a, c, o = W[:, 0, 0].tolist(), centers[:, 0].tolist(), offsets.tolist()
     total = sum(a) + sum(c) + sum(o)
@@ -195,7 +213,8 @@ def _pair_walk(W, centers, offsets):
     # that walks ending beside one of two near-copies see both.
     floor = min([env[i] for i in pair])
     floor -= 64 * math.ulp(1.0) * (abs(floor) + max(map(abs, o)))
-    at_level = [k for k, v in enumerate(env) if v >= floor]
+    at_level = sorted([k for k, v in enumerate(env) if v >= floor],
+                      key=lambda k: (a[k], c[k], o[k]))
     best, ties = math.inf, []
     for n, i in enumerate(at_level):
         for k in at_level[n + 1:]:
@@ -219,38 +238,35 @@ def _pair_walk(W, centers, offsets):
         lam[pair[0]] = 1.0
     else:
         return None
-    total = sum(lam)
-    lam = [v / total for v in lam]
-
     support = [k for k in at_level if lam[k]]
+    total = sum([lam[k] for k in support])
+    for k in support:
+        lam[k] /= total
+
     den = sum([lam[k] * a[k] for k in support])
     if not den > 0.0:
         return None
     y_lam = sum([lam[k] * a[k] * c[k] for k in support]) / den
-
-    def values(y):  # kkt.piece_values, one piece at a time
-        return [(d := y - c_k) * a_k * d + o_k for a_k, c_k, o_k in zip(a, c, o)]
-
-    f_lam = values(y_lam)
-    upper, upper_y = max(f_lam), max(values(y))
+    f_lam = _values(y_lam, a, c, o)
+    upper, upper_y = max(f_lam), max(_values(y, a, c, o))
     yhat, upper = (y, upper_y) if upper_y < upper else (y_lam, upper)
     gap = upper - sum([lam[k] * f_lam[k] for k in support])
     if not gap <= SOLVE_TOL:
         return None
-    return np.array([yhat]), np.array(lam), gap, 0
+    return yhat, lam, gap
 
 
 def _copies(W, centers, offsets):
     """Index of each piece's first exact copy (itself if none), or None when
-    all pieces differ; a piece with a NaN copies nothing."""
-    same = offsets[:, None] == offsets
-    np.fill_diagonal(same, False)
-    if not same.any():
-        return None
+    all pieces differ; a piece with a NaN copies nothing.  Pieces whose
+    offsets all differ are told apart by their offsets alone."""
     K = len(offsets)
+    if len(set(offsets.tolist())) == K:  # tolist makes each NaN its own object
+        return None
+    same = offsets[:, None] == offsets
     same &= (W.reshape(K, 1, -1) == W.reshape(1, K, -1)).all(axis=-1)
     same &= (centers[:, None] == centers).all(axis=-1)
-    np.fill_diagonal(same, True)
+    np.fill_diagonal(same, True)  # a NaN piece is its own first copy
     first = same.argmax(axis=1)
     return None if (first == np.arange(K)).all() else first
 
@@ -301,15 +317,17 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
 
     i = _dominant(W, centers, offsets)
     if i is not None:
-        lam = np.zeros(K)
-        if np.count_nonzero(offsets == offsets[i]) == 1:  # lam = e_i
+        top = float(offsets[i])
+        tied = offsets == top
+        n = np.count_nonzero(tied)
+        if n == 1:  # lam = e_i
+            lam = np.zeros(K)
             lam[i] = 1.0
             active = (i,)
         else:  # tied top pieces, counted once the row has passed, share it
-            active = np.flatnonzero(offsets == offsets[i])
-            lam[active] = 1.0 / active.size
-            active = tuple(active.tolist())
-        return MinimaxEstimate(centers[i].copy(), float(offsets[i]), lam, active, 0.0, 0)
+            lam = tied / n
+            active = tuple(np.flatnonzero(tied).tolist())
+        return MinimaxEstimate(centers[i].copy(), top, lam, active, 0.0, 0)
 
     o = offsets - offsets.max()
     first = _copies(W, centers, o)
@@ -323,7 +341,12 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
         yhat, lam, gap, iterations = _sorted_stages(W1[order], c1[order], o1[order])
         lam = lam[np.argsort(order)]
     else:
-        yhat, lam, gap, iterations = found
+        y, lam, gap = found
+        if first is None:  # every piece walked: value and active set from Python lists
+            value = max(_values(y, W[:, 0, 0].tolist(), centers[:, 0].tolist(), offsets.tolist()))
+            active = tuple([k for k, v in enumerate(lam) if v > ACTIVE_THRESHOLD])
+            return MinimaxEstimate(np.array([y]), value, np.array(lam), active, gap, 0)
+        yhat, lam, iterations = np.array([y]), np.array(lam), 0
     if first is not None:  # each copy gets an equal share of its piece's weight
         merged = np.zeros(K)
         merged[keep] = lam

@@ -35,6 +35,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ ARE_MAX_ITER = 10000
 # within SETTLE_ULPS * eps * max|P_t| for SETTLE_STEPS consecutive steps.
 SETTLE_ULPS = 16
 SETTLE_STEPS = 3
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _inverse(S):
@@ -111,20 +113,42 @@ def _schedule(gamma, H, horizon, P, Sinv, who, pos, where, models=None):
     logdet_S = _logdet_S(Sinv, where)
     # gain data exists for t < N only
     S_pos = pos if horizon is None else pos[:, :horizon]
-    margin, W = margin[pos], W[pos]
-    schedule = GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P[pos],
-                            Sinv=Sinv[S_pos], logdet_S=logdet_S[S_pos], margin=margin,
-                            bank_feasible=(margin > 0).all(axis=0), W=W)
-    for a in vars(schedule).values():
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)  # shared by views and by equal inputs
-    return schedule
+    P, Sinv, logdet_S, margin, W = P[pos], Sinv[S_pos], logdet_S[S_pos], margin[pos], W[pos]
+    log_norm = H.shape[1] * LOG_2PI + logdet_S
+    bank_feasible = (margin > 0).all(axis=0)
+    for a in (P, Sinv, logdet_S, log_norm, margin, bank_feasible, W):
+        a.setflags(write=False)  # shared by views and by equal inputs
+    cut = Sinv.shape[1]
+    columns = tuple(ScheduleColumn(P[:, c], *((Sinv[:, c], logdet_S[:, c], log_norm[:, c])
+                                              if c < cut else (None, None, None)),
+                                   W[:, c], bool(bank_feasible[c]))
+                    for c in range(P.shape[1]))
+    return GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
+                        logdet_S=logdet_S, margin=margin, bank_feasible=bank_feasible, W=W,
+                        columns=columns, Ht=transpose(H))
 
 
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
     """One step of the covariance recursion; output is symmetrized."""
     _, FPHt, gain = _gain_terms(P, F, H, R)
     return _next_cov(P, F, Q, FPHt, gain)
+
+
+class ScheduleColumn(NamedTuple):
+    """What an estimator step reads of one schedule column, as read-only
+    views of the schedule's arrays (no copies): ``P``, ``Sinv``,
+    ``logdet_S`` and ``W`` are the column's [:, c] slices, ``log_norm`` is
+    m log 2 pi + log det S per model, the log normalizer of the innovation's
+    Gaussian density, and ``feasible`` is the column's ``bank_feasible``
+    flag.  ``Sinv``, ``logdet_S`` and ``log_norm`` are None in column N of a
+    schedule that holds no gain data there.  An immutable record."""
+
+    P: np.ndarray
+    Sinv: np.ndarray | None
+    logdet_S: np.ndarray | None
+    log_norm: np.ndarray | None
+    W: np.ndarray
+    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -138,6 +162,12 @@ class GainSchedule:
     ``bank_feasible`` one flag per column, true iff every model's margin
     there is positive, and ``W`` the minimax weight (I - gamma^{-2} H P
     H^T)^{-1}, NaN where the margin is not positive.  Every array is read-only.
+
+    ``columns`` holds one :class:`ScheduleColumn` per column, built once
+    with the schedule, and ``Ht`` the stacked H_i^T (a read-only view):
+    each estimator step reads its column's record and ``Ht`` instead of
+    slicing the arrays again.  Equal banks share both, as they share the
+    arrays.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
     column T for every later t: T = max_i T_i (see :func:`run_recursion`),
@@ -157,6 +187,8 @@ class GainSchedule:
     margin: np.ndarray
     bank_feasible: np.ndarray
     W: np.ndarray
+    columns: tuple
+    Ht: np.ndarray
 
     @property
     def stationary(self):

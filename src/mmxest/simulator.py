@@ -148,17 +148,16 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     u = input_spec.build(horizon, models.p)
     w = process_noise.stream(horizon, models.n)
     v = measurement_noise.stream(horizon, models.m)
-    Bu = u @ models.B[true_model].T if models.p > 0 else None
+    Bu = u @ models.B[true_model].T if models.p > 0 else repeat(None)
 
     x = np.empty((horizon + 1, models.n))
     x[0] = models.xhat0
-    x_t = x[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
-        for t in range(horizon):
-            x_t = F @ x_t + w[t]
-            if Bu is not None:
-                x_t += Bu[t]
-            x[t + 1] = x_t
+        for x_t, x_next, w_t, Bu_t in zip(x, x[1:], w, Bu):
+            np.matmul(F, x_t, out=x_next)  # each state is written into its row
+            x_next += w_t
+            if Bu_t is not None:
+                x_next += Bu_t
     if not np.isfinite(x).all():
         t = int((~np.isfinite(x).all(axis=1)).argmax())
         raise InvalidInput(f"state of true model {true_model} is not finite at t={t} "

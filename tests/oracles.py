@@ -323,7 +323,8 @@ def reference_estimators(models, y, u, stationary=False):
     filter step with its innovation.  A game no piece dominates goes to the
     library's ``solve``.  Returns the trace's per-step arrays by field name.
     """
-    from mmxest.bayes import LIKELIHOOD_FLOOR, LOG_2PI
+    from mmxest.bayes import LIKELIHOOD_FLOOR
+    from mmxest.riccati import LOG_2PI
     from mmxest.minimax import QuadraticPieces, solve
 
     N, K = len(y), models.K

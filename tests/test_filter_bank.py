@@ -3,6 +3,7 @@ import pytest
 
 import mmxest as mx
 from mmxest import filter_bank
+from mmxest.riccati import LOG_2PI
 from conftest import make_random_models, raises_invalid, unit_bank
 from oracles import kalman_step, stacked_ls_value, value_function, worst_case_state
 
@@ -43,13 +44,16 @@ def test_single_step_scalar_oracle():
 
 def test_step_records_absorbed_innovation():
     # S_0 = 2 and y_0 = 1 give the absorbed cost 1/2 and log det S_0 = log 2;
-    # the initial state has absorbed nothing.
+    # the initial state has absorbed nothing, and its log normalizer is that
+    # of log det S = 0.
     models, state = singleton_state()
     np.testing.assert_array_equal(state.innovation_cost, [0.0])
     np.testing.assert_array_equal(state.innovation_logdet, [0.0])
+    np.testing.assert_array_equal(state.innovation_lognorm, [np.log(2.0 * np.pi)])
     state = filter_bank.step(state, np.array([1.0]))
     assert state.innovation_cost[0] == pytest.approx(0.5, abs=1e-15)
     assert state.innovation_logdet[0] == pytest.approx(np.log(2.0), abs=1e-15)
+    assert state.innovation_lognorm[0] == pytest.approx(np.log(4.0 * np.pi), abs=1e-15)
 
 
 def test_state_column_predictions_and_absorbed_costs(paper_models):
@@ -67,6 +71,8 @@ def test_state_column_predictions_and_absorbed_costs(paper_models):
         cost = [float(e[i] @ gains.Sinv[i, gains.column(t)] @ e[i]) for i in range(2)]
         np.testing.assert_allclose(nxt.innovation_cost, cost, rtol=1e-13)
         np.testing.assert_array_equal(nxt.innovation_logdet, gains.logdet_S[:, gains.column(t)])
+        np.testing.assert_array_equal(nxt.innovation_lognorm,
+                                      LOG_2PI + gains.logdet_S[:, gains.column(t)])
         np.testing.assert_array_equal(nxt.c, state.c + nxt.innovation_cost)
         state = nxt
     assert state.col == gains.column(40, terminal=True)
@@ -94,7 +100,8 @@ def test_step_rejects_bad_measurement_shape(paper_models):
 
 def state_bytes(state):
     return (state.t, state.col) + tuple(a.tobytes() for a in (
-        state.xbreve, state.c, state.innovation_cost, state.innovation_logdet, state.yhat))
+        state.xbreve, state.c, state.innovation_cost, state.innovation_logdet,
+        state.innovation_lognorm, state.yhat))
 
 
 @pytest.mark.parametrize("bank", ["paper", "random"])

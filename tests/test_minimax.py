@@ -524,8 +524,9 @@ def walk_estimate(pieces):
     found = minimax._pair_walk(pieces.W, pieces.centers, pieces.offsets - pieces.offsets.max())
     if found is None:
         return None
-    yhat, lam, gap, steps = found
-    return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), lam, (), gap, steps)
+    y, lam, gap = found
+    yhat = np.array([y])
+    return MinimaxEstimate(yhat, float(values_at(pieces, yhat).max()), np.array(lam), (), gap, 0)
 
 
 @settings(max_examples=examples(200), deadline=None)
@@ -535,10 +536,11 @@ def walk_estimate(pieces):
 def test_pair_walk_matches_scalar_oracle_and_follows_permutations(case):
     # Past the dominance check the walk answers alone, copies unmerged, with
     # the exact value and minimizer; the weights of several pieces through
-    # one kink are the average of its pairs' weights.  Reordered pieces get
-    # their own weights back, up to the order of the sums over three or more
-    # weighted pieces.  In the pinned set pieces 0 and 1 differ by an ulp of
-    # curvature: a walk that ends on either must weigh both alike.
+    # one kink are the average of its pairs' weights.  Reordered pieces give
+    # the same yhat to the bit, since the walk sums over the pieces at the
+    # level in one canonical order, and get their own weights back.  In the
+    # pinned set pieces 0 and 1 differ by an ulp of curvature: a walk that
+    # ends on either must weigh both alike.
     pieces, perm = case
     assume(minimax._dominant(*pieces) is None)
     est = walk_estimate(pieces)
@@ -548,14 +550,15 @@ def test_pair_walk_matches_scalar_oracle_and_follows_permutations(case):
     assert abs(est.yhat[0] - y) <= 2.0 * np.sqrt(SOLVE_TOL)
     assert_certified(pieces, est)
     again = walk_estimate(QuadraticPieces(*(x[perm] for x in pieces)))
-    np.testing.assert_allclose(again.yhat, est.yhat, rtol=0, atol=1e-12)
+    assert again.yhat.tobytes() == est.yhat.tobytes()
     np.testing.assert_allclose(again.weights, est.weights[perm], rtol=0, atol=1e-12)
 
 
 def test_pair_walk_answers_every_scalar_sweep_set(monkeypatch):
     # Every m = 1 set of the sweep's seed 100 that the dominance check does
     # not settle is answered by the walk, with no active-set stage and no
-    # ascent step.
+    # ascent step.  Its value and active set, read off Python lists, are
+    # those of piece_values and the weights, to the bit.
     def withheld(*args):
         raise AssertionError("the active-pair walk did not answer")
 
@@ -567,6 +570,8 @@ def test_pair_walk_answers_every_scalar_sweep_set(monkeypatch):
         est = solve(pieces)
         assert est.iterations == 0
         assert_certified(pieces, est)
+        assert est.value == float(kkt.piece_values(est.yhat, *pieces).max())
+        assert est.active == tuple(np.flatnonzero(est.weights > minimax.ACTIVE_THRESHOLD))
 
 
 def dominant_active(W, centers, offsets):
@@ -584,6 +589,31 @@ def test_one_row_dominance_matches_all_rows(pieces):
     got = minimax._dominant(pieces.W, pieces.centers, pieces.offsets)
     assert got == (want[0] if want.size else None)  # the first top piece
     assert dominant_active(pieces.W, pieces.centers, pieces.offsets) == want.tolist()
+
+
+def test_scalar_dominance_decides_as_the_einsum_row_at_the_boundary():
+    # For m = 1 the row is formed elementwise.  Each set's rows reach the top
+    # offset to within rounding, so about half of them pass; every decision
+    # must be the einsum row's.  A row in another order of products, a (d d),
+    # decides differently on some of them.
+    def einsum_dominant(W, centers, offsets):
+        i = int(offsets.argmax())
+        d = centers[i] - centers
+        q = np.einsum("ki,kij,kj->k", d, W, d) + offsets
+        return i if q.max() <= offsets[i] else None
+
+    rng = np.random.default_rng(25)
+    passed = 0
+    for _ in range(2000):
+        K = int(rng.integers(2, 9))
+        W = 10.0 ** rng.uniform(-3, 3, (K, 1, 1))
+        centers = rng.normal(size=(K, 1))
+        d = centers[rng.integers(K)] - centers
+        offsets = rng.uniform(-5.0, 0.0) - np.einsum("ki,kij,kj->k", d, W, d)
+        got = minimax._dominant(W, centers, offsets)
+        assert got == einsum_dominant(W, centers, offsets)
+        passed += got is not None
+    assert 500 < passed < 1500
 
 
 def test_one_row_dominance_ties():

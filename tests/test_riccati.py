@@ -634,7 +634,7 @@ def test_equal_banks_share_one_schedule_with_their_own_models(paper_models):
     info = riccati._run_recursion.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert seq.models is paper_models and again.models is twin
-    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
+    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W", "columns", "Ht"):
         assert getattr(again, name) is getattr(seq, name)
     assert mx.run_recursion(paper_models, 31).P is not seq.P
     louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
@@ -649,9 +649,10 @@ def test_equal_stationary_banks_share_one_read_only_schedule(paper_models):
     info = riccati._stationary_schedule.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert seq.models is paper_models and again.models is twin
-    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
+    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W", "Ht"):
         assert getattr(again, name) is getattr(seq, name)
         assert not getattr(again, name).flags.writeable
+    assert again.columns is seq.columns
     louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
     assert mx.stationary_gains(louder).gamma_sq == 4.0 * seq.gamma_sq
 
@@ -723,6 +724,35 @@ def test_schedule_arrays_are_read_only(make):
     for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(seq, name)[0, ...] = 0
+
+
+@pytest.mark.parametrize("N", [1000, 10, None], ids=["settled", "unsettled", "stationary"])
+def test_schedule_columns_are_read_only_views_of_its_arrays(N, paper_models):
+    # One record per column, read by every step at that column: views of the
+    # column's slices (no copies), the Bayes log normalizer m log 2 pi +
+    # log det S, and the column's feasibility flag.  The paper bank settles
+    # at t = 18, so N = 10 ends unsettled, with no S in its last column.
+    seq = mx.stationary_gains(paper_models) if N is None else mx.run_recursion(paper_models, N)
+    assert len(seq.columns) == seq.P.shape[1] == {1000: 19, 10: 11, None: 1}[N]
+    assert seq.Sinv.shape[1] == len(seq.columns) - (N == 10)
+    log_norm = paper_models.m * riccati.LOG_2PI + seq.logdet_S
+    for c, record in enumerate(seq.columns):
+        assert type(record) is riccati.ScheduleColumn
+        assert record.feasible is bool(seq.bank_feasible[c])
+        with_S = c < seq.Sinv.shape[1]
+        for name in ("P", "W") + (("Sinv", "logdet_S") if with_S else ()):
+            view, whole = getattr(record, name), getattr(seq, name)
+            assert view.shape == whole[:, c].shape and view.tobytes() == whole[:, c].tobytes()
+            assert view.base is whole and not view.flags.writeable
+        if with_S:
+            assert record.log_norm.tobytes() == log_norm[:, c].tobytes()
+            assert not record.log_norm.flags.writeable
+        else:
+            assert (record.Sinv, record.logdet_S, record.log_norm) == (None, None, None)
+    assert seq.Ht.shape == (2, 3, 1) and not seq.Ht.flags.writeable
+    assert seq.Ht.tobytes() == paper_models.H.swapaxes(1, 2).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        seq.columns[0].W[0] = 0.0
 
 
 def test_failed_recursion_is_not_cached():

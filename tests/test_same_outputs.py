@@ -40,3 +40,22 @@ def test_a_missing_last_line_is_a_difference(tmp_path):
     write_tree(tmp_path / "b", {**FILES, "run/trace.csv": b"t;z\n0;1.5\n"})
     diff = same_outputs.first_difference(tmp_path / "a", tmp_path / "b")
     assert diff == f"run/trace.csv: line 3 is only in {tmp_path / 'a'}"
+
+
+def test_workload_reference_inputs_are_rendered_per_checkout(tmp_path):
+    # The four paper_long data sets at N = 1000 and the four random banks
+    # (m = 2), as the benchmark renders them; every run delivers a trace.
+    root = Path(__file__).resolve().parents[1]
+    same_outputs.collect_workloads(root, tmp_path)
+    assert (tmp_path / "workloads" / "exit_code").read_text() == "0\n"
+    runs = {"paper_long": ([f"data{d}" for d in range(4)], 1000),
+            "random_banks": ([f"bank{b}-K{K}" for b in (0, 1) for K in (8, 32)], 200)}
+    for workload, (labels, steps) in runs.items():
+        files = {p.name for p in (tmp_path / workload).iterdir()}
+        assert files == {f"{label}.{ext}" for label in labels for ext in ("csv", "status")}
+        for label in labels:
+            assert (tmp_path / workload / f"{label}.status").read_text() == "ok\n"
+            lines = (tmp_path / workload / f"{label}.csv").read_text().splitlines()
+            assert len(lines) == steps + 1
+    header = (tmp_path / "random_banks" / "bank1-K8.csv").read_text().splitlines()[0]
+    assert header.startswith("t;z0;z1;zh_mini0;zh_mini1;")

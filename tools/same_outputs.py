@@ -10,6 +10,12 @@ In each checkout, with its own ``src`` first on the import path, runs
 - ``riccati``;
 - ``check``.
 
+The CLI sees only the paper config's 20 steps and m = 1, so each checkout
+also renders, with its own ``perfbench/workloads.py``, the ``--full`` CSV of
+the benchmark's in-process reference inputs (workload seed 0): the four
+``paper_long`` data sets (N = 1000) and the four ``random_banks`` banks
+(m = 2), or the name of the error a run raised.
+
 Every CSV, and each command's standard output, standard error and exit
 code, goes into one directory per checkout; then the two directories are
 compared file by file, byte for byte.  Prints the first differing file and
@@ -35,6 +41,31 @@ COMMANDS = {
     "riccati": ["riccati"],
     "check": ["check"],
 }
+# Run in a checkout with its src and perfbench on the path; argv[1] is the
+# output directory.  Writes <workload>/<label>.status, and <label>.csv when
+# the run delivered a trace.
+WORKLOADS = """
+import sys
+from pathlib import Path
+import workloads
+dest = Path(sys.argv[1])
+ctx = workloads.Context(root=Path.cwd(), work=dest)
+for cls in (workloads.PaperLong, workloads.RandomBanks):
+    wl = cls(ctx)
+    out = dest / wl.name
+    out.mkdir()
+    for variant in range(wl.variants):
+        for o in wl.run(0, variant).outputs:
+            (out / f"{o.label}.status").write_text(o.status + "\\n")
+            if o.csv is not None:
+                (out / f"{o.label}.csv").write_text(o.csv)
+"""
+
+
+def _keep(proc, out):
+    (out / "stdout").write_bytes(proc.stdout)
+    (out / "stderr").write_bytes(proc.stderr)
+    (out / "exit_code").write_text(f"{proc.returncode}\n")
 
 
 def collect(checkout, dest):
@@ -48,9 +79,20 @@ def collect(checkout, dest):
         proc = subprocess.run([sys.executable, "-m", "mmxest.cli", argv[0], "--config",
                                str(CONFIG), *argv[1:]], cwd=checkout, env=env,
                               capture_output=True, check=False)
-        (out / "stdout").write_bytes(proc.stdout)
-        (out / "stderr").write_bytes(proc.stderr)
-        (out / "exit_code").write_text(f"{proc.returncode}\n")
+        _keep(proc, out)
+    collect_workloads(checkout, dest)
+
+
+def collect_workloads(checkout, dest):
+    """Render the benchmark's reference inputs in ``checkout`` under ``dest``."""
+    checkout = Path(checkout).resolve()
+    path = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = Path(dest) / "workloads"
+    out.mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-c", WORKLOADS, str(Path(dest).resolve())],
+                          cwd=checkout, env=env, capture_output=True, check=False)
+    _keep(proc, out)
 
 
 def first_difference(a, b):
