@@ -21,7 +21,9 @@ First a dominance check: if some piece's minimum value o_i, taken at its
 center, is at least every other piece's value there, that center is
 optimal and lam = e_i certifies it with gap 0.  Only the piece with the
 largest offset can pass, so one row of piece values is tested.  This is
-the common case once the bank has singled out a model.  Otherwise exact
+the common case once the bank has singled out a model.  For finite scalar
+pieces (m = 1) it and the walk below run on Python floats, read from the
+arrays once, in the same arithmetic as the array stages.  Otherwise exact
 copies of a piece are merged into one, and the copies share its weight
 equally, so their weights do not depend on the order of the pieces.  Then,
 for scalar outputs (m = 1), the active-pair walk: from the top piece's
@@ -111,21 +113,42 @@ def _dominant(W, centers, offsets):
     For each such i, J* = offset_i: center_i reaches it and f_i alone cannot
     go lower; uniform weights on all of them certify it with gap 0.  Row i
     passes in one pass iff the maximum of its piece values, NaN if any is,
-    is at most offset_i.  For m = 1 the row is einsum's own products, (d W)
-    d, formed without its set-up cost, so the test decides to the bit as
-    the einsum does.
+    is at most offset_i.
     """
     i = int(offsets.argmax())
     d = centers[i] - centers
-    if W.shape[1] == 1:
-        q = (d * W[:, 0])[:, 0]
-        q *= d[:, 0]
-    else:
-        q = np.einsum("ki,kij,kj->k", d, W, d)
+    q = np.einsum("ki,kij,kj->k", d, W, d)
     q += offsets
     if np.maximum.reduce(q) <= offsets[i]:
         return i
     return None
+
+
+def _vertex(centers, i, o):
+    """The answer at dominant piece i's center, J* = o[i] (o a list): lam =
+    e_i, or equal weights on the top pieces tied with it."""
+    top, lam = o[i], np.zeros(len(o))
+    if o.count(top) == 1:
+        lam[i], active = 1.0, (i,)
+    else:  # tied top pieces, counted once the row has passed, share it
+        active = tuple([k for k, v in enumerate(o) if v == top])
+        lam[list(active)] = 1 / len(active)
+    return MinimaxEstimate(centers[i].copy(), top, lam, active, 0.0, 0)
+
+
+def _finite(a, c, o):
+    """Whether the lists' sum is finite: no piece inf or NaN or near overflow."""
+    total = sum(a) + sum(c) + sum(o)
+    return total - total == 0.0
+
+
+def _scalar(W, centers, offsets):
+    """The scalar pieces (m = 1) as three lists of Python floats, a = W[:, 0,
+    0], c = centers[:, 0] and o = offsets, if :func:`_finite`, else None."""
+    if centers.shape[1] != 1:
+        return None
+    a, c, o = W.ravel().tolist(), centers.ravel().tolist(), offsets.tolist()
+    return (a, c, o) if _finite(a, c, o) else None
 
 
 def _roots(i, j, a, c, o):
@@ -158,9 +181,10 @@ def _values(y, a, c, o):
     return [(d := y - c_k) * a_k * d + o_k for a_k, c_k, o_k in zip(a, c, o)]
 
 
-def _pair_walk(W, centers, offsets):
-    """The active-pair walk for scalar pieces (m = 1): (yhat, lam, gap) as
-    Python floats and a list if it certifies within SOLVE_TOL, else None.
+def _pair_walk(a, c, o):
+    """The active-pair walk on :func:`_scalar`'s lists, offsets shifted by
+    their maximum: (yhat, lam, gap) as Python floats and a list if it
+    certifies within SOLVE_TOL, else None.
 
     The walk keeps a set of one or two pieces and the point y where the max
     of the set is lowest, its level.  It starts at the top piece's vertex.
@@ -183,13 +207,8 @@ def _pair_walk(W, centers, offsets):
     normalized, and y(lam) = sum (lam a) c / sum lam a summed, in the same
     order whatever the order of the pieces: yhat is the same to the bit.
     The weak-duality bounds are those of :func:`mmxest.kkt.certify`, piece
-    by piece in its arithmetic.  Pieces that are not all finite are left to
-    the later stages.
+    by piece in its arithmetic.
     """
-    a, c, o = W[:, 0, 0].tolist(), centers[:, 0].tolist(), offsets.tolist()
-    total = sum(a) + sum(c) + sum(o)
-    if total - total != 0.0:  # inf or NaN: some piece is not finite
-        return None
     top = o.index(max(o))
     pair, y, level = (top,), c[top], o[top]
     env = _envelope(y, a, c, o)
@@ -300,7 +319,10 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     piece (:func:`_copies`), whose weight the copies then share equally,
     and return the better of their candidate and yhat(lam).  So the weights
     follow the pieces under any reordering.  ``iterations`` counts the
-    ascent's steps: 0 when an exact stage answers.
+    ascent's steps: 0 when an exact stage answers.  Finite scalar pieces
+    (:func:`_scalar`) are read into Python lists once, and every stage up to
+    the walk runs on those; sets with copies, and the rest, take the same
+    stages on arrays (:func:`_staged`), with the same answer to the bit.
 
     Raises
     ------
@@ -314,26 +336,34 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     K = len(offsets)
     if K == 0:
         raise InvalidInput("minimax program needs at least one piece", "pieces")
+    scalar = _scalar(W, centers, offsets)
+    if scalar is None:
+        i = _dominant(W, centers, offsets)
+        return _staged(W, centers, offsets) if i is None else _vertex(centers, i, offsets.tolist())
+    a, c, o = scalar
+    top = max(o)
+    i = o.index(top)  # the first top piece, as argmax; its row in einsum's order
+    if max(_values(c[i], a, c, o)) <= top:
+        return _vertex(centers, i, o)
+    shifted = [v - top for v in o]
+    copies = len(set(zip(a, c, shifted))) < K
+    found = not copies and _finite(a, c, shifted) and _pair_walk(a, c, shifted)
+    if not found:  # exact copies, a shift near overflow or a walk that does not certify
+        return _staged(W, centers, offsets)
+    y, lam, gap = found
+    active = tuple([k for k, v in enumerate(lam) if v > ACTIVE_THRESHOLD])
+    return MinimaxEstimate(np.array([y]), max(_values(y, a, c, o)), np.array(lam), active, gap, 0)
 
-    i = _dominant(W, centers, offsets)
-    if i is not None:
-        top = float(offsets[i])
-        tied = offsets == top
-        n = np.count_nonzero(tied)
-        if n == 1:  # lam = e_i
-            lam = np.zeros(K)
-            lam[i] = 1.0
-            active = (i,)
-        else:  # tied top pieces, counted once the row has passed, share it
-            lam = tied / n
-            active = tuple(np.flatnonzero(tied).tolist())
-        return MinimaxEstimate(centers[i].copy(), top, lam, active, 0.0, 0)
 
+def _staged(W, centers, offsets):
+    """:func:`solve` past the dominance check, on arrays."""
+    K = len(offsets)
     o = offsets - offsets.max()
     first = _copies(W, centers, o)
     keep = slice(None) if first is None else np.flatnonzero(first == np.arange(K))
     W1, c1, o1 = W[keep], centers[keep], o[keep]
-    found = _pair_walk(W1, c1, o1) if centers.shape[1] == 1 else None
+    scalar = _scalar(W1, c1, o1)
+    found = None if scalar is None else _pair_walk(*scalar)
     if found is None:
         # In one order of the pieces, whatever the caller's, so that the
         # weights follow the pieces even where they are not unique.
@@ -342,10 +372,6 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
         lam = lam[np.argsort(order)]
     else:
         y, lam, gap = found
-        if first is None:  # every piece walked: value and active set from Python lists
-            value = max(_values(y, W[:, 0, 0].tolist(), centers[:, 0].tolist(), offsets.tolist()))
-            active = tuple([k for k, v in enumerate(lam) if v > ACTIVE_THRESHOLD])
-            return MinimaxEstimate(np.array([y]), value, np.array(lam), active, gap, 0)
         yhat, lam, iterations = np.array([y]), np.array(lam), 0
     if first is not None:  # each copy gets an equal share of its piece's weight
         merged = np.zeros(K)

@@ -521,7 +521,8 @@ def walk_piece_sets():
 def walk_estimate(pieces):
     """The active-pair walk alone on the pieces, offsets shifted as solve
     shifts them, as an estimate; None if it does not answer."""
-    found = minimax._pair_walk(pieces.W, pieces.centers, pieces.offsets - pieces.offsets.max())
+    shifted = pieces.offsets - pieces.offsets.max()
+    found = minimax._pair_walk(*minimax._scalar(pieces.W, pieces.centers, shifted))
     if found is None:
         return None
     y, lam, gap = found
@@ -591,17 +592,45 @@ def test_one_row_dominance_matches_all_rows(pieces):
     assert dominant_active(pieces.W, pieces.centers, pieces.offsets) == want.tolist()
 
 
-def test_scalar_dominance_decides_as_the_einsum_row_at_the_boundary():
-    # For m = 1 the row is formed elementwise.  Each set's rows reach the top
-    # offset to within rounding, so about half of them pass; every decision
-    # must be the einsum row's.  A row in another order of products, a (d d),
-    # decides differently on some of them.
+def array_path(pieces):
+    """What solve answers for the pieces on arrays, as it does where m >= 2
+    or a piece is not finite: the einsum dominance row, then _staged."""
+    i = minimax._dominant(*pieces)
+    if i is None:
+        return minimax._staged(*pieces)
+    return minimax._vertex(pieces.centers, i, pieces.offsets.tolist())
+
+
+def outcome(solver, pieces):
+    """A solver's answer as bytes and types, or its error's type and message
+    with the bytes of its last estimate."""
+    def bits(est):
+        return (est.yhat.tobytes(), est.yhat.shape, type(est.value),
+                np.float64(est.value).tobytes(), est.weights.tobytes(), est.weights.shape,
+                est.active, np.float64(est.gap).tobytes(), est.iterations)
+    try:
+        return bits(solver(pieces))
+    except mx.NoConvergence as err:
+        return type(err), str(err), bits(err.last)
+
+
+def test_scalar_dominance_decides_as_the_einsum_row_at_the_boundary(monkeypatch):
+    # Each set's rows reach the top offset to within rounding, so about half
+    # of them pass.  _dominant forms the einsum row; solve forms the row of
+    # finite scalar pieces on Python floats, and must decide as the einsum
+    # does on every set: a set it settles is not walked, and gets e_i,
+    # center i and offset i to the byte.  Every answer, settled or walked,
+    # is the array path's to the bit.  A row in another order of products,
+    # a (d d), decides differently on some of them.
     def einsum_dominant(W, centers, offsets):
         i = int(offsets.argmax())
         d = centers[i] - centers
         q = np.einsum("ki,kij,kj->k", d, W, d) + offsets
         return i if q.max() <= offsets[i] else None
 
+    walked = []
+    walk = minimax._pair_walk
+    monkeypatch.setattr(minimax, "_pair_walk", lambda *lists: walked.append(1) or walk(*lists))
     rng = np.random.default_rng(25)
     passed = 0
     for _ in range(2000):
@@ -613,7 +642,68 @@ def test_scalar_dominance_decides_as_the_einsum_row_at_the_boundary():
         got = minimax._dominant(W, centers, offsets)
         assert got == einsum_dominant(W, centers, offsets)
         passed += got is not None
+        pieces = QuadraticPieces(W, centers, offsets)
+        del walked[:]
+        est = solve(pieces)
+        assert (not walked) == (got is not None)
+        if got is not None:
+            lam = np.zeros(K)
+            lam[got] = 1.0
+            assert est.weights.tobytes() == lam.tobytes()
+            assert est.yhat.tobytes() == centers[got].tobytes()
+            assert np.float64(est.value).tobytes() == offsets[got].tobytes()
+        assert outcome(solve, pieces) == outcome(array_path, pieces)
     assert 500 < passed < 1500
+
+
+@pytest.mark.parametrize("pieces, stages", [
+    (scalar_pieces((2.0, 0.3, -1.5)), ["_vertex"]),
+    (scalar_pieces((1.0, 0.5, -0.0), (2.0, 0.5, -0.0), (3.0, 0.5, -0.0)), ["_vertex"]),
+    (scalar_pieces((1.0, 0.5, -1.0), (2.0, 0.5, -1.0), (3.0, 2.0, -17.0)), ["_vertex"]),
+    (scalar_pieces((1.0, 0.0, -1.0), (2.0, 1.0, -1.0), (3.0, 2.0, -7.0)), ["_pair_walk"]),
+    (scalar_pieces((1.0, -1.0, -0.0), (1.0, 1.0, 0.0), (2.0, 3.0, -0.0)), ["_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, -0.5), (1.0, 0.0, 0.0), (2.0, 1.0, -0.5)),
+     ["_staged", "_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (1e300, 1e10, -1e30)), ["_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (1.0, 1e155, -1.0)), ["_pair_walk", "_staged", "_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, -0.5), (1.0, 5.0, -np.inf)),
+     ["_dominant", "_staged"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, np.nan)), ["_dominant", "_staged"]),
+    (scalar_pieces((1.0, np.nan, 0.0), (2.0, 1.0, -9.0)), ["_dominant", "_staged"]),
+], ids=["K=1", "t=0-all-minus-zero", "tied-top-same-center", "tied-top-apart",
+        "mixed-signed-zeros", "exact-copies", "row-overflows", "crossing-overflows",
+        "minus-inf-offset", "nan-offset", "nan-center"])
+def test_scalar_path_answers_as_the_array_path(monkeypatch, pieces, stages):
+    # Finite scalar pieces run on Python floats through the walk, tied
+    # offsets and a row that overflows to inf included; sets with copies,
+    # and walks that do not certify (here a crossing that overflows), go on
+    # to _staged, and pieces that are not finite take the array path from
+    # the einsum row.  Every answer, or
+    # NoConvergence with its message and last estimate, is the array path's
+    # to the bit.
+    taken = []
+    for name in ("_dominant", "_vertex", "_pair_walk", "_staged"):
+        stage = getattr(minimax, name)
+        monkeypatch.setattr(minimax, name,
+                            lambda *a, _n=name, _f=stage: taken.append(_n) or _f(*a))
+    got = outcome(solve, pieces)
+    assert taken == stages
+    assert got == outcome(array_path, pieces)
+
+
+def test_scalar_vertex_keeps_signed_zero_tie_shares_and_nan_message():
+    # t = 0: every offset is -0.0 and every center equal; the value stays
+    # -0.0 and the three tied top pieces share equally.
+    est = solve(scalar_pieces((1.0, 0.5, -0.0), (2.0, 0.5, -0.0), (3.0, 0.5, -0.0)))
+    assert type(est.value) is float and np.signbit(est.value) and est.value == 0.0
+    assert est.weights.tobytes() == np.full(3, 1 / 3).tobytes() and est.active == (0, 1, 2)
+    est = solve(scalar_pieces((1.0, 0.5, -1.0), (2.0, 0.5, -1.0), (3.0, 2.0, -17.0)))
+    assert est.weights.tobytes() == np.array([0.5, 0.5, 0.0]).tobytes() and est.active == (0, 1)
+    est = solve(scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, -0.5),
+                              (1.0, 0.0, 0.0), (2.0, 1.0, -0.5)))
+    assert est.weights[0] == est.weights[2] and est.weights[1] == est.weights[3]
+    with pytest.raises(mx.NoConvergence, match=r"^duality gap nan > tol 1\.000e-08 after 0 "):
+        solve(scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, np.nan)))
 
 
 def test_one_row_dominance_ties():

@@ -324,6 +324,58 @@ def test_run_estimators_checks_record_shapes(paper_config, monkeypatch, run_baye
                           bayes_mode="avg")
 
 
+@pytest.mark.parametrize("true_model, match", [
+    (1.5, r"^true_model must be an integer, got 1\.5$"),
+    (True, r"^true_model must be an integer, got True$"),
+    (7, r"^true_model 7 outside 0\.\.1$"), (-1, r"^true_model -1 outside 0\.\.1$"),
+], ids=["fraction", "bool", "past-K", "negative"])
+def test_run_estimators_checks_true_model_before_any_work(paper_config, monkeypatch,
+                                                          true_model, match):
+    # The same check as generate_truth's, before the gain schedule.
+    def no_work(*args, **kwargs):
+        raise AssertionError("gain schedule computed before true_model was checked")
+
+    monkeypatch.setattr(riccati, "run_recursion", no_work)
+    with raises_invalid("true_model", match):
+        mx.run_estimators(paper_config.models, np.zeros((6, 1)), u=np.zeros((6, 1)),
+                          true_model=true_model)
+    with raises_invalid("true_model", match):
+        mx.generate_truth(paper_config.models, true_model, 5, NoiseSpec(), NoiseSpec())
+
+
+def test_run_estimators_checks_x_and_z_before_any_work(paper_config, monkeypatch):
+    cfg = paper_config
+    u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, 6, cfg.process_noise,
+                                   cfg.measurement_noise, cfg.input_spec)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("gain schedule computed before x and z were checked")
+
+    monkeypatch.setattr(riccati, "run_recursion", no_work)
+    n = cfg.models.n
+    for name, bad, match in (
+            ("x", np.zeros((2, 7)), rf"^x has shape \(2, 7\), expected \(7, {n}\)$"),
+            ("x", x[:-1], rf"^x has shape \(6, {n}\), expected \(7, {n}\)$"),
+            ("z", np.zeros(5), r"^z has shape \(5, 1\), expected \(6, 1\)$"),
+            ("z", np.zeros((6, 2)), r"^z has shape \(6, 2\), expected \(6, 1\)$"),
+            ("x", np.where(np.arange(7)[:, None] == 4, np.nan, x), r"^x is not finite at t=4$"),
+            ("z", np.where(np.arange(6)[:, None] == 2, np.inf, z), r"^z is not finite at t=2$")):
+        record = {"x": x, "z": z, name: bad}
+        with raises_invalid(name, match):
+            mx.run_estimators(cfg.models, y, u=u, x=record["x"], z=record["z"])
+
+
+def test_run_estimators_carries_x_and_z_as_given(paper_config):
+    cfg = paper_config
+    u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, 6, cfg.process_noise,
+                                   cfg.measurement_noise, cfg.input_spec)
+    trace = mx.run_estimators(cfg.models, y, u=u, x=x, z=z[:, 0])  # 1-D: one column
+    assert trace.x.tobytes() == x.tobytes() and trace.z.tobytes() == z.tobytes()
+    bare = mx.run_estimators(cfg.models, y, u=u)
+    assert bare.x.shape == (7, cfg.models.n) and np.isnan(bare.x).all()
+    assert bare.z.shape == (6, 1) and np.isnan(bare.z).all()
+
+
 def test_single_step_horizon(paper_config):
     cfg = paper_config
     tr = mx.simulate(cfg.models, cfg.true_model, 1, **paper_setup(cfg))

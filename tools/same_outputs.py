@@ -1,6 +1,7 @@
 """Byte comparison of what two checkouts print and write on the bundled config.
 
     python3 tools/same_outputs.py PARENT CHANGE
+    python3 tools/same_outputs.py --digests FILE CHECKOUT
 
 In each checkout, with its own ``src`` first on the import path, runs
 ``python3 -m mmxest.cli`` on ``src/mmxest/configs/example_paper.cfg``:
@@ -20,14 +21,22 @@ Every CSV, and each command's standard output, standard error and exit
 code, goes into one directory per checkout; then the two directories are
 compared file by file, byte for byte.  Prints the first differing file and
 line (or the first file only one side has) and exits 1 on any difference,
-else prints how many files matched and exits 0.  Standard library only; it
-writes nothing into either checkout.
+else prints how many files matched and exits 0.
+
+``--digests FILE`` renders one checkout and writes FILE instead: a header
+naming the numpy version and the platform, then one ``<sha256>  <path>``
+line per rendered file.  ``tests/data/outputs.sha256`` is such a file, and
+``tests/test_same_outputs.py`` renders the tree under test against it.
+Standard library only; it writes nothing into a checkout.
 """
 import argparse
+import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
 CONFIG = Path("src") / "mmxest" / "configs" / "example_paper.cfg"
@@ -116,14 +125,67 @@ def first_difference(a, b):
     return None
 
 
+def environment():
+    """The header line of a digest file: numpy version, Python, platform."""
+    return (f"# numpy {metadata.version('numpy')}; python {platform.python_version()}; "
+            f"{platform.system()} {platform.machine()}")
+
+
+def digests(dest):
+    """{relative path: sha256 hex} of every file under ``dest``."""
+    dest = Path(dest)
+    return {p.relative_to(dest).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(dest.rglob("*")) if p.is_file()}
+
+
+def write_digests(dest, path):
+    """Write the digest file of the outputs under ``dest`` to ``path``."""
+    lines = [environment()] + [f"{h}  {rel}" for rel, h in digests(dest).items()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_digests(path):
+    """(header, {relative path: sha256 hex}) of a digest file."""
+    header, *lines = Path(path).read_text().splitlines()
+    return header, {rel: h for h, rel in (line.split("  ", 1) for line in lines)}
+
+
+def digest_difference(recorded, dest):
+    """None if the files under ``dest`` have the digests of the digest file
+    ``recorded``, else a line naming the first file that differs, followed
+    by both headers when the numpy version is not the recorded one."""
+    header, want = read_digests(recorded)
+    got = digests(dest)
+    for rel in sorted(want.keys() | got.keys()):
+        if want.get(rel) == got.get(rel):
+            continue
+        line = f"{rel}: " + ("not rendered" if rel not in got
+                             else "not recorded" if rel not in want else "differs")
+        if header.split(";")[0] != environment().split(";")[0]:
+            line += f" (numpy differs: recorded {header!r}, here {environment()!r})"
+        return line
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="checkout of the parent commit")
-    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("checkouts", nargs="+", metavar="CHECKOUT",
+                        help="checkouts of the parent commit and the change, or one "
+                             "checkout with --digests")
+    parser.add_argument("--digests", metavar="FILE",
+                        help="write one sha256 per rendered file of one checkout to FILE")
     args = parser.parse_args(argv)
+    if len(args.checkouts) != (1 if args.digests else 2):
+        parser.error("give PARENT and CHANGE, or --digests FILE and one CHECKOUT")
+    if args.digests:
+        with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+            collect(args.checkouts[0], tmp)
+            write_digests(tmp, args.digests)
+        print(f"wrote {args.digests}")
+        return 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         sides = [Path(tmp) / "parent", Path(tmp) / "change"]
-        for checkout, dest in zip((args.parent, args.change), sides):
+        for checkout, dest in zip(args.checkouts, sides):
             collect(checkout, dest)
         diff = first_difference(*sides)
         if diff is not None:
