@@ -22,8 +22,8 @@ center, is at least every other piece's value there, that center is
 optimal and lam = e_i certifies it with gap 0.  Only the piece with the
 largest offset can pass, so one row of piece values is tested.  This is
 the common case once the bank has singled out a model.  For finite scalar
-pieces (m = 1) it and the walk below run on Python floats, read from the
-arrays once, in the same arithmetic as the array stages.  Otherwise exact
+pieces (m = 1) the check runs on Python floats, read from the arrays
+once, in the same arithmetic as the array row.  Otherwise exact
 copies of a piece are merged into one, and the copies share its weight
 equally, so their weights do not depend on the order of the pieces.  Then,
 for scalar outputs (m = 1), the active-pair walk: from the top piece's
@@ -136,19 +136,15 @@ def _vertex(centers, i, o):
     return MinimaxEstimate(centers[i].copy(), top, lam, active, 0.0, 0)
 
 
-def _finite(a, c, o):
-    """Whether the lists' sum is finite: no piece inf or NaN or near overflow."""
-    total = sum(a) + sum(c) + sum(o)
-    return total - total == 0.0
-
-
 def _scalar(W, centers, offsets):
     """The scalar pieces (m = 1) as three lists of Python floats, a = W[:, 0,
-    0], c = centers[:, 0] and o = offsets, if :func:`_finite`, else None."""
+    0], c = centers[:, 0] and o = offsets, if their sum is finite (no piece
+    inf or NaN or near overflow), else None."""
     if centers.shape[1] != 1:
         return None
     a, c, o = W.ravel().tolist(), centers.ravel().tolist(), offsets.tolist()
-    return (a, c, o) if _finite(a, c, o) else None
+    total = sum(a) + sum(c) + sum(o)
+    return (a, c, o) if total - total == 0.0 else None
 
 
 def _roots(i, j, a, c, o):
@@ -182,9 +178,9 @@ def _values(y, a, c, o):
 
 
 def _pair_walk(a, c, o):
-    """The active-pair walk on :func:`_scalar`'s lists, offsets shifted by
-    their maximum: (yhat, lam, gap) as Python floats and a list if it
-    certifies within SOLVE_TOL, else None.
+    """The active-pair walk on :func:`_scalar`'s lists of the distinct
+    pieces, offsets shifted by their maximum: (yhat, lam, gap) as Python
+    floats and a list if it certifies within SOLVE_TOL, else None.
 
     The walk keeps a set of one or two pieces and the point y where the max
     of the set is lowest, its level.  It starts at the top piece's vertex.
@@ -320,9 +316,9 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     and return the better of their candidate and yhat(lam).  So the weights
     follow the pieces under any reordering.  ``iterations`` counts the
     ascent's steps: 0 when an exact stage answers.  Finite scalar pieces
-    (:func:`_scalar`) are read into Python lists once, and every stage up to
-    the walk runs on those; sets with copies, and the rest, take the same
-    stages on arrays (:func:`_staged`), with the same answer to the bit.
+    (:func:`_scalar`) take the dominance check on Python floats, with the
+    einsum row's decision to the bit; past it every set takes one path,
+    :func:`_staged`.
 
     Raises
     ------
@@ -336,34 +332,27 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     K = len(offsets)
     if K == 0:
         raise InvalidInput("minimax program needs at least one piece", "pieces")
-    scalar = _scalar(W, centers, offsets)
-    if scalar is None:
+    lists = _scalar(W, centers, offsets)
+    if lists is None:
         i = _dominant(W, centers, offsets)
-        return _staged(W, centers, offsets) if i is None else _vertex(centers, i, offsets.tolist())
-    a, c, o = scalar
-    top = max(o)
-    i = o.index(top)  # the first top piece, as argmax; its row in einsum's order
-    if max(_values(c[i], a, c, o)) <= top:
-        return _vertex(centers, i, o)
-    shifted = [v - top for v in o]
-    copies = len(set(zip(a, c, shifted))) < K
-    found = not copies and _finite(a, c, shifted) and _pair_walk(a, c, shifted)
-    if not found:  # exact copies, a shift near overflow or a walk that does not certify
-        return _staged(W, centers, offsets)
-    y, lam, gap = found
-    active = tuple([k for k, v in enumerate(lam) if v > ACTIVE_THRESHOLD])
-    return MinimaxEstimate(np.array([y]), max(_values(y, a, c, o)), np.array(lam), active, gap, 0)
+        o = None if i is None else offsets.tolist()
+    else:
+        a, c, o = lists
+        i = o.index(max(o))  # the first top piece, as argmax; its row in einsum's order
+        if not max(_values(c[i], a, c, o)) <= o[i]:
+            i = None
+    return _staged(W, centers, offsets) if i is None else _vertex(centers, i, o)
 
 
 def _staged(W, centers, offsets):
-    """:func:`solve` past the dominance check, on arrays."""
+    """:func:`solve` past the dominance check."""
     K = len(offsets)
     o = offsets - offsets.max()
     first = _copies(W, centers, o)
     keep = slice(None) if first is None else np.flatnonzero(first == np.arange(K))
     W1, c1, o1 = W[keep], centers[keep], o[keep]
-    scalar = _scalar(W1, c1, o1)
-    found = None if scalar is None else _pair_walk(*scalar)
+    walk = _scalar(W1, c1, o1)
+    found = None if walk is None else _pair_walk(*walk)
     if found is None:
         # In one order of the pieces, whatever the caller's, so that the
         # weights follow the pieces even where they are not unique.
@@ -372,6 +361,10 @@ def _staged(W, centers, offsets):
         lam = lam[np.argsort(order)]
     else:
         y, lam, gap = found
+        if first is None:  # every piece walked: value and active set from Python lists
+            value = max(_values(y, walk[0], walk[1], offsets.tolist()))
+            active = tuple([k for k, v in enumerate(lam) if v > ACTIVE_THRESHOLD])
+            return MinimaxEstimate(np.array([y]), value, np.array(lam), active, gap, 0)
         yhat, lam, iterations = np.array([y]), np.array(lam), 0
     if first is not None:  # each copy gets an equal share of its piece's weight
         merged = np.zeros(K)

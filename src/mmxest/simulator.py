@@ -125,28 +125,12 @@ class SimulationTrace:
     lam: np.ndarray           # (N, K)
 
 
-def _check_integers(models, true_model, horizon=1):
-    """InvalidInput unless ``true_model`` and ``horizon`` are integers (not
-    bools) and ``true_model`` is in 0..K - 1."""
-    for name, value in (("true_model", true_model), ("horizon", horizon)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise InvalidInput(f"{name} must be an integer, got {value!r}", name)
+def _check_true_model(models, true_model):
+    """InvalidInput unless ``true_model`` is an integer (not a bool) in 0..K - 1."""
+    if not isinstance(true_model, numbers.Integral) or isinstance(true_model, bool):
+        raise InvalidInput(f"true_model must be an integer, got {true_model!r}", "true_model")
     if not 0 <= true_model < models.K:
         raise InvalidInput(f"true_model {true_model} outside 0..{models.K - 1}", "true_model")
-
-
-def _record(name, value, shape):
-    """``value`` as a float array of ``shape``, 1-D taken as one column, or
-    InvalidInput naming ``name``: another shape, or not finite at some t."""
-    record = np.asarray(value, dtype=float)
-    if record.ndim == 1:
-        record = record[:, None]
-    if record.shape != shape:
-        raise InvalidInput(f"{name} has shape {record.shape}, expected {shape}", name)
-    if not np.isfinite(record).all():
-        t = int((~np.isfinite(record).all(axis=1)).argmax())
-        raise InvalidInput(f"{name} is not finite at t={t}", name)
-    return record
 
 
 def generate_truth(models: ModelSet, true_model: int, horizon: int,
@@ -159,7 +143,9 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     non-integer (or bool) or out-of-range ``true_model`` or ``horizon``, or a
     state that is not finite (named by its first t), raises InvalidInput.
     """
-    _check_integers(models, true_model, horizon)
+    _check_true_model(models, true_model)
+    if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool):
+        raise InvalidInput(f"horizon must be an integer, got {horizon!r}", "horizon")
     if horizon < 1:
         raise InvalidInput("horizon must be at least 1", "horizon")
     F = models.F[true_model]
@@ -192,18 +178,20 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                    bayes_mode: str = "average") -> SimulationTrace:
     """Replay a measurement record through both estimators.
 
-    ``y`` must be (N, m), ``u`` (N, p) or None for no input, ``x`` (N + 1,
-    n) and ``z`` (N, m), each or None; a 1-D record is taken as one column.
-    Other shapes, values that are not finite, a ``true_model`` that is not
-    an integer in 0..K - 1 and a ``bayes_mode`` not in BAYES_MODES raise
-    :class:`InvalidInput` before any work.  Gamma-feasibility is checked
-    for every model over the whole horizon (terminal covariance included)
-    before any data is processed; an infeasible pair raises
-    :class:`GammaInfeasible` immediately.  A solve that stops uncertified
-    raises :class:`NoConvergence` naming its t and the first (model, t)
-    whose offset -gamma^2 c_i overflowed, if any.  Skipped estimators leave
-    NaN columns.  ``x`` and ``z`` are carried into the trace when given (a
-    pure-estimation replay may omit them, which leaves them NaN).
+    ``y`` must be (N, m) and ``u`` (N, p), or None for no input; a 1-D
+    record is taken as one column.  ``x`` must be (N + 1, n) and ``z`` (N,
+    m), each or None; a 1-D record of as many values is read row by row.
+    Other shapes, values of ``y`` or ``u`` that are not finite, a
+    ``true_model`` that is not an integer in 0..K - 1 and a ``bayes_mode``
+    not in BAYES_MODES raise :class:`InvalidInput` before any work.
+    Gamma-feasibility is checked for every model over the whole horizon
+    (terminal covariance included) before any data is processed; an
+    infeasible pair raises :class:`GammaInfeasible` immediately.  A solve
+    that stops uncertified raises :class:`NoConvergence` naming its t and
+    the first (model, t) whose offset -gamma^2 c_i overflowed, if any.
+    Skipped estimators leave NaN columns.  ``x`` and ``z`` are carried into
+    the trace when given (a pure-estimation replay may omit them, which
+    leaves them NaN).
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -211,11 +199,24 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     if y.ndim != 2 or y.shape[1] != models.m:
         raise InvalidInput(f"y has shape {y.shape}, expected (N, {models.m})", "y")
     N = y.shape[0]
-    y = _record("y", y, (N, models.m))
-    u = np.zeros((N, models.p)) if u is None else _record("u", u, (N, models.p))
-    x = np.full((N + 1, models.n), np.nan) if x is None else _record("x", x, (N + 1, models.n))
-    z = np.full((N, models.m), np.nan) if z is None else _record("z", z, (N, models.m))
-    _check_integers(models, true_model)
+    if u is None:
+        u = np.zeros((N, models.p))
+    else:
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            u = u[:, None]
+        if u.shape != (N, models.p):
+            raise InvalidInput(f"u has shape {u.shape}, expected ({N}, {models.p})", "u")
+    for name, record in (("y", y), ("u", u)):
+        if not np.isfinite(record).all():
+            t = int((~np.isfinite(record).all(axis=1)).argmax())
+            raise InvalidInput(f"{name} is not finite at t={t}", name)
+    x = np.full((N + 1, models.n), np.nan) if x is None else np.asarray(x, dtype=float)
+    z = np.full((N, models.m), np.nan) if z is None else np.asarray(z, dtype=float)
+    for name, record, shape in (("x", x, (N + 1, models.n)), ("z", z, (N, models.m))):
+        if record.shape not in (shape, (shape[0] * shape[1],)):  # only carried: no value check
+            raise InvalidInput(f"{name} has shape {record.shape}, expected {shape}", name)
+    _check_true_model(models, true_model)
     if bayes_mode not in _bayes.BAYES_MODES:
         raise InvalidInput(f"bayes_mode {bayes_mode!r} not in {_bayes.BAYES_MODES}", "bayes_mode")
 
@@ -263,7 +264,8 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                 posterior = bayes_step(posterior, state)
 
     return SimulationTrace(
-        horizon=N, true_model=true_model, u=u, x=x, y=y, z=z,
+        horizon=N, true_model=true_model, u=u, y=y,
+        x=x.reshape(N + 1, models.n), z=z.reshape(N, m),
         yhat_minimax=tr_mini, yhat_bayes=tr_bayes, yhat_models=tr_models,
         c=tr_c, mu=tr_mu, J_star=tr_J, lam=tr_lam)
 

@@ -660,12 +660,14 @@ def test_scalar_dominance_decides_as_the_einsum_row_at_the_boundary(monkeypatch)
     (scalar_pieces((2.0, 0.3, -1.5)), ["_vertex"]),
     (scalar_pieces((1.0, 0.5, -0.0), (2.0, 0.5, -0.0), (3.0, 0.5, -0.0)), ["_vertex"]),
     (scalar_pieces((1.0, 0.5, -1.0), (2.0, 0.5, -1.0), (3.0, 2.0, -17.0)), ["_vertex"]),
-    (scalar_pieces((1.0, 0.0, -1.0), (2.0, 1.0, -1.0), (3.0, 2.0, -7.0)), ["_pair_walk"]),
-    (scalar_pieces((1.0, -1.0, -0.0), (1.0, 1.0, 0.0), (2.0, 3.0, -0.0)), ["_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, -1.0), (2.0, 1.0, -1.0), (3.0, 2.0, -7.0)),
+     ["_staged", "_pair_walk"]),
+    (scalar_pieces((1.0, -1.0, -0.0), (1.0, 1.0, 0.0), (2.0, 3.0, -0.0)),
+     ["_staged", "_pair_walk"]),
     (scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, -0.5), (1.0, 0.0, 0.0), (2.0, 1.0, -0.5)),
      ["_staged", "_pair_walk"]),
-    (scalar_pieces((1.0, 0.0, 0.0), (1e300, 1e10, -1e30)), ["_pair_walk"]),
-    (scalar_pieces((1.0, 0.0, 0.0), (1.0, 1e155, -1.0)), ["_pair_walk", "_staged", "_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (1e300, 1e10, -1e30)), ["_staged", "_pair_walk"]),
+    (scalar_pieces((1.0, 0.0, 0.0), (1.0, 1e155, -1.0)), ["_staged", "_pair_walk"]),
     (scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, -0.5), (1.0, 5.0, -np.inf)),
      ["_dominant", "_staged"]),
     (scalar_pieces((1.0, 0.0, 0.0), (2.0, 1.0, np.nan)), ["_dominant", "_staged"]),
@@ -674,13 +676,12 @@ def test_scalar_dominance_decides_as_the_einsum_row_at_the_boundary(monkeypatch)
         "mixed-signed-zeros", "exact-copies", "row-overflows", "crossing-overflows",
         "minus-inf-offset", "nan-offset", "nan-center"])
 def test_scalar_path_answers_as_the_array_path(monkeypatch, pieces, stages):
-    # Finite scalar pieces run on Python floats through the walk, tied
-    # offsets and a row that overflows to inf included; sets with copies,
-    # and walks that do not certify (here a crossing that overflows), go on
-    # to _staged, and pieces that are not finite take the array path from
-    # the einsum row.  Every answer, or
-    # NoConvergence with its message and last estimate, is the array path's
-    # to the bit.
+    # Finite scalar pieces take the dominance check on Python floats, tied
+    # offsets and a row that overflows to inf included; past it every set
+    # takes _staged, and is walked at most once, also where the walk does
+    # not certify (here a crossing that overflows).  Pieces that are not
+    # finite take the einsum row.  Every answer, or NoConvergence with
+    # its message and last estimate, is the array path's to the bit.
     taken = []
     for name in ("_dominant", "_vertex", "_pair_walk", "_staged"):
         stage = getattr(minimax, name)
