@@ -14,8 +14,8 @@ once, and slices nothing.  A state's schedule column is resolved by
 :func:`init` at t = 0 and advanced by each step, min(col + 1, last), and
 its predictions H_i xb_i are computed once, for every caller.  A step forms
 the innovation once and records on the new state what it absorbed: the
-costs e_i^T S_i^{-1} e_i, log det S_i and the log normalizer m log 2 pi +
-log det S_i, which is all the Bayesian update needs.
+costs e_i^T S_i^{-1} e_i and the log normalizer m log 2 pi + log det S_i,
+which is all the Bayesian update needs.
 The accumulated cost c_{t,i} is the minimum disturbance energy needed to
 reconcile model i with the data seen so far; it is the learning signal of
 the prediction game.
@@ -37,13 +37,12 @@ class FilterBankState(NamedTuple):
     """Snapshot of the filter bank at time t, an immutable record.
 
     ``xbreve`` stacks the K per-model estimates row-wise ((K, n) array) and
-    ``c`` holds the K accumulated costs.  ``innovation_cost``,
-    ``innovation_logdet`` and ``innovation_lognorm`` hold, per model, e^T
-    S^{-1} e, log det S and m log 2 pi + log det S of the innovation the
-    step into this state absorbed (at t = 0, where nothing has been
-    absorbed, cost and log det S are zero).  ``gains`` is the gain schedule
-    in use; the model bank is ``gains.models``.  :func:`step` returns a
-    fresh state.
+    ``c`` holds the K accumulated costs.  ``innovation_cost`` and
+    ``innovation_lognorm`` hold, per model, e^T S^{-1} e and m log 2 pi +
+    log det S of the innovation the step into this state absorbed (at t =
+    0, where nothing has been absorbed, cost and log det S are zero).
+    ``gains`` is the gain schedule in use; the model bank is
+    ``gains.models``.  :func:`step` returns a fresh state.
 
     ``col``, the schedule column of time t, and ``yhat``, each model's
     output prediction H_i xb_i as a (K, m) array, are computed once, when
@@ -56,15 +55,14 @@ class FilterBankState(NamedTuple):
     c: np.ndarray
     gains: GainSchedule
     innovation_cost: np.ndarray
-    innovation_logdet: np.ndarray
     innovation_lognorm: np.ndarray
     col: int
     yhat: np.ndarray
 
 
-def _state(t, xbreve, c, gains, cost, logdet, lognorm, col) -> FilterBankState:
+def _state(t, xbreve, c, gains, cost, lognorm, col) -> FilterBankState:
     """The state at time t in schedule column ``col``, with its predictions."""
-    return FilterBankState(t, xbreve, c, gains, cost, logdet, lognorm, col,
+    return FilterBankState(t, xbreve, c, gains, cost, lognorm, col,
                            (gains.models.H @ xbreve[:, :, None])[:, :, 0])
 
 
@@ -73,8 +71,7 @@ def init(gains: GainSchedule) -> FilterBankState:
     xhat0 and zero cost."""
     K = gains.models.K
     return _state(0, np.tile(gains.models.xhat0, (K, 1)), np.zeros(K), gains, np.zeros(K),
-                  np.zeros(K), np.full(K, gains.models.m * LOG_2PI),
-                  gains.column(0, terminal=True))
+                  np.full(K, gains.models.m * LOG_2PI), gains.column(0, terminal=True))
 
 
 def _row(v, width):
@@ -94,13 +91,12 @@ def innovations(state: FilterBankState, y: np.ndarray):
 def step(state: FilterBankState, y, u=None) -> FilterBankState:
     """Advance every filter one step with measurement y (and known input u).
 
-    One record, ``gains.columns[state.col]``, gives the column's P, S^{-1},
-    log det S and log normalizer as views, and ``gains.Ht`` the stacked
-    H^T; the update keeps the filter's order of products, F (xb + P (H^T
-    (S^{-1} e))).  The innovation is formed once; its costs, log det S and
-    log normalizer travel on the returned state for
-    :func:`~mmxest.bayes.bayes_step`.  The known input
-    enters the state recursion only; it never contributes to the
+    One record, ``gains.columns[state.col]``, gives the column's P, S^{-1}
+    and log normalizer as views, and ``gains.Ht`` the stacked H^T; the
+    update keeps the filter's order of products, F (xb + P (H^T (S^{-1}
+    e))).  The innovation is formed once; its costs and log normalizer
+    travel on the returned state for :func:`~mmxest.bayes.bayes_step`.  The
+    known input enters the state recursion only; it never contributes to the
     accumulated cost, since it is measured and carries no
     model-discriminating information.  A 1-D float64 ``y`` or ``u`` of the
     right length is used as it is; any other form is reshaped to a row.
@@ -124,5 +120,5 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     xbreve = (models.F @ (state.xbreve[:, :, None] + record.P @ (gains.Ht @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve += models.B @ u
-    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, record.logdet_S,
-                  record.log_norm, min(col + 1, len(gains.columns) - 1))
+    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, record.log_norm,
+                  min(col + 1, len(gains.columns) - 1))

@@ -161,20 +161,15 @@ def _roots(i, j, a, c, o):
     return ((q / A,) if A else ()) + ((C / q,) if q else ())
 
 
-def _envelope(y, a, c, o):
-    """[f_k(y)] of every scalar piece."""
-    return [a_k * ((d := y - c_k) * d) + o_k for a_k, c_k, o_k in zip(a, c, o)]
-
-
-def _level(y, ks, a, c, o):
-    """max f_k(y) over the scalar pieces ks, in :func:`_envelope`'s arithmetic."""
-    return max([a[k] * ((d := y - c[k]) * d) + o[k] for k in ks])
-
-
 def _values(y, a, c, o):
     """[f_k(y)] of every scalar piece in :func:`mmxest.kkt.piece_values`'
     arithmetic, (d a) d + o, one piece at a time."""
     return [(d := y - c_k) * a_k * d + o_k for a_k, c_k, o_k in zip(a, c, o)]
+
+
+def _level(y, ks, a, c, o):
+    """max f_k(y) over the scalar pieces ks, in :func:`_values`' arithmetic."""
+    return max([(d := y - c[k]) * a[k] * d + o[k] for k in ks])
 
 
 def _pair_walk(a, c, o):
@@ -207,7 +202,7 @@ def _pair_walk(a, c, o):
     """
     top = o.index(max(o))
     pair, y, level = (top,), c[top], o[top]
-    env = _envelope(y, a, c, o)
+    env = _values(y, a, c, o)
     s = max(env)
     while s > level:
         j = env.index(s)
@@ -219,7 +214,7 @@ def _pair_walk(a, c, o):
                     new = (e, r, (i, j))
         rises = new[0] > level  # unless rounding stalls the walk
         level, y, pair = new
-        env = _envelope(y, a, c, o)
+        env = _values(y, a, c, o)
         s = max(env)
         if not rises:
             break
@@ -235,7 +230,7 @@ def _pair_walk(a, c, o):
         for k in at_level[n + 1:]:
             for r in _roots(i, k, a, c, o):
                 e = _level(r, (i, k), a, c, o)
-                if e > best or max(_envelope(r, a, c, o)) != e:
+                if e > best or max(_values(r, a, c, o)) != e:
                     continue
                 gi, gk = 2.0 * a[i] * (r - c[i]), 2.0 * a[k] * (r - c[k])
                 if (gi > 0.0) - (gi < 0.0) == (gk > 0.0) - (gk < 0.0):

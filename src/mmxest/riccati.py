@@ -22,11 +22,11 @@ each bank and horizon as a read-only :class:`GainSchedule`, with arrays
 stacked over the K models.  Each model's time-varying recursion settles to
 its fixed point within rounding after a transient (Anderson & Moore,
 *Optimal Filtering*, 1979, ch. 4), and models settle at different steps.
-Each model leaves the batched update at its own settle step T_i, and its
-certificates are computed for t <= T_i only; its column T_i then stands for
-every later t (see :func:`run_recursion`).  The schedule keeps a dense
-[model, column] grid up to T = max_i T_i, so memory grows with the slowest
-transient, not with the horizon.
+Each model stays in the stack past its own settle step T_i, its P copied
+forward, so its column T_i stands for every later t (see
+:func:`run_recursion`).  The schedule keeps a dense [model, column] grid up
+to T = max_i T_i, so memory grows with the slowest transient, not with the
+horizon.
 """
 from __future__ import annotations
 
@@ -77,53 +77,54 @@ def _next_cov(P, F, Q, FPHt, gain):
 
 def _certificates(P, H, gsq):
     """Margins gamma^2 - lambda_max(H P H^T) and minimax weights W = (I -
-    gamma^{-2} H P H^T)^{-1} for a stack of covariances P, H[j] being the
-    output map of P[j].
+    gamma^{-2} H P H^T)^{-1} for a t-major stack of covariances, H[i] being
+    the output map of P[t, i].
 
     W is NaN wherever the margin is not positive, so that an infeasible
     bank still yields a schedule; :meth:`GainSchedule.require_feasible`
     guards every reader.
     """
     # no (count, m, n) temporary H P; eigvalsh reads one triangle only
-    HPHt = np.einsum("kij,kjl,kml->kim", H, P, H)
+    HPHt = np.einsum("kij,tkjl,kml->tkim", H, P, H)
     margin = gsq - np.linalg.eigvalsh(HPHt)[..., -1]
     W = symmetrize(_inverse(np.eye(HPHt.shape[-1]) - HPHt / gsq))
     W[margin <= 0] = np.nan
     return margin, W
 
 
-def _logdet_S(Sinv, where):
-    """log det S from the eigenvalues of a stack of S^{-1}; raises at the first
-    S in the stack that is not positive definite, named by ``where(j)``."""
+def _logdet_S(Sinv, stationary):
+    """log det S from the eigenvalues of a t-major stack of S^{-1}; raises at
+    the earliest t, and the lowest model there, whose S is not positive
+    definite (a stationary stack names the model only)."""
     w = np.linalg.eigvalsh(Sinv)
-    ok = w[..., 0] > 0
-    if not ok.all():
+    bad = np.argwhere(~(w[..., 0] > 0))
+    if len(bad):
+        t, i = bad[0]
         raise FactorizationFailure(
-            f"{where(int(np.argmin(ok)))}: innovation covariance R + H P H^T "
-            "is not positive definite")
+            f"model {i}{'' if stationary else f', t={t}'}: innovation covariance "
+            "R + H P H^T is not positive definite")
     return -np.log(w).sum(axis=-1)
 
 
-def _schedule(gamma, H, horizon, P, Sinv, who, pos, where, models=None):
-    """The schedule whose [model, column] grid reads P[pos] and Sinv[pos],
-    with the certificates of each stacked P[j], a covariance of model
-    ``who[j]``, computed once; ``where(j)`` names P[j] in a diagnostic."""
+def _schedule(gamma, H, horizon, P, Sinv):
+    """The schedule of the t-major stacks P[t, i] and Sinv[t, i], with each
+    stacked P's certificates computed once."""
     gsq = gamma ** 2
-    margin, W = _certificates(P, H[who], gsq)
-    logdet_S = _logdet_S(Sinv, where)
-    # gain data exists for t < N only
-    S_pos = pos if horizon is None else pos[:, :horizon]
-    P, Sinv, logdet_S, margin, W = P[pos], Sinv[S_pos], logdet_S[S_pos], margin[pos], W[pos]
+    margin, W = _certificates(P, H, gsq)
+    logdet_S = _logdet_S(Sinv, horizon is None)
+    # laid out [model, column], each column a strided view
+    P, Sinv, logdet_S, margin, W = (a.swapaxes(0, 1).copy()
+                                    for a in (P, Sinv, logdet_S, margin, W))
     log_norm = H.shape[1] * LOG_2PI + logdet_S
     bank_feasible = (margin > 0).all(axis=0)
     for a in (P, Sinv, logdet_S, log_norm, margin, bank_feasible, W):
         a.setflags(write=False)  # shared by views and by equal inputs
-    cut = Sinv.shape[1]
-    columns = tuple(ScheduleColumn(P[:, c], *((Sinv[:, c], logdet_S[:, c], log_norm[:, c])
-                                              if c < cut else (None, None, None)),
+    cut = Sinv.shape[1]  # gain data exists for t < N only
+    columns = tuple(ScheduleColumn(P[:, c], *((Sinv[:, c], log_norm[:, c])
+                                              if c < cut else (None, None)),
                                    W[:, c], bool(bank_feasible[c]))
                     for c in range(P.shape[1]))
-    return GainSchedule(horizon=horizon, gamma_sq=gsq, models=models, P=P, Sinv=Sinv,
+    return GainSchedule(horizon=horizon, gamma_sq=gsq, models=None, P=P, Sinv=Sinv,
                         logdet_S=logdet_S, margin=margin, bank_feasible=bank_feasible, W=W,
                         columns=columns, Ht=transpose(H))
 
@@ -136,16 +137,15 @@ def riccati_step(P, F, H, Q, R) -> np.ndarray:
 
 class ScheduleColumn(NamedTuple):
     """What an estimator step reads of one schedule column, as read-only
-    views of the schedule's arrays (no copies): ``P``, ``Sinv``,
-    ``logdet_S`` and ``W`` are the column's [:, c] slices, ``log_norm`` is
-    m log 2 pi + log det S per model, the log normalizer of the innovation's
-    Gaussian density, and ``feasible`` is the column's ``bank_feasible``
-    flag.  ``Sinv``, ``logdet_S`` and ``log_norm`` are None in column N of a
-    schedule that holds no gain data there.  An immutable record."""
+    views of the schedule's arrays (no copies): ``P``, ``Sinv`` and ``W``
+    are the column's [:, c] slices, ``log_norm`` is m log 2 pi + log det S
+    per model, the log normalizer of the innovation's Gaussian density, and
+    ``feasible`` is the column's ``bank_feasible`` flag.  ``Sinv`` and
+    ``log_norm`` are None in column N of a schedule that holds no gain data
+    there.  An immutable record."""
 
     P: np.ndarray
     Sinv: np.ndarray | None
-    logdet_S: np.ndarray | None
     log_norm: np.ndarray | None
     W: np.ndarray
     feasible: bool
@@ -201,6 +201,8 @@ class GainSchedule:
     def column(self, t: int, terminal: bool = False) -> int:
         """Column holding time t >= 0: gain data for t < N, covariances also at
         t = N; times past the last stored column read that column."""
+        if not isinstance(t, numbers.Integral) or isinstance(t, bool):
+            raise InvalidInput(f"t must be an integer, got {t!r}", "t")
         if self.stationary:
             if t >= 0:
                 return 0
@@ -257,22 +259,22 @@ class AreSolution:
 def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     """Propagate the Riccati recursions of all K models from P0 over t = 0..N.
 
-    Each time step is one batched update over the models still active.
-    Model i leaves at the step T_i at which it has settled: its max|P_{t+1}
-    - P_t| has stayed within SETTLE_ULPS * eps * max|P_t| for the last
-    SETTLE_STEPS steps.  Its column T_i then stands for every t > T_i.  Where
-    model i's recursion contracts at rate rho_i, that clamp moves its P by
-    about SETTLE_ULPS * eps / (1 - rho_i) relative to an unclamped recursion
-    (1.2e-12 relative on a scalar model with F = 0.999, Q = 1e-6, R = 1).
-    The loop ends when no model is left or at N, so the schedule has
-    T + 1 columns, T = max_i T_i; a model that does not settle within N
-    steps keeps all N + 1.  It also ends at the first t whose covariances
-    are not all finite; that t's S check then raises.
+    Each time step is one batched update over all K models.  Model i
+    settles at the step T_i at which its max|P_{t+1} - P_t| has stayed
+    within SETTLE_ULPS * eps * max|P_t| for the last SETTLE_STEPS steps;
+    from then on it stays in the stack, its P copied forward, so its column
+    T_i stands for every t > T_i.  Where model i's recursion contracts at
+    rate rho_i, that clamp moves its P by about SETTLE_ULPS * eps / (1 -
+    rho_i) relative to an unclamped recursion (1.2e-12 relative on a scalar
+    model with F = 0.999, Q = 1e-6, R = 1).  The loop ends when every model
+    has settled or at N, so the schedule has T + 1 columns, T = max_i T_i; a
+    model that does not settle within N steps keeps all N + 1.  It also ends
+    at the first t whose covariances are not all finite; that t's S check
+    then raises.
 
-    Each (model, t) with t <= T_i is computed once: after the loop, every
-    such S is checked (the earliest failing (t, model) is raised), and
-    margins and weights are recorded without raising; see
-    :meth:`GainSchedule.require_feasible`.
+    After the loop, every S is checked (the earliest failing t, and the
+    lowest model there, is raised), and margins and weights are recorded
+    without raising; see :meth:`GainSchedule.require_feasible`.
 
     Equal inputs share one schedule's arrays, computed once per process
     (the last 16 are kept); each call's ``models`` is the caller's.
@@ -289,50 +291,42 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
 
 def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
     """The recursion of :func:`run_recursion` on the models (F[i], H[i]) from
-    P0: deques P, Sinv, who of the last ``maxlen`` (all if None) blocks, one
-    per step t (P_t, S_t^{-1}, the models still active at t), each model's
-    settle step (N if none) and the last step T, whose block is the first
-    not all finite, or t = N's, without S_N^{-1}."""
+    P0: deques P, Sinv of the last ``maxlen`` (all if None) (K, ...) blocks,
+    one per step t (P_t, S_t^{-1}), and the last step T, whose block is the
+    first not all finite, or t = N's, without S_N^{-1}."""
     K, n = F.shape[:2]
-    Fa, Ha = F, H               # the maps of the models still active
     tol = settle_ulps * np.finfo(float).eps
-    active = np.arange(K)
-    settle = np.full(K, N)
-    calm = 0                    # steps each active model has stayed calm
-    P, Sinv, who = (collections.deque(maxlen=maxlen) for _ in range(3))
+    settled = np.zeros(K, dtype=bool)
+    calm = 0                    # steps each model has stayed calm
+    P, Sinv = collections.deque(maxlen=maxlen), collections.deque(maxlen=maxlen)
     Pt = np.broadcast_to(P0, (K, n, n))
     for t in range(N):
         P.append(Pt)
-        who.append(active)
-        Sinv_t, FPHt, gain = _gain_terms(Pt, Fa, Ha, R)
+        Sinv_t, FPHt, gain = _gain_terms(Pt, F, H, R)
         Sinv.append(Sinv_t)
         size = np.abs(Pt)
         top = size.max()
         if not math.isfinite(top):
             break
-        Pt_next = _next_cov(Pt, Fa, Q, FPHt, gain)
+        Pt_next = _next_cov(Pt, F, Q, FPHt, gain)
+        Pt_next[settled] = Pt[settled]  # a settled model's step is 0
         step = np.abs(Pt_next - Pt)
-        Pt = Pt_next
         # model i is calm within tol * max|P_t[i]| <= tol * top, so the (0, 0)
-        # entries rule out most unsettled steps first
+        # entries rule out most unsettled steps first, while none has settled
         if step[:, 0, 0].min() > tol * top:
             calm = 0
-            continue
-        k = len(step)
-        ok = step.reshape(k, -1).max(axis=1) <= tol * size.reshape(k, -1).max(axis=1)
-        calm = (calm + 1) * ok
-        if calm.max() < settle_steps:
-            continue
-        keep = calm < settle_steps
-        settle[active[~keep]] = t
-        if not keep.any():
-            break
-        active, calm, Pt, Fa, Ha = active[keep], calm[keep], Pt[keep], Fa[keep], Ha[keep]
+        else:
+            ok = step.reshape(K, -1).max(axis=1) <= tol * size.reshape(K, -1).max(axis=1)
+            calm = (calm + 1) * ok
+            settled = calm >= settle_steps
+            if settled.all():
+                break
+            Pt_next[settled] = Pt[settled]  # P_{T_i} stands for every later t
+        Pt = Pt_next
     else:
         t = N
         P.append(Pt)
-        who.append(active)
-    return P, Sinv, who, settle, t
+    return P, Sinv, t
 
 
 @functools.lru_cache(maxsize=16)
@@ -341,18 +335,10 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
 def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
     """:func:`run_recursion` on (shape, bytes) keys; a failure is not cached."""
     F, H, Q, R, P0 = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P0))
-    P, Sinv, who, settle, T = _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps)
-    # The blocks stack into one array of every (model, t <= T_i), t-major;
-    # pos maps each [model, column] to its entry, and every column after T_i
-    # to model i's entry at T_i.
-    ts = np.repeat(np.arange(T + 1), [len(a) for a in who])
-    who = np.concatenate(who)
-    pos = np.empty((len(F), T + 1), dtype=int)
-    pos[who, ts] = np.arange(len(who))
-    pos = np.take_along_axis(pos, np.minimum(np.arange(T + 1), settle[:, None]), axis=1)
-    P = np.concatenate(P)
-    Sinv = np.concatenate(Sinv) if Sinv else np.empty((0, H.shape[1], H.shape[1]))
-    return _schedule(gamma, H, N, P, Sinv, who, pos, lambda j: f"model {who[j]}, t={ts[j]}")
+    P, Sinv, _ = _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps)
+    m = H.shape[1]
+    return _schedule(gamma, H, N, np.stack(P),
+                     np.stack(Sinv) if Sinv else np.empty((0, len(F), m, m)))
 
 
 def solve_are(F, H, Q, R, P_init) -> AreSolution:
@@ -391,7 +377,7 @@ def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
             raise InvalidInput(f"{name} has shape {a.shape}, expected {shape}", name)
         if not np.isfinite(a).all():
             raise InvalidInput(f"{name} has a non-finite entry", name)
-    P, _, _, _, T = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps, 2)
+    P, _, T = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps, 2)
     if not np.isfinite(P[-1]).all():
         raise NoConvergence(f"Riccati iteration diverged after {T} steps", last=P[-2][0])
     if T == max_iter:
@@ -423,7 +409,4 @@ def stationary_gains(models: ModelSet) -> GainSchedule:
 def _stationary_schedule(P, F, H, R, gamma):
     """:func:`stationary_gains`' schedule on (shape, bytes) keys; a failure is not cached."""
     P, F, H, R = (np.frombuffer(b).reshape(shape) for shape, b in (P, F, H, R))
-    Sinv = _gain_terms(P, F, H, R)[0]
-    K = len(P)
-    return _schedule(gamma, H, None, P, Sinv, np.arange(K), np.arange(K)[:, None],
-                     lambda j: f"model {j}")
+    return _schedule(gamma, H, None, P[None], _gain_terms(P, F, H, R)[0][None])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import tracemalloc
 
@@ -355,6 +356,31 @@ def test_schedule_accessors_raise_out_of_range():
         read(10**6)
         with raises_invalid("t", f"^no {what} at t=-1; a stationary schedule starts at t=0$"):
             read(-1)
+
+
+@pytest.mark.parametrize("t", [2.5, True, "3", np.float64(3.0)],
+                         ids=["float", "bool", "str", "numpy-float"])
+@pytest.mark.parametrize("read", ["cov", "gain", "lambda_max", "require_feasible"])
+@pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
+def test_schedule_accessors_reject_a_t_that_is_not_an_integer(stationary, read, t, paper_models):
+    # Such a t would index the grids (True picks a whole grid, 2.5 fails in
+    # numpy, "3" in a comparison) or read column 0 of a stationary schedule.
+    seq = mx.stationary_gains(paper_models) if stationary else mx.run_recursion(paper_models, 5)
+    args = (t, 0) if read in ("cov", "gain") else (t,)
+    with raises_invalid("t", f"^{re.escape(f't must be an integer, got {t!r}')}$"):
+        getattr(seq, read)(*args)
+
+
+def test_indefinite_innovation_covariances_name_the_earliest_t_then_the_lowest_model():
+    # R is forced negative past validation; with F = 0 every P_t, t >= 1,
+    # equals Q = 0.25, and S_t = -0.5 + H^2 P_t.  Model 0 (H = 1) has S_0 =
+    # 0.5 but S_1 = -0.25; models 1 and 2 (H = 0.1, 0.2) fail already at t =
+    # 0.  The report names t = 0 and the lower of the two models failing there.
+    valid = mx.validate({"F": [0.0 * I1] * 3, "H": [I1, 0.1 * I1, 0.2 * I1],
+                         "Q": 0.25 * I1, "R": I1, "P0": I1, "gamma": 10.0})
+    broken = dataclasses.replace(valid, R=-0.5 * I1)
+    with pytest.raises(mx.FactorizationFailure, match=r"^model 1, t=0: "):
+        mx.run_recursion(broken, 5)
 
 
 @pytest.mark.parametrize("r", [-0.5, -0.25], ids=["negative", "singular"])
@@ -740,7 +766,7 @@ def test_schedule_columns_are_read_only_views_of_its_arrays(N, paper_models):
         assert type(record) is riccati.ScheduleColumn
         assert record.feasible is bool(seq.bank_feasible[c])
         with_S = c < seq.Sinv.shape[1]
-        for name in ("P", "W") + (("Sinv", "logdet_S") if with_S else ()):
+        for name in ("P", "W") + (("Sinv",) if with_S else ()):
             view, whole = getattr(record, name), getattr(seq, name)
             assert view.shape == whole[:, c].shape and view.tobytes() == whole[:, c].tobytes()
             assert view.base is whole and not view.flags.writeable
@@ -748,7 +774,7 @@ def test_schedule_columns_are_read_only_views_of_its_arrays(N, paper_models):
             assert record.log_norm.tobytes() == log_norm[:, c].tobytes()
             assert not record.log_norm.flags.writeable
         else:
-            assert (record.Sinv, record.logdet_S, record.log_norm) == (None, None, None)
+            assert (record.Sinv, record.log_norm) == (None, None)
     assert seq.Ht.shape == (2, 3, 1) and not seq.Ht.flags.writeable
     assert seq.Ht.tobytes() == paper_models.H.swapaxes(1, 2).tobytes()
     with pytest.raises(ValueError, match="read-only"):
