@@ -6,7 +6,7 @@ each step, while a Bayesian posterior baseline runs alongside.  Riccati
 utilities provide the gains and the gamma-feasibility certificates, and a
 seeded portable simulator plus a CLI make runs reproducible to the byte.
 """
-from .bayes import BayesPosterior, bayes_estimate, bayes_init, bayes_step
+from .bayes import bayes_estimate, bayes_init, bayes_step
 from .config import ExperimentConfig, load_config, with_seed
 from .exceptions import (
     EstimationError,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AreSolution",
-    "BayesPosterior",
     "EstimationError",
     "ExperimentConfig",
     "FactorizationFailure",

@@ -3,13 +3,12 @@
 Runs alongside the same Kalman filter bank and keeps a posterior probability
 per model, updated from each innovation's Gaussian likelihood.  The
 innovation is the filter bank's own, formed once per step and read off the
-state the step returns.  The output prediction is either the
-posterior-weighted average of the per-model predictions (default) or the
-single most probable model's prediction (MAP).
+state the step returns.  The posterior is a (K,) array of probabilities.
+The output prediction is either the posterior-weighted average of the
+per-model predictions (default) or the single most probable model's
+prediction (MAP).
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,55 +22,48 @@ LIKELIHOOD_FLOOR = 1e-300
 BAYES_MODES = ("average", "map")
 
 
-class BayesPosterior(NamedTuple):
-    """Posterior model probabilities, nonnegative and summing to one; an
-    immutable record."""
-
-    mu: np.ndarray
-
-
-def bayes_init(models: ModelSet) -> BayesPosterior:
-    """Uniform prior over the bank."""
+def bayes_init(models: ModelSet) -> np.ndarray:
+    """Uniform prior over the bank, a (K,) array."""
     if models.K == 0:
         raise InvalidInput("posterior needs at least one model", "models")
-    return BayesPosterior(mu=np.full(models.K, 1.0 / models.K))
+    return np.full(models.K, 1.0 / models.K)
 
 
-def bayes_step(posterior: BayesPosterior, state: FilterBankState) -> BayesPosterior:
+def bayes_step(posterior: np.ndarray, state: FilterBankState) -> np.ndarray:
     """Multiply in each model's innovation likelihood and renormalize.
 
     ``state`` is the filter bank state AFTER absorbing the measurement: the
     step that made it formed the innovation e_i = y - H_i xb_i once and
     recorded its cost e_i^T S_i^{-1} e_i and the log normalizer m log 2 pi +
-    log det S_i (read off its schedule column's record, computed once per
-    (model, t)), whose sum is -2 log of the one-step predictive density of y
+    log det S_i (read off its schedule column, computed once per (model,
+    t)), whose sum is -2 log of the one-step predictive density of y
     under model i.  So the update adds two arrays and computes no constant.
     Likelihoods are computed in log space to survive large innovations.  An
     initial state has absorbed nothing (cost 0, log det S 0); its equal
-    likelihoods leave the posterior as it is.  The one fresh array is
-    updated in place, and reduced by ufunc reductions, not array methods.
+    likelihoods leave the posterior as it is.  The new posterior is one
+    fresh array, updated in place and reduced by ufunc reductions.
     """
     w = state.innovation_lognorm + state.innovation_cost
     w *= -0.5
     # Shift before exponentiating; the shift cancels in the normalization.
     w -= np.maximum.reduce(w)
     np.exp(w, out=w)
-    w *= posterior.mu
+    w *= posterior
     np.maximum(w, LIKELIHOOD_FLOOR, out=w)
     w /= np.add.reduce(w)
-    return BayesPosterior(w)
+    return w
 
 
-def bayes_estimate(posterior: BayesPosterior, state: FilterBankState,
+def bayes_estimate(posterior: np.ndarray, state: FilterBankState,
                    mode: str = "average") -> np.ndarray:
-    """Output prediction from the posterior over models.
+    """Output prediction from the posterior ``mu`` over models.
 
     ``average`` returns sum_i mu_i H_i xb_i; ``map`` returns the prediction
     of the most probable model (ties broken by lowest index).
     """
     preds = state.yhat
     if mode == "average":
-        return posterior.mu @ preds
+        return posterior @ preds
     if mode == "map":
-        return preds[int(np.argmax(posterior.mu))]
+        return preds[int(np.argmax(posterior))]
     raise InvalidInput(f"unknown mode {mode!r}; expected 'average' or 'map'", "mode")

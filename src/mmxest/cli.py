@@ -170,7 +170,7 @@ def cmd_riccati(args) -> int:
         out.append("  K = " + np.array2string(gains.gain(0, i), prefix="  K = "))
         out.append(f"  lambda_max(H P H^T) = {_fmt(gains.lambda_max(0)[i])}")
         out.append(f"  gamma^2 = {_fmt(gains.gamma_sq)}")
-        out.append(f"  feasible: {'yes' if gains.feasible[i, 0] else 'no'}")
+        out.append(f"  feasible: {'yes' if gains.feasible[0, i] else 'no'}")
         out.append(f"  residual = {_fmt(sol.residual)}")
         out.append(f"  iterations = {sol.iterations}")
     print("\n".join(out))

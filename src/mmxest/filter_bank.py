@@ -9,13 +9,13 @@ which is xb' = F xb + B u + K e with the Kalman gain K = F P H^T S^{-1}.
 Covariances and inverse innovation covariances S^{-1} come from a
 precomputed :class:`~mmxest.riccati.GainSchedule` (time-varying or
 stationary), so a step advances all K filters with batched products and no
-solve; it reads its column's record and the stacked H^T the schedule built
-once, and slices nothing.  A state's schedule column is resolved by
-:func:`init` at t = 0 and advanced by each step, min(col + 1, last), and
-its predictions H_i xb_i are computed once, for every caller.  A step forms
-the innovation once and records on the new state what it absorbed: the
-costs e_i^T S_i^{-1} e_i and the log normalizer m log 2 pi + log det S_i,
-which is all the Bayesian update needs.
+solve; it reads its column c of the schedule's t-major arrays as ``X[c]``
+views and the stacked H^T the schedule built once.  A state's schedule
+column is resolved by :func:`init` at t = 0 and advanced by each step,
+min(col + 1, last), and its predictions H_i xb_i are computed once, for
+every caller.  A step forms the innovation once and records on the new
+state what it absorbed: the costs e_i^T S_i^{-1} e_i and the log
+normalizer m log 2 pi + log det S_i, which is all the Bayesian update needs.
 The accumulated cost c_{t,i} is the minimum disturbance energy needed to
 reconcile model i with the data seen so far; it is the learning signal of
 the prediction game.
@@ -82,24 +82,26 @@ def _row(v, width):
 
 def innovations(state: FilterBankState, y: np.ndarray):
     """Whitened innovations S_i^{-1} e_i, e_i = y - H_i xb_i, as (K, m, 1), and
-    their costs e_i^T S_i^{-1} e_i (K,)."""
+    their costs e_i^T S_i^{-1} e_i (K,); S^{-1} is ``gains.Sinv[col]`` at
+    the state's column."""
     e = (y - state.yhat)[:, :, None]
-    Sinv_e = state.gains.columns[state.col].Sinv @ e
+    Sinv_e = state.gains.Sinv[state.col] @ e
     return Sinv_e, (transpose(e) @ Sinv_e)[:, 0, 0]
 
 
 def step(state: FilterBankState, y, u=None) -> FilterBankState:
     """Advance every filter one step with measurement y (and known input u).
 
-    One record, ``gains.columns[state.col]``, gives the column's P, S^{-1}
-    and log normalizer as views, and ``gains.Ht`` the stacked H^T; the
-    update keeps the filter's order of products, F (xb + P (H^T (S^{-1}
-    e))).  The innovation is formed once; its costs and log normalizer
-    travel on the returned state for :func:`~mmxest.bayes.bayes_step`.  The
-    known input enters the state recursion only; it never contributes to the
-    accumulated cost, since it is measured and carries no
-    model-discriminating information.  A 1-D float64 ``y`` or ``u`` of the
-    right length is used as it is; any other form is reshaped to a row.
+    The state's column c gives P, S^{-1} and the log normalizer as the
+    views ``gains.P[c]``, ``gains.Sinv[c]`` and ``gains.log_norm[c]``, and
+    ``gains.Ht`` the stacked H^T; the update keeps the filter's order of
+    products, F (xb + P (H^T (S^{-1} e))).  The innovation is formed once;
+    its costs and log normalizer travel on the returned state for
+    :func:`~mmxest.bayes.bayes_step`.  The known input enters the state
+    recursion only; it never contributes to the accumulated cost, since it
+    is measured and carries no model-discriminating information.  A 1-D
+    float64 ``y`` or ``u`` of the right length is used as it is; any other
+    form is reshaped to a row.
     """
     gains = state.gains
     models = gains.models
@@ -115,10 +117,10 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     if state.t == gains.horizon:
         raise InvalidInput(f"no gain at t={state.t}; horizon is {gains.horizon}", "t")
     col = state.col
-    record = gains.columns[col]
     Sinv_e, cost = innovations(state, y)
-    xbreve = (models.F @ (state.xbreve[:, :, None] + record.P @ (gains.Ht @ Sinv_e)))[:, :, 0]
+    xbreve = (models.F @ (state.xbreve[:, :, None]
+                          + gains.P[col] @ (gains.Ht @ Sinv_e)))[:, :, 0]
     if u is not None:
         xbreve += models.B @ u
-    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, record.log_norm,
-                  min(col + 1, len(gains.columns) - 1))
+    return _state(state.t + 1, xbreve, state.c + cost, gains, cost, gains.log_norm[col],
+                  min(col + 1, len(gains.P) - 1))

@@ -91,16 +91,17 @@ class MinimaxEstimate(NamedTuple):
 
 def build_pieces(state: FilterBankState) -> QuadraticPieces:
     """Assemble the K quadratic pieces of the game at the state's time, with
-    the weights W and gamma of the state's gain schedule.
+    gamma and the weights W of the state's gain schedule (``gains.W[col]``,
+    a view; ``gains.bank_feasible[col]`` says whether to check further).
 
     Raises :class:`GammaInfeasible` at the first model not gamma-feasible
     at that time.
     """
     gains = state.gains
-    record = gains.columns[state.col]
-    if not record.feasible:
+    if not gains.bank_feasible[state.col]:
         gains.require_feasible(state.t)
-    return QuadraticPieces(W=record.W, centers=state.yhat, offsets=-gains.gamma_sq * state.c)
+    return QuadraticPieces(W=gains.W[state.col], centers=state.yhat,
+                           offsets=-gains.gamma_sq * state.c)
 
 
 def _dominant(W, centers, offsets):

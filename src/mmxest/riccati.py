@@ -24,9 +24,10 @@ its fixed point within rounding after a transient (Anderson & Moore,
 *Optimal Filtering*, 1979, ch. 4), and models settle at different steps.
 Each model stays in the stack past its own settle step T_i, its P copied
 forward, so its column T_i stands for every later t (see
-:func:`run_recursion`).  The schedule keeps a dense [model, column] grid up
-to T = max_i T_i, so memory grows with the slowest transient, not with the
-horizon.
+:func:`run_recursion`).  The schedule keeps the recursion's t-major arrays
+as they are, dense [column, model] stacks up to T = max_i T_i, and holds
+nothing else per column, so memory grows with the slowest transient, not
+with the horizon.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _inverse(S):
-    """S^{-1}, batched; NaN where S is exactly singular, for :func:`_logdet_S` to report."""
+    """S^{-1}, batched; NaN where S is exactly singular, for :func:`_schedule` to report."""
     try:
         return np.linalg.inv(S)
     except np.linalg.LinAlgError:
@@ -62,7 +62,7 @@ def _inverse(S):
 def _gain_terms(P, F, H, R):
     """S^{-1} for S = R + H P H^T, F P H^T and the gain F P H^T S^{-1}.
 
-    Batched over leading axes; S is checked later, by :func:`_logdet_S`.
+    Batched over leading axes; S is checked later, by :func:`_schedule`.
     """
     PHt = P @ transpose(H)
     S = symmetrize(R + H @ PHt)
@@ -92,41 +92,28 @@ def _certificates(P, H, gsq):
     return margin, W
 
 
-def _logdet_S(Sinv, stationary):
-    """log det S from the eigenvalues of a t-major stack of S^{-1}; raises at
-    the earliest t, and the lowest model there, whose S is not positive
-    definite (a stationary stack names the model only)."""
+def _schedule(gamma, H, horizon, P, Sinv):
+    """The schedule of the t-major stacks P[t, i] and Sinv[t, i], kept as they
+    are, with each stacked P's certificates computed once.  log det S comes
+    from the eigenvalues of S^{-1}; raises at the earliest t, and the lowest
+    model there, whose S is not positive definite (a stationary stack names
+    the model only)."""
     w = np.linalg.eigvalsh(Sinv)
     bad = np.argwhere(~(w[..., 0] > 0))
     if len(bad):
         t, i = bad[0]
         raise FactorizationFailure(
-            f"model {i}{'' if stationary else f', t={t}'}: innovation covariance "
+            f"model {i}{'' if horizon is None else f', t={t}'}: innovation covariance "
             "R + H P H^T is not positive definite")
-    return -np.log(w).sum(axis=-1)
-
-
-def _schedule(gamma, H, horizon, P, Sinv):
-    """The schedule of the t-major stacks P[t, i] and Sinv[t, i], with each
-    stacked P's certificates computed once."""
+    log_norm = H.shape[1] * LOG_2PI - np.log(w).sum(axis=-1)
     gsq = gamma ** 2
     margin, W = _certificates(P, H, gsq)
-    logdet_S = _logdet_S(Sinv, horizon is None)
-    # laid out [model, column], each column a strided view
-    P, Sinv, logdet_S, margin, W = (a.swapaxes(0, 1).copy()
-                                    for a in (P, Sinv, logdet_S, margin, W))
-    log_norm = H.shape[1] * LOG_2PI + logdet_S
-    bank_feasible = (margin > 0).all(axis=0)
-    for a in (P, Sinv, logdet_S, log_norm, margin, bank_feasible, W):
-        a.setflags(write=False)  # shared by views and by equal inputs
-    cut = Sinv.shape[1]  # gain data exists for t < N only
-    columns = tuple(ScheduleColumn(P[:, c], *((Sinv[:, c], log_norm[:, c])
-                                              if c < cut else (None, None)),
-                                   W[:, c], bool(bank_feasible[c]))
-                    for c in range(P.shape[1]))
+    bank_feasible = (margin > 0).all(axis=1)
+    for a in (P, Sinv, log_norm, margin, bank_feasible, W):
+        a.setflags(write=False)  # shared by every call with equal inputs
     return GainSchedule(horizon=horizon, gamma_sq=gsq, models=None, P=P, Sinv=Sinv,
-                        logdet_S=logdet_S, margin=margin, bank_feasible=bank_feasible, W=W,
-                        columns=columns, Ht=transpose(H))
+                        log_norm=log_norm, margin=margin, bank_feasible=bank_feasible, W=W,
+                        Ht=transpose(H))
 
 
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
@@ -135,43 +122,25 @@ def riccati_step(P, F, H, Q, R) -> np.ndarray:
     return _next_cov(P, F, Q, FPHt, gain)
 
 
-class ScheduleColumn(NamedTuple):
-    """What an estimator step reads of one schedule column, as read-only
-    views of the schedule's arrays (no copies): ``P``, ``Sinv`` and ``W``
-    are the column's [:, c] slices, ``log_norm`` is m log 2 pi + log det S
-    per model, the log normalizer of the innovation's Gaussian density, and
-    ``feasible`` is the column's ``bank_feasible`` flag.  ``Sinv`` and
-    ``log_norm`` are None in column N of a schedule that holds no gain data
-    there.  An immutable record."""
-
-    P: np.ndarray
-    Sinv: np.ndarray | None
-    log_norm: np.ndarray | None
-    W: np.ndarray
-    feasible: bool
-
-
 @dataclass(frozen=True)
 class GainSchedule:
     """Per-model covariances, gains and certificates, stacked over the bank.
 
-    Arrays are indexed [model, column]; :meth:`column` maps a time t to its
-    column.  ``P`` is the prior covariance, ``Sinv`` the inverse innovation
-    covariance S^{-1}, ``logdet_S`` log det S, ``margin`` gamma^2 -
+    Arrays are indexed [column, model]; :meth:`column` maps a time t to its
+    column c, and a reader takes the column as ``X[c]``, a contiguous view.
+    ``P`` is the prior covariance, ``Sinv`` the inverse innovation
+    covariance S^{-1}, ``log_norm`` m log 2 pi + log det S, the log
+    normalizer of the innovation's Gaussian density, ``margin`` gamma^2 -
     lambda_max(H P H^T) (model i is gamma-feasible at t iff it is positive),
     ``bank_feasible`` one flag per column, true iff every model's margin
     there is positive, and ``W`` the minimax weight (I - gamma^{-2} H P
-    H^T)^{-1}, NaN where the margin is not positive.  Every array is read-only.
-
-    ``columns`` holds one :class:`ScheduleColumn` per column, built once
-    with the schedule, and ``Ht`` the stacked H_i^T (a read-only view):
-    each estimator step reads its column's record and ``Ht`` instead of
-    slicing the arrays again.  Equal banks share both, as they share the
-    arrays.
+    H^T)^{-1}, NaN where the margin is not positive.  ``Ht`` is the stacked
+    H_i^T, which each estimator step reads instead of transposing H again.
+    Every array is read-only, and equal banks share them all.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
     column T for every later t: T = max_i T_i (see :func:`run_recursion`),
-    or T = N (and ``Sinv``, ``logdet_S`` stop at N - 1) when some model does
+    or T = N (and ``Sinv``, ``log_norm`` stop at N - 1) when some model does
     not settle within N steps; otherwise every array has T + 1 columns.
     A stationary schedule (``horizon`` None) has one column, used at every
     t.  Gains are not stored; :meth:`gain` rebuilds them from P and the
@@ -183,11 +152,10 @@ class GainSchedule:
     models: ModelSet
     P: np.ndarray
     Sinv: np.ndarray
-    logdet_S: np.ndarray
+    log_norm: np.ndarray
     margin: np.ndarray
     bank_feasible: np.ndarray
     W: np.ndarray
-    columns: tuple
     Ht: np.ndarray
 
     @property
@@ -208,22 +176,29 @@ class GainSchedule:
                 return 0
             limit = "a stationary schedule starts at t=0"
         elif 0 <= t <= (self.horizon if terminal else self.horizon - 1):
-            return min(t, self.P.shape[1] - 1)
+            return min(t, self.P.shape[0] - 1)
         else:
             limit = f"horizon is {self.horizon}"
         raise InvalidInput(f"no {'covariance' if terminal else 'gain'} at t={t}; {limit}", "t")
 
+    def _model(self, i) -> int:
+        """Model index i, checked as :meth:`column` checks t."""
+        K = self.P.shape[1]
+        if not isinstance(i, numbers.Integral) or isinstance(i, bool) or not 0 <= i < K:
+            raise InvalidInput(f"model index must be an integer in 0..{K - 1}, got {i!r}", "i")
+        return i
+
     def cov(self, t, i) -> np.ndarray:
-        return self.P[i, self.column(t, terminal=True)]
+        return self.P[self.column(t, terminal=True), self._model(i)]
 
     def gain(self, t, i) -> np.ndarray:
         """Kalman gain F P H^T S^{-1} of model i at time t."""
-        m = self.models
-        return _gain_terms(self.P[i, self.column(t)], m.F[i], m.H[i], m.R)[2]
+        m, i = self.models, self._model(i)
+        return _gain_terms(self.P[self.column(t), i], m.F[i], m.H[i], m.R)[2]
 
     def lambda_max(self, t) -> np.ndarray:
         """lambda_max(H_i P_{t,i} H_i^T) for every model, read off the margins."""
-        return self.gamma_sq - self.margin[:, self.column(t, terminal=True)]
+        return self.gamma_sq - self.margin[self.column(t, terminal=True)]
 
     def require_feasible(self, t=None) -> None:
         """Raise :class:`GammaInfeasible` at the earliest (t, model) whose
@@ -236,11 +211,11 @@ class GainSchedule:
             col = self.column(t, terminal=True)
             if self.bank_feasible[col]:
                 return
-            margin = self.margin[:, col, None]
-        col, i = (int(v) for v in np.argwhere(~(margin.T > 0))[0])
+            margin = self.margin[col, None]
+        col, i = (int(v) for v in np.argwhere(~(margin > 0))[0])
         if t is None and not self.stationary:
             t = col
-        lam = self.gamma_sq - float(margin[i, col])
+        lam = self.gamma_sq - float(margin[col, i])
         raise GammaInfeasible(
             f"model {i}" + ("" if t is None else f" at t={t}")
             + f": lambda_max(H P H^T) = {lam!r} >= gamma^2 = {self.gamma_sq!r}",
@@ -270,7 +245,8 @@ def run_recursion(models: ModelSet, N: int) -> GainSchedule:
     has settled or at N, so the schedule has T + 1 columns, T = max_i T_i; a
     model that does not settle within N steps keeps all N + 1.  It also ends
     at the first t whose covariances are not all finite; that t's S check
-    then raises.
+    then raises.  The schedule keeps the loop's t-major stacks as its
+    [column, model] arrays, with no copy and nothing per column.
 
     After the loop, every S is checked (the earliest failing t, and the
     lowest model there, is raised), and margins and weights are recorded
@@ -296,7 +272,7 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
     first not all finite, or t = N's, without S_N^{-1}."""
     K, n = F.shape[:2]
     tol = settle_ulps * np.finfo(float).eps
-    settled = np.zeros(K, dtype=bool)
+    settled = None              # the settled models, once any has settled
     calm = 0                    # steps each model has stayed calm
     P, Sinv = collections.deque(maxlen=maxlen), collections.deque(maxlen=maxlen)
     Pt = np.broadcast_to(P0, (K, n, n))
@@ -309,7 +285,8 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
         if not math.isfinite(top):
             break
         Pt_next = _next_cov(Pt, F, Q, FPHt, gain)
-        Pt_next[settled] = Pt[settled]  # a settled model's step is 0
+        if settled is not None:
+            Pt_next[settled] = Pt[settled]  # a settled model's step is 0
         step = np.abs(Pt_next - Pt)
         # model i is calm within tol * max|P_t[i]| <= tol * top, so the (0, 0)
         # entries rule out most unsettled steps first, while none has settled
@@ -318,10 +295,12 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
         else:
             ok = step.reshape(K, -1).max(axis=1) <= tol * size.reshape(K, -1).max(axis=1)
             calm = (calm + 1) * ok
-            settled = calm >= settle_steps
-            if settled.all():
+            done = calm >= settle_steps
+            if done.all():
                 break
-            Pt_next[settled] = Pt[settled]  # P_{T_i} stands for every later t
+            if done.any():
+                settled = done
+                Pt_next[settled] = Pt[settled]  # P_{T_i} stands for every later t
         Pt = Pt_next
     else:
         t = N
@@ -330,7 +309,7 @@ def _iterate(F, H, Q, R, P0, N, settle_ulps, settle_steps, maxlen=None):
 
 
 @functools.lru_cache(maxsize=16)
-# a diverging bank overflows; _logdet_S reports the first (model, t) it breaks
+# a diverging bank overflows; _schedule reports the first (model, t) it breaks
 @np.errstate(over="ignore", invalid="ignore")
 def _run_recursion(F, H, Q, R, P0, gamma, N, settle_ulps, settle_steps):
     """:func:`run_recursion` on (shape, bytes) keys; a failure is not cached."""

@@ -75,8 +75,13 @@ class InputSpec:
             raise InvalidInput(f"input values need kind 'sequence', not {self.kind!r}")
         if not finite_real(self.rate):
             raise InvalidInput(f"input rate must be a finite number, got {self.rate!r}")
-        if self.values is not None and not np.isfinite(np.asarray(self.values, dtype=float)).all():
-            raise InvalidInput("input values must be finite")
+        if self.values is not None:
+            try:
+                values = np.asarray(self.values, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInput("input values must be numbers") from None
+            if not np.isfinite(values).all():
+                raise InvalidInput("input values must be finite")
 
     def build(self, horizon: int, p: int) -> np.ndarray:
         if self.kind == "none":
@@ -257,7 +262,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                 tr_J[t] = est.value
                 tr_lam[t] = est.weights
             if run_bayes:
-                tr_mu[t] = posterior.mu
+                tr_mu[t] = posterior
                 tr_bayes[t] = bayes_estimate(posterior, state, mode=bayes_mode)
             state = step(state, y_t, u_t)
             if run_bayes:

@@ -324,7 +324,6 @@ def reference_estimators(models, y, u, stationary=False):
     library's ``solve``.  Returns the trace's per-step arrays by field name.
     """
     from mmxest.bayes import LIKELIHOOD_FLOOR
-    from mmxest.riccati import LOG_2PI
     from mmxest.minimax import QuadraticPieces, solve
 
     N, K = len(y), models.K
@@ -335,7 +334,7 @@ def reference_estimators(models, y, u, stationary=False):
     for t in range(N):
         col = gains.column(t, terminal=True)
         yhat = (models.H @ xb[:, :, None])[:, :, 0]
-        W, offsets = gains.W[:, col], -gains.gamma_sq * c
+        W, offsets = gains.W[col], -gains.gamma_sq * c
         top = dominant_all_rows(W, yhat, offsets)
         if top.size:
             lam = np.zeros(K)
@@ -349,15 +348,15 @@ def reference_estimators(models, y, u, stationary=False):
             rows[k].append(v)
         # the filter step: xb' = F (xb + P H^T S^-1 e) + B u, c' = c + e^T S^-1 e
         e = (y[t] - yhat)[:, :, None]
-        Sinv_e = gains.Sinv[:, col] @ e
+        Sinv_e = gains.Sinv[col] @ e
         cost = (e.swapaxes(1, 2) @ Sinv_e)[:, 0, 0]
         xb = (models.F @ (xb[:, :, None]
-                          + gains.P[:, col] @ (models.H.swapaxes(1, 2) @ Sinv_e)))[:, :, 0]
+                          + gains.P[col] @ (models.H.swapaxes(1, 2) @ Sinv_e)))[:, :, 0]
         if models.p > 0:
             xb = xb + models.B @ u[t]
         c = c + cost
         # the Bayes update from the Gaussian likelihood of e, floored, renormalized
-        w = -0.5 * (models.m * LOG_2PI + gains.logdet_S[:, col] + cost)
+        w = -0.5 * (gains.log_norm[col] + cost)
         w = np.maximum(np.exp(w - w.max()) * mu, LIKELIHOOD_FLOOR)
         mu = w / w.sum()
     return {k: np.array(v) for k, v in rows.items()}

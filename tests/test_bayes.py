@@ -22,7 +22,7 @@ def opposite_sign_bank():
 
 def test_bayes_init_uniform(paper_models):
     post = bayes.bayes_init(paper_models)
-    np.testing.assert_allclose(post.mu, [0.5, 0.5])
+    np.testing.assert_allclose(post, [0.5, 0.5])
 
 
 def test_bayes_step_two_model_oracle():
@@ -33,8 +33,8 @@ def test_bayes_step_two_model_oracle():
     post = bayes.bayes_init(models)
     post = bayes.bayes_step(post, filter_bank.step(state, np.array([0.5])))
     expected = 1.0 / (1.0 + np.exp(-0.25))
-    assert post.mu[0] == pytest.approx(expected, abs=1e-12)
-    assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert post[0] == pytest.approx(expected, abs=1e-12)
+    assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bayes_step_keeps_probability_vector(paper_models):
@@ -45,9 +45,9 @@ def test_bayes_step_keeps_probability_vector(paper_models):
         y = rng.normal(size=1) * 3.0
         state = filter_bank.step(state, y, rng.normal(size=1))
         post = bayes.bayes_step(post, state)
-        assert post.mu.min() >= 0
-        assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.isfinite(post.mu).all()
+        assert post.min() >= 0
+        assert post.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(post).all()
 
 
 def test_bayes_step_survives_huge_innovation():
@@ -55,18 +55,18 @@ def test_bayes_step_survives_huge_innovation():
     state = filter_bank.init(mx.run_recursion(models, 2))
     post = bayes.bayes_init(models)
     post = bayes.bayes_step(post, filter_bank.step(state, np.array([1e6])))
-    assert np.isfinite(post.mu).all()
-    assert post.mu.sum() == pytest.approx(1.0, abs=1e-12)
-    assert post.mu.min() > 0  # floored, never exactly zero
+    assert np.isfinite(post).all()
+    assert post.sum() == pytest.approx(1.0, abs=1e-12)
+    assert post.min() > 0  # floored, never exactly zero
     # The floor applies to prior times likelihood: model 1's is 0.5 * 0,
     # floored to 1e-300, against model 0's 0.5.
-    assert post.mu[1] == pytest.approx(2.0 * bayes.LIKELIHOOD_FLOOR, rel=1e-12, abs=0.0)
+    assert post[1] == pytest.approx(2.0 * bayes.LIKELIHOOD_FLOOR, rel=1e-12, abs=0.0)
 
 
 def test_bayes_estimate_average_and_map():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))
-    post = bayes.BayesPosterior(mu=np.array([0.75, 0.25]))
+    post = np.array([0.75, 0.25])
     avg = bayes.bayes_estimate(post, state, mode="average")
     assert avg[0] == pytest.approx(0.75 * 0.5 + 0.25 * (-0.5), abs=1e-12)
     top = bayes.bayes_estimate(post, state, mode="map")
@@ -78,7 +78,7 @@ def test_bayes_estimate_average_and_map():
 def test_bayes_estimate_map_tie_breaks_low_index():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))
-    post = bayes.BayesPosterior(mu=np.array([0.5, 0.5]))
+    post = np.array([0.5, 0.5])
     top = bayes.bayes_estimate(post, state, mode="map")
     assert top[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -96,11 +96,11 @@ def test_posterior_concentrates_on_truth():
         state = filter_bank.step(state, y)
         post = bayes.bayes_step(post, state)
         x = models.F[0] @ x + 0.1 * rng.normal(size=2)
-    assert post.mu[0] > 0.9
+    assert post[0] > 0.9
 
 
 def test_bayes_step_on_initial_state_keeps_posterior(paper_models):
     # Nothing absorbed yet: every model's likelihood is the same.
     state = filter_bank.init(mx.run_recursion(paper_models, 3))
-    prior = bayes.BayesPosterior(mu=np.array([0.3, 0.7]))
-    np.testing.assert_allclose(bayes.bayes_step(prior, state).mu, prior.mu, rtol=1e-15)
+    prior = np.array([0.3, 0.7])
+    np.testing.assert_allclose(bayes.bayes_step(prior, state), prior, rtol=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mmxest as mx
-from mmxest import config
+from mmxest import cli, config
 from conftest import raises_invalid
 
 
@@ -225,6 +225,18 @@ def test_input_fields_must_be_finite(tmp_path, entry):
     body = MINIMAL.replace("  H: [1.0]\n", "  H: [1.0]\n  B: [1.0]\n") + f"input: {entry}\n"
     with raises_invalid("input", r"^field input: input (rate|values) must be .*finite"):
         mx.load_config(write_cfg(tmp_path, body))
+
+
+@pytest.mark.parametrize("entry", ["{kind: sequence, values: [a, 1.0, 2.0, 3.0, 4.0]}",
+                                   "{kind: sequence, values: [[1.0, 2.0], [3.0]]}"],
+                         ids=["string", "ragged"])
+def test_input_values_must_be_numbers(tmp_path, entry, capsys):
+    body = MINIMAL.replace("  H: [1.0]\n", "  H: [1.0]\n  B: [1.0]\n") + f"input: {entry}\n"
+    path = write_cfg(tmp_path, body)
+    with raises_invalid("input", "^field input: input values must be numbers$"):
+        mx.load_config(path)
+    assert cli.main(["check", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: field input: input values must be numbers\n"
 
 
 @pytest.mark.parametrize("entry, kind", [("{values: [1.0, 2.0, 3.0, 4.0, 5.0]}", "none"),

@@ -3,7 +3,6 @@ import pytest
 
 import mmxest as mx
 from mmxest import filter_bank
-from mmxest.riccati import LOG_2PI
 from conftest import make_random_models, raises_invalid, unit_bank
 from oracles import kalman_step, stacked_ls_value, value_function, worst_case_state
 
@@ -66,10 +65,9 @@ def test_state_column_predictions_and_absorbed_costs(paper_models):
         y = rng.normal(size=1)
         nxt = filter_bank.step(state, y, rng.normal(size=1))
         e = y - state.yhat
-        cost = [float(e[i] @ gains.Sinv[i, gains.column(t)] @ e[i]) for i in range(2)]
+        cost = [float(e[i] @ gains.Sinv[gains.column(t), i] @ e[i]) for i in range(2)]
         np.testing.assert_allclose(nxt.innovation_cost, cost, rtol=1e-13)
-        np.testing.assert_array_equal(nxt.innovation_lognorm,
-                                      LOG_2PI + gains.logdet_S[:, gains.column(t)])
+        np.testing.assert_array_equal(nxt.innovation_lognorm, gains.log_norm[gains.column(t)])
         np.testing.assert_array_equal(nxt.c, state.c + nxt.innovation_cost)
         state = nxt
     assert state.col == gains.column(40, terminal=True)

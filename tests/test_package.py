@@ -11,7 +11,7 @@ from mmxest import cli, exceptions
 from conftest import child_env
 
 PUBLIC_NAMES = [
-    "AreSolution", "BayesPosterior", "EstimationError", "ExperimentConfig",
+    "AreSolution", "EstimationError", "ExperimentConfig",
     "FactorizationFailure", "FilterBankState", "GainSchedule", "GammaInfeasible", "InputSpec",
     "InvalidInput", "MinimaxEstimate", "ModelSet", "NoConvergence", "NoiseSpec",
     "QuadraticPieces", "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step",
@@ -33,11 +33,11 @@ def _records(models):
     state = mx.init(mx.run_recursion(models, 3))
     state = mx.step(state, [0.5])
     pieces = mx.build_pieces(state)
-    return [state, pieces, mx.solve(pieces), mx.bayes_step(mx.bayes_init(models), state)]
+    return [state, pieces, mx.solve(pieces)]
 
 
 @pytest.mark.parametrize("index, cls", enumerate(
-    [mx.FilterBankState, mx.QuadraticPieces, mx.MinimaxEstimate, mx.BayesPosterior]))
+    [mx.FilterBankState, mx.QuadraticPieces, mx.MinimaxEstimate]))
 def test_per_step_records_reject_assignment(paper_models, index, cls):
     record = _records(paper_models)[index]
     assert type(record) is cls

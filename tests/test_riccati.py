@@ -214,13 +214,13 @@ def test_stationary_gains_are_the_settled_recursion(paper_models, bench_banks):
     for models in banks:
         st = mx.stationary_gains(models)
         seq = mx.run_recursion(models, 5000)
-        assert seq.P.shape[1] <= 5000  # every model settled
+        assert seq.P.shape[0] <= 5000  # every model settled
         for name in ("P", "Sinv", "W"):
-            np.testing.assert_array_equal(getattr(st, name)[:, 0], getattr(seq, name)[:, -1],
+            np.testing.assert_array_equal(getattr(st, name)[0], getattr(seq, name)[-1],
                                           err_msg=name)
         for i in range(models.K):
             T = mx.solve_are(models.F[i], models.H[i], models.Q, models.R, models.P0).iterations
-            np.testing.assert_array_equal(seq.P[i, T], st.P[i, 0])
+            np.testing.assert_array_equal(seq.P[T, i], st.P[0, i])
 
 
 def test_gamma_feasibility_is_strict():
@@ -235,9 +235,9 @@ def test_run_recursion_shapes_and_bounds(paper_models):
     seq = mx.run_recursion(paper_models, N)
     assert seq.horizon == N
     assert not seq.stationary
-    assert seq.P.shape == (2, N + 1, 3, 3)
-    assert seq.Sinv.shape == (2, N, 1, 1)
-    assert seq.W.shape == (2, N + 1, 1, 1)
+    assert seq.P.shape == (N + 1, 2, 3, 3)
+    assert seq.Sinv.shape == (N, 2, 1, 1)
+    assert seq.W.shape == (N + 1, 2, 1, 1)
     assert seq.cov(0, 0).shape == (3, 3)
     np.testing.assert_array_equal(seq.cov(0, 1), np.eye(3))
     assert seq.cov(N, 0).shape == (3, 3)
@@ -312,15 +312,16 @@ def test_schedule_matches_per_model_loop():
         for t in range(N + 1):
             np.testing.assert_allclose(seq.cov(t, i), P, rtol=1e-12, atol=1e-12)
             lam = np.linalg.eigvalsh(H @ P @ H.T)[-1]
-            assert seq.margin[i, t] == pytest.approx(gsq - lam, rel=1e-12, abs=1e-12)
+            assert seq.margin[t, i] == pytest.approx(gsq - lam, rel=1e-12, abs=1e-12)
             if t == N:
                 break
             S, gain, P_next = kalman_step(P, F, H, models.Q, models.R)
-            np.testing.assert_allclose(seq.Sinv[i, t] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(seq.Sinv[t, i] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(seq.gain(t, i), gain, rtol=1e-12, atol=1e-12)
             sign, logdet = np.linalg.slogdet(S)
             assert sign == 1.0
-            assert seq.logdet_S[i, t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+            assert (seq.log_norm[t, i] - models.m * riccati.LOG_2PI
+                    == pytest.approx(logdet, rel=1e-12, abs=1e-12))
             P = P_next
 
 
@@ -328,7 +329,7 @@ def test_stationary_schedule_matches_solve_are():
     models = oracle_bank()
     st = mx.stationary_gains(models)
     assert st.stationary and st.horizon is None
-    assert st.P.shape[:2] == (models.K, 1)
+    assert st.P.shape[:2] == (1, models.K)
     for i in range(models.K):
         F, H = models.F[i], models.H[i]
         sol = mx.solve_are(F, H, models.Q, models.R, models.P0)
@@ -336,10 +337,11 @@ def test_stationary_schedule_matches_solve_are():
         np.testing.assert_allclose(st.cov(10 ** 6, i), sol.P, rtol=1e-12, atol=1e-12)
         S, gain, _ = kalman_step(sol.P, F, H, models.Q, models.R)
         np.testing.assert_allclose(st.gain(7, i), gain, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(st.Sinv[i, 0] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
-        assert st.logdet_S[i, 0] == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(st.Sinv[0, i] @ S, np.eye(models.m), rtol=1e-12, atol=1e-12)
+        assert (st.log_norm[0, i] - models.m * riccati.LOG_2PI
+                == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12, abs=1e-12))
         lam = np.linalg.eigvalsh(H @ sol.P @ H.T)[-1]
-        assert st.margin[i, 0] == pytest.approx(models.gamma ** 2 - lam, rel=1e-12, abs=1e-12)
+        assert st.margin[0, i] == pytest.approx(models.gamma ** 2 - lam, rel=1e-12, abs=1e-12)
 
 
 def test_schedule_accessors_raise_out_of_range():
@@ -369,6 +371,20 @@ def test_schedule_accessors_reject_a_t_that_is_not_an_integer(stationary, read, 
     args = (t, 0) if read in ("cov", "gain") else (t,)
     with raises_invalid("t", f"^{re.escape(f't must be an integer, got {t!r}')}$"):
         getattr(seq, read)(*args)
+
+
+@pytest.mark.parametrize("i", [-1, 2, True, 2.5], ids=["negative", "K", "bool", "float"])
+@pytest.mark.parametrize("read", ["cov", "gain"])
+@pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
+def test_schedule_accessors_reject_a_model_index_out_of_the_bank(stationary, read, i,
+                                                                  paper_models):
+    # Such an i would read model K - 1 (-1), fail in numpy (K, 2.5) or
+    # broadcast a whole grid (True).
+    seq = mx.stationary_gains(paper_models) if stationary else mx.run_recursion(paper_models, 5)
+    want = f"model index must be an integer in 0..1, got {i!r}"
+    with raises_invalid("i", f"^{re.escape(want)}$"):
+        getattr(seq, read)(0, i)
+    assert getattr(seq, read)(0, np.int64(1)).tobytes() == getattr(seq, read)(0, 1).tobytes()
 
 
 def test_indefinite_innovation_covariances_name_the_earliest_t_then_the_lowest_model():
@@ -403,8 +419,8 @@ def test_require_feasible_names_earliest_violation():
     models = mx.validate({"F": [I1, I1], "H": [I1, 2.0 * I1], "Q": I1, "R": I1,
                           "P0": I1, "gamma": np.sqrt(1.55)})
     seq = mx.run_recursion(models, 4)
-    np.testing.assert_array_equal(seq.feasible[0], [True, True, False, False, False])
-    assert not seq.feasible[1].any()
+    np.testing.assert_array_equal(seq.feasible[:, 0], [True, True, False, False, False])
+    assert not seq.feasible[:, 1].any()
     with pytest.raises(mx.GammaInfeasible) as err:
         seq.require_feasible()
     assert (err.value.t, err.value.model) == (0, 1)
@@ -427,7 +443,7 @@ def test_schedule_stores_nan_weights_where_infeasible():
         assert not seq.feasible[0, 0]
         assert np.isnan(seq.W[0, 0]).all()
     seq = mx.run_recursion(unit_bank(gamma=3.0), 1)
-    np.testing.assert_allclose(seq.W[0, :, 0, 0], [9.0 / 8.0, 9.0 / 7.5], rtol=1e-15)
+    np.testing.assert_allclose(seq.W[:, 0, 0, 0], [9.0 / 8.0, 9.0 / 7.5], rtol=1e-15)
     assert not seq.W.flags.writeable  # build_pieces hands out views of it
 
 
@@ -469,7 +485,7 @@ def contraction_rate(models, P):
 def test_settled_schedule_matches_unclamped_recursion(bank, N, settle_banks):
     models = settle_banks[bank]
     seq = mx.run_recursion(models, N)
-    assert seq.P.shape[1] - 1 < N  # the schedule was cut short
+    assert seq.P.shape[0] - 1 < N  # the schedule was cut short
     want = textbook_schedule(models, N)
     # The documented bound of the cutoff, SETTLE_ULPS eps / (1 - rho)
     # relative, with a factor 2 for the rounding of the two recursions.
@@ -478,21 +494,22 @@ def test_settled_schedule_matches_unclamped_recursion(bank, N, settle_banks):
     terminal = [seq.column(t, terminal=True) for t in range(N + 1)]
     gain = [seq.column(t) for t in range(N)]
     for name, cols in (("P", terminal), ("Sinv", gain), ("W", terminal)):
-        got, ref = getattr(seq, name)[:, cols], want[name]
+        got, ref = getattr(seq, name)[cols].swapaxes(0, 1), want[name]
         err = np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
         assert err.max() <= tol, name
-    margin = seq.margin[:, terminal]
+    margin = seq.margin[terminal].T
     assert (np.abs(margin - want["margin"]) <= tol * np.abs(want["margin"])).all()
-    assert np.abs(seq.logdet_S[:, gain] - want["logdet_S"]).max() <= models.m * tol
+    logdet_S = (seq.log_norm[gain] - models.m * riccati.LOG_2PI).T
+    assert np.abs(logdet_S - want["logdet_S"]).max() <= models.m * tol
 
 
-GRIDS = ("P", "Sinv", "logdet_S", "margin", "W")
+GRIDS = ("P", "Sinv", "log_norm", "margin", "W")
 
 
 def assert_clamped(seq, i, T):
     """Model i's columns after T repeat its column T exactly, in every grid."""
     for name in GRIDS:
-        grid = getattr(seq, name)[i]
+        grid = getattr(seq, name)[:, i]
         np.testing.assert_array_equal(grid[T + 1:], np.broadcast_to(grid[T], grid[T + 1:].shape),
                                       err_msg=name)
 
@@ -505,7 +522,7 @@ def test_stationary_gains_of_a_model_slower_than_are_max_iter_raise(settle_banks
                                                f"{riccati.ARE_MAX_ITER} iterations$") as err:
         mx.stationary_gains(models)
     assert np.isfinite(err.value.last).all()
-    assert mx.run_recursion(models, 11000).P.shape[1] == 10366
+    assert mx.run_recursion(models, 11000).P.shape[0] == 10366
 
 
 @pytest.mark.parametrize("bank", ["paper", "K8", "K32", "dip"])
@@ -514,29 +531,30 @@ def test_each_model_settles_at_its_own_step(bank, settle_banks):
     N = 200
     seq = mx.run_recursion(models, N)
     settle, covs = settle_schedule(models, N)
-    assert seq.P.shape[1] - 1 == max(settle) < N
+    assert seq.P.shape[0] - 1 == max(settle) < N
     if bank in ("K32", "dip"):
         assert min(settle) < max(settle)  # the models leave the loop at different steps
     if bank == "dip":
         assert settle == [22, 39]
     for i, T in enumerate(settle):
-        np.testing.assert_array_equal(seq.P[i, :T + 1], covs[i])
+        np.testing.assert_array_equal(seq.P[:T + 1, i], covs[i])
         assert_clamped(seq, i, T)
 
 
 def test_mixed_bank_clamps_only_the_settled_model(settle_banks):
     N = 2000
     seq = mx.run_recursion(settle_banks["mixed"], N)
-    assert (seq.P.shape[1], seq.Sinv.shape[1], seq.logdet_S.shape[1]) == (N + 1, N, N)
-    assert (seq.margin.shape[1], seq.W.shape[1]) == (N + 1, N + 1)
+    assert (seq.P.shape[0], seq.Sinv.shape[0], seq.log_norm.shape[0]) == (N + 1, N, N)
+    assert (seq.margin.shape[0], seq.W.shape[0]) == (N + 1, N + 1)
     settle, _ = settle_schedule(settle_banks["mixed"], N)
     assert settle[0] < N == settle[1]
     assert_clamped(seq, 0, settle[0])
     # the slow model is the unclamped recursion, bit for bit
     alone = mx.run_recursion(mx.validate(SLOW_BANK), N)
-    assert alone.P.shape[1] == N + 1
+    assert alone.P.shape[0] == N + 1
     for name in GRIDS:
-        np.testing.assert_array_equal(getattr(seq, name)[1], getattr(alone, name)[0], err_msg=name)
+        np.testing.assert_array_equal(getattr(seq, name)[:, 1], getattr(alone, name)[:, 0],
+                                      err_msg=name)
     np.testing.assert_array_equal(seq.bank_feasible, alone.bank_feasible)
 
 
@@ -548,31 +566,33 @@ def test_certificates_match_dense_recomputation(bank, N, settle_banks):
     models = settle_banks[bank]
     seq = mx.run_recursion(models, N)
     gsq, H, m = seq.gamma_sq, models.H, models.m
-    HPHt = np.einsum("kij,ktjl,kml->ktim", H, seq.P, H)
+    HPHt = np.einsum("kij,tkjl,kml->tkim", H, seq.P, H)
     np.testing.assert_array_equal(seq.margin, gsq - np.linalg.eigvalsh(HPHt)[..., -1])
     W = np.linalg.inv(np.eye(m) - HPHt / gsq)
     np.testing.assert_array_equal(seq.W, 0.5 * (W + W.swapaxes(-1, -2)))
-    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=0))
-    cols = seq.Sinv.shape[1]
-    S = models.R + H[:, None] @ (seq.P[:, :cols] @ H[:, None].swapaxes(-1, -2))
+    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=1))
+    cols = seq.Sinv.shape[0]
+    S = models.R + H @ (seq.P[:cols] @ H.swapaxes(-1, -2))
     np.testing.assert_array_equal(seq.Sinv, np.linalg.inv(0.5 * (S + S.swapaxes(-1, -2))))
-    np.testing.assert_array_equal(seq.logdet_S, -np.log(np.linalg.eigvalsh(seq.Sinv)).sum(axis=-1))
-    np.testing.assert_allclose(seq.logdet_S, np.linalg.slogdet(S)[1], rtol=0, atol=1e-12)
+    log_norm = m * riccati.LOG_2PI - np.log(np.linalg.eigvalsh(seq.Sinv)).sum(axis=-1)
+    np.testing.assert_array_equal(seq.log_norm, log_norm)
+    np.testing.assert_allclose(seq.log_norm - m * riccati.LOG_2PI, np.linalg.slogdet(S)[1],
+                               rtol=0, atol=1e-12)
 
 
 def test_settled_schedule_clamps_to_last_column(paper_models):
     short = mx.run_recursion(paper_models, 10)  # ends before the recursion settles
-    assert (short.P.shape[1], short.Sinv.shape[1], short.W.shape[1]) == (11, 10, 11)
+    assert (short.P.shape[0], short.Sinv.shape[0], short.W.shape[0]) == (11, 10, 11)
     N = 100
     seq = mx.run_recursion(paper_models, N)
-    T = seq.P.shape[1] - 1
+    T = seq.P.shape[0] - 1
     assert 10 < T < N
-    assert mx.run_recursion(paper_models, 1000).P.shape[1] == T + 1  # the cutoff ignores N
-    for name in ("Sinv", "logdet_S", "margin", "W"):
-        assert getattr(seq, name).shape[1] == T + 1
+    assert mx.run_recursion(paper_models, 1000).P.shape[0] == T + 1  # the cutoff ignores N
+    for name in ("Sinv", "log_norm", "margin", "W"):
+        assert getattr(seq, name).shape[0] == T + 1
     assert [seq.column(t) for t in (0, T - 1, T, T + 1, N - 1)] == [0, T - 1, T, T, T]
     assert seq.column(N, terminal=True) == T
-    np.testing.assert_array_equal(seq.cov(N, 0), seq.P[0, T])
+    np.testing.assert_array_equal(seq.cov(N, 0), seq.P[T, 0])
     np.testing.assert_array_equal(seq.gain(N - 1, 1), seq.gain(T, 1))
     for t in (-1, N + 1):
         with raises_invalid("t", f"^no covariance at t={t}; horizon is {N}$"):
@@ -592,7 +612,7 @@ def test_settled_schedule_names_earliest_violation():
                        "gamma": np.sqrt(1.55)})
     for models, where in ((two, (0, 1)), (one, (2, 0))):
         seq = mx.run_recursion(models, N)
-        assert seq.P.shape[1] - 1 < N
+        assert seq.P.shape[0] - 1 < N
         with pytest.raises(mx.GammaInfeasible) as err:
             seq.require_feasible()
         assert (err.value.t, err.value.model) == where
@@ -617,6 +637,23 @@ def test_schedule_memory_flat_in_horizon(paper_models):
     assert peak(100_000) <= 1.1 * small
 
 
+def test_unsettled_schedule_holds_only_its_arrays():
+    # SLOW_BANK does not settle within N, so every one of the N + 1 columns
+    # is stored; a call must leave held about the arrays' bytes, with no
+    # per-column objects on top.
+    riccati._run_recursion.cache_clear()  # measure a recursion, not a cache hit
+    tracemalloc.start()
+    try:
+        seq = mx.run_recursion(mx.validate(SLOW_BANK), 2000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert seq.P.shape[0] == 2001
+    arrays = sum(getattr(seq, name).nbytes
+                 for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W", "Ht"))
+    assert held <= 1.5 * arrays
+
+
 def test_bank_feasible_flags_follow_margins():
     # One flag per column, true iff every model's margin there is positive;
     # require_feasible(t) answers from it and raises the margin's diagnostic.
@@ -624,7 +661,7 @@ def test_bank_feasible_flags_follow_margins():
                           "P0": I1, "gamma": np.sqrt(1.55)})
     seq = mx.run_recursion(models, 4)
     np.testing.assert_array_equal(seq.bank_feasible, [True, True, False, False, False])
-    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=0))
+    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=1))
     seq.require_feasible(1)
     with pytest.raises(mx.GammaInfeasible) as err:
         seq.require_feasible(3)
@@ -660,7 +697,7 @@ def test_equal_banks_share_one_schedule_with_their_own_models(paper_models):
     info = riccati._run_recursion.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert seq.models is paper_models and again.models is twin
-    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W", "columns", "Ht"):
+    for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W", "Ht"):
         assert getattr(again, name) is getattr(seq, name)
     assert mx.run_recursion(paper_models, 31).P is not seq.P
     louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
@@ -675,10 +712,9 @@ def test_equal_stationary_banks_share_one_read_only_schedule(paper_models):
     info = riccati._stationary_schedule.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert seq.models is paper_models and again.models is twin
-    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W", "Ht"):
+    for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W", "Ht"):
         assert getattr(again, name) is getattr(seq, name)
         assert not getattr(again, name).flags.writeable
-    assert again.columns is seq.columns
     louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
     assert mx.stationary_gains(louder).gamma_sq == 4.0 * seq.gamma_sq
 
@@ -747,38 +783,34 @@ def test_bank_differing_in_input_map_and_start_filters_with_its_own():
                          ids=["time-varying", "stationary"])
 def test_schedule_arrays_are_read_only(make):
     seq = make()
-    for name in ("P", "Sinv", "logdet_S", "margin", "bank_feasible", "W"):
+    for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(seq, name)[0, ...] = 0
 
 
 @pytest.mark.parametrize("N", [1000, 10, None], ids=["settled", "unsettled", "stationary"])
 def test_schedule_columns_are_read_only_views_of_its_arrays(N, paper_models):
-    # One record per column, read by every step at that column: views of the
-    # column's slices (no copies), the Bayes log normalizer m log 2 pi +
-    # log det S, and the column's feasibility flag.  The paper bank settles
-    # at t = 18, so N = 10 ends unsettled, with no S in its last column.
+    # Every step reads its column c of the t-major arrays as X[c]: a
+    # contiguous, read-only view (no copy).  The paper bank settles at t =
+    # 18, so N = 10 ends unsettled, with no S in its last column.
     seq = mx.stationary_gains(paper_models) if N is None else mx.run_recursion(paper_models, N)
-    assert len(seq.columns) == seq.P.shape[1] == {1000: 19, 10: 11, None: 1}[N]
-    assert seq.Sinv.shape[1] == len(seq.columns) - (N == 10)
-    log_norm = paper_models.m * riccati.LOG_2PI + seq.logdet_S
-    for c, record in enumerate(seq.columns):
-        assert type(record) is riccati.ScheduleColumn
-        assert record.feasible is bool(seq.bank_feasible[c])
-        with_S = c < seq.Sinv.shape[1]
-        for name in ("P", "W") + (("Sinv",) if with_S else ()):
-            view, whole = getattr(record, name), getattr(seq, name)
-            assert view.shape == whole[:, c].shape and view.tobytes() == whole[:, c].tobytes()
-            assert view.base is whole and not view.flags.writeable
-        if with_S:
-            assert record.log_norm.tobytes() == log_norm[:, c].tobytes()
-            assert not record.log_norm.flags.writeable
-        else:
-            assert (record.Sinv, record.log_norm) == (None, None)
+    columns = {1000: 19, 10: 11, None: 1}[N]
+    assert seq.P.shape[:2] == seq.W.shape[:2] == seq.margin.shape == (columns, 2)
+    assert seq.Sinv.shape[:2] == seq.log_norm.shape == (columns - (N == 10), 2)
+    assert seq.bank_feasible.shape == (columns,)
+    assert not seq.bank_feasible.flags.writeable
+    for name in ("P", "Sinv", "log_norm", "margin", "W"):
+        whole = getattr(seq, name)
+        for c in range(len(whole)):
+            view = whole[c]
+            assert view.flags.c_contiguous and not view.flags.writeable
+            assert np.shares_memory(view, whole)
+    log_norm = paper_models.m * riccati.LOG_2PI - np.log(np.linalg.eigvalsh(seq.Sinv)).sum(axis=-1)
+    assert seq.log_norm.tobytes() == log_norm.tobytes()
     assert seq.Ht.shape == (2, 3, 1) and not seq.Ht.flags.writeable
     assert seq.Ht.tobytes() == paper_models.H.swapaxes(1, 2).tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        seq.columns[0].W[0] = 0.0
+        seq.W[0][0] = 0.0
 
 
 def test_failed_recursion_is_not_cached():
@@ -795,8 +827,8 @@ def test_patched_settle_steps_is_honoured_on_a_cached_bank(paper_models, monkeyp
     seq = mx.run_recursion(paper_models, 1000)
     monkeypatch.setattr(riccati, "SETTLE_STEPS", riccati.SETTLE_STEPS + 5)
     later = mx.run_recursion(paper_models, 1000)
-    assert later.P.shape[1] == seq.P.shape[1] + 5
-    np.testing.assert_array_equal(later.P[:, :seq.P.shape[1]], seq.P)
+    assert later.P.shape[0] == seq.P.shape[0] + 5
+    np.testing.assert_array_equal(later.P[:seq.P.shape[0]], seq.P)
     monkeypatch.undo()
     assert mx.run_recursion(paper_models, 1000).P is seq.P
 

@@ -101,6 +101,14 @@ def test_input_needs_b_and_a_finite_wave():
         InputSpec(kind="sinusoid", rate=1.0e308).build(5, 1)
 
 
+@pytest.mark.parametrize("values", [["a", 1.0], [[1.0, 2.0], [3.0]], {"a": 1.0}],
+                         ids=["string", "ragged", "mapping"])
+def test_input_spec_rejects_values_that_are_not_numbers(values):
+    # numpy's own conversion error would reach a library caller unmapped
+    with raises_invalid(None, "^input values must be numbers$"):
+        InputSpec(kind="sequence", values=values)
+
+
 @pytest.mark.parametrize("kind", ["none", "sinusoid"])
 def test_input_spec_rejects_values_of_other_kinds(kind):
     # Only a sequence reads its values; elsewhere they would be dropped.
@@ -442,6 +450,6 @@ def test_mu_columns_follow_the_bayes_toggle(paper_config):
     tr = mx.run_estimators(cfg.models, y, u=u)
     state, posterior = mx.init(mx.run_recursion(cfg.models, 6)), mx.bayes_init(cfg.models)
     for t in range(6):
-        np.testing.assert_array_equal(tr.mu[t], posterior.mu)
+        np.testing.assert_array_equal(tr.mu[t], posterior)
         state = mx.step(state, y[t], u[t])
         posterior = mx.bayes_step(posterior, state)
