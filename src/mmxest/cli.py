@@ -121,11 +121,10 @@ def _simulate(cfg: ExperimentConfig):
     u, x, y, z = _simulator.generate_truth(
         cfg.models, cfg.true_model, cfg.horizon,
         cfg.process_noise, cfg.measurement_noise, cfg.input_spec)
-    return _simulator.run_estimators(
-        cfg.models, y, u=u, stationary=cfg.stationary,
-        true_model=cfg.true_model, x=x, z=z,
-        run_minimax=cfg.run_minimax, run_bayes=cfg.run_bayes,
-        bayes_mode=cfg.bayes_mode)
+    trace = _simulator.run_estimators(
+        cfg.models, y, u=u, stationary=cfg.stationary, run_minimax=cfg.run_minimax,
+        run_bayes=cfg.run_bayes, bayes_mode=cfg.bayes_mode)
+    return dataclasses.replace(trace, true_model=cfg.true_model, x=x, z=z)
 
 
 def _warn_if_cost_overflowed(trace, where: str = "") -> None:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import transpose
+from .linalg import as_floats, transpose
 from .riccati import LOG_2PI, GainSchedule
 
 _FLOAT = np.dtype(float)
@@ -74,16 +74,18 @@ def init(gains: GainSchedule) -> FilterBankState:
                   np.full(K, gains.models.m * LOG_2PI), gains.column(0, terminal=True))
 
 
-def _row(v, width):
+def _row(v, width, name):
     if v.__class__ is np.ndarray and v.dtype is _FLOAT and v.shape == (width,):
         return v
-    return np.asarray(v, dtype=float).reshape(-1)
+    return as_floats(v, name).reshape(-1)
 
 
 def innovations(state: FilterBankState, y: np.ndarray):
     """Whitened innovations S_i^{-1} e_i, e_i = y - H_i xb_i, as (K, m, 1), and
     their costs e_i^T S_i^{-1} e_i (K,); S^{-1} is ``gains.Sinv[col]`` at
-    the state's column."""
+    the state's column (none at t = N: InvalidInput naming ``t``)."""
+    if state.t == state.gains.horizon:
+        raise InvalidInput(f"no gain at t={state.t}; horizon is {state.gains.horizon}", "t")
     e = (y - state.yhat)[:, :, None]
     Sinv_e = state.gains.Sinv[state.col] @ e
     return Sinv_e, (transpose(e) @ Sinv_e)[:, 0, 0]
@@ -105,17 +107,15 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     """
     gains = state.gains
     models = gains.models
-    y = _row(y, models.m)
+    y = _row(y, models.m, "y")
     if y.shape != (models.m,):
         raise InvalidInput(f"y has shape {y.shape}, expected ({models.m},)", "y")
     if u is not None:
-        u = _row(u, models.p)
+        u = _row(u, models.p, "u")
         if models.p == 0:
             raise InvalidInput("model set has no input channel but u was given", "u")
         if u.shape != (models.p,):
             raise InvalidInput(f"u has shape {u.shape}, expected ({models.p},)", "u")
-    if state.t == gains.horizon:
-        raise InvalidInput(f"no gain at t={state.t}; horizon is {gains.horizon}", "t")
     col = state.col
     Sinv_e, cost = innovations(state, y)
     xbreve = (models.F @ (state.xbreve[:, :, None]

@@ -14,6 +14,14 @@ from .exceptions import InvalidInput
 SYMMETRY_TOL = 1e-10
 
 
+def as_floats(value, field, name=None) -> np.ndarray:
+    """``value`` as a float64 array, or InvalidInput "<name or field> must be numbers"."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name or field} must be numbers", field) from None
+
+
 def transpose(M: np.ndarray) -> np.ndarray:
     """Swap the last two axes (matrix transpose, batched)."""
     return M.swapaxes(-1, -2)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import check_spd
+from .linalg import as_floats, check_spd
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +92,10 @@ def finite_real(value) -> bool:
         return False
 
 
-def _as_matrix_list(value):
-    return [np.atleast_2d(np.asarray(v, dtype=float)) for v in value]
+def _as_matrix_list(value, name):
+    if not isinstance(value, Iterable):
+        raise InvalidInput(f"{name} must be a sequence of per-model matrices, got {value!r}", name)
+    return [np.atleast_2d(as_floats(v, name)) for v in value]
 
 
 def _stack(name, mats, shape):
@@ -121,11 +123,12 @@ def validate(candidate) -> ModelSet:
     Raises
     ------
     InvalidInput
-        If the family has no models, a matrix shape is inconsistent, an
-        entry of F, H, B or xhat0 is not finite, Q, R or P0 is missing or
-        fails the symmetric factorization test, or gamma is missing, not a
-        finite real number > 0, or has no finite nonzero square.  Its
-        ``field`` names the record key at fault.
+        If the family has no models, F, H or B is not a sequence, a shape is
+        inconsistent, an entry is not a number, an entry of F, H, B or xhat0
+        is not finite, Q, R or P0 is missing or fails the symmetric
+        factorization test, or gamma is missing, not a finite real number >
+        0, or has no finite nonzero square.  Its ``field`` names the record
+        key at fault.
     """
     if isinstance(candidate, ModelSet):
         record = {f.name: getattr(candidate, f.name) for f in fields(ModelSet)}
@@ -135,8 +138,8 @@ def validate(candidate) -> ModelSet:
     else:
         raise InvalidInput(f"cannot interpret {type(candidate).__name__} as a model set")
 
-    F = _as_matrix_list(record.get("F", ()))
-    H = _as_matrix_list(record.get("H", ()))
+    F = _as_matrix_list(record.get("F", ()), "F")
+    H = _as_matrix_list(record.get("H", ()), "H")
     K = len(F)
     if K == 0:
         raise InvalidInput("model set must contain at least one model", "F")
@@ -152,7 +155,7 @@ def validate(candidate) -> ModelSet:
         p = 0
         B = ()
     else:
-        B = _as_matrix_list(B_raw)
+        B = _as_matrix_list(B_raw, "B")
         if len(B) != K:
             raise InvalidInput(f"got {K} models but {len(B)} B matrices", "B")
         p = B[0].shape[1]
@@ -162,7 +165,7 @@ def validate(candidate) -> ModelSet:
     for name, dim in (("Q", n), ("R", m), ("P0", n)):
         if record.get(name) is None:
             raise InvalidInput(f"{name} is missing", name)
-        W = check_spd(np.atleast_2d(np.asarray(record[name], dtype=float)), name)
+        W = check_spd(np.atleast_2d(as_floats(record[name], name)), name)
         if W.shape != (dim, dim):
             raise InvalidInput(f"{name} has shape {W.shape}, expected ({dim}, {dim})", name)
         weights[name] = _freeze(W)
@@ -174,7 +177,7 @@ def validate(candidate) -> ModelSet:
     if not 0.0 < gamma * gamma < math.inf:  # the certificates divide by gamma^2
         raise InvalidInput(f"gamma^2 must be a finite number > 0, got {gamma!r}^2", "gamma")
 
-    xhat0 = np.asarray(record.get("xhat0", np.zeros(n)), dtype=float).reshape(-1)
+    xhat0 = as_floats(record.get("xhat0", np.zeros(n)), "xhat0").reshape(-1)
     if xhat0.shape != (n,):
         raise InvalidInput(f"xhat0 has shape {xhat0.shape}, expected ({n},)", "xhat0")
     if not np.isfinite(xhat0).all():

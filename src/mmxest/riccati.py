@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import FactorizationFailure, GammaInfeasible, InvalidInput, NoConvergence
-from .linalg import symmetrize, transpose
+from .linalg import as_floats, symmetrize, transpose
 from .model_bank import ModelSet
 
 ARE_MAX_ITER = 10000
@@ -49,6 +49,7 @@ ARE_MAX_ITER = 10000
 SETTLE_ULPS = 16
 SETTLE_STEPS = 3
 LOG_2PI = float(np.log(2.0 * np.pi))
+_ARE_ARGS = ("F", "H", "Q", "R", "P_init")
 
 
 def _inverse(S):
@@ -332,13 +333,13 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
     Raises
     ------
     InvalidInput
-        Naming the first argument not finite or of a shape that does not fit.
+        Naming the first argument not numbers, not finite or of a shape that does not fit.
     NoConvergence
         If the recursion does not settle within ARE_MAX_ITER steps (the last
         iterate is attached for diagnostics), or at its first iterate that is
         not finite (the one before it is attached).
     """
-    args = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (F, H, Q, R, P_init))
+    args = (np.atleast_2d(as_floats(a, name)) for name, a in zip(_ARE_ARGS, (F, H, Q, R, P_init)))
     return _solve_are(*((a.shape, a.tobytes()) for a in args), ARE_MAX_ITER,
                       SETTLE_ULPS, SETTLE_STEPS)
 
@@ -350,7 +351,7 @@ def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
     """:func:`solve_are` on (shape, bytes) keys; a NoConvergence is not cached."""
     F, H, Q, R, P = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P))
     n, m = len(F), len(H)
-    for name, a, shape in zip(("F", "H", "Q", "R", "P_init"), (F, H, Q, R, P),
+    for name, a, shape in zip(_ARE_ARGS, (F, H, Q, R, P),
                               ((n, n), (m, n), (n, n), (m, m), (n, n))):
         if a.shape != shape:
             raise InvalidInput(f"{name} has shape {a.shape}, expected {shape}", name)

@@ -1,10 +1,10 @@
 """Closed-loop simulation: truth generation plus both estimators.
 
 ``generate_truth`` rolls the true model forward under seeded portable noise;
-``run_estimators`` replays a measurement record through the filter bank,
-the minimax predictor, and the Bayesian baseline.  ``simulate`` chains the
-two.  Keeping the stages separate lets tests feed hand-crafted or perturbed
-measurement records through the estimators.
+``run_estimators`` replays a measurement record (y, u) through the filter
+bank, the minimax predictor, and the Bayesian baseline.  ``simulate`` chains
+the two and attaches the truth.  Keeping the stages separate lets tests feed
+hand-crafted or perturbed measurement records through the estimators.
 
 Row timing: row t of a trace holds the noise-free output z_t = H_true x_t
 and the predictions of it formed from y_0 .. y_{t-1} only.  Row 0 is the
@@ -13,14 +13,14 @@ prior prediction, before any data.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import bayes as _bayes
-from . import filter_bank, minimax, riccati
+from . import filter_bank, linalg, minimax, riccati
 from .exceptions import InvalidInput, NoConvergence
 from .model_bank import ModelSet, finite_real
 from .rng import Xorshift64Star
@@ -76,10 +76,7 @@ class InputSpec:
         if not finite_real(self.rate):
             raise InvalidInput(f"input rate must be a finite number, got {self.rate!r}")
         if self.values is not None:
-            try:
-                values = np.asarray(self.values, dtype=float)
-            except (TypeError, ValueError):
-                raise InvalidInput("input values must be numbers") from None
+            values = linalg.as_floats(self.values, None, "input values")
             if not np.isfinite(values).all():
                 raise InvalidInput("input values must be finite")
 
@@ -112,11 +109,13 @@ class SimulationTrace:
     ``yhat_models`` holds each model's own output prediction H_i xb_i,
     ``c`` the accumulated prediction costs, ``mu`` the Bayesian posterior,
     ``lam`` the minimax certificate weights, all as logged BEFORE absorbing
-    that row's measurement.
+    that row's measurement.  A replay (:func:`run_estimators`) does not
+    know the truth: ``true_model`` is None, and ``x`` and ``z`` are NaN,
+    read-only views of one value that hold no memory of their own.
     """
 
     horizon: int
-    true_model: int
+    true_model: Optional[int]
     u: np.ndarray             # (N, p)
     x: np.ndarray             # (N + 1, n)
     y: np.ndarray             # (N, m)
@@ -130,25 +129,21 @@ class SimulationTrace:
     lam: np.ndarray           # (N, K)
 
 
-def _check_true_model(models, true_model):
-    """InvalidInput unless ``true_model`` is an integer (not a bool) in 0..K - 1."""
-    if not isinstance(true_model, numbers.Integral) or isinstance(true_model, bool):
-        raise InvalidInput(f"true_model must be an integer, got {true_model!r}", "true_model")
-    if not 0 <= true_model < models.K:
-        raise InvalidInput(f"true_model {true_model} outside 0..{models.K - 1}", "true_model")
-
-
 def generate_truth(models: ModelSet, true_model: int, horizon: int,
                    process_noise: NoiseSpec, measurement_noise: NoiseSpec,
                    input_spec: InputSpec = InputSpec()):
     """Roll the true model forward from the bank's prior mean.  Returns (u, x, y, z).
 
     x has horizon + 1 rows (terminal state included), x_{t+1} = F x_t + w_t
-    + B u_t; y_t = H x_t + v_t and z_t = H x_t for t < horizon.  A
+    + B u_t; y_t = H x_t + v_t and z_t = H x_t for t < horizon; the
+    estimators read y and u, and :func:`simulate` attaches the rest.  A
     non-integer (or bool) or out-of-range ``true_model`` or ``horizon``, or a
     state that is not finite (named by its first t), raises InvalidInput.
     """
-    _check_true_model(models, true_model)
+    if not isinstance(true_model, numbers.Integral) or isinstance(true_model, bool):
+        raise InvalidInput(f"true_model must be an integer, got {true_model!r}", "true_model")
+    if not 0 <= true_model < models.K:
+        raise InvalidInput(f"true_model {true_model} outside 0..{models.K - 1}", "true_model")
     if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool):
         raise InvalidInput(f"horizon must be an integer, got {horizon!r}", "horizon")
     if horizon < 1:
@@ -178,27 +173,22 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
 
 
 def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
-                   true_model: int = 0, x=None, z=None,
                    run_minimax: bool = True, run_bayes: bool = True,
                    bayes_mode: str = "average") -> SimulationTrace:
     """Replay a measurement record through both estimators.
 
     ``y`` must be (N, m) and ``u`` (N, p), or None for no input; a 1-D
-    record is taken as one column.  ``x`` must be (N + 1, n) and ``z`` (N,
-    m), each or None; a 1-D record of as many values is read row by row.
-    Other shapes, values of ``y`` or ``u`` that are not finite, a
-    ``true_model`` that is not an integer in 0..K - 1 and a ``bayes_mode``
-    not in BAYES_MODES raise :class:`InvalidInput` before any work.
-    Gamma-feasibility is checked for every model over the whole horizon
-    (terminal covariance included) before any data is processed; an
-    infeasible pair raises :class:`GammaInfeasible` immediately.  A solve
-    that stops uncertified raises :class:`NoConvergence` naming its t and
-    the first (model, t) whose offset -gamma^2 c_i overflowed, if any.
-    Skipped estimators leave NaN columns.  ``x`` and ``z`` are carried into
-    the trace when given (a pure-estimation replay may omit them, which
-    leaves them NaN).
+    record is taken as one column.  Other shapes, entries that are not
+    numbers or not finite, and a ``bayes_mode`` not in BAYES_MODES raise
+    :class:`InvalidInput` before any work.  Gamma-feasibility is checked for
+    every model over the whole horizon (terminal covariance included) before
+    any data is processed; an infeasible pair raises :class:`GammaInfeasible`
+    immediately.  A solve that stops uncertified raises :class:`NoConvergence`
+    naming its t and the first (model, t) whose offset -gamma^2 c_i
+    overflowed, if any.  Skipped estimators leave NaN columns, as does the
+    truth, which a replay does not read: :func:`simulate` attaches it.
     """
-    y = np.asarray(y, dtype=float)
+    y = linalg.as_floats(y, "y")
     if y.ndim == 1:
         y = y[:, None]
     if y.ndim != 2 or y.shape[1] != models.m:
@@ -207,7 +197,7 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     if u is None:
         u = np.zeros((N, models.p))
     else:
-        u = np.asarray(u, dtype=float)
+        u = linalg.as_floats(u, "u")
         if u.ndim == 1:
             u = u[:, None]
         if u.shape != (N, models.p):
@@ -216,12 +206,6 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
         if not np.isfinite(record).all():
             t = int((~np.isfinite(record).all(axis=1)).argmax())
             raise InvalidInput(f"{name} is not finite at t={t}", name)
-    x = np.full((N + 1, models.n), np.nan) if x is None else np.asarray(x, dtype=float)
-    z = np.full((N, models.m), np.nan) if z is None else np.asarray(z, dtype=float)
-    for name, record, shape in (("x", x, (N + 1, models.n)), ("z", z, (N, models.m))):
-        if record.shape not in (shape, (shape[0] * shape[1],)):  # only carried: no value check
-            raise InvalidInput(f"{name} has shape {record.shape}, expected {shape}", name)
-    _check_true_model(models, true_model)
     if bayes_mode not in _bayes.BAYES_MODES:
         raise InvalidInput(f"bayes_mode {bayes_mode!r} not in {_bayes.BAYES_MODES}", "bayes_mode")
 
@@ -269,8 +253,8 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
                 posterior = bayes_step(posterior, state)
 
     return SimulationTrace(
-        horizon=N, true_model=true_model, u=u, y=y,
-        x=x.reshape(N + 1, models.n), z=z.reshape(N, m),
+        horizon=N, true_model=None, u=u, y=y,
+        x=np.broadcast_to(np.nan, (N + 1, models.n)), z=np.broadcast_to(np.nan, (N, m)),
         yhat_minimax=tr_mini, yhat_bayes=tr_bayes, yhat_models=tr_models,
         c=tr_c, mu=tr_mu, J_star=tr_J, lam=tr_lam)
 
@@ -280,9 +264,8 @@ def simulate(models: ModelSet, true_model: int, horizon: int,
              measurement_noise: NoiseSpec = NoiseSpec(seed=1),
              input_spec: InputSpec = InputSpec(),
              stationary: bool = False, bayes_mode: str = "average") -> SimulationTrace:
-    """Generate truth and run both estimators over it."""
+    """Run both estimators over generated truth; the trace carries it (x, z, true_model)."""
     u, x, y, z = generate_truth(models, true_model, horizon, process_noise,
                                 measurement_noise, input_spec)
-    return run_estimators(models, y, u=u, stationary=stationary,
-                          true_model=true_model, x=x, z=z,
-                          bayes_mode=bayes_mode)
+    trace = run_estimators(models, y, u=u, stationary=stationary, bayes_mode=bayes_mode)
+    return replace(trace, true_model=true_model, x=x, z=z)

@@ -314,24 +314,6 @@ def test_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert err == "error: no convergence: at t=0: forced for the exit-code path\n"
 
 
-def test_bad_replay_record_exits_2_naming_it(tmp_path, monkeypatch, capsys):
-    # A record of the wrong size reaching run_estimators is an input error
-    # (exit 2), raised before the run, not a numpy error after it.
-    cfgp = write(tmp_path, SCALAR_UNIT)
-    truth = mx.generate_truth
-
-    def short_z(*args):
-        u, x, y, z = truth(*args)
-        return u, x, y, z[:-1]
-
-    monkeypatch.setattr("mmxest.simulator.generate_truth", short_z)
-    monkeypatch.setattr("mmxest.simulator.minimax.solve", None)  # never reached
-    assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "x.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: z has shape (") and err.count("\n") == 1
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.parametrize("seeds", [[], ["--seeds", "0..1"]], ids=["one-run", "seeds"])
 def test_unwritable_output_exits_2(tmp_path, paper_config_path, capsys, seeds):
     out = tmp_path / "missing" / "x.csv"
@@ -532,7 +514,8 @@ def test_import_does_not_load_scipy():
 def paper_trace(cfg, **kwargs):
     u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, cfg.horizon, cfg.process_noise,
                                    cfg.measurement_noise, cfg.input_spec)
-    return mx.run_estimators(cfg.models, y, u=u, true_model=cfg.true_model, x=x, z=z, **kwargs)
+    return dataclasses.replace(mx.run_estimators(cfg.models, y, u=u, **kwargs),
+                               true_model=cfg.true_model, x=x, z=z)
 
 
 def random_m2_trace():

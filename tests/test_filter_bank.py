@@ -208,6 +208,17 @@ def test_step_past_horizon_raises(paper_models):
         filter_bank.step(state, y, u)
 
 
+def test_innovations_past_horizon_raises():
+    # A scalar bank that does not settle within N = 2 has no S^{-1} column
+    # for t = 2; the direct caller gets the same error as step.
+    models = mx.validate({"F": [0.999 * I1], "H": [I1], "Q": 1e-6 * I1, "R": I1, "P0": I1,
+                          "gamma": 10.0})
+    state = filter_bank.init(mx.run_recursion(models, 2))
+    state = filter_bank.step(filter_bank.step(state, [0.0]), [0.0])
+    with raises_invalid("t", "^no gain at t=2; horizon is 2$"):
+        filter_bank.innovations(state, np.array([0.0]))
+
+
 def test_stationary_gains_step_unbounded(paper_models):
     state = filter_bank.init(mx.stationary_gains(paper_models))
     y = np.array([0.3])

@@ -94,6 +94,37 @@ def test_non_finite_or_missing_arrays_rejected(key):
             mx.validate(spec)
 
 
+def _with(**entries):
+    spec = paper_spec()
+    spec.update(entries)
+    return spec
+
+
+@pytest.mark.parametrize("candidate, field, match", [
+    (3, None, "^cannot interpret int as a model set$"),
+    (_with(H=[np.array([[1.0, 0.0, 0.0]])]), "H", "^got 2 F matrices but 1 H matrices$"),
+    (_with(B=[np.ones((3, 1))]), "B", "^got 2 models but 1 B matrices$"),
+    (_with(Q=np.eye(2)), "Q", r"^Q has shape \(2, 2\), expected \(3, 3\)$"),
+    (_with(R=np.eye(2)), "R", r"^R has shape \(2, 2\), expected \(1, 1\)$"),
+    (_with(P0=np.eye(2)), "P0", r"^P0 has shape \(2, 2\), expected \(3, 3\)$"),
+    (_with(Q=np.ones((3, 2))), "Q", r"^Q must be square, got shape \(3, 2\)$"),
+    (_with(xhat0=[1.0, 2.0]), "xhat0", r"^xhat0 has shape \(2,\), expected \(3,\)$"),
+], ids=["not-a-mapping", "H-count", "B-count", "Q-size", "R-size", "P0-size", "Q-not-square",
+        "xhat0-length"])
+def test_validate_names_the_record_key_at_fault(candidate, field, match):
+    with raises_invalid(field, match):
+        mx.validate(candidate)
+
+
+def test_model_set_equals_only_a_model_set_of_the_same_dimensions():
+    models = mx.validate(paper_spec())
+    assert models != paper_spec() and models.__eq__(3) is NotImplemented
+    one = np.eye(1)
+    scalar = mx.validate({"F": [one, one], "H": [one, one], "Q": one, "R": one, "P0": one,
+                          "gamma": 3.0})
+    assert models != scalar and scalar != models
+
+
 def test_gamma_must_be_positive():
     for bad in (0.0, -1.0, float("inf"), "x", None):
         spec = paper_spec()

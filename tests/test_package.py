@@ -8,7 +8,7 @@ import pytest
 
 import mmxest as mx
 from mmxest import cli, exceptions
-from conftest import child_env
+from conftest import child_env, raises_invalid
 
 PUBLIC_NAMES = [
     "AreSolution", "EstimationError", "ExperimentConfig",
@@ -85,3 +85,29 @@ def test_yaml_is_imported_by_load_config_only(paper_config_path):
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True"]
+
+
+def _scalar_spec(**entries):
+    return {"F": [[[0.9]]], "H": [[[1.0]]], "Q": 1.0, "R": 1.0, "P0": 1.0, "gamma": 3.0,
+            **entries}
+
+
+@pytest.mark.parametrize("call, field, match", [
+    (lambda m, s: mx.run_estimators(m, ["a"], u=[[0.0]]), "y", "^y must be numbers$"),
+    (lambda m, s: mx.run_estimators(m, [[1.0], [1.0, 2.0]]), "y", "^y must be numbers$"),
+    (lambda m, s: mx.run_estimators(m, [[0.0]], u=["a"]), "u", "^u must be numbers$"),
+    (lambda m, s: mx.step(s, ["a"], [0.0]), "y", "^y must be numbers$"),
+    (lambda m, s: mx.step(s, [0.0], [[0.0], [1.0, 2.0]]), "u", "^u must be numbers$"),
+    (lambda m, s: mx.validate(_scalar_spec(Q="a")), "Q", "^Q must be numbers$"),
+    (lambda m, s: mx.validate(_scalar_spec(F=[[[1.0], [1.0, 2.0]]])), "F",
+     "^F must be numbers$"),
+    (lambda m, s: mx.validate(_scalar_spec(F=3.0)), "F",
+     "^F must be a sequence of per-model matrices, got 3.0$"),
+    (lambda m, s: mx.solve_are("a", 1.0, 1.0, 1.0, 1.0), "F", "^F must be numbers$"),
+], ids=["run-string-y", "run-ragged-y", "run-string-u", "step-string-y", "step-ragged-u",
+        "validate-string-Q", "validate-ragged-F", "validate-scalar-F", "solve_are-string-F"])
+def test_entry_points_report_values_that_are_not_numbers(paper_models, call, field, match):
+    # numpy's own conversion errors would reach a library caller unmapped
+    state = mx.init(mx.run_recursion(paper_models, 3))
+    with raises_invalid(field, match):
+        call(paper_models, state)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -337,65 +338,44 @@ def test_run_estimators_checks_record_shapes(paper_config, monkeypatch, run_baye
     (True, r"^true_model must be an integer, got True$"),
     (7, r"^true_model 7 outside 0\.\.1$"), (-1, r"^true_model -1 outside 0\.\.1$"),
 ], ids=["fraction", "bool", "past-K", "negative"])
-def test_run_estimators_checks_true_model_before_any_work(paper_config, monkeypatch,
-                                                          true_model, match):
-    # The same check as generate_truth's, before the gain schedule.
-    def no_work(*args, **kwargs):
-        raise AssertionError("gain schedule computed before true_model was checked")
-
-    monkeypatch.setattr(riccati, "run_recursion", no_work)
-    with raises_invalid("true_model", match):
-        mx.run_estimators(paper_config.models, np.zeros((6, 1)), u=np.zeros((6, 1)),
-                          true_model=true_model)
+def test_generate_truth_checks_true_model(paper_config, true_model, match):
     with raises_invalid("true_model", match):
         mx.generate_truth(paper_config.models, true_model, 5, NoiseSpec(), NoiseSpec())
 
 
-def test_run_estimators_checks_x_and_z_before_any_work(paper_config, monkeypatch):
+@pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
+@pytest.mark.parametrize("bank", ["paper", "bank1-K8"])
+def test_simulate_attaches_the_truth(paper_config, bench_banks, bank, stationary):
+    # The estimators read only the record (y, u); simulate attaches
+    # generate_truth's u, x, y, z byte for byte and true_model as given.
+    if bank == "paper":
+        models, true_model, setup = paper_config.models, 1, paper_setup(paper_config)
+    else:
+        models, true_model = bench_banks[bank], 0
+        setup = dict(process_noise=NoiseSpec(), measurement_noise=NoiseSpec(seed=1))
+    truth = mx.generate_truth(models, true_model, 30, **setup)
+    trace = mx.simulate(models, true_model, 30, stationary=stationary, **setup)
+    assert trace.true_model == true_model
+    for name, want in zip("uxyz", truth):
+        got = getattr(trace, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    replay = mx.run_estimators(models, truth[2], u=truth[0], stationary=stationary)
+    for name in ("yhat_minimax", "yhat_bayes", "yhat_models", "c", "mu", "J_star", "lam"):
+        assert getattr(trace, name).tobytes() == getattr(replay, name).tobytes(), name
+
+
+def test_run_estimators_takes_a_1d_record_as_one_column(paper_config):
     cfg = paper_config
-    u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, 6, cfg.process_noise,
+    u, _, y, _ = mx.generate_truth(cfg.models, cfg.true_model, 12, cfg.process_noise,
                                    cfg.measurement_noise, cfg.input_spec)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("gain schedule computed before x and z were checked")
-
-    monkeypatch.setattr(riccati, "run_recursion", no_work)
-    n = cfg.models.n
-    for name, bad, match in (
-            ("x", np.zeros((2, 7)), rf"^x has shape \(2, 7\), expected \(7, {n}\)$"),
-            ("x", x[:-1], rf"^x has shape \(6, {n}\), expected \(7, {n}\)$"),
-            ("z", np.zeros(5), r"^z has shape \(5,\), expected \(6, 1\)$"),
-            ("z", np.zeros((6, 2)), r"^z has shape \(6, 2\), expected \(6, 1\)$")):
-        record = {"x": x, "z": z, name: bad}
-        with raises_invalid(name, match):
-            mx.run_estimators(cfg.models, y, u=u, x=record["x"], z=record["z"])
-
-
-def test_run_estimators_carries_x_and_z_as_given(paper_config):
-    cfg = paper_config
-    u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, 6, cfg.process_noise,
-                                   cfg.measurement_noise, cfg.input_spec)
-    trace = mx.run_estimators(cfg.models, y, u=u, x=x, z=z[:, 0])  # 1-D: one column
-    assert trace.x.tobytes() == x.tobytes() and trace.z.tobytes() == z.tobytes()
-    bare = mx.run_estimators(cfg.models, y, u=u)
-    assert bare.x.shape == (7, cfg.models.n) and np.isnan(bare.x).all()
-    assert bare.z.shape == (6, 1) and np.isnan(bare.z).all()
-    # x and z are only carried, so a pure-estimation trace replays with its
-    # own NaN x and z, to the same trace.
-    again = mx.run_estimators(cfg.models, bare.y, u=bare.u, x=bare.x, z=bare.z)
-    assert again.x.tobytes() == bare.x.tobytes() and again.z.tobytes() == bare.z.tobytes()
-    assert again.yhat_minimax.tobytes() == bare.yhat_minimax.tobytes()
-
-
-def test_run_estimators_reads_a_flat_z_row_by_row():
-    # m = 2: a 1-D z of N * m values is read as N rows of m, as before the
-    # shape check.
-    models = make_random_models(np.random.default_rng(3), 2, 2, 2)
-    z = np.arange(10.0)
-    trace = mx.run_estimators(models, np.zeros((5, 2)), z=z)
-    assert trace.z.tobytes() == z.reshape(5, 2).tobytes()
-    with raises_invalid("z", r"^z has shape \(9,\), expected \(5, 2\)$"):
-        mx.run_estimators(models, np.zeros((5, 2)), z=np.arange(9.0))
+    want = mx.run_estimators(cfg.models, y, u=u)
+    got = mx.run_estimators(cfg.models, y[:, 0], u=u[:, 0])
+    for field in dataclasses.fields(mx.SimulationTrace):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
 
 
 def test_single_step_horizon(paper_config):
@@ -425,6 +405,8 @@ def test_replay_without_truth_leaves_nan_columns(paper_config):
     tr = mx.run_estimators(cfg.models, np.ones((4, 1)), u=np.zeros((4, 1)))
     assert np.isnan(tr.z).all()
     assert np.isnan(tr.x).all()
+    assert tr.true_model is None
+    assert not tr.x.flags.writeable and not tr.z.flags.writeable  # views: no memory held
     assert np.isfinite(tr.yhat_minimax).all()
 
 
