@@ -41,14 +41,21 @@ def bayes_step(posterior: np.ndarray, state: FilterBankState) -> np.ndarray:
     Likelihoods are computed in log space to survive large innovations.  An
     initial state has absorbed nothing (cost 0, log det S 0); its equal
     likelihoods leave the posterior as it is.  The new posterior is one
-    fresh array, updated in place and reduced by ufunc reductions.
+    fresh array, updated in place and reduced by ufunc reductions.  A
+    posterior that is not K numbers raises InvalidInput (field "posterior").
     """
     w = state.innovation_lognorm + state.innovation_cost
     w *= -0.5
     # Shift before exponentiating; the shift cancels in the normalization.
     w -= np.maximum.reduce(w)
     np.exp(w, out=w)
-    w *= posterior
+    try:
+        w *= posterior
+        fits = len(posterior) == len(w)
+    except (TypeError, ValueError):  # not numbers, or a length numpy cannot broadcast
+        fits = False
+    if not fits:
+        _reject_posterior(posterior, len(w))
     np.maximum(w, LIKELIHOOD_FLOOR, out=w)
     w /= np.add.reduce(w)
     return w
@@ -59,11 +66,24 @@ def bayes_estimate(posterior: np.ndarray, state: FilterBankState,
     """Output prediction from the posterior ``mu`` over models.
 
     ``average`` returns sum_i mu_i H_i xb_i; ``map`` returns the prediction
-    of the most probable model (ties broken by lowest index).
+    of the most probable model (ties broken by lowest index).  A posterior
+    that is not K numbers raises InvalidInput (field "posterior").
     """
     preds = state.yhat
-    if mode == "average":
-        return posterior @ preds
-    if mode == "map":
-        return preds[int(np.argmax(posterior))]
+    try:
+        fits = len(posterior) == len(preds)
+        if fits and mode == "average":
+            return posterior @ preds
+        if fits and mode == "map":
+            return preds[int(np.argmax(np.asarray(posterior, dtype=float)))]
+    except (TypeError, ValueError):  # not numbers, or no length
+        fits = False
+    if not fits:
+        _reject_posterior(posterior, len(preds))
     raise InvalidInput(f"unknown mode {mode!r}; expected 'average' or 'map'", "mode")
+
+
+def _reject_posterior(posterior, K):
+    """Raise the InvalidInput for a posterior that is not K numbers."""
+    raise InvalidInput(f"posterior must be {K} numbers, one per model, got {posterior!r}",
+                       "posterior")

@@ -1,8 +1,10 @@
 """Command line front end: run experiments, solve AREs, check feasibility.
 
-Subcommands: ``run`` simulates a configured experiment and writes the trace
-as semicolon-separated CSV; ``riccati`` reports each model's stationary
-solution; ``check`` verifies gamma-feasibility over the whole horizon.
+Subcommands: ``run`` simulates a configured experiment, one
+:func:`mmxest.simulator.simulate` call per run (per seed with ``--seeds``),
+and writes each trace as semicolon-separated CSV; ``riccati`` reports each
+model's stationary solution; ``check`` verifies gamma-feasibility over the
+whole horizon.
 
 Exit codes (:data:`EXIT_CODES`): 0 success; 2 invalid input, a bad config
 value, option or output path (:class:`InvalidInput`, the message names the
@@ -95,7 +97,7 @@ def _seed_path(path: str, seed: int) -> str:
     return f"{root}_seed{seed}{ext}"
 
 
-def _parse_seed_range(text: str) -> list:
+def _parse_seed_range(text: str) -> range:
     try:
         a, b = text.split("..")
         lo, hi = int(a), int(b)
@@ -103,7 +105,7 @@ def _parse_seed_range(text: str) -> list:
         raise InvalidInput(f"field --seeds: {text!r} is not of the form a..b", "--seeds") from None
     if hi < lo:
         raise InvalidInput(f"field --seeds: empty range {text!r}", "--seeds")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -117,22 +119,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _simulate(cfg: ExperimentConfig):
-    u, x, y, z = _simulator.generate_truth(
-        cfg.models, cfg.true_model, cfg.horizon,
-        cfg.process_noise, cfg.measurement_noise, cfg.input_spec)
-    trace = _simulator.run_estimators(
-        cfg.models, y, u=u, stationary=cfg.stationary, run_minimax=cfg.run_minimax,
-        run_bayes=cfg.run_bayes, bayes_mode=cfg.bayes_mode)
-    return dataclasses.replace(trace, true_model=cfg.true_model, x=x, z=z)
-
-
-def _warn_if_cost_overflowed(trace, where: str = "") -> None:
-    """One ``warning:`` line naming the first (model, t) whose cost is not finite.
-
-    A run without the minimax solve does not fail on an overflowed cost, so
-    the recorded costs are checked once, after the run.
-    """
+def _warn_if_cost_overflowed(trace, where: str) -> None:
+    """One ``warning:`` line naming the first (model, t) whose cost is not finite; a run
+    without the minimax solve does not fail on it, so the costs are checked after the run."""
     finite = np.isfinite(trace.c)
     if not finite.all():
         t, i = np.argwhere(~finite)[0]
@@ -141,19 +130,21 @@ def _warn_if_cost_overflowed(trace, where: str = "") -> None:
 
 
 def cmd_run(args) -> int:
+    """Run the config, or each ``--seeds`` copy into its own file: one
+    :func:`mmxest.simulator.simulate` call, its trace, any overflow warning."""
     cfg = _apply_overrides(load_config(args.config), args)
+    runs = [(cfg, cfg.output, "")]
     if args.seeds is not None:
         seeds = _parse_seed_range(args.seeds)
         if cfg.output is None:
             raise InvalidInput("field output: required with --seeds (one file per seed)", "output")
-        for s in seeds:
-            trace = _simulate(with_seed(cfg, s))
-            write_trace(trace, _seed_path(cfg.output, s), full=args.full)
-            _warn_if_cost_overflowed(trace, f"seed {s}: ")
-        return EXIT_OK
-    trace = _simulate(cfg)
-    write_trace(trace, cfg.output, full=args.full)
-    _warn_if_cost_overflowed(trace)
+        runs = ((with_seed(cfg, s), _seed_path(cfg.output, s), f"seed {s}: ") for s in seeds)
+    for run, path, where in runs:
+        trace = _simulator.simulate(
+            run.models, run.true_model, run.horizon, run.process_noise, run.measurement_noise,
+            run.input_spec, run.stationary, run.bayes_mode, run.run_minimax, run.run_bayes)
+        write_trace(trace, path, full=args.full)
+        _warn_if_cost_overflowed(trace, where)
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ and every failure raises :class:`InvalidInput` naming the config key.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -209,8 +210,11 @@ def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Reseed both noise streams from one batch seed.
 
     Seed s maps to process stream 2s and measurement stream 2s + 1, so
-    distinct batch seeds never share a stream.
+    distinct batch seeds never share a stream.  A seed that is not an
+    integer (or is a bool) raises InvalidInput naming ``seed``.
     """
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise InvalidInput(f"seed must be an integer, got {seed!r}", "seed")
     return dataclasses.replace(
         config,
         process_noise=dataclasses.replace(config.process_noise, seed=2 * seed),

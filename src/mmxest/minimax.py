@@ -319,7 +319,9 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     Raises
     ------
     InvalidInput
-        If no pieces are given.
+        If no pieces are given, or W, centers and offsets are not arrays of
+        shapes (K, m, m), (K, m) and (K,); finite scalar pieces are held to
+        K entries each of W and centers, the lengths of their lists.
     NoConvergence
         If the ascent ends with a gap above SOLVE_TOL or not finite (a NaN
         piece); its last estimate is attached as ``last``.
@@ -328,16 +330,37 @@ def solve(pieces: QuadraticPieces) -> MinimaxEstimate:
     K = len(offsets)
     if K == 0:
         raise InvalidInput("minimax program needs at least one piece", "pieces")
-    lists = _scalar(W, centers, offsets)
+    try:
+        lists = _scalar(W, centers, offsets)
+    except (AttributeError, IndexError, TypeError):  # not arrays, or not of the pieces' shapes
+        lists = None
     if lists is None:
+        _check_shapes(W, centers, offsets)
         i = _dominant(W, centers, offsets)
         o = None if i is None else offsets.tolist()
     else:
         a, c, o = lists
+        if len(a) != K or len(c) != K:  # W or centers miscounted: raises
+            _check_shapes(W, centers, offsets)
         i = o.index(max(o))  # the first top piece, as argmax; its row in einsum's order
         if not max(_values(c[i], a, c, o)) <= o[i]:
             i = None
     return _staged(W, centers, offsets) if i is None else _vertex(centers, i, o)
+
+
+def _check_shapes(W, centers, offsets):
+    """InvalidInput unless W, centers and offsets are arrays of shapes (K, m, m), (K, m), (K,)."""
+    K = len(offsets)
+    try:
+        m = centers.shape[1]
+        if W.shape == (K, m, m) and centers.shape == (K, m) and offsets.shape == (K,):
+            return
+    except (AttributeError, IndexError):  # not arrays, or centers not 2-D
+        pass
+    shapes = [a.shape if isinstance(a, np.ndarray) else type(a).__name__
+              for a in (W, centers, offsets)]
+    raise InvalidInput("pieces need arrays W (K, m, m), centers (K, m) and offsets (K,), "
+                       "got W {}, centers {}, offsets {}".format(*shapes), "pieces")
 
 
 def _staged(W, centers, offsets):

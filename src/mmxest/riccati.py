@@ -117,8 +117,25 @@ def _schedule(gamma, H, horizon, P, Sinv):
                         Ht=transpose(H))
 
 
+def _check_args(names, args, finite):
+    """InvalidInput naming the first of F, H, Q, R, P (``args``) whose shape does not
+    fit n = len(F) and m = len(H), or, if ``finite``, that has an entry not finite."""
+    n, m = len(args[0]), len(args[1])
+    for name, a, shape in zip(names, args, ((n, n), (m, n), (n, n), (m, m), (n, n))):
+        if a.shape != shape:
+            raise InvalidInput(f"{name} has shape {a.shape}, expected {shape}", name)
+        if finite and not np.isfinite(a).all():
+            raise InvalidInput(f"{name} has a non-finite entry", name)
+
+
 def riccati_step(P, F, H, Q, R) -> np.ndarray:
-    """One step of the covariance recursion; output is symmetrized."""
+    """One step of the covariance recursion; output is symmetrized.  An argument
+    not numbers or of a shape that does not fit F and H raises InvalidInput
+    naming it; entries need not be finite: an overflowed covariance is an outcome."""
+    names = (*_ARE_ARGS[:4], "P")
+    args = [np.atleast_2d(as_floats(a, name)) for name, a in zip(names, (F, H, Q, R, P))]
+    _check_args(names, args, finite=False)
+    F, H, Q, R, P = args
     _, FPHt, gain = _gain_terms(P, F, H, R)
     return _next_cov(P, F, Q, FPHt, gain)
 
@@ -350,13 +367,7 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
 def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
     """:func:`solve_are` on (shape, bytes) keys; a NoConvergence is not cached."""
     F, H, Q, R, P = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P))
-    n, m = len(F), len(H)
-    for name, a, shape in zip(_ARE_ARGS, (F, H, Q, R, P),
-                              ((n, n), (m, n), (n, n), (m, m), (n, n))):
-        if a.shape != shape:
-            raise InvalidInput(f"{name} has shape {a.shape}, expected {shape}", name)
-        if not np.isfinite(a).all():
-            raise InvalidInput(f"{name} has a non-finite entry", name)
+    _check_args(_ARE_ARGS, (F, H, Q, R, P), finite=True)
     P, _, T = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps, 2)
     if not np.isfinite(P[-1]).all():
         raise NoConvergence(f"Riccati iteration diverged after {T} steps", last=P[-2][0])

@@ -263,9 +263,12 @@ def simulate(models: ModelSet, true_model: int, horizon: int,
              process_noise: NoiseSpec = NoiseSpec(),
              measurement_noise: NoiseSpec = NoiseSpec(seed=1),
              input_spec: InputSpec = InputSpec(),
-             stationary: bool = False, bayes_mode: str = "average") -> SimulationTrace:
-    """Run both estimators over generated truth; the trace carries it (x, z, true_model)."""
+             stationary: bool = False, bayes_mode: str = "average",
+             run_minimax: bool = True, run_bayes: bool = True) -> SimulationTrace:
+    """One run: :func:`generate_truth`'s record (y, u) replayed by :func:`run_estimators`
+    with the same switches; the trace carries the truth (x, z, true_model)."""
     u, x, y, z = generate_truth(models, true_model, horizon, process_noise,
                                 measurement_noise, input_spec)
-    trace = run_estimators(models, y, u=u, stationary=stationary, bayes_mode=bayes_mode)
+    trace = run_estimators(models, y, u=u, stationary=stationary, run_minimax=run_minimax,
+                           run_bayes=run_bayes, bayes_mode=bayes_mode)
     return replace(trace, true_model=true_model, x=x, z=z)

@@ -75,6 +75,20 @@ def test_bayes_estimate_average_and_map():
         bayes.bayes_estimate(post, state, mode="median")
 
 
+@pytest.mark.parametrize("posterior", [np.array([1.0]), 0.5, np.array([0.2, 0.3, 0.5]),
+                                       [0.5, "a"]],
+                         ids=["one-entry", "scalar", "three-entries", "string"])
+@pytest.mark.parametrize("call", [
+    lambda post, state: bayes.bayes_step(post, state),
+    lambda post, state: bayes.bayes_estimate(post, state, mode="average"),
+    lambda post, state: bayes.bayes_estimate(post, state, mode="map"),
+], ids=["step", "average", "map"])
+def test_posterior_must_hold_one_number_per_model(paper_models, call, posterior):
+    state = filter_bank.init(mx.run_recursion(paper_models, 3))
+    with raises_invalid("posterior", "^posterior must be 2 numbers, one per model, got "):
+        call(posterior, state)
+
+
 def test_bayes_estimate_map_tie_breaks_low_index():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))

@@ -168,6 +168,12 @@ def test_empty_seed_range(tmp_path, capsys):
     assert capsys.readouterr().err == "error: field --seeds: empty range '5..3'\n"
 
 
+def test_seed_range_is_drawn_one_seed_at_a_time():
+    # A range, not a list: a long batch holds no seed before its run.
+    assert cli._parse_seed_range("3..5") == range(3, 6)
+    assert len(cli._parse_seed_range("0..999999999999")) == 10**12
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfgp = write(tmp_path, SCALAR_UNIT.replace("horizon: 4", "horizon: 0"))
     assert cli.main(["run", "--config", cfgp,
@@ -435,7 +441,7 @@ def test_every_library_error_exits_with_one_line(tmp_path, monkeypatch, capsys, 
     def fail(*args, **kwargs):
         raise cls("forced")
 
-    monkeypatch.setattr(cli, "_simulate", fail)
+    monkeypatch.setattr(cli._simulator, "simulate", fail)
     assert cli.main(["run", "--config", cfgp]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("forced\n") and err.count("\n") == 1
@@ -521,6 +527,19 @@ def paper_trace(cfg, **kwargs):
 def random_m2_trace():
     models = make_random_models(np.random.default_rng(3), 3, 4, 2)
     return mx.simulate(models, 1, 25, mx.NoiseSpec(seed=7), mx.NoiseSpec(seed=8))
+
+
+@pytest.mark.parametrize("block, switch", [("{minimax: false}", {"run_minimax": False}),
+                                           ("{bayesian: false}", {"run_bayes": False})],
+                         ids=["no-minimax", "no-bayes"])
+def test_run_full_with_an_estimator_off_writes_its_trace(tmp_path, paper_config_path, block,
+                                                         switch):
+    body = open(paper_config_path, encoding="utf-8").read() + f"estimators: {block}\n"
+    cfgp = write(tmp_path, body)
+    out = tmp_path / "trace.csv"
+    assert cli.main(["run", "--config", cfgp, "--out", str(out), "--full"]) == 0
+    trace = paper_trace(config.load_config(cfgp), **switch)
+    assert out.read_bytes() == ("\n".join(cli.trace_lines(trace, full=True)) + "\n").encode()
 
 
 @pytest.mark.parametrize("make", [

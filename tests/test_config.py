@@ -171,6 +171,12 @@ def test_with_seed_separates_streams(paper_config):
     assert reseeded.process_noise.kind == paper_config.process_noise.kind
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_with_seed_takes_an_integer_only(paper_config, seed):
+    with raises_invalid("seed", f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        mx.with_seed(paper_config, seed)
+
+
 def test_output_and_flags(tmp_path):
     cfg = mx.load_config(write_cfg(
         tmp_path,

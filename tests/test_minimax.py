@@ -141,6 +141,27 @@ def test_solve_empty_piece_list():
         solve(scalar_pieces())
 
 
+E2 = np.stack([np.eye(2)] * 2)
+
+
+@pytest.mark.parametrize("pieces, got", [
+    (QuadraticPieces(np.ones((2, 1, 1)), np.zeros((3, 1)), np.zeros(2)),
+     r"W \(2, 1, 1\), centers \(3, 1\), offsets \(2,\)"),
+    (QuadraticPieces(E2, np.zeros((3, 2)), np.zeros(2)),
+     r"W \(2, 2, 2\), centers \(3, 2\), offsets \(2,\)"),
+    (QuadraticPieces(E2, np.zeros((2, 1)), np.zeros(2)),
+     r"W \(2, 2, 2\), centers \(2, 1\), offsets \(2,\)"),
+    (QuadraticPieces(np.ones((2, 1, 1)), np.zeros((2, 2)), np.zeros(2)),
+     r"W \(2, 1, 1\), centers \(2, 2\), offsets \(2,\)"),
+    (QuadraticPieces([[[1.0]], [[1.0]]], [[0.0], [1.0]], [0.0, 0.0]),
+     "W list, centers list, offsets list"),
+], ids=["count-m1", "count-m2", "W-m2-for-m1", "W-m1-for-m2", "lists"])
+def test_solve_rejects_pieces_whose_shapes_disagree(pieces, got):
+    with raises_invalid("pieces", r"^pieces need arrays W \(K, m, m\), centers \(K, m\) "
+                                  rf"and offsets \(K,\), got {got}$"):
+        solve(pieces)
+
+
 def test_solve_no_convergence_carries_best(monkeypatch):
     # Two pieces in the plane (m = 2).  The active-set stage certifies them,
     # so it is withheld here, and no gap meets the tolerance: the ascent from

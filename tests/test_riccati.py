@@ -179,6 +179,19 @@ def test_solve_are_rejects_mismatched_shapes():
         mx.solve_are(np.ones((2, 3)), np.ones((1, 3)), np.eye(3), I1, np.eye(3))
 
 
+def test_riccati_step_names_the_argument_at_fault(paper_models):
+    F, H, Q, R = paper_models.F[0], paper_models.H[0], paper_models.Q, paper_models.R
+    with raises_invalid("P", "^P must be numbers$"):
+        mx.riccati_step("a", F, H, Q, R)
+    with raises_invalid("P", r"^P has shape \(2, 2\), expected \(3, 3\)$"):
+        mx.riccati_step(np.eye(2), F, H, Q, R)
+    with raises_invalid("R", r"^R has shape \(2, 2\), expected \(1, 1\)$"):
+        mx.riccati_step(np.eye(3), F, H, Q, np.eye(2))
+    # An overflowed covariance is an outcome of the recursion, not bad input.
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(mx.riccati_step(np.full((3, 3), np.inf), F, H, Q, R)).all()
+
+
 def test_solve_are_memory_stays_flat_to_its_iteration_cap():
     # F = 0.999, Q = 1e-6 settles only at t = 10365, so the solve runs all
     # ARE_MAX_ITER steps; it keeps the last two blocks, not one per step.

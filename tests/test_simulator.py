@@ -343,23 +343,26 @@ def test_generate_truth_checks_true_model(paper_config, true_model, match):
         mx.generate_truth(paper_config.models, true_model, 5, NoiseSpec(), NoiseSpec())
 
 
+@pytest.mark.parametrize("switches", [{}, {"run_minimax": False}, {"run_bayes": False}],
+                         ids=["both", "no-minimax", "no-bayes"])
 @pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
 @pytest.mark.parametrize("bank", ["paper", "bank1-K8"])
-def test_simulate_attaches_the_truth(paper_config, bench_banks, bank, stationary):
+def test_simulate_attaches_the_truth(paper_config, bench_banks, bank, stationary, switches):
     # The estimators read only the record (y, u); simulate attaches
-    # generate_truth's u, x, y, z byte for byte and true_model as given.
+    # generate_truth's u, x, y, z byte for byte and true_model as given,
+    # and passes the estimator switches on to run_estimators.
     if bank == "paper":
         models, true_model, setup = paper_config.models, 1, paper_setup(paper_config)
     else:
         models, true_model = bench_banks[bank], 0
         setup = dict(process_noise=NoiseSpec(), measurement_noise=NoiseSpec(seed=1))
     truth = mx.generate_truth(models, true_model, 30, **setup)
-    trace = mx.simulate(models, true_model, 30, stationary=stationary, **setup)
+    trace = mx.simulate(models, true_model, 30, stationary=stationary, **setup, **switches)
     assert trace.true_model == true_model
     for name, want in zip("uxyz", truth):
         got = getattr(trace, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-    replay = mx.run_estimators(models, truth[2], u=truth[0], stationary=stationary)
+    replay = mx.run_estimators(models, truth[2], u=truth[0], stationary=stationary, **switches)
     for name in ("yhat_minimax", "yhat_bayes", "yhat_models", "c", "mu", "J_star", "lam"):
         assert getattr(trace, name).tobytes() == getattr(replay, name).tobytes(), name
 

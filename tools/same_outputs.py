@@ -7,6 +7,8 @@ In each checkout, with its own ``src`` first on the import path, runs
 ``python3 -m mmxest.cli`` on ``src/mmxest/configs/example_paper.cfg``:
 
 - ``run --full``, time-varying and ``--stationary``;
+- ``run --full`` with each estimator off, on a copy of the config with an
+  ``estimators:`` block, written into the command's own output directory;
 - ``run --seeds 0..63 --full``, time-varying and ``--stationary`` (64 files each);
 - ``riccati``;
 - ``check``.
@@ -47,8 +49,15 @@ COMMANDS = {
     "seeds": ["run", "--seeds", "0..63", "--full", "--out", "{out}/trace.csv"],
     "seeds_stationary": ["run", "--seeds", "0..63", "--full", "--stationary",
                          "--out", "{out}/trace.csv"],
+    "run_no_minimax": ["run", "--full", "--out", "{out}/trace.csv"],
+    "run_no_bayes": ["run", "--full", "--out", "{out}/trace.csv"],
     "riccati": ["riccati"],
     "check": ["check"],
+}
+# name -> block appended to the command's own copy of CONFIG, {out}/exp.cfg
+CONFIG_BLOCKS = {
+    "run_no_minimax": "estimators: {minimax: false}\n",
+    "run_no_bayes": "estimators: {bayesian: false}\n",
 }
 # Run in a checkout with its src and perfbench on the path; argv[1] is the
 # output directory.  Writes <workload>/<label>.status, and <label>.csv when
@@ -85,8 +94,12 @@ def collect(checkout, dest):
         out = Path(dest) / name
         out.mkdir(parents=True)
         argv = [a.format(out=out) for a in args]
+        config = CONFIG
+        if name in CONFIG_BLOCKS:
+            config = out / "exp.cfg"
+            config.write_text((checkout / CONFIG).read_text() + CONFIG_BLOCKS[name])
         proc = subprocess.run([sys.executable, "-m", "mmxest.cli", argv[0], "--config",
-                               str(CONFIG), *argv[1:]], cwd=checkout, env=env,
+                               str(config), *argv[1:]], cwd=checkout, env=env,
                               capture_output=True, check=False)
         _keep(proc, out)
     collect_workloads(checkout, dest)
