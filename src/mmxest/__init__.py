@@ -21,7 +21,6 @@ from .model_bank import ModelSet, validate
 from .riccati import (
     AreSolution,
     GainSchedule,
-    riccati_step,
     run_recursion,
     solve_are,
     stationary_gains,
@@ -60,7 +59,6 @@ __all__ = [
     "generate_truth",
     "init",
     "load_config",
-    "riccati_step",
     "run_estimators",
     "run_recursion",
     "simulate",

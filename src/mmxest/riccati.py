@@ -117,27 +117,15 @@ def _schedule(gamma, H, horizon, P, Sinv):
                         Ht=transpose(H))
 
 
-def _check_args(names, args, finite):
-    """InvalidInput naming the first of F, H, Q, R, P (``args``) whose shape does not
-    fit n = len(F) and m = len(H), or, if ``finite``, that has an entry not finite."""
+def _check_args(args):
+    """InvalidInput naming the first of F, H, Q, R, P_init (``args``) whose shape does
+    not fit n = len(F) and m = len(H), or that has an entry not finite."""
     n, m = len(args[0]), len(args[1])
-    for name, a, shape in zip(names, args, ((n, n), (m, n), (n, n), (m, m), (n, n))):
+    for name, a, shape in zip(_ARE_ARGS, args, ((n, n), (m, n), (n, n), (m, m), (n, n))):
         if a.shape != shape:
             raise InvalidInput(f"{name} has shape {a.shape}, expected {shape}", name)
-        if finite and not np.isfinite(a).all():
+        if not np.isfinite(a).all():
             raise InvalidInput(f"{name} has a non-finite entry", name)
-
-
-def riccati_step(P, F, H, Q, R) -> np.ndarray:
-    """One step of the covariance recursion; output is symmetrized.  An argument
-    not numbers or of a shape that does not fit F and H raises InvalidInput
-    naming it; entries need not be finite: an overflowed covariance is an outcome."""
-    names = (*_ARE_ARGS[:4], "P")
-    args = [np.atleast_2d(as_floats(a, name)) for name, a in zip(names, (F, H, Q, R, P))]
-    _check_args(names, args, finite=False)
-    F, H, Q, R, P = args
-    _, FPHt, gain = _gain_terms(P, F, H, R)
-    return _next_cov(P, F, Q, FPHt, gain)
 
 
 @dataclass(frozen=True)
@@ -343,9 +331,9 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
 
     Returns the covariance at which the recursion of :func:`run_recursion`,
     run on the one model from ``P_init``, settles: its column at the settle
-    step T, bit for bit; ``iterations`` is T, and ``residual`` the max-abs
-    defect |riccati_step(P) - P| there.  Equal inputs return one shared
-    solution, solved once per process; its P is read-only.
+    step T, bit for bit; ``iterations`` is T, and ``residual`` max|P' - P|
+    for P' the recursion's next step from P.  Equal inputs return one
+    shared solution, solved once per process; its P is read-only.
 
     Raises
     ------
@@ -367,7 +355,7 @@ def solve_are(F, H, Q, R, P_init) -> AreSolution:
 def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
     """:func:`solve_are` on (shape, bytes) keys; a NoConvergence is not cached."""
     F, H, Q, R, P = (np.frombuffer(b).reshape(shape) for shape, b in (F, H, Q, R, P))
-    _check_args(_ARE_ARGS, (F, H, Q, R, P), finite=True)
+    _check_args((F, H, Q, R, P))
     P, _, T = _iterate(F[None], H[None], Q, R, P, max_iter, settle_ulps, settle_steps, 2)
     if not np.isfinite(P[-1]).all():
         raise NoConvergence(f"Riccati iteration diverged after {T} steps", last=P[-2][0])
@@ -375,7 +363,7 @@ def _solve_are(F, H, Q, R, P, max_iter, settle_ulps, settle_steps):
         raise NoConvergence(f"no fixed point within {max_iter} iterations", last=P[-1][0])
     P = P[-1][0]
     P.setflags(write=False)  # shared by every caller
-    residual = float(np.max(np.abs(riccati_step(P, F, H, Q, R) - P)))
+    residual = float(np.max(np.abs(_next_cov(P, F, Q, *_gain_terms(P, F, H, R)[1:]) - P)))
     return AreSolution(P=P, iterations=T, residual=residual)
 
 

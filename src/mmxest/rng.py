@@ -1,12 +1,17 @@
 """Deterministic pseudo-random numbers with a fixed cross-platform spec.
 
 Simulation noise must replay bit-for-bit from a seed, on any platform,
-independent of numpy's generator versioning.  This module pins the exact
-algorithms: a splitmix64 seed expander feeding an xorshift64* stream, with
-53-bit uniforms and Box-Muller normals on top.  Tests reimplement the same
-constants independently; do not change them.  :meth:`Xorshift64Star.uniforms`
-and :meth:`Xorshift64Star.normals` fill an array with the same bits as
-repeated scalar draws and leave the same state behind.
+independent of numpy's generator versioning.  The stream is pinned here:
+
+- splitmix64 of the seed is the state of an xorshift64* stream, and each of
+  its 64-bit words gives its top 53 bits b;
+- a uniform is b * 2**-53, on [0, 1);
+- a normal pair comes from u1 = (b1 + 1) * 2**-53, in (0, 1] so the log
+  never sees zero, and u2 = b2 * 2**-53, as r cos(2 pi u2) and
+  r sin(2 pi u2) with r = sqrt(-2 ln u1);
+- the logarithm, cosine and sine are the ``math`` module's.
+
+Tests reimplement the same constants independently; do not change them.
 """
 from __future__ import annotations
 
@@ -37,15 +42,6 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         state = splitmix64(int(seed) & _MASK64)
         self._state = state if state != 0 else 0x9E3779B97F4A7C15
-        self._cached_normal = None
-
-    def next_uint64(self) -> int:
-        s = self._state
-        s ^= (s >> 12)
-        s ^= (s << 25) & _MASK64
-        s ^= (s >> 27)
-        self._state = s
-        return (s * 0x2545F4914F6CDD1D) & _MASK64
 
     def _top53(self, count: int) -> np.ndarray:
         """The top 53 bits of the next ``count`` outputs, as exact floats.
@@ -63,49 +59,23 @@ class Xorshift64Star:
         self._state = s
         return ((states * np.uint64(0x2545F4914F6CDD1D)) >> np.uint64(11)).astype(float)
 
-    def uniform(self) -> float:
-        """Uniform on [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0 ** -53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; draws come out in pairs.
-
-        u1 is shifted into (0, 1] so the log never sees zero.
-        """
-        if self._cached_normal is not None:
-            z = self._cached_normal
-            self._cached_normal = None
-            return z
-        u1 = ((self.next_uint64() >> 11) + 1) * 2.0 ** -53
-        u2 = (self.next_uint64() >> 11) * 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._cached_normal = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
-
     def uniforms(self, count: int) -> np.ndarray:
-        """``count`` draws of :meth:`uniform`, as an array."""
+        """The next ``count`` uniforms on [0, 1), one word each."""
         return self._top53(count) * 2.0 ** -53
 
     def normals(self, count: int) -> np.ndarray:
-        """``count`` draws of :meth:`normal`, as an array, with the same bits.
+        """``count`` standard normals from the next (count + 1) // 2 pairs of words.
 
-        A partner carried from an earlier draw comes first, and an odd
-        remainder carries the last pair's partner on.  The logarithm, cosine
-        and sine are the ``math`` module's, one call per pair as in
-        :meth:`normal`; the square root is correctly rounded either way.
+        Cosines sit at even positions and sines at odd ones; an odd
+        ``count`` drops the last pair's sine.  The square root is correctly
+        rounded, so numpy's gives ``math``'s bits.
         """
-        out = np.empty(count)
-        k = 0
-        if count and self._cached_normal is not None:
-            out[0], self._cached_normal, k = self._cached_normal, None, 1
-        pairs = (count - k + 1) // 2
+        pairs = (count + 1) // 2
         bits = self._top53(2 * pairs)
         u1 = (bits[0::2] + 1.0) * 2.0 ** -53
         angle = 2.0 * math.pi * (bits[1::2] * 2.0 ** -53)
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, pairs))
-        out[k::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
-        sin = r * np.fromiter(map(math.sin, angle), float, pairs)
-        out[k + 1::2] = sin[:(count - k) // 2]
-        if (count - k) % 2:
-            self._cached_normal = float(sin[-1])
-        return out
+        out = np.empty(2 * pairs)
+        out[0::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
+        out[1::2] = r * np.fromiter(map(math.sin, angle), float, pairs)
+        return out[:count]

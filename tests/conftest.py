@@ -82,6 +82,29 @@ def make_random_models(rng, K, n, m, gamma=None, with_input=False):
     return mx.validate(spec)
 
 
+def near_boundary_bank(b, N):
+    """Random bank b of the near-boundary recipe, drawn from default_rng(1000 + b):
+    K 2..8, n 1..4, m 1..3, each F a normal matrix scaled to spectral radius
+    0.99 U(0.2, 1), normal H, the benchmark's random SPD Q, R and P0, then
+    the true model.  Returns (spec, true_model, peak), peak being the largest
+    lambda_max(H P H^T) of the bank's schedule over t = 0..N; the bank at
+    gamma^2 = f peak is ``validate({**spec, "gamma": sqrt(f peak)})``."""
+    rng = np.random.default_rng(1000 + b)
+    K, n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    F = []
+    for _ in range(K):
+        A = rng.normal(size=(n, n))
+        F.append(A * (0.99 * rng.uniform(0.2, 1.0) / np.abs(np.linalg.eigvals(A)).max()))
+    spec = {"F": F, "H": [rng.normal(size=(m, n)) for _ in range(K)],
+            "Q": workloads._random_spd(rng, n), "R": workloads._random_spd(rng, m),
+            "P0": workloads._random_spd(rng, n),
+            "gamma": 1.0}
+    true_model = int(rng.integers(K))
+    schedule = mx.run_recursion(mx.validate(spec), N)
+    peak = max(float(schedule.lambda_max(t).max()) for t in range(N + 1))
+    return spec, true_model, peak
+
+
 @pytest.fixture(scope="session")
 def bench_banks():
     """The benchmark's random banks by label, ``bank0-K8`` to ``bank1-K32``."""

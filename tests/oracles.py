@@ -14,8 +14,12 @@ oracle above or an identity of the paper.
 
 The reference kernels at the end are the straightforward forms of rewritten
 library kernels: the dominance test over every top row, the estimators' step
-loop, the per-step truth loop and the per-value CSV renderer.
+loop, the per-step truth loop, the per-value CSV renderer and the seeded
+noise stream, word by word and one Box-Muller pair at a time.  The realized
+disturbance energy of a simulated run states the paper's guarantee.
 """
+import math
+
 import numpy as np
 
 import mmxest as mx
@@ -135,12 +139,16 @@ def settle_schedule(models, N):
     """Each model's settle step T_i and covariances P_0..P_{T_i}, by the
     documented rule run on one model at a time with scalar bookkeeping.
 
-    Model i's recursion (``riccati_step``, the library's one-step formula,
-    so that the iterates are bit-for-bit those of the batched update) is
-    settled at the first step t whose max|P_{t+1} - P_t| and the
-    SETTLE_STEPS - 1 before it are each within SETTLE_ULPS * eps * max|P_t|;
-    T_i = N if that does not happen within N steps.  Returns (T, P) with
-    T a list of the T_i and P a list of (T_i + 1, n, n) arrays.
+    Model i's recursion is settled at the first step t whose max|P_{t+1} -
+    P_t| and the SETTLE_STEPS - 1 before it are each within SETTLE_ULPS *
+    eps * max|P_t|; T_i = N if that does not happen within N steps.
+    Returns (T, P) with T a list of the T_i and P a list of (T_i + 1, n, n)
+    arrays.
+
+    The step is the library's one-step formula (``riccati._gain_terms``, then
+    ``riccati._next_cov``) on one model, so that the iterates are bit for bit
+    those of the batched update; :func:`kalman_step` is its independent
+    oracle.  What this checks is the settle rule and its bookkeeping.
     """
     from mmxest import riccati
 
@@ -148,9 +156,10 @@ def settle_schedule(models, N):
     settle, covs = [], []
     for i in range(models.K):
         P = np.array(models.P0, dtype=float)
+        F, H = models.F[i], models.H[i]
         seen, calm, T = [P], 0, N
         for t in range(N):
-            P_next = mx.riccati_step(P, models.F[i], models.H[i], models.Q, models.R)
+            P_next = riccati._next_cov(P, F, models.Q, *riccati._gain_terms(P, F, H, models.R)[1:])
             if np.abs(P_next - P).max() <= tol * np.abs(P).max():
                 calm += 1
             else:
@@ -382,6 +391,25 @@ def truth_loop(models, true_model, u, w, v):
     return x, y, z
 
 
+def disturbance_energy(models, trace, process_noise, measurement_noise):
+    """Realized disturbance energy E_t of a simulated run, t = 0..N-1:
+
+        E_t = |x_0 - xhat0|^2_{P0^{-1}} + sum_{s<t} (|w_s|^2_{Q^{-1}} + |v_s|^2_{R^{-1}}),
+
+    with w and v drawn again from the run's noise specs, not differenced
+    out of x.  The guarantee of the paper is |z_t - yhat_t|^2 <= J*_t +
+    gamma^2 E_t for the minimax prediction yhat_t, on every realization.
+    """
+    N = trace.horizon
+    w = process_noise.stream(N, models.n)
+    v = measurement_noise.stream(N, models.m)
+    d = trace.x[0] - models.xhat0
+    prior = float(d @ np.linalg.solve(models.P0, d))
+    step = (np.einsum("ti,ij,tj->t", w, np.linalg.inv(models.Q), w)
+            + np.einsum("ti,ij,tj->t", v, np.linalg.inv(models.R), v))
+    return prior + np.concatenate([[0.0], np.cumsum(step)[:-1]])
+
+
 def _fmt(x):
     return repr(float(x))
 
@@ -410,3 +438,46 @@ def trace_lines_per_value(trace, full=False):
             row += [_fmt(v) for v in trace.lam[t]]
         lines.append(";".join(row))
     return lines
+
+
+MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix64(seed):
+    """splitmix64, reimplemented from the documented constants on purpose."""
+    z = (seed + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return (z ^ (z >> 31)) & MASK64
+
+
+def reference_stream(seed, count):
+    """The first ``count`` 64-bit words of the xorshift64* stream of ``seed``."""
+    s = reference_splitmix64(seed & MASK64)
+    if s == 0:
+        s = 0x9E3779B97F4A7C15
+    out = []
+    for _ in range(count):
+        s ^= s >> 12
+        s = (s ^ (s << 25)) & MASK64
+        s ^= s >> 27
+        out.append((s * 0x2545F4914F6CDD1D) & MASK64)
+    return out
+
+
+def reference_uniforms(seed, n):
+    """The first n uniforms of ``seed``'s stream: the top 53 bits of a word times 2^-53."""
+    return np.array([(word >> 11) * 2.0 ** -53 for word in reference_stream(seed, n)])
+
+
+def reference_normals(seed, n):
+    """The first n normals of ``seed``'s stream, one Box-Muller pair of words at a
+    time in Python floats: the cosine, then the sine, which an odd n drops last."""
+    words = reference_stream(seed, n + n % 2)
+    out = []
+    for a, b in zip(words[0::2], words[1::2]):
+        u1 = ((a >> 11) + 1) * 2.0 ** -53
+        u2 = (b >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return np.array(out[:n], dtype=float)

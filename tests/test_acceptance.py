@@ -10,9 +10,10 @@ import numpy as np
 
 import mmxest as mx
 from mmxest import cli
-from conftest import make_random_models
+from conftest import make_random_models, near_boundary_bank
 from oracles import (
     concave_quadratic_max,
+    disturbance_energy,
     quadratic_max_closed_form,
     stacked_ls_value,
     value_function,
@@ -270,3 +271,47 @@ def test_11_minimax_becomes_the_true_model_filter(paper_config):
           f"to {max(learned, default=None)}")
     ok = len(learned) == 50
     report(11, "minimax_becomes_the_true_model_filter", ok)
+
+
+def _bound_ratio(models, true_model, horizon, process_noise, measurement_noise,
+                 stationary=False):
+    """Largest |z_t - yhat_t|^2 / (J*_t + gamma^2 E_t) of one run, and whether
+    every step keeps |z_t - yhat_t|^2 <= J*_t + gamma^2 E_t to within 64 eps
+    (|J*_t| + gamma^2 E_t + |z_t - yhat_t|^2)."""
+    tr = mx.simulate(models, true_model, horizon, process_noise, measurement_noise,
+                     stationary=stationary)
+    err = ((tr.z - tr.yhat_minimax) ** 2).sum(axis=1)
+    budget = models.gamma ** 2 * disturbance_energy(models, tr, process_noise,
+                                                    measurement_noise)
+    bound = tr.J_star + budget
+    slack = 64 * np.finfo(float).eps * (np.abs(tr.J_star) + budget + err)
+    ok = bool((err <= bound + slack).all())
+    positive = bound > 0  # at t = 0 bound and error are both 0: nothing is spent yet
+    return float((err[positive] / bound[positive]).max()), ok
+
+
+def test_12_deterministic_error_bound(paper_config):
+    # The paper's guarantee holds on every realized disturbance, not on
+    # average: with E_t the energy of the true model's disturbances so far,
+    # |z_t - yhat_t|^2 <= J*_t + gamma^2 E_t at every step.  Checked on the
+    # paper config (20 seeds, both gain modes, where the bound is loose) and
+    # on every true model of two random banks at gamma^2 = 1.0001 times
+    # their peak lambda_max(H P H^T), where it is tight.
+    worst, ok = {}, True
+    for s in range(20):
+        cfg = mx.with_seed(paper_config, s)
+        for stationary in (False, True):
+            r, good = _bound_ratio(cfg.models, cfg.true_model, 400, cfg.process_noise,
+                                   cfg.measurement_noise, stationary)
+            worst["paper"] = max(worst.get("paper", 0.0), r)
+            ok &= good
+    for b in (5, 9):
+        spec, _, peak = near_boundary_bank(b, 300)
+        models = mx.validate({**spec, "gamma": float(np.sqrt(1.0001 * peak))})
+        for true_model in range(models.K):
+            r, good = _bound_ratio(models, true_model, 300, mx.NoiseSpec(seed=2 * b),
+                                   mx.NoiseSpec(seed=2 * b + 1))
+            worst[f"bank {b}"] = max(worst.get(f"bank {b}", 0.0), r)
+            ok &= good
+    print("largest error / bound: " + ", ".join(f"{k} {v:.3f}" for k, v in worst.items()))
+    report(12, "deterministic_error_bound", ok)

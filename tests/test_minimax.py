@@ -11,7 +11,7 @@ from mmxest import filter_bank, kkt, minimax
 from mmxest.minimax import SOLVE_TOL, MinimaxEstimate, QuadraticPieces, build_pieces, solve
 import solver_sweep
 import workloads
-from conftest import examples, make_random_models, raises_invalid, unit_bank
+from conftest import examples, make_random_models, near_boundary_bank, raises_invalid, unit_bank
 from oracles import (
     PreconditionViolated,
     concave_quadratic_max,
@@ -906,19 +906,7 @@ def test_random_banks_run_certified_to_the_end(monkeypatch):
 
     monkeypatch.setattr(minimax, "solve", recording)
     for b in range(12):
-        rng = np.random.default_rng(1000 + b)
-        K, n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        F = []
-        for _ in range(K):
-            A = rng.normal(size=(n, n))
-            F.append(A * (0.99 * rng.uniform(0.2, 1.0) / np.abs(np.linalg.eigvals(A)).max()))
-        spec = {"F": F, "H": [rng.normal(size=(m, n)) for _ in range(K)],
-                "Q": workloads._random_spd(rng, n), "R": workloads._random_spd(rng, m),
-                "P0": workloads._random_spd(rng, n),
-                "gamma": 1.0}
-        true_model = int(rng.integers(K))
-        schedule = mx.run_recursion(mx.validate(spec), 400)
-        peak = max(float(schedule.lambda_max(t).max()) for t in range(401))
+        spec, true_model, peak = near_boundary_bank(b, 400)
         for factor in (1.0001, 1.01, 2.0):
             models = mx.validate({**spec, "gamma": float(np.sqrt(factor * peak))})
             trace = mx.simulate(models, true_model, 400, mx.NoiseSpec(seed=2 * b),

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "FactorizationFailure", "FilterBankState", "GainSchedule", "GammaInfeasible", "InputSpec",
     "InvalidInput", "MinimaxEstimate", "ModelSet", "NoConvergence", "NoiseSpec",
     "QuadraticPieces", "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step",
-    "build_pieces", "generate_truth", "init", "load_config", "riccati_step", "run_estimators",
+    "build_pieces", "generate_truth", "init", "load_config", "run_estimators",
     "run_recursion", "simulate", "solve", "solve_are", "stationary_gains", "step",
     "validate", "with_seed",
 ]

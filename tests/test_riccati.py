@@ -24,17 +24,19 @@ def scalar_are_root(f, q, r):
 
 
 def test_step_scalar_unit_system():
-    P1 = mx.riccati_step(I1, I1, I1, I1, I1)
-    assert P1[0, 0] == pytest.approx(1.5, abs=1e-12)
+    assert mx.run_recursion(unit_bank(), 1).cov(1, 0)[0, 0] == pytest.approx(1.5, abs=1e-12)
+    assert kalman_step(I1, I1, I1, I1, I1)[2][0, 0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_recursion_first_three_covariances():
-    p = 1.0
+    seq = mx.run_recursion(unit_bank(), 2)
+    np.testing.assert_allclose(seq.P[:, 0, 0, 0], [1.0, 1.5, 1.6], atol=1e-12)
+    p = I1
     seen = [p]
     for _ in range(2):
-        p = float(mx.riccati_step(np.array([[p]]), I1, I1, I1, I1)[0, 0])
+        p = kalman_step(p, I1, I1, I1, I1)[2]
         seen.append(p)
-    np.testing.assert_allclose(seen, [1.0, 1.5, 1.6], atol=1e-12)
+    np.testing.assert_allclose(np.ravel(seen), [1.0, 1.5, 1.6], atol=1e-12)
 
 
 def test_kalman_gain_scalar():
@@ -60,13 +62,14 @@ def test_step_matches_information_form():
         Q = B @ B.T + n * np.eye(n)
         C = rng.normal(size=(m, m))
         R = C @ C.T + m * np.eye(m)
-        direct = mx.riccati_step(P, F, H, Q, R)
+        # The library's step, on a one-model bank started at P.
+        seq = mx.run_recursion(mx.validate({"F": [F], "H": [H], "Q": Q, "R": R, "P0": P,
+                                            "gamma": 1.0}), 1)
+        direct = seq.cov(1, 0)
         info = Q + F @ np.linalg.inv(
             np.linalg.inv(P) + H.T @ np.linalg.inv(R) @ H) @ F.T
         np.testing.assert_allclose(direct, info, atol=1e-9)
-        # Gain consistency: K S = F P H^T, for a one-model bank started at P.
-        seq = mx.run_recursion(mx.validate({"F": [F], "H": [H], "Q": Q, "R": R, "P0": P,
-                                            "gamma": 1.0}), 1)
+        # Gain consistency: K S = F P H^T.
         np.testing.assert_allclose(seq.gain(0, 0) @ (R + H @ P @ H.T), F @ P @ H.T, atol=1e-9)
         # The update keeps symmetry and positive definiteness.
         np.testing.assert_allclose(direct, direct.T, atol=1e-12)
@@ -95,7 +98,7 @@ def test_solve_are_returns_fixed_point():
         Q = np.eye(n)
         R = np.eye(m)
         sol = mx.solve_are(F, H, Q, R, np.eye(n))
-        again = mx.riccati_step(sol.P, F, H, Q, R)
+        again = kalman_step(sol.P, F, H, Q, R)[2]
         np.testing.assert_allclose(again, sol.P, atol=1e-9)
         # Cross-check against the dedicated DARE solver (estimation form).
         X = scipy.linalg.solve_discrete_are(F.T, H.T, Q, R)
@@ -116,8 +119,9 @@ def test_solve_are_no_convergence_carries_last_iterate(monkeypatch):
 
 @pytest.mark.parametrize("bank", ["paper", "random_k3"])
 def test_solve_are_is_the_hand_iterated_recursion(bank, paper_models):
-    # The fixed point and the count are those of riccati_step iterated from
-    # P0 to the settle rule one model at a time, from a cold cache.
+    # The fixed point and the count are those of the one-step formula
+    # iterated from P0 to the settle rule one model at a time, from a cold
+    # cache.
     models = (paper_models if bank == "paper"
               else make_random_models(np.random.default_rng(5), 3, 4, 2))
     riccati._solve_are.cache_clear()
@@ -177,19 +181,6 @@ def test_solve_are_rejects_mismatched_shapes():
         mx.solve_are(F, np.ones((1, 2)), np.eye(2), I1, np.eye(3))
     with raises_invalid("F", r"^F has shape \(2, 3\), expected \(2, 2\)$"):
         mx.solve_are(np.ones((2, 3)), np.ones((1, 3)), np.eye(3), I1, np.eye(3))
-
-
-def test_riccati_step_names_the_argument_at_fault(paper_models):
-    F, H, Q, R = paper_models.F[0], paper_models.H[0], paper_models.Q, paper_models.R
-    with raises_invalid("P", "^P must be numbers$"):
-        mx.riccati_step("a", F, H, Q, R)
-    with raises_invalid("P", r"^P has shape \(2, 2\), expected \(3, 3\)$"):
-        mx.riccati_step(np.eye(2), F, H, Q, R)
-    with raises_invalid("R", r"^R has shape \(2, 2\), expected \(1, 1\)$"):
-        mx.riccati_step(np.eye(3), F, H, Q, np.eye(2))
-    # An overflowed covariance is an outcome of the recursion, not bad input.
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(mx.riccati_step(np.full((3, 3), np.inf), F, H, Q, R)).all()
 
 
 def test_solve_are_memory_stays_flat_to_its_iteration_cap():
@@ -281,8 +272,8 @@ def test_stationary_gains_paper_system(paper_models):
                            paper_models.R, paper_models.P0)
         np.testing.assert_array_equal(st.cov(0, i), sol.P)
         assert sol.residual <= 1e-10
-        fixed = mx.riccati_step(sol.P, paper_models.F[i], paper_models.H[i],
-                                paper_models.Q, paper_models.R)
+        fixed = kalman_step(sol.P, paper_models.F[i], paper_models.H[i],
+                            paper_models.Q, paper_models.R)[2]
         np.testing.assert_allclose(fixed, sol.P, atol=1e-9)
     # Recursion approaches the stationary solution.
     seq = mx.run_recursion(paper_models, 40)

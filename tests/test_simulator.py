@@ -6,10 +6,9 @@ import pytest
 
 import mmxest as mx
 from mmxest import filter_bank, riccati
-from mmxest.rng import Xorshift64Star
 from mmxest.simulator import InputSpec, NoiseSpec
 from conftest import make_random_models, raises_invalid
-from oracles import reference_estimators, truth_loop
+from oracles import reference_estimators, reference_normals, reference_uniforms, truth_loop
 
 
 def paper_setup(cfg, **overrides):
@@ -29,9 +28,7 @@ def test_noise_spec_validation():
 
 def test_uniform_stream_matches_generator():
     block = NoiseSpec(kind="uniform-bounded", scale=0.5, seed=11).stream(5, 2)
-    rng = Xorshift64Star(11)
-    expected = np.array([[0.5 * (2.0 * rng.uniform() - 1.0) for _ in range(2)]
-                         for _ in range(5)])
+    expected = (0.5 * (2.0 * reference_uniforms(11, 10) - 1.0)).reshape(5, 2)
     np.testing.assert_array_equal(block, expected)
     assert NoiseSpec(seed=11).stream(0, 3).shape == (0, 3)
 
@@ -47,9 +44,7 @@ def test_zero_noise_stream():
 def test_gaussian_stream_matches_generator():
     spec = NoiseSpec(kind="gaussian", scale=2.0, seed=9)
     block = spec.stream(4, 3)
-    rng = Xorshift64Star(9)
-    expected = np.array([[2.0 * rng.normal() for _ in range(3)]
-                         for _ in range(4)])
+    expected = (2.0 * reference_normals(9, 12)).reshape(4, 3)
     np.testing.assert_array_equal(block, expected)
 
 
@@ -57,9 +52,7 @@ def test_uniform_bounded_stream():
     spec = NoiseSpec(kind="uniform-bounded", scale=0.7, seed=4)
     block = spec.stream(50, 2)
     assert np.abs(block).max() <= 0.7
-    rng = Xorshift64Star(4)
-    expected = np.array([[0.7 * (2.0 * rng.uniform() - 1.0) for _ in range(2)]
-                         for _ in range(50)])
+    expected = (0.7 * (2.0 * reference_uniforms(4, 100) - 1.0)).reshape(50, 2)
     np.testing.assert_array_equal(block, expected)
 
 
