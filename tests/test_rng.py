@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,15 +76,22 @@ def test_state_never_zero():
     assert len(vals) == 10
 
 
+@pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=examples(100), deadline=None)
-@given(seed=st.integers(0, MASK64), n=st.integers(0, 81), a=st.integers(0, 40),
+@given(seed=st.integers(0, MASK64), half=st.integers(0, 40), a=st.integers(0, 40),
        b=st.integers(0, 40))
-def test_draws_match_the_reference_stream(seed, n, a, b):
-    # A fresh generator's block has the reference's bits, an odd n included,
-    # and consecutive blocks continue one stream.
-    got = Xorshift64Star(seed).normals(n)
+def test_batched_draws_match_scalar_draws(parity, seed, half, a, b):
+    # A fresh generator's block of n draws has the bits of the reference's scalar
+    # draws, for even and odd n; a block of normals spends whole pairs of words
+    # (an odd n skips its last sine's word), and consecutive blocks continue one
+    # stream.
+    n = 2 * half + parity
+    rng = Xorshift64Star(seed)
+    got = rng.normals(n)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == reference_normals(seed, n).tobytes()
+    spent = n + parity
+    assert rng.uniforms(3).tobytes() == reference_uniforms(seed, spent + 3)[spent:].tobytes()
     got = Xorshift64Star(seed).uniforms(n)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == reference_uniforms(seed, n).tobytes()
