@@ -112,8 +112,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if args.stationary:
         updates["stationary"] = True
-    if args.bayes_mode is not None:
-        updates["bayes_mode"] = args.bayes_mode
     if args.out is not None:
         updates["output"] = args.out
     return dataclasses.replace(cfg, **updates) if updates else cfg
@@ -193,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run once per seed in the inclusive range, one file per seed")
     run.add_argument("--stationary", action="store_true",
                      help="use stationary (ARE) gains instead of the time-varying recursion")
-    run.add_argument("--bayes-mode", choices=["average", "map"], default=None,
-                     help="Bayesian output: posterior average or most probable model")
     run.set_defaults(func=cmd_run)
 
     ric = sub.add_parser("riccati", help="solve each model's ARE and report feasibility")

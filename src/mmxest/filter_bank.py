@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import as_floats, transpose
+from .linalg import as_floats
 from .riccati import LOG_2PI, GainSchedule
 
 _FLOAT = np.dtype(float)
@@ -88,7 +88,7 @@ def innovations(state: FilterBankState, y: np.ndarray):
         raise InvalidInput(f"no gain at t={state.t}; horizon is {state.gains.horizon}", "t")
     e = (y - state.yhat)[:, :, None]
     Sinv_e = state.gains.Sinv[state.col] @ e
-    return Sinv_e, (transpose(e) @ Sinv_e)[:, 0, 0]
+    return Sinv_e, (e.swapaxes(-1, -2) @ Sinv_e)[:, 0, 0]
 
 
 def step(state: FilterBankState, y, u=None) -> FilterBankState:

@@ -151,11 +151,11 @@ def _enter(j, active, y, s, lam, J, W, centers, offsets):
         J = _kkt(y, s, lam, W[active], centers[active], offsets[active])[1]
 
 
-def newton_stage(W, centers, offsets, lam):
-    """The active-set stage from weights lam: (yhat, weights, gap) for the
-    best weights it reached, or None if it reached none.
+def newton_stage(W, centers, offsets):
+    """The active-set stage from the top piece's vertex: (yhat, weights, gap)
+    for the best weights it reached, or None if it reached none.
 
-    It starts from the (at most m + 1) largest positive weights of lam.
+    It starts from the first piece of largest offset alone, at weight 1.
     Each round solves the optimality conditions of the active set by Newton
     from y(lam) and s = phi(lam) (:func:`_newton`); while a weight comes out
     negative, that piece leaves and the round repeats on the rest.  The
@@ -167,9 +167,7 @@ def newton_stage(W, centers, offsets, lam):
     and the caller decides whether the gap :func:`certify` gives is small
     enough.
     """
-    K, m = centers.shape
-    active = [i for i in np.argsort(-lam, kind="stable")[:m + 1].tolist() if lam[i] > 0.0]
-    lam = lam[active]
+    active, lam = [int(offsets.argmax())], np.ones(1)
     best, level = None, -math.inf
     with np.errstate(all="ignore"):  # a failed round shows in s and the gap
         try:
@@ -199,7 +197,7 @@ def newton_stage(W, centers, offsets, lam):
         if best is None:
             return None
         active, y, lam = best
-        weights = np.zeros(K)
+        weights = np.zeros(len(offsets))
         weights[active] = lam / lam.sum()
         yhat, upper, lower = certify(weights, y, W, centers, offsets)
     return yhat, weights, upper - lower

@@ -22,18 +22,9 @@ def as_floats(value, field, name=None) -> np.ndarray:
         raise InvalidInput(f"{name or field} must be numbers", field) from None
 
 
-def transpose(M: np.ndarray) -> np.ndarray:
-    """Swap the last two axes (matrix transpose, batched)."""
-    return M.swapaxes(-1, -2)
-
-
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M^T)/2, batched over leading axes."""
     return 0.5 * (M + M.swapaxes(-1, -2))
-
-
-def max_asymmetry(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.T))) if M.size else 0.0
 
 
 def check_spd(M: np.ndarray, name: str) -> np.ndarray:
@@ -50,7 +41,7 @@ def check_spd(M: np.ndarray, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be square, got shape {M.shape}", name)
     if not np.isfinite(M).all():
         raise InvalidInput(f"{name} has a non-finite entry", name)
-    asym = max_asymmetry(M)
+    asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if asym > SYMMETRY_TOL:
         raise InvalidInput(f"{name} is not symmetric (max asymmetry {asym:.3e})", name)
     M = symmetrize(M)

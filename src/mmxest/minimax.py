@@ -288,9 +288,7 @@ def _sorted_stages(W, centers, offsets):
     weights.  Where the stage has none, or their gap is NaN (a piece that
     overflows), the ascent starts from uniform weights, at which such a
     piece shows as an infinite gap."""
-    top = np.zeros(len(offsets))
-    top[offsets.argmax()] = 1.0
-    found = newton_stage(W, centers, offsets, top)
+    found = newton_stage(W, centers, offsets)
     if found is not None and found[2] <= SOLVE_TOL:
         return found + (0,)
     start = found[1] if found is not None and not math.isnan(found[2]) else np.ones(len(offsets))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,7 +25,8 @@ from .linalg import as_floats, check_spd
 
 @dataclass(frozen=True, eq=False)
 class ModelSet:
-    """Validated family of candidate models. Immutable after validation.
+    """Validated family of candidate models. Immutable after validation;
+    two banks compare equal only if they are one object.
 
     Attributes
     ----------
@@ -59,18 +60,6 @@ class ModelSet:
     P0: np.ndarray
     gamma: float
     xhat0: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelSet):
-            return NotImplemented
-        if (self.K, self.n, self.m, self.p) != (other.K, other.n, other.m, other.p):
-            return False
-        if self.gamma != other.gamma:
-            return False
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("F", "H", "B", "Q", "R", "P0", "xhat0")
-        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -114,29 +103,25 @@ def validate(candidate) -> ModelSet:
 
     Parameters
     ----------
-    candidate : ModelSet or mapping
-        Either an existing ModelSet or a mapping with keys ``F``, ``H``,
-        ``Q``, ``R``, ``P0``, ``gamma`` and optionally ``B`` and ``xhat0``.
-        ``F`` and ``H`` are sequences of per-model matrices; scalars are
-        promoted to 1x1 matrices.
+    candidate : mapping
+        A mapping with keys ``F``, ``H``, ``Q``, ``R``, ``P0``, ``gamma``
+        and optionally ``B`` and ``xhat0``.  ``F`` and ``H`` are sequences
+        of per-model matrices; scalars are promoted to 1x1 matrices.
 
     Raises
     ------
     InvalidInput
-        If the family has no models, F, H or B is not a sequence, a shape is
+        If ``candidate`` is not a mapping (a ModelSet included), the family
+        has no models, F, H or B is not a sequence, a shape is
         inconsistent, an entry is not a number, an entry of F, H, B or xhat0
         is not finite, Q, R or P0 is missing or fails the symmetric
         factorization test, or gamma is missing, not a finite real number >
         0, or has no finite nonzero square.  Its ``field`` names the record
         key at fault.
     """
-    if isinstance(candidate, ModelSet):
-        record = {f.name: getattr(candidate, f.name) for f in fields(ModelSet)}
-        record = {k: record[k] for k in ("F", "H", "B", "Q", "R", "P0", "gamma", "xhat0")}
-    elif isinstance(candidate, Mapping):
-        record = dict(candidate)
-    else:
+    if not isinstance(candidate, Mapping):
         raise InvalidInput(f"cannot interpret {type(candidate).__name__} as a model set")
+    record = dict(candidate)
 
     F = _as_matrix_list(record.get("F", ()), "F")
     H = _as_matrix_list(record.get("H", ()), "H")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import FactorizationFailure, GammaInfeasible, InvalidInput, NoConvergence
-from .linalg import as_floats, symmetrize, transpose
+from .linalg import as_floats, symmetrize
 from .model_bank import ModelSet
 
 ARE_MAX_ITER = 10000
@@ -65,7 +65,7 @@ def _gain_terms(P, F, H, R):
 
     Batched over leading axes; S is checked later, by :func:`_schedule`.
     """
-    PHt = P @ transpose(H)
+    PHt = P @ H.swapaxes(-1, -2)
     S = symmetrize(R + H @ PHt)
     Sinv = _inverse(S)
     FPHt = F @ PHt
@@ -73,7 +73,7 @@ def _gain_terms(P, F, H, R):
 
 
 def _next_cov(P, F, Q, FPHt, gain):
-    return symmetrize(Q + F @ P @ transpose(F) - gain @ transpose(FPHt))
+    return symmetrize(Q + F @ P @ F.swapaxes(-1, -2) - gain @ FPHt.swapaxes(-1, -2))
 
 
 def _certificates(P, H, gsq):
@@ -114,7 +114,7 @@ def _schedule(gamma, H, horizon, P, Sinv):
         a.setflags(write=False)  # shared by every call with equal inputs
     return GainSchedule(horizon=horizon, gamma_sq=gsq, models=None, P=P, Sinv=Sinv,
                         log_norm=log_norm, margin=margin, bank_feasible=bank_feasible, W=W,
-                        Ht=transpose(H))
+                        Ht=H.swapaxes(-1, -2))
 
 
 def _check_args(args):
@@ -128,7 +128,7 @@ def _check_args(args):
             raise InvalidInput(f"{name} has a non-finite entry", name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Per-model covariances, gains and certificates, stacked over the bank.
 
@@ -228,7 +228,7 @@ class GainSchedule:
             lambda_max=lam, gamma_sq=self.gamma_sq, model=i, t=t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AreSolution:
     """Fixed point of the Riccati recursion with convergence metadata."""
 

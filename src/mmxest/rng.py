@@ -3,13 +3,18 @@
 Simulation noise must replay bit-for-bit from a seed, on any platform,
 independent of numpy's generator versioning.  The stream is pinned here:
 
-- splitmix64 of the seed is the state of an xorshift64* stream, and each of
-  its 64-bit words gives its top 53 bits b;
+- splitmix64 of the seed is the state of an xorshift64* stream (shifts
+  12/25/27, multiplier 0x2545F4914F6CDD1D; the all-zero state, reached by
+  one seed only, falls back to the golden-gamma constant so the recurrence
+  never locks at zero), and each of its 64-bit words gives its top 53 bits b;
 - a uniform is b * 2**-53, on [0, 1);
 - a normal pair comes from u1 = (b1 + 1) * 2**-53, in (0, 1] so the log
   never sees zero, and u2 = b2 * 2**-53, as r cos(2 pi u2) and
   r sin(2 pi u2) with r = sqrt(-2 ln u1);
 - the logarithm, cosine and sine are the ``math`` module's.
+
+A stream is a function of its seed: :func:`uniforms` and :func:`normals`
+return its first ``count`` draws and carry no state between calls.
 
 Tests reimplement the same constants independently; do not change them.
 """
@@ -30,52 +35,42 @@ def splitmix64(seed: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-class Xorshift64Star:
-    """xorshift64* stream seeded through splitmix64.
+def _top53(seed: int, count: int) -> np.ndarray:
+    """The top 53 bits of the first ``count`` words of the stream of
+    ``seed``, as exact floats.
 
-    Shifts 12/25/27 with multiplier 0x2545F4914F6CDD1D.  The state is the
-    splitmix64 image of the seed; the all-zero state (unreachable through
-    splitmix64 except for one seed) falls back to the golden-gamma constant
-    so the recurrence never locks at zero.
+    Only the xorshift runs word by word; the multiply (wrapping mod 2**64
+    in uint64) and the shift act on the whole array.
     """
+    s = splitmix64(int(seed) & _MASK64) or 0x9E3779B97F4A7C15
+    states = np.empty(count, dtype=np.uint64)
+    for k in range(count):
+        s ^= (s >> 12)
+        s ^= (s << 25) & _MASK64
+        s ^= (s >> 27)
+        states[k] = s
+    return ((states * np.uint64(0x2545F4914F6CDD1D)) >> np.uint64(11)).astype(float)
 
-    def __init__(self, seed: int):
-        state = splitmix64(int(seed) & _MASK64)
-        self._state = state if state != 0 else 0x9E3779B97F4A7C15
 
-    def _top53(self, count: int) -> np.ndarray:
-        """The top 53 bits of the next ``count`` outputs, as exact floats.
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of the stream of ``seed``, on [0, 1), one word each."""
+    return _top53(seed, count) * 2.0 ** -53
 
-        Only the xorshift runs word by word; the multiply (wrapping mod
-        2**64 in uint64) and the shift act on the whole array.
-        """
-        states = np.empty(count, dtype=np.uint64)
-        s = self._state
-        for k in range(count):
-            s ^= (s >> 12)
-            s ^= (s << 25) & _MASK64
-            s ^= (s >> 27)
-            states[k] = s
-        self._state = s
-        return ((states * np.uint64(0x2545F4914F6CDD1D)) >> np.uint64(11)).astype(float)
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms on [0, 1), one word each."""
-        return self._top53(count) * 2.0 ** -53
+def normals(seed: int, count: int) -> np.ndarray:
+    """``count`` standard normals from the first (count + 1) // 2 pairs of
+    words of the stream of ``seed``.
 
-    def normals(self, count: int) -> np.ndarray:
-        """``count`` standard normals from the next (count + 1) // 2 pairs of words.
-
-        Cosines sit at even positions and sines at odd ones; an odd
-        ``count`` drops the last pair's sine.  The square root is correctly
-        rounded, so numpy's gives ``math``'s bits.
-        """
-        pairs = (count + 1) // 2
-        bits = self._top53(2 * pairs)
-        u1 = (bits[0::2] + 1.0) * 2.0 ** -53
-        angle = 2.0 * math.pi * (bits[1::2] * 2.0 ** -53)
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, pairs))
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
-        out[1::2] = r * np.fromiter(map(math.sin, angle), float, pairs)
-        return out[:count]
+    Cosines sit at even positions and sines at odd ones; an odd ``count``
+    drops the last pair's sine.  The square root is correctly rounded, so
+    numpy's gives ``math``'s bits.
+    """
+    pairs = (count + 1) // 2
+    bits = _top53(seed, 2 * pairs)
+    u1 = (bits[0::2] + 1.0) * 2.0 ** -53
+    angle = 2.0 * math.pi * (bits[1::2] * 2.0 ** -53)
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, pairs))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
+    out[1::2] = r * np.fromiter(map(math.sin, angle), float, pairs)
+    return out[:count]

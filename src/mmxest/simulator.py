@@ -20,10 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import bayes as _bayes
-from . import filter_bank, linalg, minimax, riccati
+from . import filter_bank, linalg, minimax, riccati, rng
 from .exceptions import InvalidInput, NoConvergence
-from .model_bank import ModelSet, finite_real
-from .rng import Xorshift64Star
+from .model_bank import ModelSet, _freeze, finite_real
 
 NOISE_KINDS = ("gaussian", "uniform-bounded", "zero")
 INPUT_KINDS = ("none", "sinusoid", "sequence")
@@ -49,18 +48,18 @@ class NoiseSpec:
         """Draw a (length, width) block from this source's own stream, row by row."""
         if self.kind == "zero" or self.scale == 0.0:
             return np.zeros((length, width))
-        rng = Xorshift64Star(self.seed)
         if self.kind == "gaussian":
-            draws = rng.normals(length * width)
+            draws = rng.normals(self.seed, length * width)
         else:
-            draws = 2.0 * rng.uniforms(length * width) - 1.0
+            draws = 2.0 * rng.uniforms(self.seed, length * width) - 1.0
         draws *= self.scale
         return draws.reshape(length, width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputSpec:
-    """Known input: none, sin(rate * t), or an explicit sequence."""
+    """Known input: none, sin(rate * t), or an explicit sequence, kept as a
+    read-only float64 copy of the caller's ``values``."""
 
     kind: str = "none"
     rate: float = 0.2
@@ -76,9 +75,10 @@ class InputSpec:
         if not finite_real(self.rate):
             raise InvalidInput(f"input rate must be a finite number, got {self.rate!r}")
         if self.values is not None:
-            values = linalg.as_floats(self.values, None, "input values")
+            values = _freeze(linalg.as_floats(self.values, None, "input values"))
             if not np.isfinite(values).all():
                 raise InvalidInput("input values must be finite")
+            object.__setattr__(self, "values", values)
 
     def build(self, horizon: int, p: int) -> np.ndarray:
         if self.kind == "none":
@@ -92,7 +92,7 @@ class InputSpec:
                 raise InvalidInput(f"input sin(rate * t) is not finite at "
                                    f"t={int(np.isfinite(wave).argmin())}")
             return np.tile(wave[:, None], (1, p))
-        vals = np.asarray(self.values, dtype=float)
+        vals = self.values
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape != (horizon, p):
@@ -101,7 +101,7 @@ class InputSpec:
         return vals.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Per-step record of one run; every array has ``horizon`` rows.
 

@@ -410,6 +410,29 @@ def disturbance_energy(models, trace, process_noise, measurement_noise):
     return prior + np.concatenate([[0.0], np.cumsum(step)[:-1]])
 
 
+def explaining_energy(models, u, x, y):
+    """E_t of a truth (u, x, y), t = 0..N-1, read under each bank model j:
+
+        E_t[j] = |x_0 - xhat0|^2_{P0^{-1}} + sum_{s<t} (|w_s|^2_{Q^{-1}} + |v_s|^2_{R^{-1}}),
+
+    with w_s = x_{s+1} - F_j x_s - B_j u_s and v_s = y_s - H_j x_s, the
+    disturbances that make model j produce the truth's own states and
+    outputs.  As (K, N); the truth need not come from the bank.  Where H_j
+    x_t is the truth's z_t, |z_t - yhat_t|^2 <= J*_t + gamma^2 E_t[j].
+    """
+    N = len(y)
+    w = x[None, 1:] - np.einsum("kij,tj->kti", models.F, x[:-1])
+    if models.p:
+        w -= np.einsum("kij,tj->kti", models.B, u)
+    v = y[None] - np.einsum("kij,tj->kti", models.H, x[:-1])
+    d = x[0] - models.xhat0
+    prior = float(d @ np.linalg.solve(models.P0, d))
+    step = (np.einsum("kti,ij,ktj->kt", w, np.linalg.inv(models.Q), w)
+            + np.einsum("kti,ij,ktj->kt", v, np.linalg.inv(models.R), v))
+    return prior + np.concatenate([np.zeros((models.K, 1)), np.cumsum(step, axis=1)[:, :N - 1]],
+                                  axis=1)
+
+
 def _fmt(x):
     return repr(float(x))
 

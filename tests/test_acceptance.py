@@ -14,6 +14,7 @@ from conftest import make_random_models, near_boundary_bank
 from oracles import (
     concave_quadratic_max,
     disturbance_energy,
+    explaining_energy,
     quadratic_max_closed_form,
     stacked_ls_value,
     value_function,
@@ -273,45 +274,72 @@ def test_11_minimax_becomes_the_true_model_filter(paper_config):
     report(11, "minimax_becomes_the_true_model_filter", ok)
 
 
-def _bound_ratio(models, true_model, horizon, process_noise, measurement_noise,
-                 stationary=False):
-    """Largest |z_t - yhat_t|^2 / (J*_t + gamma^2 E_t) of one run, and whether
-    every step keeps |z_t - yhat_t|^2 <= J*_t + gamma^2 E_t to within 64 eps
-    (|J*_t| + gamma^2 E_t + |z_t - yhat_t|^2)."""
-    tr = mx.simulate(models, true_model, horizon, process_noise, measurement_noise,
-                     stationary=stationary)
-    err = ((tr.z - tr.yhat_minimax) ** 2).sum(axis=1)
-    budget = models.gamma ** 2 * disturbance_energy(models, tr, process_noise,
-                                                    measurement_noise)
-    bound = tr.J_star + budget
-    slack = 64 * np.finfo(float).eps * (np.abs(tr.J_star) + budget + err)
+def _ratio(J_star, err, budget):
+    """Largest err / (J*_t + budget_t), and whether every step keeps err <=
+    J*_t + budget_t to within 64 eps (|J*_t| + budget_t + err)."""
+    bound = J_star + budget
+    slack = 64 * np.finfo(float).eps * (np.abs(J_star) + budget + err)
     ok = bool((err <= bound + slack).all())
     positive = bound > 0  # at t = 0 bound and error are both 0: nothing is spent yet
     return float((err[positive] / bound[positive]).max()), ok
+
+
+def _bound_ratio(models, true_model, horizon, process_noise, measurement_noise,
+                 stationary=False):
+    """:func:`_ratio` of one simulated run, |z_t - yhat_t|^2 against J*_t +
+    gamma^2 E_t with E_t the energy of the run's drawn disturbances."""
+    tr = mx.simulate(models, true_model, horizon, process_noise, measurement_noise,
+                     stationary=stationary)
+    budget = models.gamma ** 2 * disturbance_energy(models, tr, process_noise,
+                                                    measurement_noise)
+    return _ratio(tr.J_star, ((tr.z - tr.yhat_minimax) ** 2).sum(axis=1), budget)
 
 
 def test_12_deterministic_error_bound(paper_config):
     # The paper's guarantee holds on every realized disturbance, not on
     # average: with E_t the energy of the true model's disturbances so far,
     # |z_t - yhat_t|^2 <= J*_t + gamma^2 E_t at every step.  Checked on the
-    # paper config (20 seeds, both gain modes, where the bound is loose) and
-    # on every true model of two random banks at gamma^2 = 1.0001 times
-    # their peak lambda_max(H P H^T), where it is tight.
+    # paper config (20 seeds, both gain modes, where the bound is loose), on
+    # every true model of two random banks at gamma^2 = 1.0001 times their
+    # peak lambda_max(H P H^T), where it is tight, on the paper bank under
+    # uniform noise unmatched to Q and R, and on truths F = f F_base outside
+    # the paper bank, whose E_t is read from the truth's states under each
+    # bank model (both share H, so the least of the two bounds).
     worst, ok = {}, True
+
+    def record(key, result):
+        nonlocal ok
+        worst[key] = max(worst.get(key, 0.0), result[0])
+        ok &= result[1]
+
     for s in range(20):
         cfg = mx.with_seed(paper_config, s)
         for stationary in (False, True):
-            r, good = _bound_ratio(cfg.models, cfg.true_model, 400, cfg.process_noise,
-                                   cfg.measurement_noise, stationary)
-            worst["paper"] = max(worst.get("paper", 0.0), r)
-            ok &= good
+            record("paper", _bound_ratio(cfg.models, cfg.true_model, 400, cfg.process_noise,
+                                         cfg.measurement_noise, stationary))
     for b in (5, 9):
         spec, _, peak = near_boundary_bank(b, 300)
         models = mx.validate({**spec, "gamma": float(np.sqrt(1.0001 * peak))})
         for true_model in range(models.K):
-            r, good = _bound_ratio(models, true_model, 300, mx.NoiseSpec(seed=2 * b),
-                                   mx.NoiseSpec(seed=2 * b + 1))
-            worst[f"bank {b}"] = max(worst.get(f"bank {b}", 0.0), r)
-            ok &= good
+            record(f"bank {b}", _bound_ratio(models, true_model, 300, mx.NoiseSpec(seed=2 * b),
+                                             mx.NoiseSpec(seed=2 * b + 1)))
+    models = paper_config.models
+    for scale in (3, 5):
+        for s in range(10):
+            record(f"uniform {scale}", _bound_ratio(
+                models, paper_config.true_model, 400,
+                mx.NoiseSpec("uniform-bounded", scale, 2 * s),
+                mx.NoiseSpec("uniform-bounded", scale, 2 * s + 1)))
+    assert (models.H == models.H[0]).all()
+    for f in (0.5, 0.9, -0.7):
+        truth_bank = mx.validate({"F": [f * models.F[1]], "H": [models.H[1]], "Q": models.Q,
+                                  "R": models.R, "P0": models.P0, "gamma": models.gamma})
+        for s in range(10):
+            _, x, y, z = mx.generate_truth(truth_bank, 0, 400, mx.NoiseSpec(seed=2 * s),
+                                           mx.NoiseSpec(seed=2 * s + 1))
+            tr = mx.run_estimators(models, y)
+            budget = models.gamma ** 2 * explaining_energy(models, tr.u, x, y).min(axis=0)
+            record(f"F x {f}", _ratio(tr.J_star, ((z - tr.yhat_minimax) ** 2).sum(axis=1),
+                                      budget))
     print("largest error / bound: " + ", ".join(f"{k} {v:.3f}" for k, v in worst.items()))
     report(12, "deterministic_error_bound", ok)

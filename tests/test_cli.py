@@ -67,9 +67,10 @@ def test_run_twice_is_byte_identical(tmp_path, paper_config_path):
 def test_main_parses_each_call_on_its_own(tmp_path, paper_config_path):
     # main reuses one parser per process; no option of one call reaches the next
     a, b, c = (str(tmp_path / f"{name}.csv") for name in "abc")
+    mapped = write(tmp_path, open(paper_config_path, encoding="utf-8").read()
+                   + "bayes_mode: map\n")
     assert cli.main(["run", "--config", paper_config_path, "--out", a]) == 0
-    assert cli.main(["run", "--config", paper_config_path, "--out", b, "--full",
-                     "--stationary", "--bayes-mode", "map"]) == 0
+    assert cli.main(["run", "--config", mapped, "--out", b, "--full", "--stationary"]) == 0
     assert cli.main(["run", "--config", paper_config_path, "--out", c]) == 0
     assert cli.build_parser() is cli.build_parser()
     assert len(read_csv(b)[0]) == 11
@@ -479,15 +480,21 @@ def test_check_reports_first_violation(tmp_path, paper_config_path, capsys):
     assert "lambda_max" in err
 
 
-def test_stationary_and_bayes_mode_flags(tmp_path, paper_config_path):
+def test_stationary_and_bayes_mode_flags(tmp_path, paper_config_path, capsys):
+    # --stationary is a flag; the Bayes mode is the config's bayes_mode only
     a = str(tmp_path / "tv.csv")
     b = str(tmp_path / "st.csv")
     c = str(tmp_path / "map.csv")
+    mapped = write(tmp_path, open(paper_config_path, encoding="utf-8").read()
+                   + "bayes_mode: map\n")
     assert cli.main(["run", "--config", paper_config_path, "--out", a]) == 0
     assert cli.main(["run", "--config", paper_config_path, "--out", b,
                      "--stationary"]) == 0
-    assert cli.main(["run", "--config", paper_config_path, "--out", c,
-                     "--bayes-mode", "map"]) == 0
+    assert cli.main(["run", "--config", mapped, "--out", c]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", paper_config_path, "--out", c, "--bayes-mode", "map"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bayes-mode map" in capsys.readouterr().err
     _, rows_a = read_csv(a)
     _, rows_b = read_csv(b)
     _, rows_c = read_csv(c)

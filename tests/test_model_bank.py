@@ -179,15 +179,17 @@ def test_caller_arrays_changed_after_validate_leave_the_bank_alone():
         assert not getattr(models, name).flags.writeable, name
 
 
-def test_validate_is_idempotent_and_equal():
+def test_validate_takes_a_mapping_and_banks_compare_by_identity():
+    # A bank is not a mapping, so validate rejects it as it does any other
+    # record; two validations of one spec are distinct banks, and a bank
+    # equals only itself and hashes by identity.
     a = mx.validate(paper_spec())
     b = mx.validate(paper_spec())
-    assert a == b
-    assert mx.validate(a) == a
-
-    spec = paper_spec()
-    spec["gamma"] = 4.0
-    assert mx.validate(spec) != a
+    with raises_invalid(None, "^cannot interpret ModelSet as a model set$"):
+        mx.validate(a)
+    assert a is not b and a != b
+    assert a == a
+    assert {a: 1}[a] == 1 and b not in {a: 1}
 
 
 def test_explicit_prior_mean_kept():

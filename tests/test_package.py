@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmxest as mx
@@ -46,6 +47,24 @@ def test_per_step_records_reject_assignment(paper_models, index, cls):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+def test_records_of_arrays_compare_by_identity(paper_models):
+    # A frozen record that holds arrays equals only itself, so == on two of
+    # different data is False, not numpy's ValueError, and a bank or a
+    # schedule hashes.
+    m = paper_models
+    pairs = [
+        [mx.solve_are(m.F[i], m.H[i], m.Q, m.R, m.P0) for i in range(2)],
+        [mx.simulate(m, 1, 5, mx.NoiseSpec(seed=s)) for s in (0, 1)],
+        [mx.InputSpec("sequence", values=np.arange(5.0) + s) for s in (0, 1)],
+        [mx.run_recursion(m, 5), mx.stationary_gains(m)],
+    ]
+    for a, b in pairs:
+        assert (a == b) is False and (a != b) is True
+        assert a == a and b == b
+    gains = pairs[3][0]
+    assert {m: 0, gains: 1}[gains] == 1
 
 
 def test_every_raise_constructs_a_package_error():

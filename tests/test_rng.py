@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmxest.rng import Xorshift64Star, splitmix64
+from mmxest.rng import normals, splitmix64, uniforms
 from conftest import examples
 from oracles import (MASK64, reference_normals, reference_splitmix64, reference_stream,
                      reference_uniforms)
@@ -19,19 +19,18 @@ def test_splitmix64_matches_reference():
 def test_uint64_stream_matches_reference():
     # A uniform is the top 53 bits of one word, scaled exactly by 2^-53.
     for seed in (0, 1, 7, 123456789, 2**40 + 5):
-        got = Xorshift64Star(seed).uniforms(50) * 2**53
+        got = uniforms(seed, 50) * 2**53
         assert got.tolist() == [w >> 11 for w in reference_stream(seed, 50)]
 
 
 def test_uniform_construction():
-    got = Xorshift64Star(99).uniforms(100).tolist()
+    got = uniforms(99, 100).tolist()
     expected = [(bits >> 11) * 2.0 ** -53 for bits in reference_stream(99, 100)]
     assert got == expected
     assert all(0.0 <= u < 1.0 for u in got)
 
 
 def test_normal_box_muller_pairing():
-    rng = Xorshift64Star(5)
     ref = reference_stream(5, 5)
     u1 = ((ref[0] >> 11) + 1) * 2.0 ** -53
     u2 = (ref[1] >> 11) * 2.0 ** -53
@@ -40,29 +39,27 @@ def test_normal_box_muller_pairing():
     u2b = (ref[3] >> 11) * 2.0 ** -53
     rb = math.sqrt(-2.0 * math.log(u1b))
     # cosine, then sine, of one pair of words; three draws take two pairs
-    assert rng.normals(3).tolist() == [r * math.cos(2.0 * math.pi * u2),
-                                       r * math.sin(2.0 * math.pi * u2),
-                                       rb * math.cos(2.0 * math.pi * u2b)]
-    # the dropped sine's word is spent: the next draw reads word 4
-    assert rng.uniforms(1).tolist() == [(ref[4] >> 11) * 2.0 ** -53]
+    assert normals(5, 3).tolist() == [r * math.cos(2.0 * math.pi * u2),
+                                      r * math.sin(2.0 * math.pi * u2),
+                                      rb * math.cos(2.0 * math.pi * u2b)]
 
 
 def test_same_seed_same_sequence_different_seed_differs():
-    a = Xorshift64Star(31).normals(10).tolist()
-    b = Xorshift64Star(31).normals(10).tolist()
-    c = Xorshift64Star(32).normals(10).tolist()
+    a = normals(31, 10).tolist()
+    b = normals(31, 10).tolist()
+    c = normals(32, 10).tolist()
     assert a == b
     assert a != c
 
 
 def test_normal_moments():
-    draws = Xorshift64Star(1234).normals(20000)
+    draws = normals(1234, 20000)
     assert abs(draws.mean()) < 0.03
     assert abs(draws.var() - 1.0) < 0.05
 
 
 def test_uniform_moments():
-    draws = Xorshift64Star(77).uniforms(20000)
+    draws = uniforms(77, 20000)
     assert abs(draws.mean() - 0.5) < 0.01
     assert abs(draws.var() - 1.0 / 12.0) < 0.01
     assert draws.min() >= 0.0
@@ -71,7 +68,7 @@ def test_uniform_moments():
 
 def test_state_never_zero():
     # Even seed 0 must produce a live stream.
-    vals = set(Xorshift64Star(0).uniforms(10).tolist())
+    vals = set(uniforms(0, 10).tolist())
     assert vals != {0.0}
     assert len(vals) == 10
 
@@ -81,20 +78,17 @@ def test_state_never_zero():
 @given(seed=st.integers(0, MASK64), half=st.integers(0, 40), a=st.integers(0, 40),
        b=st.integers(0, 40))
 def test_batched_draws_match_scalar_draws(parity, seed, half, a, b):
-    # A fresh generator's block of n draws has the bits of the reference's scalar
-    # draws, for even and odd n; a block of normals spends whole pairs of words
-    # (an odd n skips its last sine's word), and consecutive blocks continue one
-    # stream.
+    # A block of n draws has the bits of the reference's scalar draws, for even
+    # and odd n.  A stream is a function of its seed: a shorter block of
+    # uniforms is a prefix of a longer one, and so is a block of normals that
+    # spends whole pairs of words.
     n = 2 * half + parity
-    rng = Xorshift64Star(seed)
-    got = rng.normals(n)
+    got = normals(seed, n)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == reference_normals(seed, n).tobytes()
-    spent = n + parity
-    assert rng.uniforms(3).tobytes() == reference_uniforms(seed, spent + 3)[spent:].tobytes()
-    got = Xorshift64Star(seed).uniforms(n)
+    got = uniforms(seed, n)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == reference_uniforms(seed, n).tobytes()
-    rng = Xorshift64Star(seed)
-    got = np.concatenate([rng.uniforms(a), rng.uniforms(b)])
-    assert got.tobytes() == reference_uniforms(seed, a + b).tobytes()
+    assert uniforms(seed, a).tobytes() == uniforms(seed, a + b)[:a].tobytes()
+    even = 2 * half
+    assert normals(seed, even).tobytes() == normals(seed, even + 2)[:even].tobytes()

@@ -95,6 +95,22 @@ def test_input_needs_b_and_a_finite_wave():
         InputSpec(kind="sinusoid", rate=1.0e308).build(5, 1)
 
 
+def test_input_sequence_keeps_its_own_copy(paper_config):
+    # A sequence keeps a read-only float64 copy of the caller's values: a
+    # later change to the caller's list or array reaches neither build nor
+    # the run, which would otherwise blame the state for a NaN input.
+    vals, arr = [0.5] * 20, np.full(20, 0.5)
+    specs = [InputSpec(kind="sequence", values=v) for v in (vals, arr)]
+    vals[3] = arr[3] = np.nan
+    for spec in specs:
+        assert spec.values.dtype == np.float64 and not spec.values.flags.writeable
+        with pytest.raises(ValueError):
+            spec.values[0] = 1.0
+        assert spec.build(20, 1).tolist() == [[0.5]] * 20
+        trace = mx.simulate(paper_config.models, 1, 20, input_spec=spec)
+        assert trace.u.tolist() == [[0.5]] * 20
+
+
 @pytest.mark.parametrize("values", [["a", 1.0], [[1.0, 2.0], [3.0]], {"a": 1.0}],
                          ids=["string", "ragged", "mapping"])
 def test_input_spec_rejects_values_that_are_not_numbers(values):
@@ -366,6 +382,26 @@ def test_run_estimators_takes_a_1d_record_as_one_column(paper_config):
                                    cfg.measurement_noise, cfg.input_spec)
     want = mx.run_estimators(cfg.models, y, u=u)
     got = mx.run_estimators(cfg.models, y[:, 0], u=u[:, 0])
+    for field in dataclasses.fields(mx.SimulationTrace):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("bank", ["paper", "no-input"])
+def test_run_estimators_without_u_replays_a_zero_input(paper_config, bank):
+    # u omitted is u = zeros((N, p)): on the paper bank (p = 1) and on a bank
+    # without B (p = 0) every trace array is that replay's, byte for byte.
+    models = paper_config.models
+    if bank == "no-input":
+        models = mx.validate({"F": list(models.F), "H": list(models.H), "Q": models.Q,
+                              "R": models.R, "P0": models.P0, "gamma": models.gamma})
+    _, _, y, _ = mx.generate_truth(models, 1, 30, NoiseSpec(seed=3), NoiseSpec(seed=4))
+    got = mx.run_estimators(models, y)
+    want = mx.run_estimators(models, y, u=np.zeros((30, models.p)))
+    assert got.u.shape == (30, models.p)
     for field in dataclasses.fields(mx.SimulationTrace):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):

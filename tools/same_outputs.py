@@ -8,7 +8,9 @@ In each checkout, with its own ``src`` first on the import path, runs
 
 - ``run --full``, time-varying and ``--stationary``;
 - ``run --full`` with each estimator off, on a copy of the config with an
-  ``estimators:`` block, written into the command's own output directory;
+  ``estimators:`` block, and with the Bayes output of the most probable
+  model, on a copy with ``bayes_mode: map``; each copy is written into the
+  command's own output directory;
 - ``run --seeds 0..63 --full``, time-varying and ``--stationary`` (64 files each);
 - ``riccati``;
 - ``check``.
@@ -51,6 +53,7 @@ COMMANDS = {
                          "--out", "{out}/trace.csv"],
     "run_no_minimax": ["run", "--full", "--out", "{out}/trace.csv"],
     "run_no_bayes": ["run", "--full", "--out", "{out}/trace.csv"],
+    "run_bayes_map": ["run", "--full", "--out", "{out}/trace.csv"],
     "riccati": ["riccati"],
     "check": ["check"],
 }
@@ -58,6 +61,7 @@ COMMANDS = {
 CONFIG_BLOCKS = {
     "run_no_minimax": "estimators: {minimax: false}\n",
     "run_no_bayes": "estimators: {bayesian: false}\n",
+    "run_bayes_map": "bayes_mode: map\n",
 }
 # Run in a checkout with its src and perfbench on the path; argv[1] is the
 # output directory.  Writes <workload>/<label>.status, and <label>.csv when
