@@ -73,7 +73,7 @@ def bayes_estimate(posterior: np.ndarray, state: FilterBankState,
     try:
         fits = len(posterior) == len(preds)
         if fits and mode == "average":
-            return posterior @ preds
+            return np.dot(posterior, preds)
         if fits and mode == "map":
             return preds[int(np.argmax(np.asarray(posterior, dtype=float)))]
     except (TypeError, ValueError):  # not numbers, or no length

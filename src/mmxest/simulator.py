@@ -160,7 +160,7 @@ def generate_truth(models: ModelSet, true_model: int, horizon: int,
     x[0] = models.xhat0
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
         for x_t, x_next, w_t, Bu_t in zip(x, x[1:], w, Bu):
-            np.matmul(F, x_t, out=x_next)  # each state is written into its row
+            F.dot(x_t, out=x_next)  # each state is written into its row
             x_next += w_t
             if Bu_t is not None:
                 x_next += Bu_t

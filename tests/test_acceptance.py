@@ -285,11 +285,11 @@ def _ratio(J_star, err, budget):
 
 
 def _bound_ratio(models, true_model, horizon, process_noise, measurement_noise,
-                 stationary=False):
+                 stationary=False, input_spec=mx.InputSpec()):
     """:func:`_ratio` of one simulated run, |z_t - yhat_t|^2 against J*_t +
     gamma^2 E_t with E_t the energy of the run's drawn disturbances."""
     tr = mx.simulate(models, true_model, horizon, process_noise, measurement_noise,
-                     stationary=stationary)
+                     input_spec, stationary=stationary)
     budget = models.gamma ** 2 * disturbance_energy(models, tr, process_noise,
                                                     measurement_noise)
     return _ratio(tr.J_star, ((tr.z - tr.yhat_minimax) ** 2).sum(axis=1), budget)
@@ -302,9 +302,12 @@ def test_12_deterministic_error_bound(paper_config):
     # paper config (20 seeds, both gain modes, where the bound is loose), on
     # every true model of two random banks at gamma^2 = 1.0001 times their
     # peak lambda_max(H P H^T), where it is tight, on the paper bank under
-    # uniform noise unmatched to Q and R, and on truths F = f F_base outside
-    # the paper bank, whose E_t is read from the truth's states under each
-    # bank model (both share H, so the least of the two bounds).
+    # uniform noise unmatched to Q and R, without and with the config's
+    # sinusoid input (without it, error, J* and E all scale with the noise
+    # squared, so a second noise scale would repeat the first), and on
+    # truths F = f F_base outside the paper bank, whose E_t is read from the
+    # truth's states under each bank model (both share H, so the least of
+    # the two bounds).
     worst, ok = {}, True
 
     def record(key, result):
@@ -324,12 +327,13 @@ def test_12_deterministic_error_bound(paper_config):
             record(f"bank {b}", _bound_ratio(models, true_model, 300, mx.NoiseSpec(seed=2 * b),
                                              mx.NoiseSpec(seed=2 * b + 1)))
     models = paper_config.models
-    for scale in (3, 5):
+    for key, input_spec in (("uniform 3", mx.InputSpec()),
+                            ("uniform 3 sinusoid", paper_config.input_spec)):
         for s in range(10):
-            record(f"uniform {scale}", _bound_ratio(
-                models, paper_config.true_model, 400,
-                mx.NoiseSpec("uniform-bounded", scale, 2 * s),
-                mx.NoiseSpec("uniform-bounded", scale, 2 * s + 1)))
+            record(key, _bound_ratio(models, paper_config.true_model, 400,
+                                     mx.NoiseSpec("uniform-bounded", 3, 2 * s),
+                                     mx.NoiseSpec("uniform-bounded", 3, 2 * s + 1),
+                                     input_spec=input_spec))
     assert (models.H == models.H[0]).all()
     for f in (0.5, 0.9, -0.7):
         truth_bank = mx.validate({"F": [f * models.F[1]], "H": [models.H[1]], "Q": models.Q,

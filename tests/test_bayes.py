@@ -89,6 +89,23 @@ def test_posterior_must_hold_one_number_per_model(paper_models, call, posterior)
         call(posterior, state)
 
 
+@pytest.mark.parametrize("mode", bayes.BAYES_MODES)
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_bayes_estimate_reads_a_sequence_as_the_array(mode, kind):
+    # A posterior given as K numbers in a list or tuple gives the bits of
+    # the same posterior as a float64 array, on a K = 8, m = 2 bank.
+    rng = np.random.default_rng(11)
+    models = make_random_models(rng, 8, 4, 2)
+    state = filter_bank.init(mx.run_recursion(models, 3))
+    for _ in range(2):
+        state = filter_bank.step(state, rng.normal(size=2))
+    post = rng.random(8)
+    post /= post.sum()
+    want = bayes.bayes_estimate(post, state, mode=mode)
+    got = bayes.bayes_estimate(kind(post.tolist()), state, mode=mode)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_bayes_estimate_map_tie_breaks_low_index():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmxest.rng import normals, splitmix64, uniforms
+from mmxest.rng import _BLOCK, normals, splitmix64, uniforms
 from conftest import examples
 from oracles import (MASK64, reference_normals, reference_splitmix64, reference_stream,
                      reference_uniforms)
@@ -66,6 +66,33 @@ def test_uniform_moments():
     assert draws.max() < 1.0
 
 
+# splitmix64 is a bijection, and this is the one seed it maps to the all-zero state.
+ZERO_STATE_SEED = -0x9E3779B97F4A7C15 & MASK64
+
+
+def test_word_loop_and_jump_table_match_the_references():
+    # Streams of at most one block step word by word, longer ones come from
+    # the jump table; every count up to three blocks and one word has the
+    # references' bits, the zero-state fallback included.
+    assert reference_splitmix64(ZERO_STATE_SEED) == 0
+    top = 3 * _BLOCK + 1
+    for seed in (0, 1, 2**40 + 5, MASK64, ZERO_STATE_SEED):
+        words = [w >> 11 for w in reference_stream(seed, top)]
+        ref_u, ref_n = reference_uniforms(seed, top), reference_normals(seed, top)
+        for count in range(top + 1):
+            got = uniforms(seed, count)
+            assert (got * 2**53).tolist() == words[:count]
+            assert got.tobytes() == ref_u[:count].tobytes()
+            assert normals(seed, count).tobytes() == ref_n[:count].tobytes()
+
+
+def test_long_streams_match_the_references():
+    # An N = 1000 paper-bank run draws 3000 process and 1000 measurement normals.
+    for seed, count in ((0, 3000), (1, 1000), (2**63 + 1, 3001)):
+        assert normals(seed, count).tobytes() == reference_normals(seed, count).tobytes()
+        assert uniforms(seed, count).tobytes() == reference_uniforms(seed, count).tobytes()
+
+
 def test_state_never_zero():
     # Even seed 0 must produce a live stream.
     vals = set(uniforms(0, 10).tolist())
@@ -75,13 +102,14 @@ def test_state_never_zero():
 
 @pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=examples(100), deadline=None)
-@given(seed=st.integers(0, MASK64), half=st.integers(0, 40), a=st.integers(0, 40),
-       b=st.integers(0, 40))
+@given(seed=st.integers(0, MASK64), half=st.integers(0, 2 * _BLOCK),
+       a=st.integers(0, 2 * _BLOCK), b=st.integers(0, 2 * _BLOCK))
 def test_batched_draws_match_scalar_draws(parity, seed, half, a, b):
     # A block of n draws has the bits of the reference's scalar draws, for even
     # and odd n.  A stream is a function of its seed: a shorter block of
     # uniforms is a prefix of a longer one, and so is a block of normals that
-    # spends whole pairs of words.
+    # spends whole pairs of words, on either side of the jump table's block
+    # edges.
     n = 2 * half + parity
     got = normals(seed, n)
     assert got.dtype == np.float64 and got.shape == (n,)

@@ -64,13 +64,13 @@ def test_workload_reference_inputs_are_rendered_per_checkout(tmp_path):
 
 def test_rendered_outputs_match_the_recorded_digests(tmp_path):
     # Every file tools/same_outputs.py renders (the CLI runs on the paper
-    # config and the benchmark's N = 1000 and m = 2 reference inputs) has
-    # the sha256 recorded in tests/data/outputs.sha256.  A change that moves
+    # config and its copies, and the benchmark's N = 1000 and m = 2 reference
+    # inputs) has the sha256 recorded in tests/data/outputs.sha256.  A change that moves
     # an output on purpose re-records the file with --digests.
     recorded = ROOT / "tests" / "data" / "outputs.sha256"
     same_outputs.collect(ROOT, tmp_path)
     assert same_outputs.digest_difference(recorded, tmp_path) is None
-    assert len(same_outputs.read_digests(recorded)[1]) == 182
+    assert len(same_outputs.read_digests(recorded)[1]) == 187
 
 
 def test_digest_difference_names_the_first_file_and_a_numpy_mismatch(tmp_path):

@@ -8,18 +8,20 @@ In each checkout, with its own ``src`` first on the import path, runs
 
 - ``run --full``, time-varying and ``--stationary``;
 - ``run --full`` with each estimator off, on a copy of the config with an
-  ``estimators:`` block, and with the Bayes output of the most probable
-  model, on a copy with ``bayes_mode: map``; each copy is written into the
-  command's own output directory;
+  ``estimators:`` block, with the Bayes output of the most probable model,
+  on a copy with ``bayes_mode: map``, and on a copy with ``uniform-bounded``
+  noise and ``horizon: 1000``, whose 3000- and 1000-word streams are drawn
+  from the jump table; each copy is written into the command's own output
+  directory;
 - ``run --seeds 0..63 --full``, time-varying and ``--stationary`` (64 files each);
 - ``riccati``;
 - ``check``.
 
-The CLI sees only the paper config's 20 steps and m = 1, so each checkout
-also renders, with its own ``perfbench/workloads.py``, the ``--full`` CSV of
-the benchmark's in-process reference inputs (workload seed 0): the four
-``paper_long`` data sets (N = 1000) and the four ``random_banks`` banks
-(m = 2), or the name of the error a run raised.
+The CLI runs see m = 1 only, and all but one the paper config's 20 steps,
+so each checkout also renders, with its own ``perfbench/workloads.py``, the
+``--full`` CSV of the benchmark's in-process reference inputs (workload seed
+0): the four ``paper_long`` data sets (N = 1000) and the four
+``random_banks`` banks (m = 2), or the name of the error a run raised.
 
 Every CSV, and each command's standard output, standard error and exit
 code, goes into one directory per checkout; then the two directories are
@@ -54,6 +56,7 @@ COMMANDS = {
     "run_no_minimax": ["run", "--full", "--out", "{out}/trace.csv"],
     "run_no_bayes": ["run", "--full", "--out", "{out}/trace.csv"],
     "run_bayes_map": ["run", "--full", "--out", "{out}/trace.csv"],
+    "run_uniform_long": ["run", "--full", "--out", "{out}/trace.csv"],
     "riccati": ["riccati"],
     "check": ["check"],
 }
@@ -62,6 +65,11 @@ CONFIG_BLOCKS = {
     "run_no_minimax": "estimators: {minimax: false}\n",
     "run_no_bayes": "estimators: {bayesian: false}\n",
     "run_bayes_map": "bayes_mode: map\n",
+}
+# name -> (old, new) texts replaced in the command's copy of CONFIG; each old text must occur
+CONFIG_EDITS = {
+    "run_uniform_long": (("horizon: 20\n", "horizon: 1000\n"),
+                         ("kind: gaussian\n", "kind: uniform-bounded\n")),
 }
 # Run in a checkout with its src and perfbench on the path; argv[1] is the
 # output directory.  Writes <workload>/<label>.status, and <label>.csv when
@@ -99,9 +107,14 @@ def collect(checkout, dest):
         out.mkdir(parents=True)
         argv = [a.format(out=out) for a in args]
         config = CONFIG
-        if name in CONFIG_BLOCKS:
+        if name in CONFIG_BLOCKS or name in CONFIG_EDITS:
+            text = (checkout / CONFIG).read_text()
+            for old, new in CONFIG_EDITS.get(name, ()):
+                if old not in text:
+                    raise ValueError(f"{name}: {CONFIG} has no {old!r} to replace")
+                text = text.replace(old, new)
             config = out / "exp.cfg"
-            config.write_text((checkout / CONFIG).read_text() + CONFIG_BLOCKS[name])
+            config.write_text(text + CONFIG_BLOCKS.get(name, ""))
         proc = subprocess.run([sys.executable, "-m", "mmxest.cli", argv[0], "--config",
                                str(config), *argv[1:]], cwd=checkout, env=env,
                               capture_output=True, check=False)
