@@ -5,12 +5,14 @@ known input, and estimator options.  Each section is built by the type that
 checks it (``validate``, ``NoiseSpec``, ``InputSpec``); this module only
 expands the shorthands: a scalar means that multiple of I, a vector is a row
 (one output) or a column, a single H or B is shared by every model, and
-F_base with F_scales builds {scale_i * F_base}.  Unknown keys are rejected,
-and every failure raises :class:`InvalidInput` naming the config key.
+F_base with F_scales builds {scale_i * F_base}.  Unknown keys and a key
+given twice in one mapping are rejected, and every failure raises
+:class:`InvalidInput` naming the config key.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ ROOT_KEYS = ("models", "Q", "R", "P0", "gamma", "xhat0", "true_model", "horizon"
              "bayes_mode", "output", "estimators")
 MODEL_KEYS = ("F", "F_base", "F_scales", "H", "B")
 ESTIMATOR_KEYS = ("minimax", "bayesian")
+_MERGE = "tag:yaml.org,2002:merge"
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,37 @@ def _models(raw) -> ModelSet:
         return validate(fields)
 
 
+@functools.cache
+def _strict(base):
+    """Loader class ``base`` that rejects a key given twice in one mapping:
+    InvalidInput "field <section>.<key>: given twice".  A mapping's keys are
+    checked before its values are built, so a nested mapping learns its
+    section from its parent (one under a sequence has none).  A merge key
+    (``<<``) is PyYAML's to resolve, and may be overridden."""
+    import yaml
+
+    class Loader(base):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.sections = {}  # mapping node -> "<section>." of its keys
+
+        def construct_mapping(self, node, deep=False):
+            if isinstance(node, yaml.MappingNode):
+                section, seen = self.sections.get(node, ""), set()
+                for key_node, value_node in node.value:
+                    # a merge key is PyYAML's; a collection as a key is its error
+                    if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE:
+                        continue
+                    key = self.construct_object(key_node)
+                    _require(key not in seen, f"{section}{key}", "given twice")
+                    seen.add(key)
+                    if isinstance(value_node, yaml.MappingNode):
+                        self.sections[value_node] = f"{section}{key}."
+            return super().construct_mapping(node, deep=deep)
+
+    return Loader
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read a config file, expand its shorthands and build each section.
 
@@ -146,7 +180,7 @@ def load_config(path: str) -> ExperimentConfig:
     import yaml
 
     # libyaml's parser where PyYAML has it: the same documents, about 7x faster
-    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    loader = _strict(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=loader)

@@ -16,6 +16,9 @@ min(col + 1, last), and its predictions H_i xb_i are computed once, for
 every caller.  A step forms the innovation once and records on the new
 state what it absorbed: the costs e_i^T S_i^{-1} e_i and the log
 normalizer m log 2 pi + log det S_i, which is all the Bayesian update needs.
+For a scalar output (m = 1) the three products of inner dimension 1,
+S^{-1} e, e^T (S^{-1} e) and H^T (S^{-1} e), are broadcast multiplies with
+matmul's bits (see :func:`innovations`); banks with m >= 2 use matmul.
 The accumulated cost c_{t,i} is the minimum disturbance energy needed to
 reconcile model i with the data seen so far; it is the learning signal of
 the prediction game.
@@ -83,11 +86,25 @@ def _row(v, width, name):
 def innovations(state: FilterBankState, y: np.ndarray):
     """Whitened innovations S_i^{-1} e_i, e_i = y - H_i xb_i, as (K, m, 1), and
     their costs e_i^T S_i^{-1} e_i (K,); S^{-1} is ``gains.Sinv[col]`` at
-    the state's column (none at t = N: InvalidInput naming ``t``)."""
-    if state.t == state.gains.horizon:
-        raise InvalidInput(f"no gain at t={state.t}; horizon is {state.gains.horizon}", "t")
+    the state's column (none at t = N: InvalidInput naming ``t``).  ``y`` is
+    a float64 array of shape (m,), as :func:`step` passes it.
+
+    For m = 1 both products are broadcast multiplies.  Each entry is one
+    product, which matmul forms as 0 + a b: the bits are the same but for
+    the sign of a zero, so where e_i = -0 (y = -0.0 against a prediction
+    of +0) the first array holds -0 where matmul gave +0; the cost is +0
+    both ways.
+    """
+    gains = state.gains
+    if state.t == gains.horizon:
+        raise InvalidInput(f"no gain at t={state.t}; horizon is {gains.horizon}", "t")
+    Sinv = gains.Sinv[state.col]
+    if gains.models.m == 1:
+        e = (y.item() - state.yhat)[:, :, None]
+        Sinv_e = Sinv * e
+        return Sinv_e, (e * Sinv_e)[:, 0, 0]
     e = (y - state.yhat)[:, :, None]
-    Sinv_e = state.gains.Sinv[state.col] @ e
+    Sinv_e = Sinv @ e
     return Sinv_e, (e.swapaxes(-1, -2) @ Sinv_e)[:, 0, 0]
 
 
@@ -97,9 +114,12 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
     The state's column c gives P, S^{-1} and the log normalizer as the
     views ``gains.P[c]``, ``gains.Sinv[c]`` and ``gains.log_norm[c]``, and
     ``gains.Ht`` the stacked H^T; the update keeps the filter's order of
-    products, F (xb + P (H^T (S^{-1} e))).  The innovation is formed once;
-    its costs and log normalizer travel on the returned state for
-    :func:`~mmxest.bayes.bayes_step`.  The known input enters the state
+    products, F (xb + P (H^T (S^{-1} e))).  For m = 1, H^T (S^{-1} e) is a
+    broadcast multiply and may hold -0 where matmul gave +0 (see
+    :func:`innovations`); it enters only the matmul P (.), whose sums start
+    from +0, so the new estimates are matmul's bit for bit.  The innovation
+    is formed once; its costs and log normalizer travel on the returned
+    state for :func:`~mmxest.bayes.bayes_step`.  The known input enters the state
     recursion only; it never contributes to the accumulated cost, since it
     is measured and carries no model-discriminating information.  A 1-D
     float64 ``y`` or ``u`` of the right length is used as it is; any other
@@ -118,8 +138,8 @@ def step(state: FilterBankState, y, u=None) -> FilterBankState:
             raise InvalidInput(f"u has shape {u.shape}, expected ({models.p},)", "u")
     col = state.col
     Sinv_e, cost = innovations(state, y)
-    xbreve = (models.F @ (state.xbreve[:, :, None]
-                          + gains.P[col] @ (gains.Ht @ Sinv_e)))[:, :, 0]
+    Ht_Sinv_e = gains.Ht * Sinv_e if models.m == 1 else gains.Ht @ Sinv_e
+    xbreve = (models.F @ (state.xbreve[:, :, None] + gains.P[col] @ Ht_Sinv_e))[:, :, 0]
     if u is not None:
         xbreve += models.B @ u
     return _state(state.t + 1, xbreve, state.c + cost, gains, cost, gains.log_norm[col],

@@ -232,6 +232,10 @@ MALFORMED_CONFIGS = [
     pytest.param("input.rat", "horizon: 4", "horizon: 4\ninput: {rat: 0.2}", id="input-unknown"),
     pytest.param("models.F_base", "F: [[[1.0]]]", "F_base: [[1.0, 2.0]]\n  F_scales: [1.0]",
                  id="F_base-shape"),
+    pytest.param("horizon", "horizon: 4", "horizon: 4\nhorizon: 1000", id="repeat-top"),
+    pytest.param("models.H", "H: [1.0]", "H: [1.0]\n  H: [2.0]", id="repeat-nested"),
+    pytest.param("measurement_noise.kind", "{kind: gaussian, scale: 1.0, seed: 6}",
+                 "{kind: zero, kind: gaussian, scale: 1.0, seed: 6}", id="repeat-flow"),
 ]
 
 

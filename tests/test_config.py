@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import mmxest as mx
 from mmxest import cli, config
@@ -135,6 +136,25 @@ def test_section_errors_name_the_config_key(tmp_path, old, new, message):
     field = message.split(":")[0].removeprefix("field ")
     with raises_invalid(field, f"^{re.escape(message)}$"):
         mx.load_config(write_cfg(tmp_path, MINIMAL.replace(old, new, 1)))
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pyyaml"])
+def test_a_key_given_twice_is_rejected(tmp_path, paper_config_path, monkeypatch, libyaml):
+    # PyYAML keeps the last value of a repeated key; the config names it, with
+    # its section, under either parser (tests/test_cli.py MALFORMED_CONFIGS has
+    # the nested and flow cases).  A merge key (<<) may still be overridden.
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+    paper = Path(paper_config_path).read_text(encoding="utf-8")
+    for body, field in (
+            (paper + "horizon: 1000\nprocess_noise:\n  kind: zero\n", "horizon"),
+            (MINIMAL + "input: {values: {a: 1, a: 2}}\n", "input.values.a")):
+        with raises_invalid(field, f"^field {re.escape(field)}: given twice$"):
+            mx.load_config(write_cfg(tmp_path, body))
+    merged = MINIMAL + ("process_noise: &noise {kind: gaussian, seed: 5}\n"
+                        "measurement_noise: {<<: *noise, seed: 6}\n")
+    cfg = mx.load_config(write_cfg(tmp_path, merged))
+    assert (cfg.process_noise.seed, cfg.measurement_noise.seed) == (5, 6)
+    assert cfg.measurement_noise.kind == "gaussian"
 
 
 def test_invalid_yaml_and_missing_file(tmp_path):

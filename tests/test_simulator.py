@@ -188,16 +188,33 @@ def test_run_estimators_forms_each_innovation_once(paper_config, monkeypatch):
     assert np.isfinite(tr.yhat_bayes).all() and np.isfinite(tr.yhat_minimax).all()
 
 
-@pytest.mark.parametrize("case", ["paper", "paper-stationary", "bank1-K8"])
+@pytest.mark.parametrize("case", ["paper", "paper-stationary", "bank1-K8", "paper-zero-noise",
+                                  "paper-y0-negative-zero", "scalar-negative-H",
+                                  "scalar-negative-H-stationary"])
 def test_run_estimators_is_the_reference_step_loop_bit_for_bit(case, paper_config, bench_banks):
     # N = 200 on the paper bank (m = 1, one input), and the benchmark's bank1-K8
     # (m = 2, no input) on its fixed data, some of whose games no piece dominates.
-    stationary = case == "paper-stationary"
+    # The library forms the m = 1 products of inner dimension 1 by broadcasting,
+    # the reference by matmul; the cases where their bits could part: zero
+    # noise, so that many innovations are exactly 0; a record whose y_0 is
+    # -0.0 against predictions H xhat0 = +0; and a scalar bank with no input
+    # whose H has negative entries.
+    stationary = case.endswith("stationary")
     if case.startswith("paper"):
         cfg = paper_config
         models = cfg.models
-        u, _, y, _ = mx.generate_truth(models, cfg.true_model, 200, cfg.process_noise,
-                                       cfg.measurement_noise, cfg.input_spec)
+        noise = (cfg.process_noise, cfg.measurement_noise)
+        if case == "paper-zero-noise":
+            noise = (NoiseSpec(kind="zero"), NoiseSpec(kind="zero"))
+        u, _, y, _ = mx.generate_truth(models, cfg.true_model, 200, *noise, cfg.input_spec)
+        if case == "paper-y0-negative-zero":
+            assert not models.xhat0.any()
+            y = y.copy()
+            y[0, 0] = -0.0
+    elif case.startswith("scalar"):
+        models = make_random_models(np.random.default_rng(0), 3, 3, 1)
+        assert (models.H < 0).any() and models.p == 0
+        u, _, y, _ = mx.generate_truth(models, 0, 200, NoiseSpec(seed=0), NoiseSpec(seed=1))
     else:
         models = bench_banks[case]
         u, _, y, _ = mx.generate_truth(models, 0, 200, NoiseSpec(seed=0), NoiseSpec(seed=1))

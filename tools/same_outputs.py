@@ -11,8 +11,9 @@ In each checkout, with its own ``src`` first on the import path, runs
   ``estimators:`` block, with the Bayes output of the most probable model,
   on a copy with ``bayes_mode: map``, and on a copy with ``uniform-bounded``
   noise and ``horizon: 1000``, whose 3000- and 1000-word streams are drawn
-  from the jump table; each copy is written into the command's own output
-  directory;
+  from the jump table, and on a copy with ``zero`` noise, whose innovations
+  are exactly 0 where the true model predicts and whose outputs hold -0.0
+  entries; each copy is written into the command's own output directory;
 - ``run --seeds 0..63 --full``, time-varying and ``--stationary`` (64 files each);
 - ``riccati``;
 - ``check``.
@@ -57,6 +58,7 @@ COMMANDS = {
     "run_no_bayes": ["run", "--full", "--out", "{out}/trace.csv"],
     "run_bayes_map": ["run", "--full", "--out", "{out}/trace.csv"],
     "run_uniform_long": ["run", "--full", "--out", "{out}/trace.csv"],
+    "run_zero_noise": ["run", "--full", "--out", "{out}/trace.csv"],
     "riccati": ["riccati"],
     "check": ["check"],
 }
@@ -70,6 +72,7 @@ CONFIG_BLOCKS = {
 CONFIG_EDITS = {
     "run_uniform_long": (("horizon: 20\n", "horizon: 1000\n"),
                          ("kind: gaussian\n", "kind: uniform-bounded\n")),
+    "run_zero_noise": (("kind: gaussian\n", "kind: zero\n"),),
 }
 # Run in a checkout with its src and perfbench on the path; argv[1] is the
 # output directory.  Writes <workload>/<label>.status, and <label>.csv when
