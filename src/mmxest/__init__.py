@@ -6,7 +6,6 @@ each step, while a Bayesian posterior baseline runs alongside.  Riccati
 utilities provide the gains and the gamma-feasibility certificates, and a
 seeded portable simulator plus a CLI make runs reproducible to the byte.
 """
-from .bayes import bayes_estimate, bayes_init, bayes_step
 from .config import ExperimentConfig, load_config, with_seed
 from .exceptions import (
     EstimationError,
@@ -15,8 +14,7 @@ from .exceptions import (
     InvalidInput,
     NoConvergence,
 )
-from .filter_bank import FilterBankState, init, step
-from .minimax import MinimaxEstimate, QuadraticPieces, build_pieces, solve
+from .minimax import MinimaxEstimate, QuadraticPieces, solve
 from .model_bank import ModelSet, validate
 from .riccati import (
     AreSolution,
@@ -41,7 +39,6 @@ __all__ = [
     "EstimationError",
     "ExperimentConfig",
     "FactorizationFailure",
-    "FilterBankState",
     "GainSchedule",
     "GammaInfeasible",
     "InputSpec",
@@ -52,12 +49,7 @@ __all__ = [
     "NoiseSpec",
     "QuadraticPieces",
     "SimulationTrace",
-    "bayes_estimate",
-    "bayes_init",
-    "bayes_step",
-    "build_pieces",
     "generate_truth",
-    "init",
     "load_config",
     "run_estimators",
     "run_recursion",
@@ -65,7 +57,6 @@ __all__ = [
     "solve",
     "solve_are",
     "stationary_gains",
-    "step",
     "validate",
     "with_seed",
 ]

@@ -3,30 +3,22 @@
 Runs alongside the same Kalman filter bank and keeps a posterior probability
 per model, updated from each innovation's Gaussian likelihood.  The
 innovation is the filter bank's own, formed once per step and read off the
-state the step returns.  The posterior is a (K,) array of probabilities.
-The output prediction is either the posterior-weighted average of the
-per-model predictions (default) or the single most probable model's
-prediction (MAP).
+state the step returns.  The posterior is a (K,) float64 array of
+probabilities; :func:`~mmxest.simulator.run_estimators` starts it uniform
+and checks the mode once, before its loop.  The output prediction is either
+the posterior-weighted average of the per-model predictions (default) or
+the single most probable model's prediction (MAP).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import InvalidInput
 from .filter_bank import FilterBankState
-from .model_bank import ModelSet
 
 # Likelihoods are floored before renormalizing so one astronomically
 # unlikely innovation cannot zero out a model forever.
 LIKELIHOOD_FLOOR = 1e-300
 BAYES_MODES = ("average", "map")
-
-
-def bayes_init(models: ModelSet) -> np.ndarray:
-    """Uniform prior over the bank, a (K,) array."""
-    if models.K == 0:
-        raise InvalidInput("posterior needs at least one model", "models")
-    return np.full(models.K, 1.0 / models.K)
 
 
 def bayes_step(posterior: np.ndarray, state: FilterBankState) -> np.ndarray:
@@ -41,21 +33,14 @@ def bayes_step(posterior: np.ndarray, state: FilterBankState) -> np.ndarray:
     Likelihoods are computed in log space to survive large innovations.  An
     initial state has absorbed nothing (cost 0, log det S 0); its equal
     likelihoods leave the posterior as it is.  The new posterior is one
-    fresh array, updated in place and reduced by ufunc reductions.  A
-    posterior that is not K numbers raises InvalidInput (field "posterior").
+    fresh array, updated in place and reduced by ufunc reductions.
     """
     w = state.innovation_lognorm + state.innovation_cost
     w *= -0.5
     # Shift before exponentiating; the shift cancels in the normalization.
     w -= np.maximum.reduce(w)
     np.exp(w, out=w)
-    try:
-        w *= posterior
-        fits = len(posterior) == len(w)
-    except (TypeError, ValueError):  # not numbers, or a length numpy cannot broadcast
-        fits = False
-    if not fits:
-        _reject_posterior(posterior, len(w))
+    w *= posterior
     np.maximum(w, LIKELIHOOD_FLOOR, out=w)
     w /= np.add.reduce(w)
     return w
@@ -66,24 +51,8 @@ def bayes_estimate(posterior: np.ndarray, state: FilterBankState,
     """Output prediction from the posterior ``mu`` over models.
 
     ``average`` returns sum_i mu_i H_i xb_i; ``map`` returns the prediction
-    of the most probable model (ties broken by lowest index).  A posterior
-    that is not K numbers raises InvalidInput (field "posterior").
+    of the most probable model (ties broken by lowest index).
     """
-    preds = state.yhat
-    try:
-        fits = len(posterior) == len(preds)
-        if fits and mode == "average":
-            return np.dot(posterior, preds)
-        if fits and mode == "map":
-            return preds[int(np.argmax(np.asarray(posterior, dtype=float)))]
-    except (TypeError, ValueError):  # not numbers, or no length
-        fits = False
-    if not fits:
-        _reject_posterior(posterior, len(preds))
-    raise InvalidInput(f"unknown mode {mode!r}; expected 'average' or 'map'", "mode")
-
-
-def _reject_posterior(posterior, K):
-    """Raise the InvalidInput for a posterior that is not K numbers."""
-    raise InvalidInput(f"posterior must be {K} numbers, one per model, got {posterior!r}",
-                       "posterior")
+    if mode == "map":
+        return state.yhat[int(posterior.argmax())]
+    return np.dot(posterior, state.yhat)

@@ -3,8 +3,9 @@
 Subcommands: ``run`` simulates a configured experiment, one
 :func:`mmxest.simulator.simulate` call per run (per seed with ``--seeds``),
 and writes each trace as semicolon-separated CSV; ``riccati`` reports each
-model's stationary solution; ``check`` verifies gamma-feasibility over the
-whole horizon.
+model's stationary solution; ``check`` verifies gamma-feasibility of the
+gains ``run`` would use: over the whole horizon, or of the stationary gains
+when the config sets ``stationary``.
 
 Exit codes (:data:`EXIT_CODES`): 0 success; 2 invalid input, a bad config
 value, option or output path (:class:`InvalidInput`, the message names the
@@ -166,11 +167,16 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Check the gains ``run`` would use: stationary when the config says so."""
     cfg = load_config(args.config)
-    gains = _riccati.run_recursion(cfg.models, cfg.horizon)
+    if cfg.stationary:
+        gains = _riccati.stationary_gains(cfg.models)
+        where = "i gamma-feasible with stationary gains"
+    else:
+        gains = _riccati.run_recursion(cfg.models, cfg.horizon)
+        where = f"(t, i) gamma-feasible for t = 0..{cfg.horizon}"
     gains.require_feasible()
-    print(f"all (t, i) gamma-feasible for t = 0..{cfg.horizon}, "
-          f"{cfg.models.K} models, gamma^2 = {_fmt(gains.gamma_sq)}")
+    print(f"all {where}, {cfg.models.K} models, gamma^2 = {_fmt(gains.gamma_sq)}")
     return EXIT_OK
 
 
@@ -197,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     ric.add_argument("--config", required=True, help="experiment config file")
     ric.set_defaults(func=cmd_riccati)
 
-    chk = sub.add_parser("check", help="verify gamma-feasibility over the horizon")
+    chk = sub.add_parser("check", help="verify gamma-feasibility of the gains run would use")
     chk.add_argument("--config", required=True, help="experiment config file")
     chk.set_defaults(func=cmd_check)
     return parser

@@ -92,14 +92,11 @@ class MinimaxEstimate(NamedTuple):
 def build_pieces(state: FilterBankState) -> QuadraticPieces:
     """Assemble the K quadratic pieces of the game at the state's time, with
     gamma and the weights W of the state's gain schedule (``gains.W[col]``,
-    a view; ``gains.bank_feasible[col]`` says whether to check further).
-
-    Raises :class:`GammaInfeasible` at the first model not gamma-feasible
-    at that time.
+    a view).  The weights are NaN where a model is not gamma-feasible;
+    :func:`~mmxest.simulator.run_estimators` raises :class:`GammaInfeasible`
+    for every such (model, t) before its loop.
     """
     gains = state.gains
-    if not gains.bank_feasible[state.col]:
-        gains.require_feasible(state.t)
     return QuadraticPieces(W=gains.W[state.col], centers=state.yhat,
                            offsets=-gains.gamma_sq * state.c)
 

@@ -109,11 +109,10 @@ def _schedule(gamma, H, horizon, P, Sinv):
     log_norm = H.shape[1] * LOG_2PI - np.log(w).sum(axis=-1)
     gsq = gamma ** 2
     margin, W = _certificates(P, H, gsq)
-    bank_feasible = (margin > 0).all(axis=1)
-    for a in (P, Sinv, log_norm, margin, bank_feasible, W):
+    for a in (P, Sinv, log_norm, margin, W):
         a.setflags(write=False)  # shared by every call with equal inputs
     return GainSchedule(horizon=horizon, gamma_sq=gsq, models=None, P=P, Sinv=Sinv,
-                        log_norm=log_norm, margin=margin, bank_feasible=bank_feasible, W=W,
+                        log_norm=log_norm, margin=margin, W=W,
                         Ht=H.swapaxes(-1, -2))
 
 
@@ -138,10 +137,9 @@ class GainSchedule:
     covariance S^{-1}, ``log_norm`` m log 2 pi + log det S, the log
     normalizer of the innovation's Gaussian density, ``margin`` gamma^2 -
     lambda_max(H P H^T) (model i is gamma-feasible at t iff it is positive),
-    ``bank_feasible`` one flag per column, true iff every model's margin
-    there is positive, and ``W`` the minimax weight (I - gamma^{-2} H P
-    H^T)^{-1}, NaN where the margin is not positive.  ``Ht`` is the stacked
-    H_i^T, which each estimator step reads instead of transposing H again.
+    and ``W`` the minimax weight (I - gamma^{-2} H P H^T)^{-1}, NaN where
+    the margin is not positive.  ``Ht`` is the stacked H_i^T, which each
+    estimator step reads instead of transposing H again.
     Every array is read-only, and equal banks share them all.
 
     With ``horizon`` N, the schedule holds the columns t = 0..T and serves
@@ -160,7 +158,6 @@ class GainSchedule:
     Sinv: np.ndarray
     log_norm: np.ndarray
     margin: np.ndarray
-    bank_feasible: np.ndarray
     W: np.ndarray
     Ht: np.ndarray
 
@@ -206,22 +203,15 @@ class GainSchedule:
         """lambda_max(H_i P_{t,i} H_i^T) for every model, read off the margins."""
         return self.gamma_sq - self.margin[self.column(t, terminal=True)]
 
-    def require_feasible(self, t=None) -> None:
+    def require_feasible(self) -> None:
         """Raise :class:`GammaInfeasible` at the earliest (t, model) whose
-        margin is not positive; only time ``t`` is checked when given."""
-        if t is None:
-            if self.bank_feasible.all():
-                return
-            margin = self.margin
-        else:
-            col = self.column(t, terminal=True)
-            if self.bank_feasible[col]:
-                return
-            margin = self.margin[col, None]
-        col, i = (int(v) for v in np.argwhere(~(margin > 0))[0])
-        if t is None and not self.stationary:
-            t = col
-        lam = self.gamma_sq - float(margin[col, i])
+        margin is not positive."""
+        feasible = self.margin > 0
+        if feasible.all():
+            return
+        col, i = (int(v) for v in np.argwhere(~feasible)[0])
+        t = None if self.stationary else col
+        lam = self.gamma_sq - float(self.margin[col, i])
         raise GammaInfeasible(
             f"model {i}" + ("" if t is None else f" at t={t}")
             + f": lambda_max(H P H^T) = {lam!r} >= gamma^2 = {self.gamma_sq!r}",

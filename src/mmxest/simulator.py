@@ -183,7 +183,10 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
     :class:`InvalidInput` before any work.  Gamma-feasibility is checked for
     every model over the whole horizon (terminal covariance included) before
     any data is processed; an infeasible pair raises :class:`GammaInfeasible`
-    immediately.  A solve that stops uncertified raises :class:`NoConvergence`
+    immediately, naming the earliest t and the lowest model there.  These
+    checks are made once: the per-step functions of :mod:`~mmxest.filter_bank`,
+    :mod:`~mmxest.minimax` and :mod:`~mmxest.bayes` the loop calls make none
+    of their own.  A solve that stops uncertified raises :class:`NoConvergence`
     naming its t and the first (model, t) whose offset -gamma^2 c_i
     overflowed, if any.  Skipped estimators leave NaN columns, as does the
     truth, which a replay does not read: :func:`simulate` attaches it.
@@ -215,10 +218,10 @@ def run_estimators(models: ModelSet, y, u=None, stationary: bool = False,
         gains = riccati.run_recursion(models, N)
     gains.require_feasible()
 
-    state = filter_bank.init(gains)
-    posterior = _bayes.bayes_init(models)
-
     K, m = models.K, models.m
+    state = filter_bank.init(gains)
+    posterior = np.full(K, 1.0 / K)  # uniform prior; validate guarantees K >= 1
+
     tr_models = np.zeros((N, K, m))
     tr_c = np.zeros((N, K))
     tr_mu = np.full((N, K), np.nan)

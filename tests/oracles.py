@@ -261,8 +261,9 @@ def worst_case_state(yhat, i, state):
 
         x* = (H_i^T H_i - gamma^2 P^{-1})^{-1} (H_i^T yhat - gamma^2 P^{-1} xb).
 
-    Otherwise raises :class:`mmxest.GammaInfeasible` at the first infeasible
-    model, with ``model`` and ``t`` set.
+    Otherwise raises :class:`mmxest.GammaInfeasible` at the first model whose
+    margin in the state's own column is not positive, with ``model`` and
+    ``t`` set.
     """
     gains = state.gains
     models = gains.models
@@ -271,7 +272,12 @@ def worst_case_state(yhat, i, state):
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
     if yhat.shape != (models.m,):
         raise mx.InvalidInput(f"yhat has shape {yhat.shape}, expected ({models.m},)", "yhat")
-    gains.require_feasible(state.t)
+    bad = np.flatnonzero(~(gains.margin[state.col] > 0))
+    if bad.size:
+        j = int(bad[0])
+        lam = gains.gamma_sq - float(gains.margin[state.col, j])
+        raise mx.GammaInfeasible(f"model {j} at t={state.t}: lambda_max(H P H^T) = {lam!r}",
+                                 lambda_max=lam, gamma_sq=gains.gamma_sq, model=j, t=state.t)
     H = models.H[i]
     P = gains.cov(state.t, i)
     gsq = gains.gamma_sq

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import mmxest as mx
-from mmxest import cli
+from mmxest import cli, filter_bank, minimax
 from conftest import make_random_models, near_boundary_bank
 from oracles import (
     concave_quadratic_max,
@@ -40,15 +40,15 @@ def test_01_stationary_covariance_golden_ratio():
 
 def _single_model_errors(models, rng, steps=100):
     gains = mx.run_recursion(models, steps)
-    state = mx.init(gains)
+    state = filter_bank.init(gains)
     pred_err = value_err = 0.0
     for _ in range(steps):
-        est = mx.solve(mx.build_pieces(state))
+        est = mx.solve(minimax.build_pieces(state))
         kalman = models.H[0] @ state.xbreve[0]
         pred_err = max(pred_err, float(np.max(np.abs(est.yhat - kalman))))
         value_err = max(value_err,
                         abs(est.value + models.gamma ** 2 * float(state.c[0])))
-        state = mx.step(state, kalman + rng.normal(size=models.m))
+        state = filter_bank.step(state, kalman + rng.normal(size=models.m))
     return pred_err, value_err
 
 
@@ -78,11 +78,11 @@ def test_03_value_function_vs_trajectory_optimization():
         models = make_random_models(rng, K, n, m, with_input=with_input)
         N = int(rng.integers(1, 4))
         gains = mx.run_recursion(models, N)
-        state = mx.init(gains)
+        state = filter_bank.init(gains)
         ys = rng.normal(size=(N, m))
         us = rng.normal(size=(N, models.p)) if models.p else None
         for t in range(N):
-            state = mx.step(state, ys[t], us[t] if us is not None else None)
+            state = filter_bank.step(state, ys[t], us[t] if us is not None else None)
         i = int(rng.integers(0, K))
         for _ in range(10):
             x_term = rng.normal(size=n)
@@ -149,10 +149,10 @@ def test_06_completed_square_identity():
         models = make_random_models(rng, K, n, m)
         steps = int(rng.integers(1, 4))
         gains = mx.run_recursion(models, steps)
-        state = mx.init(gains)
+        state = filter_bank.init(gains)
         for _ in range(steps):
-            state = mx.step(state, rng.normal(size=m))
-        pieces = mx.build_pieces(state)
+            state = filter_bank.step(state, rng.normal(size=m))
+        pieces = minimax.build_pieces(state)
         i = int(rng.integers(0, K))
         yhat = rng.normal(size=m)
         xstar = worst_case_state(yhat, i, state)
@@ -198,9 +198,9 @@ def test_08_true_model_cost_advantage(paper_config):
         u, x, y, z = mx.generate_truth(cfg.models, cfg.true_model, horizon,
                                        cfg.process_noise,
                                        cfg.measurement_noise, cfg.input_spec)
-        state = mx.init(gains)
+        state = filter_bank.init(gains)
         for t in range(horizon):
-            state = mx.step(state, y[t], u[t])
+            state = filter_bank.step(state, y[t], u[t])
         c_true = state.c[cfg.true_model]
         if all(c_true < state.c[j] for j in range(cfg.models.K)
                if j != cfg.true_model):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import mmxest as mx
 from mmxest import bayes, filter_bank
+from mmxest.simulator import NoiseSpec
 from conftest import make_random_models, raises_invalid
 
 I1 = np.eye(1)
@@ -20,9 +23,9 @@ def opposite_sign_bank():
     })
 
 
-def test_bayes_init_uniform(paper_models):
-    post = bayes.bayes_init(paper_models)
-    np.testing.assert_allclose(post, [0.5, 0.5])
+def uniform(models):
+    """The prior run_estimators starts from."""
+    return np.full(models.K, 1.0 / models.K)
 
 
 def test_bayes_step_two_model_oracle():
@@ -30,7 +33,7 @@ def test_bayes_step_two_model_oracle():
     # so mu_0' = 1 / (1 + exp(-1/4)).
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))
-    post = bayes.bayes_init(models)
+    post = uniform(models)
     post = bayes.bayes_step(post, filter_bank.step(state, np.array([0.5])))
     expected = 1.0 / (1.0 + np.exp(-0.25))
     assert post[0] == pytest.approx(expected, abs=1e-12)
@@ -40,7 +43,7 @@ def test_bayes_step_two_model_oracle():
 def test_bayes_step_keeps_probability_vector(paper_models):
     rng = np.random.default_rng(6)
     state = filter_bank.init(mx.run_recursion(paper_models, 25))
-    post = bayes.bayes_init(paper_models)
+    post = uniform(paper_models)
     for t in range(25):
         y = rng.normal(size=1) * 3.0
         state = filter_bank.step(state, y, rng.normal(size=1))
@@ -53,7 +56,7 @@ def test_bayes_step_keeps_probability_vector(paper_models):
 def test_bayes_step_survives_huge_innovation():
     models = opposite_sign_bank()
     state = filter_bank.init(mx.run_recursion(models, 2))
-    post = bayes.bayes_init(models)
+    post = uniform(models)
     post = bayes.bayes_step(post, filter_bank.step(state, np.array([1e6])))
     assert np.isfinite(post).all()
     assert post.sum() == pytest.approx(1.0, abs=1e-12)
@@ -71,39 +74,6 @@ def test_bayes_estimate_average_and_map():
     assert avg[0] == pytest.approx(0.75 * 0.5 + 0.25 * (-0.5), abs=1e-12)
     top = bayes.bayes_estimate(post, state, mode="map")
     assert top[0] == pytest.approx(0.5, abs=1e-12)
-    with raises_invalid("mode", "^unknown mode 'median'; expected 'average' or 'map'$"):
-        bayes.bayes_estimate(post, state, mode="median")
-
-
-@pytest.mark.parametrize("posterior", [np.array([1.0]), 0.5, np.array([0.2, 0.3, 0.5]),
-                                       [0.5, "a"]],
-                         ids=["one-entry", "scalar", "three-entries", "string"])
-@pytest.mark.parametrize("call", [
-    lambda post, state: bayes.bayes_step(post, state),
-    lambda post, state: bayes.bayes_estimate(post, state, mode="average"),
-    lambda post, state: bayes.bayes_estimate(post, state, mode="map"),
-], ids=["step", "average", "map"])
-def test_posterior_must_hold_one_number_per_model(paper_models, call, posterior):
-    state = filter_bank.init(mx.run_recursion(paper_models, 3))
-    with raises_invalid("posterior", "^posterior must be 2 numbers, one per model, got "):
-        call(posterior, state)
-
-
-@pytest.mark.parametrize("mode", bayes.BAYES_MODES)
-@pytest.mark.parametrize("kind", [list, tuple])
-def test_bayes_estimate_reads_a_sequence_as_the_array(mode, kind):
-    # A posterior given as K numbers in a list or tuple gives the bits of
-    # the same posterior as a float64 array, on a K = 8, m = 2 bank.
-    rng = np.random.default_rng(11)
-    models = make_random_models(rng, 8, 4, 2)
-    state = filter_bank.init(mx.run_recursion(models, 3))
-    for _ in range(2):
-        state = filter_bank.step(state, rng.normal(size=2))
-    post = rng.random(8)
-    post /= post.sum()
-    want = bayes.bayes_estimate(post, state, mode=mode)
-    got = bayes.bayes_estimate(kind(post.tolist()), state, mode=mode)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_bayes_estimate_map_tie_breaks_low_index():
@@ -121,7 +91,7 @@ def test_posterior_concentrates_on_truth():
     N = 40
     x = models.xhat0.copy()
     state = filter_bank.init(mx.run_recursion(models, N))
-    post = bayes.bayes_init(models)
+    post = uniform(models)
     for _ in range(N):
         y = models.H[0] @ x + 0.1 * rng.normal(size=1)
         state = filter_bank.step(state, y)
@@ -135,3 +105,37 @@ def test_bayes_step_on_initial_state_keeps_posterior(paper_models):
     state = filter_bank.init(mx.run_recursion(paper_models, 3))
     prior = np.array([0.3, 0.7])
     np.testing.assert_allclose(bayes.bayes_step(prior, state), prior, rtol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["MAP", "Average", "", "mean", None, 1],
+                         ids=["upper-map", "capitalized", "empty", "mean", "none", "int"])
+def test_run_estimators_checks_bayes_mode_before_any_work(paper_models, monkeypatch, mode):
+    # bayes_estimate reads any mode but "map" as the average; the one check
+    # of the mode is run_estimators', before the schedule and the loop.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before bayes_mode was checked")
+
+    monkeypatch.setattr(mx.riccati, "run_recursion", no_work)
+    monkeypatch.setattr(filter_bank, "step", no_work)
+    with raises_invalid("bayes_mode", rf"^bayes_mode {re.escape(repr(mode))} not in "
+                                      r"\('average', 'map'\)$"):
+        mx.run_estimators(paper_models, np.zeros((4, 1)), u=np.zeros((4, 1)), bayes_mode=mode)
+
+
+@pytest.mark.parametrize("mode", bayes.BAYES_MODES)
+@pytest.mark.parametrize("bank", ["paper", "bank1-K8"])
+def test_run_estimators_keeps_a_probability_vector(paper_config, bench_banks, bank, mode):
+    # The posterior run_estimators hands bayes_step and bayes_estimate is
+    # always its own (K,) float64 array of probabilities: each row of mu is
+    # at least the floor and sums to 1, and the Bayes output is that row's
+    # average or mode of the per-model predictions.
+    models = paper_config.models if bank == "paper" else bench_banks[bank]
+    u, _, y, _ = mx.generate_truth(models, models.K - 1, 60, NoiseSpec(seed=2),
+                                   NoiseSpec(seed=3))
+    tr = mx.run_estimators(models, y, u=u, bayes_mode=mode)
+    assert tr.mu.dtype == np.float64 and tr.mu.shape == (60, models.K)
+    assert (tr.mu >= bayes.LIKELIHOOD_FLOOR).all()
+    assert np.abs(tr.mu.sum(axis=1) - 1.0).max() <= models.K * np.finfo(float).eps
+    for mu, yhat, got in zip(tr.mu, tr.yhat_models, tr.yhat_bayes):
+        want = yhat[mu.argmax()] if mode == "map" else np.dot(mu, yhat)
+        assert got.tobytes() == want.tobytes()

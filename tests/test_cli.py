@@ -484,6 +484,35 @@ def test_check_reports_first_violation(tmp_path, paper_config_path, capsys):
     assert "lambda_max" in err
 
 
+GAIN_MODE_CONFIGS = {
+    # feasible for t = 0..2, not at the stationary covariance
+    "stationary-infeasible": ("models: {F: [[[0.99]], [[0.5]]], H: 1.0}\nQ: 1.0\nR: 1.0\n"
+                              "P0: 0.01\ngamma: 1.245\nhorizon: 2\nstationary: true\n", 3),
+    # infeasible at P0 = 100 only, which the stationary gains never use
+    "stationary-feasible": ("models: {F: [[[0.5]]], H: 1.0}\nQ: 1.0\nR: 1.0\n"
+                            "P0: 100.0\ngamma: 3.0\nhorizon: 2\nstationary: true\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", list(GAIN_MODE_CONFIGS))
+def test_check_uses_the_gains_run_uses(tmp_path, capsys, name):
+    body, code = GAIN_MODE_CONFIGS[name]
+    cfgp = write(tmp_path, body)
+
+    def call(argv):
+        exit_code = cli.main(argv + ["--config", cfgp])
+        out, err = capsys.readouterr()
+        return exit_code, [line for line in err.splitlines() if line.startswith("error:")], out
+
+    check, run = call(["check"]), call(["run", "--out", str(tmp_path / "x.csv")])
+    assert check[:2] == run[:2] and check[0] == code
+    if code == 0:
+        assert check[2] == "all i gamma-feasible with stationary gains, 1 models, gamma^2 = 9.0\n"
+    else:
+        assert check[1] == ["error: gamma-infeasible: model 0: lambda_max(H P H^T) = "
+                            "1.6036697746538084 >= gamma^2 = 1.5500250000000002"]
+
+
 def test_stationary_and_bayes_mode_flags(tmp_path, paper_config_path, capsys):
     # --stationary is a flag; the Bayes mode is the config's bayes_mode only
     a = str(tmp_path / "tv.csv")

@@ -87,12 +87,6 @@ def test_value_function_checks_model_index():
         value_function(state, np.array([0.0]), 1)
 
 
-def test_step_rejects_bad_measurement_shape(paper_models):
-    state = filter_bank.init(mx.run_recursion(paper_models, 3))
-    with raises_invalid("y", r"^y has shape \(2,\), expected \(1,\)$"):
-        filter_bank.step(state, np.array([1.0, 2.0]))
-
-
 def state_bytes(state):
     return (state.t, state.col) + tuple(a.tobytes() for a in (
         state.xbreve, state.c, state.innovation_cost, state.innovation_lognorm,
@@ -100,9 +94,10 @@ def state_bytes(state):
 
 
 @pytest.mark.parametrize("bank", ["paper", "random"])
-def test_step_takes_any_row_form_with_the_bytes_of_a_float64_row(bank, paper_models):
-    # The paper bank has m = p = 1, the random one m = 2, p = 1.  The values
-    # are exact in every form, so every form stands for the same float64 row.
+def test_step_reads_any_float64_row_with_the_same_bytes(bank, paper_models):
+    # The paper bank has m = p = 1, the random one m = 2, p = 1.  A record's
+    # rows reach the step as views: contiguous, or strided when the record
+    # is Fortran-ordered or a column of a wider array.
     models = (paper_models if bank == "paper"
               else make_random_models(np.random.default_rng(5), 3, 4, 2, with_input=True))
     state = filter_bank.init(mx.run_recursion(models, 5))
@@ -110,27 +105,14 @@ def test_step_takes_any_row_form_with_the_bytes_of_a_float64_row(bank, paper_mod
     y, u = np.array([3.0, -2.0])[:models.m], np.array([-1.0])
 
     def forms(row):
-        out = [row.tolist(), row.astype(int), row.astype(np.float32), row[:, None],
-               np.stack([row, row], axis=1)[:, 0]]  # the last one strided
-        return out + ([float(row[0])] if row.size == 1 else [])
+        return [np.asfortranarray(np.stack([row, row]))[0],
+                np.stack([row, row], axis=1)[:, 0]]
 
     want = state_bytes(filter_bank.step(state, y, u))
     for y_form in forms(y):
         assert state_bytes(filter_bank.step(state, y_form, u)) == want
     for u_form in forms(u):
         assert state_bytes(filter_bank.step(state, y, u_form)) == want
-    m = models.m
-    for bad in (np.zeros(m + 1), np.zeros((m + 1, 1)), np.zeros(m + 1, np.float32)):
-        with raises_invalid("y", rf"^y has shape \({m + 1},\), expected \({m},\)$"):
-            filter_bank.step(state, bad, u)
-    with raises_invalid("u", r"^u has shape \(2,\), expected \(1,\)$"):
-        filter_bank.step(state, y, np.zeros(2))
-
-
-def test_step_rejects_input_when_inputless():
-    models, state = singleton_state()
-    with raises_invalid("u", "^model set has no input channel but u was given$"):
-        filter_bank.step(state, np.array([1.0]), u=np.array([1.0]))
 
 
 def test_step_applies_known_input(paper_models):
@@ -196,27 +178,6 @@ def test_costs_never_decrease(paper_models):
         state = filter_bank.step(state, rng.normal(size=1), rng.normal(size=1))
         assert (state.c >= prev - 1e-15).all()
         prev = state.c.copy()
-
-
-def test_step_past_horizon_raises(paper_models):
-    state = filter_bank.init(mx.run_recursion(paper_models, 2))
-    y = np.array([0.0])
-    u = np.array([0.0])
-    state = filter_bank.step(state, y, u)
-    state = filter_bank.step(state, y, u)
-    with raises_invalid("t", "^no gain at t=2; horizon is 2$"):
-        filter_bank.step(state, y, u)
-
-
-def test_innovations_past_horizon_raises():
-    # A scalar bank that does not settle within N = 2 has no S^{-1} column
-    # for t = 2; the direct caller gets the same error as step.
-    models = mx.validate({"F": [0.999 * I1], "H": [I1], "Q": 1e-6 * I1, "R": I1, "P0": I1,
-                          "gamma": 10.0})
-    state = filter_bank.init(mx.run_recursion(models, 2))
-    state = filter_bank.step(filter_bank.step(state, [0.0]), [0.0])
-    with raises_invalid("t", "^no gain at t=2; horizon is 2$"):
-        filter_bank.innovations(state, np.array([0.0]))
 
 
 def test_stationary_gains_step_unbounded(paper_models):

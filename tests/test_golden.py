@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmxest import cli, init, run_recursion
+from mmxest import cli, run_recursion
+from mmxest.filter_bank import init
 from mmxest.minimax import SOLVE_TOL, build_pieces, solve
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -42,14 +42,6 @@ def test_weight_matrix_scalar_oracle():
     assert W[0, 0, 0] == pytest.approx(1.125, abs=1e-12)
 
 
-def test_weight_matrix_boundary_infeasible():
-    with pytest.raises(mx.GammaInfeasible) as err:
-        build_pieces(filter_bank.init(mx.run_recursion(unit_bank(1.0), 1)))
-    assert err.value.lambda_max == pytest.approx(1.0)
-    assert err.value.gamma_sq == pytest.approx(1.0)
-    assert (err.value.model, err.value.t) == (0, 0)
-
-
 def test_weight_matrix_multivariate_identity():
     # W_i (I - gamma^{-2} H_i P_i H_i^T) = I for every model, at every step.
     rng = np.random.default_rng(2)
@@ -192,21 +184,6 @@ def test_build_pieces_paper_first_step(paper_models):
     np.testing.assert_allclose(np.sort(pieces.centers[:, 0]), [-0.55, 0.55], rtol=0, atol=1e-12)
     np.testing.assert_allclose(pieces.offsets, -9.0 * 0.5, rtol=0, atol=1e-12)
     assert pieces.W.shape == (2, 1, 1)
-
-
-def test_build_pieces_infeasible_reports_location(paper_models):
-    spec = {
-        "F": list(paper_models.F), "H": list(paper_models.H),
-        "B": list(paper_models.B), "Q": paper_models.Q, "R": paper_models.R,
-        "P0": paper_models.P0, "gamma": 1.0,
-    }
-    tight = mx.validate(spec)
-    state = filter_bank.init(mx.run_recursion(tight, 2))
-    with pytest.raises(mx.GammaInfeasible) as err:
-        build_pieces(state)
-    assert err.value.model == 0
-    assert err.value.t == 0
-    assert err.value.lambda_max >= err.value.gamma_sq
 
 
 def test_quadratic_max_scalar_oracle():

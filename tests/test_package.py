@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 import mmxest as mx
-from mmxest import cli, exceptions
+from mmxest import cli, exceptions, filter_bank, minimax
 from conftest import child_env, raises_invalid
 
 PUBLIC_NAMES = [
-    "AreSolution", "EstimationError", "ExperimentConfig",
-    "FactorizationFailure", "FilterBankState", "GainSchedule", "GammaInfeasible", "InputSpec",
-    "InvalidInput", "MinimaxEstimate", "ModelSet", "NoConvergence", "NoiseSpec",
-    "QuadraticPieces", "SimulationTrace", "bayes_estimate", "bayes_init", "bayes_step",
-    "build_pieces", "generate_truth", "init", "load_config", "run_estimators",
-    "run_recursion", "simulate", "solve", "solve_are", "stationary_gains", "step",
-    "validate", "with_seed",
+    "AreSolution", "EstimationError", "ExperimentConfig", "FactorizationFailure",
+    "GainSchedule", "GammaInfeasible", "InputSpec", "InvalidInput", "MinimaxEstimate",
+    "ModelSet", "NoConvergence", "NoiseSpec", "QuadraticPieces", "SimulationTrace",
+    "generate_truth", "load_config", "run_estimators", "run_recursion", "simulate", "solve",
+    "solve_are", "stationary_gains", "validate", "with_seed",
 ]
 ERROR_CLASSES = {name: cls for name, cls in vars(exceptions).items()
                  if inspect.isclass(cls) and issubclass(cls, mx.EstimationError)}
@@ -31,14 +29,14 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def _records(models):
-    state = mx.init(mx.run_recursion(models, 3))
-    state = mx.step(state, [0.5])
-    pieces = mx.build_pieces(state)
-    return [state, pieces, mx.solve(pieces)]
+    state = filter_bank.init(mx.run_recursion(models, 3))
+    state = filter_bank.step(state, np.array([0.5]))
+    pieces = minimax.build_pieces(state)
+    return [state, pieces, minimax.solve(pieces)]
 
 
 @pytest.mark.parametrize("index, cls", enumerate(
-    [mx.FilterBankState, mx.QuadraticPieces, mx.MinimaxEstimate]))
+    [filter_bank.FilterBankState, mx.QuadraticPieces, mx.MinimaxEstimate]))
 def test_per_step_records_reject_assignment(paper_models, index, cls):
     record = _records(paper_models)[index]
     assert type(record) is cls
@@ -112,21 +110,21 @@ def _scalar_spec(**entries):
 
 
 @pytest.mark.parametrize("call, field, match", [
-    (lambda m, s: mx.run_estimators(m, ["a"], u=[[0.0]]), "y", "^y must be numbers$"),
-    (lambda m, s: mx.run_estimators(m, [[1.0], [1.0, 2.0]]), "y", "^y must be numbers$"),
-    (lambda m, s: mx.run_estimators(m, [[0.0]], u=["a"]), "u", "^u must be numbers$"),
-    (lambda m, s: mx.step(s, ["a"], [0.0]), "y", "^y must be numbers$"),
-    (lambda m, s: mx.step(s, [0.0], [[0.0], [1.0, 2.0]]), "u", "^u must be numbers$"),
-    (lambda m, s: mx.validate(_scalar_spec(Q="a")), "Q", "^Q must be numbers$"),
-    (lambda m, s: mx.validate(_scalar_spec(F=[[[1.0], [1.0, 2.0]]])), "F",
+    (lambda m: mx.run_estimators(m, ["a"], u=[[0.0]]), "y", "^y must be numbers$"),
+    (lambda m: mx.run_estimators(m, [[1.0], [1.0, 2.0]]), "y", "^y must be numbers$"),
+    (lambda m: mx.run_estimators(m, [[0.0]], u=["a"]), "u", "^u must be numbers$"),
+    (lambda m: mx.run_estimators(m, [[0.0], [1.0]], u=[[0.0], [0.0, 1.0]]), "u",
+     "^u must be numbers$"),
+    (lambda m: mx.run_estimators(m, [[1j]]), "y", "^y must be numbers$"),
+    (lambda m: mx.validate(_scalar_spec(Q="a")), "Q", "^Q must be numbers$"),
+    (lambda m: mx.validate(_scalar_spec(F=[[[1.0], [1.0, 2.0]]])), "F",
      "^F must be numbers$"),
-    (lambda m, s: mx.validate(_scalar_spec(F=3.0)), "F",
+    (lambda m: mx.validate(_scalar_spec(F=3.0)), "F",
      "^F must be a sequence of per-model matrices, got 3.0$"),
-    (lambda m, s: mx.solve_are("a", 1.0, 1.0, 1.0, 1.0), "F", "^F must be numbers$"),
-], ids=["run-string-y", "run-ragged-y", "run-string-u", "step-string-y", "step-ragged-u",
+    (lambda m: mx.solve_are("a", 1.0, 1.0, 1.0, 1.0), "F", "^F must be numbers$"),
+], ids=["run-string-y", "run-ragged-y", "run-string-u", "run-ragged-u", "run-complex-y",
         "validate-string-Q", "validate-ragged-F", "validate-scalar-F", "solve_are-string-F"])
 def test_entry_points_report_values_that_are_not_numbers(paper_models, call, field, match):
     # numpy's own conversion errors would reach a library caller unmapped
-    state = mx.init(mx.run_recursion(paper_models, 3))
     with raises_invalid(field, match):
-        call(paper_models, state)
+        call(paper_models)

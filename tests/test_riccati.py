@@ -358,7 +358,7 @@ def test_schedule_accessors_raise_out_of_range():
             seq.gain(t, 0)
     stat = mx.stationary_gains(oracle_bank())  # one column for every t >= 0, none for t < 0
     for what, read in (("covariance", lambda t: stat.cov(t, 0)), ("covariance", stat.lambda_max),
-                       ("covariance", stat.require_feasible), ("gain", lambda t: stat.gain(t, 0))):
+                       ("gain", lambda t: stat.gain(t, 0))):
         read(10**6)
         with raises_invalid("t", f"^no {what} at t=-1; a stationary schedule starts at t=0$"):
             read(-1)
@@ -366,7 +366,7 @@ def test_schedule_accessors_raise_out_of_range():
 
 @pytest.mark.parametrize("t", [2.5, True, "3", np.float64(3.0)],
                          ids=["float", "bool", "str", "numpy-float"])
-@pytest.mark.parametrize("read", ["cov", "gain", "lambda_max", "require_feasible"])
+@pytest.mark.parametrize("read", ["cov", "gain", "lambda_max"])
 @pytest.mark.parametrize("stationary", [False, True], ids=["time-varying", "stationary"])
 def test_schedule_accessors_reject_a_t_that_is_not_an_integer(stationary, read, t, paper_models):
     # Such a t would index the grids (True picks a whole grid, 2.5 fails in
@@ -436,7 +436,11 @@ def test_require_feasible_names_earliest_violation():
         mx.run_recursion(one, 4).require_feasible()
     assert (err.value.t, err.value.model) == (2, 0)
     assert err.value.lambda_max == pytest.approx(1.6)
-    mx.run_recursion(one, 4).require_feasible(t=1)  # one time only
+    # the stationary P is the golden ratio, past gamma^2 at every t
+    with pytest.raises(mx.GammaInfeasible, match=r"^model 0: lambda_max") as err:
+        mx.stationary_gains(one).require_feasible()
+    assert (err.value.t, err.value.model) == (None, 0)
+    assert err.value.lambda_max == pytest.approx((1 + np.sqrt(5)) / 2)
 
 
 def test_schedule_stores_nan_weights_where_infeasible():
@@ -559,7 +563,6 @@ def test_mixed_bank_clamps_only_the_settled_model(settle_banks):
     for name in GRIDS:
         np.testing.assert_array_equal(getattr(seq, name)[:, 1], getattr(alone, name)[:, 0],
                                       err_msg=name)
-    np.testing.assert_array_equal(seq.bank_feasible, alone.bank_feasible)
 
 
 @pytest.mark.parametrize("bank, N", [("K32", 200), ("mixed", 2000)])
@@ -574,7 +577,6 @@ def test_certificates_match_dense_recomputation(bank, N, settle_banks):
     np.testing.assert_array_equal(seq.margin, gsq - np.linalg.eigvalsh(HPHt)[..., -1])
     W = np.linalg.inv(np.eye(m) - HPHt / gsq)
     np.testing.assert_array_equal(seq.W, 0.5 * (W + W.swapaxes(-1, -2)))
-    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=1))
     cols = seq.Sinv.shape[0]
     S = models.R + H @ (seq.P[:cols] @ H.swapaxes(-1, -2))
     np.testing.assert_array_equal(seq.Sinv, np.linalg.inv(0.5 * (S + S.swapaxes(-1, -2))))
@@ -620,10 +622,6 @@ def test_settled_schedule_names_earliest_violation():
         with pytest.raises(mx.GammaInfeasible) as err:
             seq.require_feasible()
         assert (err.value.t, err.value.model) == where
-    with pytest.raises(mx.GammaInfeasible) as err:
-        mx.run_recursion(one, N).require_feasible(t=N)  # read from the last column
-    assert (err.value.t, err.value.model) == (N, 0)
-    assert err.value.lambda_max == pytest.approx((1 + np.sqrt(5)) / 2)
 
 
 def test_schedule_memory_flat_in_horizon(paper_models):
@@ -654,28 +652,8 @@ def test_unsettled_schedule_holds_only_its_arrays():
         tracemalloc.stop()
     assert seq.P.shape[0] == 2001
     arrays = sum(getattr(seq, name).nbytes
-                 for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W", "Ht"))
+                 for name in ("P", "Sinv", "log_norm", "margin", "W", "Ht"))
     assert held <= 1.5 * arrays
-
-
-def test_bank_feasible_flags_follow_margins():
-    # One flag per column, true iff every model's margin there is positive;
-    # require_feasible(t) answers from it and raises the margin's diagnostic.
-    models = mx.validate({"F": [I1, I1], "H": [I1, 0.5 * I1], "Q": I1, "R": I1,
-                          "P0": I1, "gamma": np.sqrt(1.55)})
-    seq = mx.run_recursion(models, 4)
-    np.testing.assert_array_equal(seq.bank_feasible, [True, True, False, False, False])
-    np.testing.assert_array_equal(seq.bank_feasible, (seq.margin > 0).all(axis=1))
-    seq.require_feasible(1)
-    with pytest.raises(mx.GammaInfeasible) as err:
-        seq.require_feasible(3)
-    assert (err.value.t, err.value.model) == (3, 0)
-    assert err.value.lambda_max == pytest.approx(seq.lambda_max(3)[0])
-    stationary = mx.stationary_gains(models)
-    np.testing.assert_array_equal(stationary.bank_feasible, [False])
-    with pytest.raises(mx.GammaInfeasible) as err:
-        stationary.require_feasible(7)
-    assert (err.value.t, err.value.model) == (7, 0)
 
 
 @pytest.mark.parametrize("N, match", [
@@ -701,7 +679,7 @@ def test_equal_banks_share_one_schedule_with_their_own_models(paper_models):
     info = riccati._run_recursion.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert seq.models is paper_models and again.models is twin
-    for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W", "Ht"):
+    for name in ("P", "Sinv", "log_norm", "margin", "W", "Ht"):
         assert getattr(again, name) is getattr(seq, name)
     assert mx.run_recursion(paper_models, 31).P is not seq.P
     louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
@@ -716,7 +694,7 @@ def test_equal_stationary_banks_share_one_read_only_schedule(paper_models):
     info = riccati._stationary_schedule.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert seq.models is paper_models and again.models is twin
-    for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W", "Ht"):
+    for name in ("P", "Sinv", "log_norm", "margin", "W", "Ht"):
         assert getattr(again, name) is getattr(seq, name)
         assert not getattr(again, name).flags.writeable
     louder = dataclasses.replace(paper_models, gamma=2.0 * paper_models.gamma)
@@ -787,7 +765,7 @@ def test_bank_differing_in_input_map_and_start_filters_with_its_own():
                          ids=["time-varying", "stationary"])
 def test_schedule_arrays_are_read_only(make):
     seq = make()
-    for name in ("P", "Sinv", "log_norm", "margin", "bank_feasible", "W"):
+    for name in ("P", "Sinv", "log_norm", "margin", "W"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(seq, name)[0, ...] = 0
 
@@ -801,8 +779,6 @@ def test_schedule_columns_are_read_only_views_of_its_arrays(N, paper_models):
     columns = {1000: 19, 10: 11, None: 1}[N]
     assert seq.P.shape[:2] == seq.W.shape[:2] == seq.margin.shape == (columns, 2)
     assert seq.Sinv.shape[:2] == seq.log_norm.shape == (columns - (N == 10), 2)
-    assert seq.bank_feasible.shape == (columns,)
-    assert not seq.bank_feasible.flags.writeable
     for name in ("P", "Sinv", "log_norm", "margin", "W"):
         whole = getattr(seq, name)
         for c in range(len(whole)):

@@ -70,7 +70,7 @@ def test_rendered_outputs_match_the_recorded_digests(tmp_path):
     recorded = ROOT / "tests" / "data" / "outputs.sha256"
     same_outputs.collect(ROOT, tmp_path)
     assert same_outputs.digest_difference(recorded, tmp_path) is None
-    assert len(same_outputs.read_digests(recorded)[1]) == 192
+    assert len(same_outputs.read_digests(recorded)[1]) == 196
 
 
 def test_digest_difference_names_the_first_file_and_a_numpy_mismatch(tmp_path):

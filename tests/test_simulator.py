@@ -1,11 +1,10 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
 
 import mmxest as mx
-from mmxest import filter_bank, riccati
+from mmxest import bayes, filter_bank, riccati
 from mmxest.simulator import InputSpec, NoiseSpec
 from conftest import make_random_models, raises_invalid
 from oracles import reference_estimators, reference_normals, reference_uniforms, truth_loop
@@ -166,20 +165,18 @@ def test_generate_truth_matches_step_loop_on_random_bank():
     assert (np.abs(y - y_loop) <= bound + np.finfo(float).eps * np.abs(y_loop)).all()
 
 
-def test_run_estimators_forms_each_innovation_once(paper_config, monkeypatch):
-    # One innovation per step serves both the filter update and the Bayes
-    # update.  Every binding of the function in the package is counted, so
-    # a module that imports it by name is counted too.
+def test_run_estimators_steps_each_t_before_the_horizon_once(paper_config, monkeypatch):
+    # The filter step forms the one innovation that both the filter update
+    # and the Bayes update use, and it has no gain past the horizon: the
+    # loop steps t = 0 .. N - 1 once each.
     calls = []
-    innovations = filter_bank.innovations
+    step = filter_bank.step
 
-    def counted(state, y):
+    def counted(state, y, u=None):
         calls.append(state.t)
-        return innovations(state, y)
+        return step(state, y, u)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mmxest" and getattr(module, "innovations", None) is innovations:
-            monkeypatch.setattr(module, "innovations", counted)
+    monkeypatch.setattr(filter_bank, "step", counted)
     cfg = paper_config
     u, x, y, z = mx.generate_truth(cfg.models, 1, 30, cfg.process_noise,
                                    cfg.measurement_noise, cfg.input_spec)
@@ -323,7 +320,7 @@ def test_simulation_is_deterministic(paper_config):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_infeasible_gamma_rejected_before_data(paper_config):
+def test_infeasible_gamma_rejected_before_data(paper_config, monkeypatch):
     cfg = paper_config
     spec = {
         "F": list(cfg.models.F), "H": list(cfg.models.H),
@@ -331,9 +328,65 @@ def test_infeasible_gamma_rejected_before_data(paper_config):
         "P0": cfg.models.P0, "gamma": 1.0,
     }
     tight = mx.validate(spec)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before feasibility was checked")
+
+    monkeypatch.setattr(filter_bank, "step", no_step)
     with pytest.raises(mx.GammaInfeasible) as err:
         mx.run_estimators(tight, np.zeros((5, 1)), u=np.zeros((5, 1)))
     assert err.value.lambda_max >= err.value.gamma_sq
+    assert (err.value.model, err.value.t) == (0, 0)
+    # P_t of model 0 grows past gamma^2 only at t = 3; the loop never gets there
+    late = mx.validate({"F": [0.99, 0.5], "H": [1.0, 1.0], "Q": 1.0, "R": 1.0, "P0": 0.01,
+                        "gamma": 1.245})
+    with pytest.raises(mx.GammaInfeasible, match=r"^model 0 at t=3: lambda_max\(H P H\^T\) = "):
+        mx.run_estimators(late, np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("F, gamma, horizon, stationary, where", [
+    ([0.99, 0.5], 1.0, 8, False, (0, 1)),
+    ([0.99, 0.5], 1.1, 8, False, (0, 2)),
+    ([0.99, 0.5], 1.245, 8, False, (0, 3)),
+    ([0.99, 0.5], 1.245, 3, False, (0, 3)),
+    ([0.99, 0.5], 1.245, 2, False, None),
+    ([0.5, 0.99], 1.245, 8, False, (1, 3)),
+    ([0.5, 0.99], 1.0, 8, False, (0, 1)),
+    ([0.99, 0.5], 1.245, 8, True, (0, None)),
+    ([0.5, 0.99], 1.245, 8, True, (1, None)),
+], ids=["t1", "t2", "t3", "t3-terminal", "past-horizon", "model1-t3", "both-t1-lowest",
+        "stationary", "stationary-model1"])
+def test_run_estimators_names_the_earliest_infeasible_pair(monkeypatch, F, gamma, horizon,
+                                                           stationary, where):
+    # Two scalar models whose P_t grows from P0 = 0.01 towards the fixed
+    # point of the ARE, faster for F = 0.99.  The whole schedule is checked
+    # before the loop, the terminal covariance P_N included, and the error
+    # names the earliest t and the lowest model there (t None for stationary
+    # gains); a schedule feasible through P_N replays.
+    models = mx.validate({"F": F, "H": [1.0, 1.0], "Q": 1.0, "R": 1.0, "P0": 0.01,
+                          "gamma": gamma})
+    record = np.zeros((horizon, 1))
+    if where is None:
+        assert np.isfinite(mx.run_estimators(models, record).yhat_minimax).all()
+        return
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before feasibility was checked")
+
+    monkeypatch.setattr(filter_bank, "step", no_step)
+    with pytest.raises(mx.GammaInfeasible) as err:
+        mx.run_estimators(models, record, stationary=stationary)
+    model, t = where
+    assert (err.value.model, err.value.t) == where
+    gains = (mx.stationary_gains(models) if stationary
+             else mx.run_recursion(models, horizon))
+    # lambda_max(H P H^T) = P for H = 1, at the schedule's column of t
+    P = gains.P[gains.column(0 if stationary else t, terminal=True), model, 0, 0]
+    assert err.value.lambda_max == pytest.approx(P, rel=1e-12, abs=0.0)
+    assert P >= gamma ** 2 == err.value.gamma_sq
+    at = "" if stationary else f" at t={t}"
+    assert str(err.value) == (f"model {model}{at}: lambda_max(H P H^T) = "
+                              f"{err.value.lambda_max!r} >= gamma^2 = {gamma ** 2!r}")
 
 
 @pytest.mark.parametrize("run_bayes", [True, False])
@@ -348,6 +401,9 @@ def test_run_estimators_checks_record_shapes(paper_config, monkeypatch, run_baye
         mx.run_estimators(cfg.models, np.zeros((6, 2)), u=np.zeros((6, 1)), run_bayes=run_bayes)
     with raises_invalid("u", r"^u has shape \(5, 1\), expected \(6, 1\)$"):
         mx.run_estimators(cfg.models, np.zeros((6, 1)), u=np.zeros((5, 1)), run_bayes=run_bayes)
+    inputless = make_random_models(np.random.default_rng(0), 2, 2, 1)
+    with raises_invalid("u", r"^u has shape \(6, 1\), expected \(6, 0\)$"):
+        mx.run_estimators(inputless, np.zeros((6, 1)), u=np.zeros((6, 1)), run_bayes=run_bayes)
     for name, t, bad in (("y", 3, np.nan), ("u", 2, np.inf), ("u", 5, -np.inf)):
         record = {"y": np.zeros((6, 1)), "u": np.zeros((6, 1))}
         record[name][t] = bad
@@ -402,6 +458,42 @@ def test_run_estimators_takes_a_1d_record_as_one_column(paper_config):
     for field in dataclasses.fields(mx.SimulationTrace):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+RECORD_FORMS = {
+    "list": lambda a: a.tolist(),
+    "int": lambda a: a.astype(int),
+    "float32": lambda a: a.astype(np.float32),
+    "fortran": np.asfortranarray,
+    "strided": lambda a: np.concatenate([a, a], axis=1)[:, :a.shape[1]],
+    "read-only": lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+}
+
+
+@pytest.mark.parametrize("form", list(RECORD_FORMS))
+@pytest.mark.parametrize("bank", ["paper", "random-input", "bank1-K8"])
+def test_run_estimators_reads_any_record_form_as_its_float64_array(paper_config, bench_banks,
+                                                                   bank, form):
+    # The per-step functions take float64 rows only; run_estimators converts
+    # the record once, so a record in any form replays as the float64 array
+    # of the same values.  The banks: m = p = 1; m = 2, p = 1; m = 2, p = 0.
+    # The values are integers, exact in every form, and + 0.0 turns a -0.0,
+    # which an int cannot hold, into +0.0.
+    models = {"paper": paper_config.models, "bank1-K8": bench_banks["bank1-K8"],
+              "random-input": make_random_models(np.random.default_rng(5), 3, 4, 2,
+                                                 with_input=True)}[bank]
+    u, _, y, _ = mx.generate_truth(models, 0, 20, NoiseSpec(seed=0), NoiseSpec(seed=1))
+    y, u = np.round(4 * y) + 0.0, (np.round(4 * u) + 0.0 if models.p else None)
+    want = mx.run_estimators(models, y, u=u)
+    to_form = RECORD_FORMS[form]
+    got = mx.run_estimators(models, to_form(y), u=None if u is None else to_form(u))
+    for field in dataclasses.fields(mx.SimulationTrace):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype == np.float64, field.name
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
         else:
             assert a == b, field.name
@@ -479,8 +571,8 @@ def test_mu_columns_follow_the_bayes_toggle(paper_config):
     y, u = np.linspace(-1.0, 1.0, 6)[:, None], np.zeros((6, 1))
     assert np.isnan(mx.run_estimators(cfg.models, y, u=u, run_bayes=False).mu).all()
     tr = mx.run_estimators(cfg.models, y, u=u)
-    state, posterior = mx.init(mx.run_recursion(cfg.models, 6)), mx.bayes_init(cfg.models)
+    state, posterior = filter_bank.init(mx.run_recursion(cfg.models, 6)), np.full(2, 0.5)
     for t in range(6):
         np.testing.assert_array_equal(tr.mu[t], posterior)
-        state = mx.step(state, y[t], u[t])
-        posterior = mx.bayes_step(posterior, state)
+        state = filter_bank.step(state, y[t], u[t])
+        posterior = bayes.bayes_step(posterior, state)

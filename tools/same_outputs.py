@@ -16,7 +16,8 @@ In each checkout, with its own ``src`` first on the import path, runs
   entries; each copy is written into the command's own output directory;
 - ``run --seeds 0..63 --full``, time-varying and ``--stationary`` (64 files each);
 - ``riccati``;
-- ``check``.
+- ``check``, and on a copy with ``stationary: true``, so that the
+  stationary line is pinned too.
 
 The CLI runs see m = 1 only, and all but one the paper config's 20 steps,
 so each checkout also renders, with its own ``perfbench/workloads.py``, the
@@ -61,12 +62,14 @@ COMMANDS = {
     "run_zero_noise": ["run", "--full", "--out", "{out}/trace.csv"],
     "riccati": ["riccati"],
     "check": ["check"],
+    "check_stationary": ["check"],
 }
 # name -> block appended to the command's own copy of CONFIG, {out}/exp.cfg
 CONFIG_BLOCKS = {
     "run_no_minimax": "estimators: {minimax: false}\n",
     "run_no_bayes": "estimators: {bayesian: false}\n",
     "run_bayes_map": "bayes_mode: map\n",
+    "check_stationary": "stationary: true\n",
 }
 # name -> (old, new) texts replaced in the command's copy of CONFIG; each old text must occur
 CONFIG_EDITS = {
